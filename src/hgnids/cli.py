@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -232,10 +233,10 @@ def cmd_features(args, cfg, manifest: Manifest) -> int:
 def _hyperparams_from_args(args, kind: ModelKind) -> Hyperparams:
     base = default_hyperparams(kind, args.seed)
     return Hyperparams(
-        n_trees=args.trees or base.n_trees,
-        max_depth=args.depth or base.max_depth,
-        min_leaf=args.min_leaf or base.min_leaf,
-        learning_rate=args.learning_rate or base.learning_rate,
+        n_trees=base.n_trees if args.trees is None else args.trees,
+        max_depth=base.max_depth if args.depth is None else args.depth,
+        min_leaf=base.min_leaf if args.min_leaf is None else args.min_leaf,
+        learning_rate=base.learning_rate if args.learning_rate is None else args.learning_rate,
         feature_subsample=base.feature_subsample,
         seed=args.seed,
     )
@@ -454,6 +455,20 @@ def cmd_report(args, cfg, manifest: Manifest) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a positive number: {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hgnids", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hgnids {__version__}")
@@ -495,10 +510,10 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("nrf", "hgi", "hga"), required=True)
     p.add_argument("--kind", choices=("rf", "gb"), required=True)
-    p.add_argument("--trees", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--trees", type=_positive_int, default=None)
+    p.add_argument("--depth", type=_positive_int, default=None)
+    p.add_argument("--min-leaf", type=_positive_int, default=None)
+    p.add_argument("--learning-rate", type=_positive_float, default=None)
     common(p)
     p.set_defaults(func=cmd_train)
 
@@ -539,7 +554,6 @@ def build_parser() -> _Parser:
     p.add_argument("--case", type=int, required=True)
     p.add_argument("--thresholds", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--baseline", action="store_true")
     p.add_argument("--full", action="store_true")
     common(p)
     p.set_defaults(func=cmd_sweep)

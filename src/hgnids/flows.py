@@ -268,8 +268,8 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
             missing = True
         raw_numeric[name] = value
     try:
-        src_port = int(float(cells["src_port"]))
-        dst_port = int(float(cells["dst_port"]))
+        src_port = _integral(float(cells["src_port"]))
+        dst_port = _integral(float(cells["dst_port"]))
     except ValueError:
         return None, "unparseable"
     if cells["label"] == "":
@@ -280,8 +280,8 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
         return None, "non_finite"
     if raw_numeric["flow_duration"] < 0:
         return None, "negative_duration"
-    protocol = int(raw_numeric["protocol"])
-    if protocol not in PROTOCOLS or not (0 <= src_port <= 65535) or not (0 <= dst_port <= 65535):
+    protocol = raw_numeric["protocol"]
+    if not protocol.is_integer() or int(protocol) not in PROTOCOLS or not (0 <= src_port <= 65535) or not (0 <= dst_port <= 65535):
         return None, "unparseable"
     if any(v < 0 for v in raw_numeric.values()):
         return None, "negative_value"
@@ -291,7 +291,7 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
         dst_ip=cells["dst_ip"],
         src_port=src_port,
         dst_port=dst_port,
-        protocol=protocol,
+        protocol=int(protocol),
         flow_duration=raw_numeric["flow_duration"],
         tot_fwd_pkts=raw_numeric["tot_fwd_pkts"],
         tot_bwd_pkts=raw_numeric["tot_bwd_pkts"],
@@ -303,6 +303,14 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
         label=ActivityLabel.parse(cells["label"]),
     )
     return rec, ""
+
+
+def _integral(value: float) -> int:
+    """A port number; ValueError for a non-integral cell such as 80.5, which
+    int() would silently truncate."""
+    if not value.is_integer():
+        raise ValueError(f"non-integral value: {value!r}")
+    return int(value)
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -13,22 +13,28 @@ all derive from that relation. A scanning source/target pair shows up as
 two near-identical large hyperedges whose tail centralities (large s)
 lock to 1, which is the signature the rest of the package exploits.
 
-Pairwise overlap counts are computed once per hypergraph and reused for
-every s, so per-s traversals stay near linear in the number of
-overlapping edge pairs.
+All metrics come from one kernel over integer edge ids: for each s, the
+overlap pairs with count >= s form the s-line graph, and a level-synchronous
+BFS from a chunk of sources at once takes one product per level with the
+dense adjacency of the n_s edges that have an s-neighbour. Per s, memory is
+that [n_s, n_s] adjacency and the cached int32 distances, plus BFS blocks
+of chunk * n_s <= _CHUNK_CELLS cells.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .flows import Dataset
 
 SCHEDULE_BASE = 3
 SCHEDULE_STEPS = 11
+# Bound on the cells of one source chunk's frontier and distance blocks.
+_CHUNK_CELLS = 1 << 14
 
 
 class EdgeRole(Enum):
@@ -44,7 +50,9 @@ class Hypergraph:
         self.edges: dict[str, set[int]] = {}
         self.roles: dict[str, EdgeRole] = {}
         self._overlaps: dict[tuple[str, str], int] | None = None
-        self._adjacency: dict[int, dict[str, list[str]]] = {}
+        self._ids: dict[str, int] | None = None  # edge ids, set with _pairs
+        self._pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._lines: dict[int, _SLineGraph] = {}
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -92,20 +100,14 @@ class Hypergraph:
             self._overlaps = counts
         return self._overlaps
 
-    def adjacency_at(self, s: int) -> dict[str, list[str]]:
-        """Neighbour lists under the >= s shared-vertex relation."""
-        if s < 1:
-            raise ValueError("s must be >= 1")
-        cached = self._adjacency.get(s)
-        if cached is not None:
-            return cached
-        neighbours: dict[str, list[str]] = {ip: [] for ip in self.edges}
-        for (a, b), count in self.overlaps().items():
-            if count >= s:
-                neighbours[a].append(b)
-                neighbours[b].append(a)
-        self._adjacency[s] = neighbours
-        return neighbours
+    def _overlap_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`overlaps()` as (ia, ib, count) arrays over insertion-order edge ids."""
+        if self._pairs is None:
+            self._ids = {ip: i for i, ip in enumerate(self.edges)}
+            pairs = self.overlaps()
+            ends = np.fromiter((self._ids[ip] for pair in pairs for ip in pair), np.int32, 2 * len(pairs))
+            self._pairs = (ends[0::2], ends[1::2], np.fromiter(pairs.values(), np.int32, len(pairs)))
+        return self._pairs
 
 
 @dataclass
@@ -134,6 +136,16 @@ class CentralityProfile:
         return float(sum(self.values))
 
 
+@dataclass
+class _SLineGraph:
+    """One s-line graph swept from every source, indexed by edge id."""
+
+    row: np.ndarray  # per edge: its row in `distances`, -1 for a singleton
+    distances: np.ndarray  # int32 [n_s, n_s] hop counts, -1 when unreachable
+    closeness: np.ndarray  # per edge: C_s, 0 for a singleton
+    component: np.ndarray  # per edge: s-component id, numbered in insertion order
+
+
 def build_hypergraph(dataset: Dataset) -> Hypergraph:
     """Build the port hypergraph: each record adds its destination port to
     both its source-IP edge and its destination-IP edge."""
@@ -144,76 +156,77 @@ def build_hypergraph(dataset: Dataset) -> Hypergraph:
     return h
 
 
-def _bfs_distances(h: Hypergraph, start: str, s: int) -> dict[str, int]:
-    adjacency = h.adjacency_at(s)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
+def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Level-synchronous BFS from every source row at once: the hop count
+    from sources[i] to row j at [i, j], -1 where unreachable."""
+    at = (np.arange(len(sources)), sources)
+    dist = np.full((len(sources), len(adjacency)), -1, np.int32)
+    dist[at] = 0
+    frontier = np.zeros(dist.shape, np.float32)
+    frontier[at] = 1.0
+    depth = 0
+    while frontier.any():
+        depth += 1
+        reached = (frontier @ adjacency > 0) & (dist < 0)
+        dist[reached] = depth
+        frontier = reached.astype(np.float32)
     return dist
+
+
+def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
+    """The s-line graph of h, swept from every source once and cached."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    cached = h._lines.get(s)
+    if cached is not None:
+        return cached
+    ia, ib, count = h._overlap_arrays()
+    keep = count >= s
+    ia, ib = ia[keep], ib[keep]
+    row = np.full(len(h.edges), -1, np.int32)  # stays -1 for an edge with no s-neighbour
+    row[ia] = row[ib] = 0
+    nodes = np.flatnonzero(row == 0)
+    n = len(nodes)
+    row[nodes] = np.arange(n)
+    adjacency = np.zeros((n, n), np.float32)
+    adjacency[row[ia], row[ib]] = adjacency[row[ib], row[ia]] = 1.0
+    distances = np.empty((n, n), np.int32)
+    closeness = np.zeros(len(h.edges))
+    root = np.arange(len(h.edges))  # smallest edge id in each edge's component
+    chunk = max(1, _CHUNK_CELLS // max(n, 1))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        distances[rows] = block = _bfs(adjacency, np.arange(n)[rows])
+        reached = block >= 0
+        closeness[nodes[rows]] = (reached.sum(1) - 1) / block.sum(1, where=reached)
+        root[nodes[rows]] = nodes[reached.argmax(1)]
+    component = np.cumsum(root == np.arange(len(h.edges)))[root] - 1
+    line = h._lines[s] = _SLineGraph(row, distances, closeness, component)
+    return line
 
 
 def s_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
     """Length of the shortest s-path from e to f; None when unreachable."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    for edge in (e, f):
-        if edge not in h.edges:
-            raise KeyError(f"unknown edge: {edge}")
+    line = _s_line_graph(h, s)
+    i, j = line.row[h._ids[e]], line.row[h._ids[f]]
     if e == f:
         return 0
-    adjacency = h.adjacency_at(s)
-    dist = {e: 0}
-    queue = deque([e])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adjacency[cur]:
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                if nxt == f:
-                    return dist[nxt]
-                queue.append(nxt)
-    return None
+    if i < 0 or j < 0:
+        return None
+    d = int(line.distances[i, j])
+    return d if d >= 0 else None
 
 
 def s_components(h: Hypergraph, s: int) -> SComponentMap:
     """Connected components of the s-adjacency relation, ids assigned in
     edge insertion order."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    adjacency = h.adjacency_at(s)
-    assignment: dict[str, int] = {}
-    next_id = 0
-    for edge in h.edges:
-        if edge in assignment:
-            continue
-        assignment[edge] = next_id
-        queue = deque([edge])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adjacency[cur]:
-                if nxt not in assignment:
-                    assignment[nxt] = next_id
-                    queue.append(nxt)
-        next_id += 1
-    return SComponentMap(s, assignment)
+    line = _s_line_graph(h, s)
+    return SComponentMap(s, dict(zip(h.edges, line.component.tolist())))
 
 
 def s_closeness_centrality(h: Hypergraph, e: str, s: int) -> float:
     """C_s(e) over e's s-component; 0 by convention for a singleton."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if e not in h.edges:
-        raise KeyError(f"unknown edge: {e}")
-    dist = _bfs_distances(h, e, s)
-    n = len(dist)
-    if n <= 1:
-        return 0.0
-    return (n - 1) / sum(dist.values())
+    return float(_s_line_graph(h, s).closeness[h._ids[e]])
 
 
 def centrality_schedule(k: int) -> tuple[int, ...]:
@@ -225,36 +238,21 @@ def centrality_schedule(k: int) -> tuple[int, ...]:
 def centrality_profile(h: Hypergraph, e: str, k: int) -> CentralityProfile:
     """The 11 scheduled s-closeness centralities of e at s = 3, 3+k, ..., 3+10k.
 
-    Scheduled values with s larger than the edge size are zero-filled.
+    Scheduled values with s larger than the edge size are zero, since such
+    an edge has no s-neighbour.
     """
-    if e not in h.edges:
-        raise KeyError(f"unknown edge: {e}")
     schedule = centrality_schedule(k)
-    size = len(h.edges[e])
-    values = []
-    for s in schedule:
-        if s > size:
-            values.append(0.0)
-        else:
-            values.append(s_closeness_centrality(h, e, s))
-    return CentralityProfile(e, schedule, tuple(values))
+    values = tuple(s_closeness_centrality(h, e, s) for s in schedule)
+    return CentralityProfile(e, schedule, values)
 
 
 def edge_profiles(h: Hypergraph, k: int) -> dict[str, CentralityProfile]:
-    """Profiles for every edge, sharing per-s adjacency across edges."""
+    """Profiles for every edge, one kernel run per scheduled s."""
     schedule = centrality_schedule(k)
-    values: dict[str, list[float]] = {ip: [0.0] * SCHEDULE_STEPS for ip in h.edges}
-    for i, s in enumerate(schedule):
-        for ip, members in h.edges.items():
-            if len(members) < s:
-                continue
-            dist = _bfs_distances(h, ip, s)
-            n = len(dist)
-            if n > 1:
-                values[ip][i] = (n - 1) / sum(dist.values())
+    table = np.column_stack([_s_line_graph(h, s).closeness for s in schedule])
     return {
-        ip: CentralityProfile(ip, schedule, tuple(vals))
-        for ip, vals in values.items()
+        ip: CentralityProfile(ip, schedule, tuple(values))
+        for ip, values in zip(h.edges, table.tolist())
     }
 
 

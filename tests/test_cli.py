@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from hgnids.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from hgnids.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, build_parser, main
 from hgnids.config import config_bool, config_int, load_config
 from hgnids.simulate import Scorecard
+from hgnids.trees import ModelKind, default_hyperparams
 
 TINY_CONFIG = "n_computers=2\nn_epochs=2\nbatch_size=150\n"
 
@@ -18,6 +19,37 @@ def tiny_cfg_file(tmp_path):
 
 def test_unknown_subcommand_is_usage_error(tmp_path):
     assert main(["frobnicate", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+
+
+def _train_args(*flags):
+    return ["train", "--input", "absent.csv", "--mode", "nrf", "--kind", "gb", *flags]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--trees", "0"), ("--depth", "0"), ("--min-leaf", "-1"),
+    ("--learning-rate", "0"), ("--learning-rate", "-0.1"), ("--learning-rate", "nan"),
+])
+def test_train_rejects_non_positive_hyperparams(tmp_path, flag, value):
+    assert main(_train_args(flag, value, "--out-dir", str(tmp_path))) == EXIT_USAGE
+
+
+def test_hyperparams_from_args_explicit_and_default():
+    args = build_parser().parse_args(_train_args(
+        "--trees", "3", "--depth", "2", "--min-leaf", "4", "--learning-rate", "0.5",
+        "--seed", "9", "--out-dir", "out",
+    ))
+    hp = _hyperparams_from_args(args, ModelKind.GRADIENT_BOOSTED)
+    assert (hp.n_trees, hp.max_depth, hp.min_leaf, hp.learning_rate, hp.seed) == (3, 2, 4, 0.5, 9)
+    args = build_parser().parse_args(_train_args("--seed", "9", "--out-dir", "out"))
+    assert _hyperparams_from_args(args, ModelKind.GRADIENT_BOOSTED) == default_hyperparams(
+        ModelKind.GRADIENT_BOOSTED, 9
+    )
+
+
+def test_sweep_has_no_baseline_flag(tmp_path):
+    assert main([
+        "sweep", "--case", "1", "--thresholds", "2", "--baseline", "--out-dir", str(tmp_path),
+    ]) == EXIT_USAGE
 
 
 def test_config_file_and_env_override(tmp_path):

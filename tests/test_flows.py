@@ -27,9 +27,10 @@ HEADER = (
 )
 
 
-def _row(duration="100", bytes_s="5000.0", label="BENIGN", protocol="6"):
+def _row(duration="100", bytes_s="5000.0", label="BENIGN", protocol="6", src_port="40000",
+         dst_port="80"):
     return (
-        f"10.0.0.1,10.0.0.2,40000,80,{protocol},{duration},2,2,120,240,"
+        f"10.0.0.1,10.0.0.2,{src_port},{dst_port},{protocol},{duration},2,2,120,240,"
         f"{bytes_s},100.0,1.0,{label}"
     )
 
@@ -73,6 +74,21 @@ def test_ingest_counts_missing_and_unparseable(tmp_path):
     assert len(dataset) == 1
     assert report.reasons["missing_value"] == 2  # empty cell and NaN
     assert report.reasons["unparseable"] == 1
+
+
+def test_ingest_rejects_non_integral_ports_and_protocol(tmp_path):
+    rows = [
+        _row(protocol="6.0", src_port="40000.0", dst_port="80.0"),
+        _row(protocol="6.5"),
+        _row(src_port="40000.5"),
+        _row(dst_port="80.25"),
+        _row(dst_port="inf"),
+    ]
+    path = tmp_path / "fractional.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    dataset, report = ingest_csv(path)
+    assert [(r.protocol, r.src_port, r.dst_port) for r in dataset] == [(6, 40000, 80)]
+    assert report.reasons == {"unparseable": 4}
 
 
 def test_ingest_header_whitespace_tolerated(tmp_path):
