@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .adversarial import ZooBudget, attack_pipeline, to_flow_records
 from .config import config_bool, config_float, config_int, load_config
-from .detector import detect_window
+from .detector import detect_window, write_flags_csv
 from .features import (
     FeatureMode,
     NON_HACKER_WEIGHTS,
@@ -321,11 +321,7 @@ def cmd_detect_scan(args, cfg, manifest: Manifest) -> int:
         flags, flagged = detect_window(chunk, flagged, window_id=w)
         all_flags.extend(flags)
     out = _out_dir(args)
-    with open(out / "flags.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_id", "src_ip", "dst_ip", "tail_sum"])
-        for f in all_flags:
-            writer.writerow([f.window_id, f.pair[0], f.pair[1], f.tail_sum])
+    write_flags_csv(all_flags, out / "flags.csv")
     manifest.add_output(out / "flags.csv")
     manifest.write()
     print(f"flagged {len(all_flags)} pair(s)")

@@ -1,8 +1,10 @@
 """Flat key=value run configuration with environment overrides.
 
 Config files hold one KEY=VALUE pair per line; blank lines and lines
-starting with # are ignored. Any key can be overridden by an environment
-variable named HGNIDS_<KEY> (upper-cased).
+starting with # are ignored. Only the keys in KEYS are recognised: an
+unknown key in a file is an error, and each key can be overridden by an
+environment variable named HGNIDS_<KEY> (upper-cased). No other
+environment variable is read.
 """
 
 from __future__ import annotations
@@ -10,6 +12,16 @@ from __future__ import annotations
 import os
 
 ENV_PREFIX = "HGNIDS_"
+
+KEYS = (
+    "n_computers",
+    "n_epochs",
+    "batch_size",
+    "attack_frac",
+    "adv_per_batch",
+    "ballast_size",
+    "use_weights",
+)
 
 
 def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
@@ -23,11 +35,16 @@ def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip().lower()] = value.strip()
+                key = key.strip().lower()
+                if key not in KEYS:
+                    known = ", ".join(KEYS)
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
+                values[key] = value.strip()
     source = os.environ if env is None else env
-    for name, value in source.items():
-        if name.startswith(ENV_PREFIX):
-            values[name[len(ENV_PREFIX):].lower()] = value
+    for key in KEYS:
+        name = ENV_PREFIX + key.upper()
+        if name in source:
+            values[key] = source[name]
     return values
 
 

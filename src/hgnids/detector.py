@@ -11,7 +11,9 @@ memory lifetime.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from typing import Iterable
 
 from .flows import Dataset
 from .hypergraph import build_hypergraph, detector_skip_interval, edge_profiles
@@ -67,6 +69,15 @@ def detect_window(
             flags.append(ScanFlag(pair, combined, tail_sum, window_id))
             updated.add(pair)
     return flags, updated
+
+
+def write_flags_csv(flags: Iterable[ScanFlag], path) -> None:
+    """One `window_id,src_ip,dst_ip,tail_sum` row per flag."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["window_id", "src_ip", "dst_ip", "tail_sum"])
+        for f in flags:
+            writer.writerow([f.window_id, f.pair[0], f.pair[1], f.tail_sum])
 
 
 def reset(flagged: set[IPPair]) -> set[IPPair]:

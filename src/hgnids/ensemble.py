@@ -26,8 +26,7 @@ from .features import (
     FeatureMode,
     IPPair,
     build_matrix,
-    encode_record,
-    rows_to_arrays,
+    encode,
 )
 from .hypergraph import CentralityProfile, Hypergraph
 from .trees import (
@@ -98,17 +97,6 @@ class UpdateLog:
     candidate_f1: tuple[float, ...] = ()
 
 
-def _encode_batch(
-    records: Sequence[FlowRecord], mode: FeatureMode, ctx: EncodingContext
-) -> np.ndarray:
-    rows = [
-        encode_record(r, mode, ctx.hypergraph, ctx.profiles, ctx.hackers, ctx.weights)
-        for r in records
-    ]
-    X, _ = rows_to_arrays(rows)
-    return X
-
-
 def member_scores(
     state: EnsembleState, records: Sequence[FlowRecord], ctx: EncodingContext
 ) -> np.ndarray:
@@ -117,7 +105,9 @@ def member_scores(
     cols = []
     for slot in state.members:
         if slot.role not in cache:
-            cache[slot.role] = _encode_batch(records, slot.role, ctx)
+            cache[slot.role], _ = encode(
+                records, slot.role, ctx.hypergraph, ctx.profiles, ctx.hackers, ctx.weights
+            )
         cols.append(predict_proba_batch(slot.model, cache[slot.role]))
     return np.stack(cols, axis=1)
 
@@ -145,12 +135,7 @@ def evaluate_ensemble(
     if not records:
         raise ValueError("cannot evaluate on empty records")
     verdicts, _ = classify_batch(state, records, ctx)
-    actual = np.array([r.label.is_attack for r in records])
-    tp = int(np.sum(verdicts & actual))
-    fp = int(np.sum(verdicts & ~actual))
-    tn = int(np.sum(~verdicts & ~actual))
-    fn = int(np.sum(~verdicts & actual))
-    return EvalReport.from_counts(tp, fp, tn, fn)
+    return EvalReport.from_predictions(verdicts, [r.label.is_attack for r in records])
 
 
 def train_member(

@@ -4,10 +4,16 @@ Three layouts share the nine raw flow features (NRF). The HGI layout
 appends the 11 scheduled s-closeness centralities of the record's
 endpoints plus their sum; the HGA layout appends the last scheduled
 centrality and four aggregates (centrality sum, source-edge size,
-destination-edge size, and their sum). Endpoint centralities come from a
-profile map keyed by IP; unseen IPs contribute zeros. In full-dataset
-mode, records whose endpoint pair is not in the known-hacker set take a
-fixed weight vector in the centrality slots instead.
+destination-edge size, and their sum).
+
+`encode` is the one implementation of all three. Every profiled IP gets
+an int row id in a [n_profiles + 1, 11] table whose last row is zeros and
+stands for an unseen IP; a record's centralities are the element-wise
+maximum of its source and destination rows, gathered for the whole batch
+at once. In full-dataset mode, records whose endpoint pair is not in the
+known-hacker set take a fixed weight vector in the centrality slots
+instead. `build_matrix` and `encode_record` wrap the same arrays as
+FeatureVector rows.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .flows import Dataset, FlowRecord
+from .flows import NRF_FIELDS, FlowRecord
 from .hypergraph import (
     CentralityProfile,
     Hypergraph,
@@ -36,18 +42,6 @@ NORMAL = 0
 NRF_WIDTH = 9
 HGI_WIDTH = 21
 HGA_WIDTH = 14
-
-NRF_NAMES = (
-    "protocol",
-    "flow_duration",
-    "tot_fwd_pkts",
-    "tot_bwd_pkts",
-    "tot_fwd_bytes",
-    "tot_bwd_bytes",
-    "flow_bytes_per_s",
-    "flow_pkts_per_s",
-    "down_up_ratio",
-)
 
 # Fixed encoding for endpoint pairs not attributed to a hacker, shaped
 # like the falling trend of mean benign s-closeness centralities.
@@ -111,6 +105,74 @@ def _any_schedule(profiles: Mapping[str, CentralityProfile]) -> tuple[int, ...]:
     return centrality_schedule(1)
 
 
+def encode(
+    records: Iterable[FlowRecord],
+    mode: FeatureMode,
+    hypergraph: Hypergraph | None = None,
+    profiles: Mapping[str, CentralityProfile] | None = None,
+    hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
+    weights: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode records in the requested layout: (X [n, width], y [n]).
+
+    Centrality slots are the endpoints' profile rows gathered from one
+    table, except that a record whose pair is outside the hacker set takes
+    the weight vector when one is supplied. Edge-size aggregates are
+    structural lookups in the hypergraph regardless of the weight rule.
+    """
+    records = tuple(records)
+    n = len(records)
+    y = np.fromiter((ATTACK if r.label.is_attack else NORMAL for r in records), np.int64, n)
+    nrf = np.array([r.nrf() for r in records], dtype=np.float64).reshape(n, NRF_WIDTH)
+    if mode is FeatureMode.NRF:
+        return nrf, y
+
+    if hypergraph is None or len(hypergraph) == 0:
+        raise ValueError(f"{mode.value} encoding needs a non-empty hypergraph")
+    if profiles is None:
+        profiles = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
+    if weights is not None and len(weights) != SCHEDULE_STEPS:
+        raise ValueError("weight vector must have 11 entries")
+    if any(len(p.values) != SCHEDULE_STEPS for p in profiles.values()):
+        raise ValueError("profile schedule must have 11 entries")
+
+    row = {ip: i for i, ip in enumerate(profiles)}
+    unseen = len(row)
+    table = np.array([p.values for p in profiles.values()] + [(0.0,) * SCHEDULE_STEPS])
+    src = np.fromiter((row.get(r.src_ip, unseen) for r in records), np.intp, n)
+    dst = np.fromiter((row.get(r.dst_ip, unseen) for r in records), np.intp, n)
+    c = np.maximum(table[src], table[dst])
+    if weights is not None:
+        c[np.fromiter((r.pair not in hackers for r in records), bool, n)] = weights
+    # left-to-right column sum, bit-equal to sum() over each row
+    total = c[:, 0].copy()
+    for j in range(1, SCHEDULE_STEPS):
+        total += c[:, j]
+
+    if mode is FeatureMode.HGI:
+        return np.column_stack([nrf, c, total]), y
+    src_size = np.fromiter((hypergraph.edge_size(r.src_ip) for r in records), np.float64, n)
+    dst_size = np.fromiter((hypergraph.edge_size(r.dst_ip) for r in records), np.float64, n)
+    return np.column_stack([nrf, c[:, -1], total, src_size, dst_size, src_size + dst_size]), y
+
+
+def build_matrix(
+    dataset: Iterable[FlowRecord],
+    hypergraph: Hypergraph | None,
+    mode: FeatureMode,
+    hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
+    weights: Sequence[float] | None = None,
+    profiles: Mapping[str, CentralityProfile] | None = None,
+) -> list[FeatureVector]:
+    """Encode every record of the dataset as a FeatureVector; see encode."""
+    records = tuple(dataset)
+    X, y = encode(records, mode, hypergraph, profiles, hackers, weights)
+    return [
+        FeatureVector(mode, tuple(values), label, rec)
+        for values, label, rec in zip(X.tolist(), y.tolist(), records)
+    ]
+
+
 def encode_record(
     rec: FlowRecord,
     mode: FeatureMode,
@@ -119,58 +181,8 @@ def encode_record(
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
 ) -> FeatureVector:
-    """Encode one record in the requested layout.
-
-    Centrality slots use the looked-up endpoint profile, except that a
-    record whose pair is outside the hacker set takes the weight vector
-    when one is supplied. Edge-size aggregates are structural lookups in
-    the hypergraph regardless of the weight rule.
-    """
-    label = ATTACK if rec.label.is_attack else NORMAL
-    nrf = rec.nrf()
-    if mode is FeatureMode.NRF:
-        return FeatureVector(mode, nrf, label, rec)
-
-    if hypergraph is None or len(hypergraph) == 0:
-        raise ValueError(f"{mode.value} encoding needs a non-empty hypergraph")
-    if profiles is None:
-        profiles = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
-
-    if weights is not None and rec.pair not in hackers:
-        centralities = tuple(float(w) for w in weights)
-    else:
-        centralities = record_profile(rec, profiles).values
-    if len(centralities) != SCHEDULE_STEPS:
-        raise ValueError("profile schedule must have 11 entries")
-    total = float(sum(centralities))
-
-    if mode is FeatureMode.HGI:
-        return FeatureVector(mode, nrf + centralities + (total,), label, rec)
-
-    src_size = float(hypergraph.edge_size(rec.src_ip))
-    dst_size = float(hypergraph.edge_size(rec.dst_ip))
-    values = nrf + (centralities[-1], total, src_size, dst_size, src_size + dst_size)
-    return FeatureVector(FeatureMode.HGA, values, label, rec)
-
-
-def build_matrix(
-    dataset: Dataset,
-    hypergraph: Hypergraph | None,
-    mode: FeatureMode,
-    hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
-    weights: Sequence[float] | None = None,
-    profiles: Mapping[str, CentralityProfile] | None = None,
-) -> list[FeatureVector]:
-    """Encode every record of the dataset; see encode_record."""
-    if mode is not FeatureMode.NRF:
-        if hypergraph is None or len(hypergraph) == 0:
-            raise ValueError(f"{mode.value} matrix needs a non-empty hypergraph")
-        if profiles is None:
-            profiles = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
-    return [
-        encode_record(rec, mode, hypergraph, profiles, hackers, weights)
-        for rec in dataset
-    ]
+    """Encode one record in the requested layout; see encode."""
+    return build_matrix((rec,), hypergraph, mode, hackers, weights, profiles)[0]
 
 
 def rows_to_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
@@ -225,7 +237,7 @@ def train_test_split(
 
 
 def matrix_header(mode: FeatureMode) -> list[str]:
-    names = list(NRF_NAMES)
+    names = list(NRF_FIELDS)
     if mode is FeatureMode.HGI:
         names += [f"scc_{n}" for n in range(SCHEDULE_STEPS)] + ["scc_sum"]
     elif mode is FeatureMode.HGA:

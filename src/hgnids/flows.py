@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -195,7 +195,8 @@ DEFAULT_COLUMN_MAP: dict[str, str] = {
     "label": "Label",
 }
 
-_NRF_FIELDS = (
+# The nine raw features in NRF layout order (FlowRecord.nrf).
+NRF_FIELDS = (
     "protocol",
     "flow_duration",
     "tot_fwd_pkts",
@@ -255,7 +256,7 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
 
     raw_numeric: dict[str, float] = {}
     missing = False
-    for name in _NRF_FIELDS:
+    for name in NRF_FIELDS:
         cell = cells[name]
         if cell == "":
             missing = True
@@ -287,19 +288,8 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
         return None, "negative_value"
 
     rec = FlowRecord(
-        src_ip=cells["src_ip"],
-        dst_ip=cells["dst_ip"],
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=int(protocol),
-        flow_duration=raw_numeric["flow_duration"],
-        tot_fwd_pkts=raw_numeric["tot_fwd_pkts"],
-        tot_bwd_pkts=raw_numeric["tot_bwd_pkts"],
-        tot_fwd_bytes=raw_numeric["tot_fwd_bytes"],
-        tot_bwd_bytes=raw_numeric["tot_bwd_bytes"],
-        flow_bytes_per_s=raw_numeric["flow_bytes_per_s"],
-        flow_pkts_per_s=raw_numeric["flow_pkts_per_s"],
-        down_up_ratio=raw_numeric["down_up_ratio"],
+        cells["src_ip"], cells["dst_ip"], src_port, dst_port,
+        **{**raw_numeric, "protocol": int(protocol)},
         label=ActivityLabel.parse(cells["label"]),
     )
     return rec, ""
@@ -321,22 +311,9 @@ def write_csv(dataset: Dataset, path) -> None:
         writer.writerow(columns)
         for r in dataset:
             writer.writerow(
-                [
-                    r.src_ip,
-                    r.dst_ip,
-                    r.src_port,
-                    r.dst_port,
-                    r.protocol,
-                    repr(r.flow_duration),
-                    repr(r.tot_fwd_pkts),
-                    repr(r.tot_bwd_pkts),
-                    repr(r.tot_fwd_bytes),
-                    repr(r.tot_bwd_bytes),
-                    repr(r.flow_bytes_per_s),
-                    repr(r.flow_pkts_per_s),
-                    repr(r.down_up_ratio),
-                    r.label.text,
-                ]
+                [r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.protocol]
+                + [repr(v) for v in r.numeric_features()]
+                + [r.label.text]
             )
 
 
@@ -420,22 +397,7 @@ def _draw_features(rng: np.random.Generator, stats: dict, scale: dict | None = N
 
 
 def _make_record(src, dst, src_port, dst_port, protocol, feats, label) -> FlowRecord:
-    return FlowRecord(
-        src_ip=src,
-        dst_ip=dst,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        flow_duration=feats["flow_duration"],
-        tot_fwd_pkts=feats["tot_fwd_pkts"],
-        tot_bwd_pkts=feats["tot_bwd_pkts"],
-        tot_fwd_bytes=feats["tot_fwd_bytes"],
-        tot_bwd_bytes=feats["tot_bwd_bytes"],
-        flow_bytes_per_s=feats["flow_bytes_per_s"],
-        flow_pkts_per_s=feats["flow_pkts_per_s"],
-        down_up_ratio=feats["down_up_ratio"],
-        label=label,
-    )
+    return FlowRecord(src, dst, src_port, dst_port, protocol, label=label, **feats)
 
 
 def _scan_record(rng, pair, port) -> FlowRecord:
@@ -569,31 +531,12 @@ def remap_ip_pairs(dataset: Dataset, n_pairs: int, seed: int) -> Dataset:
         if r.label.kind is LabelKind.PORT_SCAN:
             src, dst = pairs[scan_idx % n_pairs]
             scan_idx += 1
-            out.append(
-                FlowRecord(
-                    src_ip=src,
-                    dst_ip=dst,
-                    src_port=r.src_port,
-                    dst_port=r.dst_port,
-                    protocol=r.protocol,
-                    flow_duration=r.flow_duration,
-                    tot_fwd_pkts=r.tot_fwd_pkts,
-                    tot_bwd_pkts=r.tot_bwd_pkts,
-                    tot_fwd_bytes=r.tot_fwd_bytes,
-                    tot_bwd_bytes=r.tot_bwd_bytes,
-                    flow_bytes_per_s=r.flow_bytes_per_s,
-                    flow_pkts_per_s=r.flow_pkts_per_s,
-                    down_up_ratio=r.down_up_ratio,
-                    label=r.label,
-                )
-            )
+            out.append(replace(r, src_ip=src, dst_ip=dst))
         else:
             out.append(r)
     return Dataset(tuple(out), provenance=dataset.provenance, seed=seed)
 
 
 def concat(*datasets: Dataset, provenance: str = "SYNTHETIC", seed: int | None = None) -> Dataset:
-    records: tuple[FlowRecord, ...] = ()
-    for d in datasets:
-        records = records + d.records
+    records = tuple(r for d in datasets for r in d.records)
     return Dataset(records, provenance=provenance, seed=seed)

@@ -19,15 +19,16 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .adversarial import AdversarialExample, to_flow_records
-from .detector import ScanFlag, detect_window
+from .detector import ScanFlag, detect_window, write_flags_csv
 from .ensemble import (
+    DECISION_THRESHOLD,
     EncodingContext,
     EnsembleState,
     UpdateLog,
@@ -40,7 +41,7 @@ from .ensemble import (
 from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair
 from .flows import Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
 from .hypergraph import build_hypergraph, edge_profiles, feature_skip_interval
-from .trees import Hyperparams
+from .trees import EvalReport, Hyperparams
 
 THRESHOLD_SET = (2, 5, 10, 20, 30, 40, 50, 100)
 
@@ -443,16 +444,12 @@ def run_simulation(
             stream_ctx = train_ctx.with_hackers(stream_hackers)
             verdicts, scores = classify_batch(state, records, stream_ctx)
             actual = np.array([r.label.is_attack for r in records])
-            tp = int(np.sum(verdicts & actual))
-            fp = int(np.sum(verdicts & ~actual))
-            tn = int(np.sum(~verdicts & ~actual))
-            fn = int(np.sum(~verdicts & actual))
-
-            member_fn = tuple(
-                int(np.sum((scores[:, j] < 0.5) & actual)) for j in range(scores.shape[1])
-            )
-            artifacts.batch_member_fn.append(member_fn)
-            artifacts.batch_ensemble_fn.append(fn)
+            report = EvalReport.from_predictions(verdicts, actual)
+            artifacts.batch_member_fn.append(tuple(
+                EvalReport.from_predictions(col >= DECISION_THRESHOLD, actual).fn
+                for col in scores.T
+            ))
+            artifacts.batch_ensemble_fn.append(report.fn)
             artifacts.batch_sizes.append(len(records))
 
             counter += db.record_outcomes(records, verdicts)
@@ -480,19 +477,11 @@ def run_simulation(
                 counter = 0
                 events_this_batch += 1
 
-            total = tp + fp + tn + fn
-            precision = tp / (tp + fp) if (tp + fp) else 0.0
-            recall = tp / (tp + fn) if (tp + fn) else 0.0
             scorecard.rows.append(
                 ScoreRow(
                     epoch=epoch,
                     computer=computer,
-                    tp=tp, fp=fp, tn=tn, fn=fn,
-                    fnp=fn / (tp + fn) if (tp + fn) else 0.0,
-                    accuracy=(tp + tn) / total if total else 0.0,
-                    precision=precision,
-                    recall=recall,
-                    f1=(2 * precision * recall / (precision + recall)) if (precision + recall) else 0.0,
+                    **asdict(report),
                     retrain_events=events_this_batch,
                     ensemble_versions="|".join(str(v) for v in state.versions()),
                 )
@@ -588,11 +577,7 @@ def _write_artifacts(out_dir, cfg, threshold, baseline, scorecard, artifacts) ->
                  "|".join(str(v) for v in ev.versions_after)]
             )
 
-    with open(path / "flag_log.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_id", "src_ip", "dst_ip", "tail_sum"])
-        for flag in artifacts.flag_log:
-            writer.writerow([flag.window_id, flag.pair[0], flag.pair[1], flag.tail_sum])
+    write_flags_csv(artifacts.flag_log, path / "flag_log.csv")
 
     if artifacts.final_state is not None:
         save_state(artifacts.final_state, path / "models" / "final")

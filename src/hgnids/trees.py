@@ -93,6 +93,18 @@ class EvalReport:
         fnp = fn / (tp + fn) if (tp + fn) else 0.0
         return cls(tp, fp, tn, fn, accuracy, precision, recall, f1, fnp)
 
+    @classmethod
+    def from_predictions(cls, pred, actual) -> "EvalReport":
+        """Confusion counts of boolean attack predictions against the truth."""
+        pred = np.asarray(pred, dtype=bool)
+        actual = np.asarray(actual, dtype=bool)
+        return cls.from_counts(
+            int(np.sum(pred & actual)),
+            int(np.sum(pred & ~actual)),
+            int(np.sum(~pred & ~actual)),
+            int(np.sum(~pred & actual)),
+        )
+
 
 class TrainingError(ValueError):
     pass
@@ -310,14 +322,7 @@ def evaluate(model: TreeModel, rows: Sequence[FeatureVector], threshold: float =
     if not rows:
         raise ValueError("cannot evaluate on empty rows")
     X, y = rows_to_arrays(rows)
-    scores = predict_proba_batch(model, X)
-    pred = scores >= threshold
-    actual = y == 1
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    tn = int(np.sum(~pred & ~actual))
-    fn = int(np.sum(~pred & actual))
-    return EvalReport.from_counts(tp, fp, tn, fn)
+    return EvalReport.from_predictions(predict_proba_batch(model, X) >= threshold, y == 1)
 
 
 _FORMAT = "hgnids.tree-model"

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,34 @@ def test_config_rejects_malformed_lines(tmp_path):
     path.write_text("this is not a pair\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+def test_config_rejects_unknown_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("n_epochs=2\n# comment\nn_epoch=1\n")
+    with pytest.raises(ValueError, match=f"{path}:3: unknown key 'n_epoch'"):
+        load_config(path)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--case", "1", "--config", str(path), "--out-dir", str(out)]) == EXIT_DATA
+    assert not (out / "scorecard.csv").exists()
+
+
+def test_config_reads_only_known_env_keys():
+    env = {
+        "HGNIDS_CICIDS_CSV": "/secret/path.csv",
+        "HGNIDS_N_EPOCH": "1",
+        "HGNIDS_N_EPOCHS": "2",
+        "HGNIDS_USE_WEIGHTS": "no",
+    }
+    assert load_config(env=env) == {"n_epochs": "2", "use_weights": "no"}
+
+
+def test_manifest_config_leaves_out_unrelated_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("HGNIDS_CICIDS_CSV", "/secret/path.csv")
+    monkeypatch.setenv("HGNIDS_N_EPOCH", "1")
+    out = tmp_path / "synth"
+    assert main(["synth", "--profile", "benign", "--count", "5", "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["config"] == {}
 
 
 def test_synth_ingest_roundtrip(tmp_path):
@@ -204,3 +236,22 @@ def test_advgen_cli(tmp_path, tiny_cfg_file):
     stats = json.loads((out / "stats.json").read_text())
     assert stats["kept"] >= 1
     assert (out / "adversarial.csv").exists()
+
+
+def test_simulate_same_bytes_across_hash_seeds(tmp_path):
+    """String hashing order must not reach the outputs: two processes with
+    different PYTHONHASHSEED values write the same scorecard and models."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("HGNIDS_")}
+        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "hgnids.cli", "simulate", "--case", "1", "--seed", "3",
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        models = sorted((out / "models" / "final").iterdir())
+        outputs.append([(out / "scorecard.csv").read_bytes()] + [m.read_bytes() for m in models])
+    assert outputs[0] == outputs[1]

@@ -1,6 +1,10 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgnids import flows
 from hgnids.flows import (
@@ -8,7 +12,10 @@ from hgnids.flows import (
     BENIGN_LABEL,
     DataFormatError,
     Dataset,
+    FlowRecord,
     LabelKind,
+    OTHER_ATTACK_NAMES,
+    PROTOCOLS,
     SCAN_LABEL,
     class_balance,
     ingest_csv,
@@ -231,3 +238,26 @@ def test_remap_errors():
     benign = synth_traffic("BENIGN", 8, [], seed=2)
     with pytest.raises(ValueError):
         remap_ip_pairs(benign, 2, seed=1)
+
+
+_ip = st.builds("{}.{}.{}.{}".format, *[st.integers(0, 255)] * 4)
+_port = st.integers(0, 65535)
+_feature = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+_label = st.sampled_from(
+    [BENIGN_LABEL, SCAN_LABEL] + [ActivityLabel(LabelKind.OTHER_ATTACK, n) for n in OTHER_ATTACK_NAMES]
+)
+_flow = st.builds(
+    FlowRecord, _ip, _ip, _port, _port, st.sampled_from(PROTOCOLS),
+    *[_feature] * 8, label=_label,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_flow, max_size=20))
+def test_write_ingest_roundtrip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flows.csv"
+        write_csv(Dataset(tuple(records)), path)
+        dataset, report = ingest_csv(path)
+    assert dataset.records == tuple(records)
+    assert (report.total_rows, report.kept, report.dropped) == (len(records), len(records), 0)

@@ -148,6 +148,30 @@ def test_report_consistency():
         assert abs(getattr(report, name) - getattr(recomputed, name)) < 1e-12
 
 
+def test_from_predictions_hand_counts():
+    pred = [True, True, False, False, True, False]
+    actual = [True, False, False, True, True, False]
+    report = EvalReport.from_predictions(pred, actual)
+    assert (report.tp, report.fp, report.tn, report.fn) == (2, 1, 2, 1)
+    assert report == EvalReport.from_counts(2, 1, 2, 1)
+    assert report.precision == 2 / 3
+    assert report.recall == 2 / 3
+    assert report.fnp == 1 / 3
+    assert report.accuracy == 4 / 6
+
+
+def test_from_predictions_batch_without_attacks():
+    report = EvalReport.from_predictions(np.array([False, True, False]), np.zeros(3, bool))
+    assert (report.tp, report.fp, report.tn, report.fn) == (0, 1, 2, 0)
+    assert (report.precision, report.recall, report.f1, report.fnp) == (0.0, 0.0, 0.0, 0.0)
+    assert report.accuracy == 2 / 3
+
+
+def test_from_predictions_empty_batch():
+    report = EvalReport.from_predictions([], [])
+    assert report == EvalReport(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 def test_rf_tree_order_invariance():
     rows = separable_rows(100, seed=41)
     model = train(rows, ModelKind.RANDOM_FOREST, default_hyperparams(ModelKind.RANDOM_FOREST, 9))
