@@ -68,7 +68,7 @@ from .adversarial import (
     score_distribution,
     zoo_attack,
 )
-from .detector import ScanFlag, detect_window, reset
+from .detector import ScanFlag, detect_window
 from .ensemble import (
     EncodingContext,
     EnsembleState,
@@ -79,12 +79,9 @@ from .ensemble import (
     retrain_request,
 )
 from .simulate import (
-    BatchSpec,
     Scorecard,
     SimConfig,
     TrafficDB,
-    baseline_run,
-    case_config,
     desk_case_config,
     make_desk_adversarial,
     make_desk_dataset,

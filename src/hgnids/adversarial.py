@@ -12,7 +12,8 @@ still rates them at or above the keep threshold, labelled as attacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,52 +77,36 @@ def fit_substitute(rows: Sequence[FeatureVector], seed: int, hyperparams=None) -
     """Gradient-boosted substitute on (already normalised) NRF rows."""
     if rows and rows[0].mode is not FeatureMode.NRF:
         raise ValueError("substitute is trained on NRF rows only")
-    params = (hyperparams or default_hyperparams(ModelKind.GRADIENT_BOOSTED)).replace_seed(seed)
+    params = replace(hyperparams or default_hyperparams(ModelKind.GRADIENT_BOOSTED), seed=seed)
     return train(rows, ModelKind.GRADIENT_BOOSTED, params)
 
 
-class _ModelScorer:
-    """Attack-score oracle over a tree model, with batched probes."""
-
-    def __init__(self, model: TreeModel):
-        self.model = model
-
-    def __call__(self, x: np.ndarray) -> float:
-        return float(predict_proba_batch(self.model, x[None, :])[0])
-
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        return predict_proba_batch(self.model, X)
+# An attack-score oracle: maps a [k, d] array of normalised rows to k scores.
+Scorer = Callable[[np.ndarray], np.ndarray]
 
 
-def _scorer(model) -> Callable[[np.ndarray], float]:
-    if callable(model):
-        return model
-    return _ModelScorer(model)
+def _score_one(score: Scorer, x: np.ndarray) -> float:
+    return float(score(x[None, :])[0])
 
 
-def estimate_gradient(
-    score: Callable[[np.ndarray], float], x: np.ndarray, coords: Sequence[int], h: float
-) -> np.ndarray:
+def estimate_gradient(score: Scorer, x: np.ndarray, coords: Sequence[int], h: float) -> np.ndarray:
     """Symmetric-difference estimates of d(score)/dx for chosen coords."""
     probes = np.repeat(x[None, :], 2 * len(coords), axis=0)
     for i, c in enumerate(coords):
         probes[2 * i, c] = x[c] + h
         probes[2 * i + 1, c] = x[c] - h
-    if hasattr(score, "batch"):
-        values = np.asarray(score.batch(probes), dtype=np.float64)
-    else:
-        values = np.array([score(p) for p in probes], dtype=np.float64)
+    values = np.asarray(score(probes), dtype=np.float64)
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
 def zoo_attack(
-    model,
+    score: Scorer,
     x: Sequence[float],
     budget: ZooBudget | None = None,
     seed: int = 0,
     skip_coords: Sequence[int] = (PROTOCOL_SLOT,),
 ) -> ZooResult:
-    """Coordinate-descent attack on the model's attack score.
+    """Coordinate-descent attack on an attack score.
 
     Coordinates are sampled by importance (recent gradient magnitude);
     each probed coordinate costs two score queries, counted in
@@ -131,18 +116,17 @@ def zoo_attack(
     input is reported via the moved flag rather than an error.
     """
     budget = budget or ZooBudget()
-    score = _scorer(model)
     x0 = np.asarray(x, dtype=np.float64)
     current = x0.copy()
     queries = 0
     skip = set(skip_coords)
     coords = [i for i in range(current.size) if i not in skip]
     if not coords or budget.max_iters <= 0:
-        return ZooResult(current, 0, score(current), False)
+        return ZooResult(current, 0, _score_one(score, current), False)
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x200]))
     weights = np.ones(len(coords), dtype=np.float64)
-    last_score = score(current)
+    last_score = _score_one(score, current)
     if last_score < 0.5:
         return ZooResult(current, 0, last_score, False)
 
@@ -157,7 +141,7 @@ def zoo_attack(
             weights[int(w_idx)] = abs(grad) + 1e-6
             if grad != 0.0:
                 current[c] = min(1.0, max(0.0, current[c] - budget.step * np.sign(grad)))
-        last_score = score(current)
+        last_score = _score_one(score, current)
         if last_score < 0.5:
             break
 
@@ -178,14 +162,15 @@ def generate_examples(
     if not scan_test_rows:
         raise ValueError("no rows to attack")
     budget = budget or ZooBudget()
+    score = partial(predict_proba_batch, substitute)
     kept: list[AdversarialExample] = []
     for i, row in enumerate(scan_test_rows):
         z = params.forward(row.values)
-        result = zoo_attack(substitute, z, budget, seed=seed * 100003 + i)
+        result = zoo_attack(score, z, budget, seed=seed * 100003 + i)
         raw = params.inverse(result.x)
         raw = np.maximum(raw, 0.0)
         raw[PROTOCOL_SLOT] = row.values[PROTOCOL_SLOT]
-        rescore = float(predict_proba_batch(substitute, params.forward(raw)[None, :])[0])
+        rescore = _score_one(score, params.forward(raw))
         if rescore >= keep_threshold:
             vector = FeatureVector(FeatureMode.NRF, tuple(raw.tolist()), ATTACK, row.origin)
             kept.append(AdversarialExample(vector, rescore, row.origin, result.query_count))

@@ -40,8 +40,7 @@ from .hypergraph import (
 from .simulate import (
     ConfigError,
     Scorecard,
-    baseline_run,
-    case_config,
+    SimConfig,
     desk_case_config,
     make_desk_adversarial,
     make_desk_dataset,
@@ -328,38 +327,26 @@ def cmd_detect_scan(args, cfg, manifest: Manifest) -> int:
     return EXIT_OK
 
 
-def _sim_config(args, cfg):
-    thresholds = tuple(int(t) for t in args.thresholds.split(",")) if args.thresholds else (2,)
+_CONFIG_PARSERS = {int: config_int, float: config_float, bool: config_bool}
+
+
+def _sim_config(args, cfg) -> SimConfig:
+    """The run's base config (desk scale, or --full: 10x30x8900 with
+    weights on) with every key of cfg applied, each parsed as its field's
+    type. A sweep has no single threshold and keeps the default."""
+    threshold = getattr(args, "threshold", 2)
     if args.full:
-        base = case_config(
-            args.case,
-            n_computers=config_int(cfg, "n_computers", 10),
-            n_epochs=config_int(cfg, "n_epochs", 30),
-            batch_size=config_int(cfg, "batch_size", 8900),
-            attack_frac=config_float(cfg, "attack_frac", 0.25),
-            thresholds=thresholds,
-            seed=args.seed,
-            use_weights=config_bool(cfg, "use_weights", True),
+        base = SimConfig(
+            args.case, threshold=threshold, batch_size=8900, attack_frac=0.25,
+            use_weights=True, seed=args.seed,
         )
     else:
-        base = desk_case_config(args.case, seed=args.seed, thresholds=thresholds)
-        base = dataclasses.replace(
-            base,
-            n_computers=config_int(cfg, "n_computers", base.n_computers),
-            n_epochs=config_int(cfg, "n_epochs", base.n_epochs),
-        )
-        base = dataclasses.replace(
-            base,
-            batch_spec=dataclasses.replace(
-                base.batch_spec,
-                n_batches=base.n_computers * base.n_epochs,
-                batch_size=config_int(cfg, "batch_size", base.batch_spec.batch_size),
-                attack_frac=config_float(cfg, "attack_frac", base.batch_spec.attack_frac),
-            ),
-            adv_per_batch=config_int(cfg, "adv_per_batch", base.adv_per_batch),
-            ballast_size=config_int(cfg, "ballast_size", base.ballast_size),
-        )
-    return base
+        base = desk_case_config(args.case, seed=args.seed, threshold=threshold)
+    changes = {}
+    for key in cfg:
+        default = getattr(base, key)
+        changes[key] = _CONFIG_PARSERS[type(default)](cfg, key, default)
+    return dataclasses.replace(base, **changes)
 
 
 def _sim_inputs(args, cfg, manifest: Manifest):
@@ -377,15 +364,14 @@ def cmd_simulate(args, cfg, manifest: Manifest) -> int:
     sim_cfg, data, adv = _sim_inputs(args, cfg, manifest)
     manifest.write()
     out = _out_dir(args)
-    runner = baseline_run if args.baseline else run_simulation
-    scorecard, artifacts = runner(sim_cfg, data, adv, out_dir=out)
+    scorecard, artifacts = run_simulation(sim_cfg, data, adv, out_dir=out, baseline=args.baseline)
     for name in ("scorecard.csv", "config.json", "retrain_log.csv", "flag_log.csv"):
         manifest.add_output(out / name)
     manifest.write()
     final = scorecard.final_epoch_rows()
     mean_f1 = sum(r.f1 for r in final) / len(final) if final else 0.0
     print(
-        f"case {sim_cfg.case_id} threshold {sim_cfg.thresholds[0]}: "
+        f"case {sim_cfg.case_id} threshold {sim_cfg.threshold}: "
         f"{len(scorecard.rows)} rows, {len(artifacts.retrain_events)} retrain event(s), "
         f"final-epoch mean F1 {mean_f1:.4f}"
     )
@@ -396,7 +382,7 @@ def cmd_sweep(args, cfg, manifest: Manifest) -> int:
     sim_cfg, data, adv = _sim_inputs(args, cfg, manifest)
     manifest.write()
     out = _out_dir(args)
-    results = sweep_thresholds(sim_cfg, data, adv, out_dir=out)
+    results = sweep_thresholds(sim_cfg, args.thresholds, data, adv, out_dir=out)
     manifest.add_output(out / "sweep_summary.csv")
     for th in results:
         manifest.add_output(out / f"threshold_{th}" / "scorecard.csv")
@@ -463,6 +449,10 @@ def _positive_float(text: str) -> float:
     if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be a positive number: {text}")
     return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(t) for t in text.split(",")]
 
 
 def build_parser() -> _Parser:
@@ -538,8 +528,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run one evaluation case")
     p.add_argument("--case", type=int, required=True)
-    p.add_argument("--threshold", "--thresholds", dest="thresholds", default="2",
-                   help="comma-separated; first is active")
+    p.add_argument("--threshold", "--thresholds", type=int, default=2,
+                   help="missed attacks that trigger a retrain (one count; sweep takes a list)")
     p.add_argument("--data", default=None, help="base dataset CSV (default: synthetic)")
     p.add_argument("--baseline", action="store_true", help="all-NRF member slots")
     p.add_argument("--full", action="store_true", help="10x30x8900 scale")
@@ -548,7 +538,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run one case across several thresholds")
     p.add_argument("--case", type=int, required=True)
-    p.add_argument("--thresholds", required=True)
+    p.add_argument("--thresholds", type=_int_list, required=True, help="comma-separated counts")
     p.add_argument("--data", default=None)
     p.add_argument("--full", action="store_true")
     common(p)

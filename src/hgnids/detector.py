@@ -78,8 +78,3 @@ def write_flags_csv(flags: Iterable[ScanFlag], path) -> None:
         writer.writerow(["window_id", "src_ip", "dst_ip", "tail_sum"])
         for f in flags:
             writer.writerow([f.window_id, f.pair[0], f.pair[1], f.tail_sum])
-
-
-def reset(flagged: set[IPPair]) -> set[IPPair]:
-    """Fresh, empty flag memory."""
-    return set()

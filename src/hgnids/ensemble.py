@@ -14,7 +14,7 @@ model on holdout F1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -63,9 +63,6 @@ class EncodingContext:
     profiles: Mapping[str, CentralityProfile] | None
     hackers: frozenset[IPPair] = frozenset()
     weights: tuple[float, ...] | None = None
-
-    def with_hackers(self, hackers: frozenset[IPPair]) -> "EncodingContext":
-        return EncodingContext(self.hypergraph, self.profiles, hackers, self.weights)
 
 
 @dataclass
@@ -146,7 +143,7 @@ def train_member(
     seed: int = 0,
 ) -> TreeModel:
     kind = ROLE_KIND[role]
-    params = (hyperparams or default_hyperparams(kind)).replace_seed(seed)
+    params = replace(hyperparams or default_hyperparams(kind), seed=seed)
     rows = build_matrix(train_set, ctx.hypergraph, role, ctx.hackers, ctx.weights, ctx.profiles)
     return train(rows, kind, params)
 

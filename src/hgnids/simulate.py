@@ -11,6 +11,11 @@ and every computer adopts the updated ensemble from the next batch on.
 In production mode the encoding context learns hacker pairs only from the
 behavioural detector's flags. One scorecard row is written per
 (epoch, computer).
+
+A run is described by one SimConfig. Its case id fixes the case's policy
+(scan pairs, update rule, adversarial injection, production mode); every
+other field, the threshold included, is a value the run may vary.
+sweep_thresholds repeats one config across a list of thresholds.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -47,14 +52,27 @@ THRESHOLD_SET = (2, 5, 10, 20, 30, 40, 50, 100)
 
 HACKER_PAIR: IPPair = ("172.16.0.1", "192.168.10.50")
 
-_CASE_TEMPLATES: dict[int, tuple[int, UpdateRule, bool, bool]] = {
-    # case -> (ip_pairs, rule, include_adv, production_mode)
-    1: (1, UpdateRule.STATIC, False, False),
-    2: (16, UpdateRule.STATIC, False, False),
-    3: (16, UpdateRule.FTW, False, False),
-    4: (16, UpdateRule.FTW, True, False),
-    5: (16, UpdateRule.UALL, True, False),
-    6: (16, UpdateRule.UALL, True, True),
+PRETRAIN_FRAC = 0.8
+
+
+class CasePolicy(NamedTuple):
+    """What a case id fixes: the stream's scan pairs, the update rule,
+    whether adversarial examples are injected, and whether hacker pairs
+    come from the detector (production) instead of the labels."""
+
+    ip_pairs: int
+    rule: UpdateRule
+    include_adv: bool
+    production_mode: bool
+
+
+_CASES: dict[int, CasePolicy] = {
+    1: CasePolicy(1, UpdateRule.STATIC, False, False),
+    2: CasePolicy(16, UpdateRule.STATIC, False, False),
+    3: CasePolicy(16, UpdateRule.FTW, False, False),
+    4: CasePolicy(16, UpdateRule.FTW, True, False),
+    5: CasePolicy(16, UpdateRule.UALL, True, False),
+    6: CasePolicy(16, UpdateRule.UALL, True, True),
 }
 
 
@@ -63,64 +81,50 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class BatchSpec:
-    n_batches: int
-    batch_size: int
-    attack_frac: float
-
-
-@dataclass(frozen=True)
 class SimConfig:
+    """One run: the case id fixes the policy (see _CASES), every other
+    field is a value the run may vary. n_computers * n_epochs batches of
+    batch_size base records each, attack_frac of them attacks, plus
+    adv_per_batch adversarial records when the case injects them."""
+
     case_id: int
     n_computers: int = 10
     n_epochs: int = 30
-    thresholds: tuple[int, ...] = (2,)
-    rule: UpdateRule = UpdateRule.STATIC
-    include_adv: bool = False
-    production_mode: bool = False
-    batch_spec: BatchSpec = BatchSpec(300, 1000, 0.3)
+    threshold: int = 2
+    batch_size: int = 1000
+    attack_frac: float = 0.3
     seed: int = 0
-    ip_pairs: int = 1
     use_weights: bool = False
     ballast_size: int = 2000
-    pretrain_frac: float = 0.8
     adv_per_batch: int = 50
     member_hyperparams: tuple[tuple[str, Hyperparams], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.case_id not in _CASES:
+            raise ConfigError(f"unknown case id: {self.case_id}")
+        if self.threshold < 1:
+            raise ConfigError(f"threshold must be a positive count, got {self.threshold}")
+        if not (0.0 <= self.attack_frac <= 1.0):
+            raise ConfigError(f"attack_frac must lie in [0, 1], got {self.attack_frac}")
+
+    @property
+    def ip_pairs(self) -> int:
+        return _CASES[self.case_id].ip_pairs
+
+    @property
+    def rule(self) -> UpdateRule:
+        return _CASES[self.case_id].rule
+
+    @property
+    def include_adv(self) -> bool:
+        return _CASES[self.case_id].include_adv
+
+    @property
+    def production_mode(self) -> bool:
+        return _CASES[self.case_id].production_mode
+
     def hyperparams_map(self) -> dict[FeatureMode, Hyperparams]:
         return {FeatureMode(name): hp for name, hp in self.member_hyperparams}
-
-
-def case_config(
-    case_id: int,
-    n_computers: int = 10,
-    n_epochs: int = 30,
-    batch_size: int = 1000,
-    attack_frac: float = 0.3,
-    thresholds: Sequence[int] = (2,),
-    seed: int = 0,
-    use_weights: bool = False,
-    ballast_size: int = 2000,
-    member_hyperparams: tuple[tuple[str, Hyperparams], ...] = (),
-) -> SimConfig:
-    if case_id not in _CASE_TEMPLATES:
-        raise ConfigError(f"unknown case id: {case_id}")
-    pairs, rule, adv, prod = _CASE_TEMPLATES[case_id]
-    return SimConfig(
-        case_id=case_id,
-        n_computers=n_computers,
-        n_epochs=n_epochs,
-        thresholds=tuple(thresholds),
-        rule=rule,
-        include_adv=adv,
-        production_mode=prod,
-        batch_spec=BatchSpec(n_computers * n_epochs, batch_size, attack_frac),
-        seed=seed,
-        ip_pairs=pairs,
-        use_weights=use_weights,
-        ballast_size=ballast_size,
-        member_hyperparams=member_hyperparams,
-    )
 
 
 # Hyperparameters sized for the desk-scale CI runs; the module defaults in
@@ -132,37 +136,12 @@ DESK_HYPERPARAMS: tuple[tuple[str, Hyperparams], ...] = (
 )
 
 
-def desk_case_config(case_id: int, seed: int = 0, thresholds: Sequence[int] = (2,)) -> SimConfig:
+def desk_case_config(case_id: int, seed: int = 0, threshold: int = 2) -> SimConfig:
     """3 computers x 10 epochs x 1000-record batches, CI-sized models."""
-    return case_config(
-        case_id,
-        n_computers=3,
-        n_epochs=10,
-        batch_size=1000,
-        thresholds=thresholds,
-        seed=seed,
+    return SimConfig(
+        case_id, n_computers=3, n_epochs=10, threshold=threshold, seed=seed,
         member_hyperparams=DESK_HYPERPARAMS,
     )
-
-
-def validate_config(cfg: SimConfig) -> None:
-    if cfg.case_id not in _CASE_TEMPLATES:
-        raise ConfigError(f"unknown case id: {cfg.case_id}")
-    pairs, rule, adv, prod = _CASE_TEMPLATES[cfg.case_id]
-    if cfg.ip_pairs != pairs:
-        raise ConfigError(f"case {cfg.case_id} requires {pairs} ip pair(s), got {cfg.ip_pairs}")
-    if cfg.rule is not rule:
-        raise ConfigError(f"case {cfg.case_id} requires update rule {rule.value}")
-    if cfg.include_adv != adv:
-        raise ConfigError(f"case {cfg.case_id} requires include_adv={adv}")
-    if cfg.production_mode != prod:
-        raise ConfigError(f"case {cfg.case_id} requires production_mode={prod}")
-    if not cfg.thresholds or any(t < 1 for t in cfg.thresholds):
-        raise ConfigError("thresholds must be a non-empty list of positive counts")
-    if cfg.batch_spec.n_batches != cfg.n_computers * cfg.n_epochs:
-        raise ConfigError("batch count must equal n_computers * n_epochs")
-    if not (0.0 <= cfg.batch_spec.attack_frac <= 1.0):
-        raise ConfigError("attack_frac must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -182,10 +161,8 @@ class ScoreRow:
     ensemble_versions: str
 
 
-SCORECARD_COLUMNS = (
-    "epoch", "computer", "tp", "fp", "tn", "fn", "fnp", "accuracy",
-    "precision", "recall", "f1", "retrain_events", "ensemble_versions",
-)
+SCORECARD_COLUMNS = tuple(f.name for f in fields(ScoreRow))
+_SCORECARD_TYPES = get_type_hints(ScoreRow)
 
 
 @dataclass
@@ -197,14 +174,8 @@ class Scorecard:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SCORECARD_COLUMNS)
         for r in self.rows:
-            writer.writerow(
-                [
-                    r.epoch, r.computer, r.tp, r.fp, r.tn, r.fn,
-                    repr(r.fnp), repr(r.accuracy), repr(r.precision),
-                    repr(r.recall), repr(r.f1), r.retrain_events,
-                    r.ensemble_versions,
-                ]
-            )
+            cells = (getattr(r, name) for name in SCORECARD_COLUMNS)
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in cells])
         return buf.getvalue().encode("utf-8")
 
     def write(self, path) -> None:
@@ -218,19 +189,11 @@ class Scorecard:
 
     @staticmethod
     def read(path) -> "Scorecard":
-        rows = []
         with open(path, newline="", encoding="utf-8") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(
-                    ScoreRow(
-                        int(rec["epoch"]), int(rec["computer"]),
-                        int(rec["tp"]), int(rec["fp"]), int(rec["tn"]), int(rec["fn"]),
-                        float(rec["fnp"]), float(rec["accuracy"]), float(rec["precision"]),
-                        float(rec["recall"]), float(rec["f1"]),
-                        int(rec["retrain_events"]), rec["ensemble_versions"],
-                    )
-                )
-        return Scorecard(rows)
+            return Scorecard([
+                ScoreRow(**{name: _SCORECARD_TYPES[name](rec[name]) for name in SCORECARD_COLUMNS})
+                for rec in csv.DictReader(fh)
+            ])
 
 
 @dataclass
@@ -281,7 +244,6 @@ class RetrainEvent:
 @dataclass
 class RunArtifacts:
     config: SimConfig
-    threshold: int
     baseline: bool
     retrain_events: list[RetrainEvent] = field(default_factory=list)
     flag_log: list[ScanFlag] = field(default_factory=list)
@@ -357,7 +319,6 @@ def make_desk_adversarial(data: Dataset, seed: int = 0):
 
 def _build_batches_plan(cfg: SimConfig, data: Dataset, adv_records: list[FlowRecord]):
     """Deterministic per-batch record lists."""
-    spec = cfg.batch_spec
     if cfg.ip_pairs > 1:
         stream_source = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5)
     else:
@@ -366,17 +327,17 @@ def _build_batches_plan(cfg: SimConfig, data: Dataset, adv_records: list[FlowRec
     benign_pool = list(stream_source.benign())
     if not benign_pool:
         raise ConfigError("base data has no benign records to stream")
-    if spec.attack_frac > 0 and not attack_pool:
+    if cfg.attack_frac > 0 and not attack_pool:
         raise ConfigError("base data has no attack records to stream")
 
     def batch(b: int) -> list[FlowRecord]:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C, b]))
-        n_attack = int(math.floor(spec.batch_size * spec.attack_frac + 0.5))
+        n_attack = int(math.floor(cfg.batch_size * cfg.attack_frac + 0.5))
         records: list[FlowRecord] = []
         if n_attack:
             idx = rng.integers(0, len(attack_pool), size=n_attack)
             records += [attack_pool[int(i)] for i in idx]
-        n_benign = spec.batch_size - n_attack
+        n_benign = cfg.batch_size - n_attack
         if n_benign:
             idx = rng.integers(0, len(benign_pool), size=n_benign)
             records += [benign_pool[int(i)] for i in idx]
@@ -396,13 +357,14 @@ def run_simulation(
     out_dir=None,
     baseline: bool = False,
 ) -> tuple[Scorecard, RunArtifacts]:
-    """Execute one full run at the first configured threshold."""
-    validate_config(cfg)
+    """Execute one full run of cfg's case at cfg.threshold.
+
+    With baseline=True all three slots hold NRF-layout models.
+    """
     if cfg.include_adv and not adv:
         raise ConfigError(f"case {cfg.case_id} expects adversarial examples")
-    threshold = cfg.thresholds[0]
 
-    pretrain, pretest = _split_records(data, cfg.pretrain_frac, cfg.seed * 13 + 1)
+    pretrain, pretest = _split_records(data, PRETRAIN_FRAC, cfg.seed * 13 + 1)
     h = build_hypergraph(pretrain)
     profiles = edge_profiles(h, feature_skip_interval(h))
     true_hackers = frozenset(r.pair for r in pretrain.scans())
@@ -423,7 +385,7 @@ def run_simulation(
     next_batch = _build_batches_plan(cfg, data, adv_records)
 
     db = TrafficDB(base_pool=pretrain)
-    artifacts = RunArtifacts(cfg, threshold, baseline, out_dir=str(out_dir) if out_dir else None)
+    artifacts = RunArtifacts(cfg, baseline, out_dir=str(out_dir) if out_dir else None)
     scorecard = Scorecard()
     counter = 0
     flagged: set[IPPair] = set()
@@ -441,7 +403,7 @@ def run_simulation(
                 artifacts.flag_log.extend(flags)
                 stream_hackers = frozenset(flagged)
 
-            stream_ctx = train_ctx.with_hackers(stream_hackers)
+            stream_ctx = replace(train_ctx, hackers=stream_hackers)
             verdicts, scores = classify_batch(state, records, stream_ctx)
             actual = np.array([r.label.is_attack for r in records])
             report = EvalReport.from_predictions(verdicts, actual)
@@ -455,20 +417,20 @@ def run_simulation(
             counter += db.record_outcomes(records, verdicts)
 
             events_this_batch = 0
-            if counter > threshold and cfg.rule is not UpdateRule.STATIC:
+            if counter > cfg.threshold and cfg.rule is not UpdateRule.STATIC:
                 event_idx = len(artifacts.retrain_events)
                 retrain_pool = db.build_retrain_set(cfg.ballast_size, cfg.seed * 101 + event_idx)
                 train_part, holdout_part = _split_records(
                     retrain_pool, 0.8, cfg.seed * 77 + event_idx
                 )
-                event_ctx = train_ctx.with_hackers(stream_hackers) if cfg.production_mode else train_ctx
+                event_ctx = stream_ctx if cfg.production_mode else train_ctx
                 state, log = retrain_request(
                     state, cfg.rule, train_part, event_ctx, holdout_part,
                     seed=cfg.seed * 1009 + event_idx,
                 )
                 artifacts.retrain_events.append(
                     RetrainEvent(
-                        event_idx, epoch, computer, threshold,
+                        event_idx, epoch, computer, cfg.threshold,
                         len(db.evaded_attacks), log, state.versions(),
                     )
                 )
@@ -489,31 +451,24 @@ def run_simulation(
 
     artifacts.final_state = state
     if out_dir is not None:
-        _write_artifacts(out_dir, cfg, threshold, baseline, scorecard, artifacts)
+        _write_artifacts(out_dir, scorecard, artifacts)
     return scorecard, artifacts
-
-
-def baseline_run(
-    cfg: SimConfig, data: Dataset, adv: Sequence[AdversarialExample] = (), out_dir=None
-) -> tuple[Scorecard, RunArtifacts]:
-    """Same loop with all three slots holding NRF-layout models."""
-    return run_simulation(cfg, data, adv, out_dir=out_dir, baseline=True)
 
 
 def sweep_thresholds(
     cfg: SimConfig,
+    thresholds: Sequence[int],
     data: Dataset,
     adv: Sequence[AdversarialExample] = (),
     out_dir=None,
 ) -> dict[int, Scorecard]:
-    """Independent run per configured threshold, identical stream."""
-    if not cfg.thresholds:
+    """Independent run of cfg per threshold, identical stream."""
+    if not thresholds:
         raise ConfigError("no thresholds to sweep")
     results: dict[int, Scorecard] = {}
-    for th in cfg.thresholds:
-        sub_cfg = replace(cfg, thresholds=(th,))
+    for th in thresholds:
         sub_dir = Path(out_dir) / f"threshold_{th}" if out_dir is not None else None
-        scorecard, _ = run_simulation(sub_cfg, data, adv, out_dir=sub_dir)
+        scorecard, _ = run_simulation(replace(cfg, threshold=th), data, adv, out_dir=sub_dir)
         results[th] = scorecard
     if out_dir is not None:
         _write_sweep_summary(Path(out_dir) / "sweep_summary.csv", results)
@@ -540,7 +495,8 @@ def _write_sweep_summary(path: Path, results: dict[int, Scorecard]) -> None:
             writer.writerow([th, repr(f1), repr(fnp), retrains])
 
 
-def _write_artifacts(out_dir, cfg, threshold, baseline, scorecard, artifacts) -> None:
+def _write_artifacts(out_dir, scorecard, artifacts) -> None:
+    cfg = artifacts.config
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     scorecard.write(path / "scorecard.csv")
@@ -549,17 +505,17 @@ def _write_artifacts(out_dir, cfg, threshold, baseline, scorecard, artifacts) ->
         "case_id": cfg.case_id,
         "n_computers": cfg.n_computers,
         "n_epochs": cfg.n_epochs,
-        "threshold": threshold,
+        "threshold": cfg.threshold,
         "rule": cfg.rule.value,
         "include_adv": cfg.include_adv,
         "production_mode": cfg.production_mode,
-        "batch_size": cfg.batch_spec.batch_size,
-        "attack_frac": cfg.batch_spec.attack_frac,
+        "batch_size": cfg.batch_size,
+        "attack_frac": cfg.attack_frac,
         "ip_pairs": cfg.ip_pairs,
         "use_weights": cfg.use_weights,
         "ballast_size": cfg.ballast_size,
         "seed": cfg.seed,
-        "baseline": baseline,
+        "baseline": artifacts.baseline,
     }
     (path / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True))
 

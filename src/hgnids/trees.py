@@ -40,12 +40,6 @@ class Hyperparams:
     feature_subsample: int | None
     seed: int
 
-    def replace_seed(self, seed: int) -> "Hyperparams":
-        return Hyperparams(
-            self.n_trees, self.max_depth, self.min_leaf,
-            self.learning_rate, self.feature_subsample, seed,
-        )
-
 
 def default_hyperparams(kind: ModelKind, seed: int = 0) -> Hyperparams:
     if kind is ModelKind.RANDOM_FOREST:

@@ -19,13 +19,13 @@ def desk_adv(desk_data):
 
 @pytest.fixture(scope="session")
 def case5_run(desk_data, desk_adv):
-    cfg = simulate.desk_case_config(5, seed=DESK_SEED, thresholds=(2,))
+    cfg = simulate.desk_case_config(5, seed=DESK_SEED, threshold=2)
     scorecard, artifacts = simulate.run_simulation(cfg, desk_data, desk_adv)
     return cfg, scorecard, artifacts
 
 
 @pytest.fixture(scope="session")
 def case5_baseline_run(desk_data, desk_adv):
-    cfg = simulate.desk_case_config(5, seed=DESK_SEED, thresholds=(2,))
-    scorecard, artifacts = simulate.baseline_run(cfg, desk_data, desk_adv)
+    cfg = simulate.desk_case_config(5, seed=DESK_SEED, threshold=2)
+    scorecard, artifacts = simulate.run_simulation(cfg, desk_data, desk_adv, baseline=True)
     return cfg, scorecard, artifacts

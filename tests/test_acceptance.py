@@ -111,7 +111,7 @@ def test_criterion_6_adversarial_pipeline(desk_data, desk_adv):
     grad_ok = True
     for _ in range(20):
         x = rng.random(9)
-        estimate = estimate_gradient(lambda v: float(np.sum(v * v)), x, list(range(9)), h=1e-3)
+        estimate = estimate_gradient(lambda X: np.sum(X * X, axis=1), x, list(range(9)), h=1e-3)
         grad_ok = grad_ok and float(np.max(np.abs(estimate - 2.0 * x))) <= 1e-4
     _verdict(
         "6 adversarial-pipeline",
@@ -122,7 +122,7 @@ def test_criterion_6_adversarial_pipeline(desk_data, desk_adv):
 
 def test_criterion_7_case1_zero_fnp(desk_data):
     started = time.time()
-    cfg = desk_case_config(1, seed=42, thresholds=(2,))
+    cfg = desk_case_config(1, seed=42, threshold=2)
     scorecard, _ = run_simulation(cfg, desk_data)
     elapsed = time.time() - started
     ok = len(scorecard.rows) == 30 and all(r.fnp == 0.0 for r in scorecard.rows)

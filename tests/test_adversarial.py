@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from hgnids.trees import predict_proba_batch
 from helpers import separable_rows, single_leaf_model
 
 
-def _quadratic(x):
-    return float(np.sum(x * x))
+def _quadratic(X):
+    return np.sum(X * X, axis=1)
 
 
 def test_gradient_matches_analytic_on_quadratic():
@@ -38,16 +39,14 @@ def test_gradient_matches_analytic_on_quadratic():
 def test_gradient_zero_on_flat_model():
     model = single_leaf_model(0.9)  # no splits: constant output
     x = np.full(9, 0.5)
-    estimate = estimate_gradient(
-        lambda v: float(predict_proba_batch(model, v[None, :])[0]), x, list(range(9)), 1e-3
-    )
+    estimate = estimate_gradient(partial(predict_proba_batch, model), x, list(range(9)), 1e-3)
     assert np.all(estimate == 0.0)
 
 
 def test_zero_iteration_budget():
     model = single_leaf_model(0.9)
     x = np.full(9, 0.5)
-    result = zoo_attack(model, x, ZooBudget(max_iters=0), seed=1)
+    result = zoo_attack(partial(predict_proba_batch, model), x, ZooBudget(max_iters=0), seed=1)
     assert np.array_equal(result.x, x)
     assert result.query_count == 0
     assert not result.moved
@@ -55,14 +54,15 @@ def test_zero_iteration_budget():
 
 def test_attack_skips_rows_already_normal():
     model = single_leaf_model(0.2)
-    result = zoo_attack(model, np.full(9, 0.5), ZooBudget(max_iters=50), seed=1)
+    score = partial(predict_proba_batch, model)
+    result = zoo_attack(score, np.full(9, 0.5), ZooBudget(max_iters=50), seed=1)
     assert result.query_count == 0
     assert not result.moved
 
 
 def test_query_count_bound_and_protocol_untouched():
-    def leaky(x):
-        return float(np.clip(0.9 - 0.3 * x[1] + 0.1 * x[0], 0.0, 1.0))
+    def leaky(X):
+        return np.clip(0.9 - 0.3 * X[:, 1] + 0.1 * X[:, 0], 0.0, 1.0)
 
     budget = ZooBudget(max_iters=25, step=0.05, per_coord_batch=2)
     x = np.full(9, 0.2)
@@ -74,8 +74,8 @@ def test_query_count_bound_and_protocol_untouched():
 
 
 def test_attack_descends_smooth_score():
-    def smooth(x):
-        return float(np.clip(0.6 + 0.5 * (x[1] - 0.5), 0.0, 1.0))
+    def smooth(X):
+        return np.clip(0.6 + 0.5 * (X[:, 1] - 0.5), 0.0, 1.0)
 
     x = np.full(9, 0.9)
     result = zoo_attack(smooth, x, ZooBudget(max_iters=100, step=0.05), seed=5)
@@ -87,8 +87,9 @@ def test_attack_deterministic():
     rows = separable_rows(200, seed=1)
     model = fit_substitute(rows, seed=2)
     x = np.full(9, 0.4)
-    a = zoo_attack(model, x, ZooBudget(max_iters=10), seed=9)
-    b = zoo_attack(model, x, ZooBudget(max_iters=10), seed=9)
+    score = partial(predict_proba_batch, model)
+    a = zoo_attack(score, x, ZooBudget(max_iters=10), seed=9)
+    b = zoo_attack(score, x, ZooBudget(max_iters=10), seed=9)
     assert np.array_equal(a.x, b.x)
     assert a.query_count == b.query_count
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from hgnids.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, build_parser, main
-from hgnids.config import config_bool, config_int, load_config
-from hgnids.simulate import Scorecard
+from hgnids.cli import (
+    EXIT_DATA, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, _sim_config, build_parser, main,
+)
+from hgnids.config import KEYS, config_bool, config_int, load_config
+from hgnids.simulate import Scorecard, SimConfig
 from hgnids.trees import ModelKind, default_hyperparams
 
 TINY_CONFIG = "n_computers=2\nn_epochs=2\nbatch_size=150\n"
@@ -255,3 +258,54 @@ def test_simulate_same_bytes_across_hash_seeds(tmp_path):
         models = sorted((out / "models" / "final").iterdir())
         outputs.append([(out / "scorecard.csv").read_bytes()] + [m.read_bytes() for m in models])
     assert outputs[0] == outputs[1]
+
+
+_KEY_VALUES = {
+    "n_computers": ("4", 4),
+    "n_epochs": ("3", 3),
+    "batch_size": ("77", 77),
+    "attack_frac": ("0.125", 0.125),
+    "adv_per_batch": ("9", 9),
+    "ballast_size": ("77", 77),
+    "use_weights": ("1", True),
+}
+
+
+def test_config_keys_are_sim_config_fields():
+    assert set(KEYS) == set(_KEY_VALUES)
+    assert set(KEYS) <= {f.name for f in dataclasses.fields(SimConfig)}
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("key", KEYS)
+def test_every_config_key_reaches_sim_config(key, full):
+    text, value = _KEY_VALUES[key]
+    if full and key == "use_weights":  # on by default in --full runs
+        text, value = "off", False
+    argv = ["simulate", "--case", "4", "--threshold", "5", "--seed", "3", "--out-dir", "out"]
+    args = build_parser().parse_args(argv + (["--full"] if full else []))
+    base = _sim_config(args, {})
+    cfg = _sim_config(args, {key: text})
+    assert getattr(base, key) != value
+    assert cfg == dataclasses.replace(base, **{key: value})
+    assert (cfg.case_id, cfg.threshold, cfg.seed) == (4, 5, 3)
+
+
+def test_sim_config_defaults_per_mode():
+    def defaults(*flags):
+        args = build_parser().parse_args(["simulate", "--case", "2", "--out-dir", "o", *flags])
+        cfg = _sim_config(args, {})
+        return {key: getattr(cfg, key) for key in KEYS}
+
+    shared = {"ballast_size": 2000, "adv_per_batch": 50}
+    assert defaults() == {"n_computers": 3, "n_epochs": 10, "batch_size": 1000,
+                          "attack_frac": 0.3, "use_weights": False, **shared}
+    assert defaults("--full") == {"n_computers": 10, "n_epochs": 30, "batch_size": 8900,
+                                  "attack_frac": 0.25, "use_weights": True, **shared}
+
+
+def test_simulate_takes_one_threshold(tmp_path):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--case", "1", "--threshold", "2,5", "--out-dir", str(out)]) == EXIT_USAGE
+    assert main(["simulate", "--case", "1", "--thresholds", "2,5", "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "scorecard.csv").exists()

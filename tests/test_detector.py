@@ -2,7 +2,6 @@ from hgnids.detector import (
     BINARIZE_THRESHOLD,
     FLAG_MIN_SUM,
     detect_window,
-    reset,
 )
 from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, synth_traffic
 from hgnids.hypergraph import detector_skip_interval
@@ -61,9 +60,8 @@ def test_pair_flagged_once():
 def test_reset_clears_memory():
     pair, window = _scan_window()
     _, flagged = detect_window(window, set())
-    cleared = reset(flagged)
-    assert cleared == set()
-    flags, _ = detect_window(window, cleared, window_id=9)
+    assert pair in flagged
+    flags, _ = detect_window(window, set(), window_id=9)
     assert [f.pair for f in flags] == [pair]
 
 

@@ -8,16 +8,13 @@ from hgnids.ensemble import UpdateRule
 from hgnids.features import FeatureMode
 from hgnids.flows import concat
 from hgnids.simulate import (
-    BatchSpec,
     ConfigError,
     Scorecard,
+    SimConfig,
     TrafficDB,
-    baseline_run,
-    case_config,
     desk_case_config,
     run_simulation,
     sweep_thresholds,
-    validate_config,
 )
 from hgnids.trees import Hyperparams
 
@@ -28,13 +25,13 @@ TINY_HP = (
 )
 
 
-def tiny_config(case_id, seed=0, thresholds=(2,), **kw):
-    return case_config(
+def tiny_config(case_id, seed=0, threshold=2, **kw):
+    return SimConfig(
         case_id,
         n_computers=2,
         n_epochs=2,
         batch_size=200,
-        thresholds=thresholds,
+        threshold=threshold,
         seed=seed,
         member_hyperparams=TINY_HP,
         **kw,
@@ -51,22 +48,32 @@ def tiny_adv(tiny_data):
     return simulate.make_desk_adversarial(tiny_data, seed=5)
 
 
-def test_validate_rejects_inconsistent_case(tiny_data):
+def test_validate_rejects_inconsistent_case():
+    # The case id fixes its policy: the four values are read-only.
     cfg = tiny_config(1)
-    bad_rule = dataclasses.replace(cfg, rule=UpdateRule.UALL)
+    assert (cfg.ip_pairs, cfg.rule, cfg.include_adv, cfg.production_mode) == (
+        1, UpdateRule.STATIC, False, False
+    )
+    for name, value in [
+        ("rule", UpdateRule.UALL), ("ip_pairs", 16), ("include_adv", True),
+        ("production_mode", True),
+    ]:
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, **{name: value})
     with pytest.raises(ConfigError):
-        validate_config(bad_rule)
-    bad_pairs = dataclasses.replace(cfg, ip_pairs=16)
+        SimConfig(9)
+
+
+@pytest.mark.parametrize("kw", [
+    {"case_id": 9}, {"case_id": 0}, {"threshold": 0}, {"threshold": -3},
+    {"attack_frac": 1.5}, {"attack_frac": -0.1},
+])
+def test_config_rejected_when_built(kw):
+    args = {"case_id": 1, **kw}
     with pytest.raises(ConfigError):
-        validate_config(bad_pairs)
-    bad_adv = dataclasses.replace(cfg, include_adv=True)
+        SimConfig(**args)
     with pytest.raises(ConfigError):
-        validate_config(bad_adv)
-    bad_batches = dataclasses.replace(cfg, batch_spec=BatchSpec(5, 200, 0.3))
-    with pytest.raises(ConfigError):
-        validate_config(bad_batches)
-    with pytest.raises(ConfigError):
-        case_config(9)
+        dataclasses.replace(SimConfig(1), **kw)
 
 
 def test_case5_requires_adv(tiny_data):
@@ -98,18 +105,18 @@ def test_static_rule_keeps_versions(tiny_data):
 
 
 def test_retrain_trigger_strictly_exceeds(tiny_data, tiny_adv):
-    cfg = tiny_config(5, seed=7, thresholds=(2,))
+    cfg = tiny_config(5, seed=7, threshold=2)
     _, artifacts = run_simulation(cfg, tiny_data, tiny_adv)
     for event in artifacts.retrain_events:
         assert event.evaded_total > 0
     if artifacts.retrain_events:
         first = artifacts.retrain_events[0]
-        assert first.evaded_total > cfg.thresholds[0]
+        assert first.evaded_total > cfg.threshold
 
 
 def test_trigger_count_non_increasing_in_threshold(tiny_data, tiny_adv):
-    low = tiny_config(5, seed=7, thresholds=(2,))
-    high = tiny_config(5, seed=7, thresholds=(50,))
+    low = tiny_config(5, seed=7, threshold=2)
+    high = tiny_config(5, seed=7, threshold=50)
     _, art_low = run_simulation(low, tiny_data, tiny_adv)
     _, art_high = run_simulation(high, tiny_data, tiny_adv)
     assert len(art_low.retrain_events) >= len(art_high.retrain_events)
@@ -137,16 +144,13 @@ def test_production_mode_flags_drive_hackers(tiny_data, tiny_adv):
 
 def test_baseline_all_nrf(tiny_data, tiny_adv):
     cfg = tiny_config(5, seed=15)
-    _, artifacts = baseline_run(cfg, tiny_data, tiny_adv)
+    _, artifacts = run_simulation(cfg, tiny_data, tiny_adv, baseline=True)
     assert all(m.role is FeatureMode.NRF for m in artifacts.final_state.members)
 
 
 def test_no_attack_stream_is_metric_safe(tiny_data):
-    cfg = tiny_config(1, seed=17)
-    cfg = dataclasses.replace(
-        cfg, batch_spec=dataclasses.replace(cfg.batch_spec, attack_frac=0.0)
-    )
-    scorecard, _ = baseline_run(cfg, tiny_data)
+    cfg = tiny_config(1, seed=17, attack_frac=0.0)
+    scorecard, _ = run_simulation(cfg, tiny_data, baseline=True)
     for row in scorecard.rows:
         assert row.fn == 0 and row.tp == 0
         assert row.fnp == 0.0
@@ -154,20 +158,19 @@ def test_no_attack_stream_is_metric_safe(tiny_data):
 
 
 def test_sweep_single_threshold(tiny_data):
-    cfg = tiny_config(1, seed=19, thresholds=(5,))
-    results = sweep_thresholds(cfg, tiny_data)
+    cfg = tiny_config(1, seed=19)
+    results = sweep_thresholds(cfg, (5,), tiny_data)
     assert set(results) == {5}
 
 
 def test_sweep_requires_thresholds(tiny_data):
-    cfg = dataclasses.replace(tiny_config(1), thresholds=())
     with pytest.raises(ConfigError):
-        sweep_thresholds(cfg, tiny_data)
+        sweep_thresholds(tiny_config(1), (), tiny_data)
 
 
 def test_desk_sweep_stabilisation(desk_data, desk_adv):
-    cfg = desk_case_config(5, seed=42, thresholds=(2, 20))
-    results = sweep_thresholds(cfg, desk_data, desk_adv)
+    cfg = desk_case_config(5, seed=42)
+    results = sweep_thresholds(cfg, (2, 20), desk_data, desk_adv)
     stabilise = {}
     for th, scorecard in results.items():
         assert all(r.fnp == 0.0 for r in scorecard.final_epoch_rows())
@@ -192,7 +195,7 @@ def test_scorecard_roundtrip(tmp_path, tiny_data):
 
 
 def test_case5_stabilises_at_or_below_case3(desk_data, desk_adv, case5_run):
-    cfg3 = desk_case_config(3, seed=42, thresholds=(2,))
+    cfg3 = desk_case_config(3, seed=42, threshold=2)
     card3, art3 = simulate.run_simulation(cfg3, desk_data)
     cfg5, card5, art5 = case5_run
 
@@ -212,7 +215,7 @@ def test_case5_stabilises_at_or_below_case3(desk_data, desk_adv, case5_run):
 
 
 def test_versioned_model_manifests_written(tmp_path, desk_data, desk_adv):
-    cfg = desk_case_config(5, seed=42, thresholds=(2,))
+    cfg = desk_case_config(5, seed=42, threshold=2)
     _, artifacts = run_simulation(cfg, desk_data, desk_adv, out_dir=tmp_path / "run5")
     assert (tmp_path / "run5" / "models" / "final" / "ensemble.json").exists()
     for event in artifacts.retrain_events:
