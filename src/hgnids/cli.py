@@ -522,7 +522,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("detect-scan", help="run the behavioural detector over windows")
     p.add_argument("--input", required=True)
-    p.add_argument("--window-size", type=int, default=5000)
+    p.add_argument("--window-size", type=_positive_int, default=5000)
     common(p)
     p.set_defaults(func=cmd_detect_scan)
 

@@ -13,12 +13,15 @@ all derive from that relation. A scanning source/target pair shows up as
 two near-identical large hyperedges whose tail centralities (large s)
 lock to 1, which is the signature the rest of the package exploits.
 
-All metrics come from one kernel over integer edge ids: for each s, the
-overlap pairs with count >= s form the s-line graph, and a level-synchronous
-BFS from a chunk of sources at once takes one product per level with the
-dense adjacency of the n_s edges that have an s-neighbour. Per s, memory is
-that [n_s, n_s] adjacency and the cached int32 distances, plus BFS blocks
-of chunk * n_s <= _CHUNK_CELLS cells.
+All metrics come from one kernel over integer edge ids. The overlap
+relation is one int32 table of (a, b, shared) rows, built once per
+hypergraph by counting, for each edge, the edges incident to its ports,
+in O(pairs + edges) memory. For each s, the rows with shared >= s form the
+s-line graph, and a level-synchronous BFS from a chunk of sources at once
+takes one product per level with the dense adjacency of the n_s edges
+that have an s-neighbour. Per s, memory is that [n_s, n_s] adjacency and
+the cached int32 distances, plus BFS blocks of chunk * n_s <= _CHUNK_CELLS
+cells.
 """
 
 from __future__ import annotations
@@ -44,14 +47,15 @@ class EdgeRole(Enum):
 
 
 class Hypergraph:
-    """Immutable-after-build incidence structure with overlap caching."""
+    """Immutable-after-build incidence structure: `edges` maps each IP to
+    its port set in insertion order, which fixes the integer edge ids that
+    the cached overlap table and s-line graphs are indexed by."""
 
     def __init__(self):
         self.edges: dict[str, set[int]] = {}
         self.roles: dict[str, EdgeRole] = {}
-        self._overlaps: dict[tuple[str, str], int] | None = None
-        self._ids: dict[str, int] | None = None  # edge ids, set with _pairs
-        self._pairs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._table: np.ndarray | None = None
+        self._ids: dict[str, int] | None = None  # edge ids, set with _table
         self._lines: dict[int, _SLineGraph] = {}
 
     def __len__(self) -> int:
@@ -83,40 +87,34 @@ class Hypergraph:
             if self.roles[ip] is not role:
                 self.roles[ip] = EdgeRole.BOTH
 
-    def overlaps(self) -> dict[tuple[str, str], int]:
-        """Intersection sizes for every pair of edges sharing >= 1 vertex."""
-        if self._overlaps is None:
-            by_vertex: dict[int, list[str]] = {}
-            for ip, members in self.edges.items():
-                for port in members:
-                    by_vertex.setdefault(port, []).append(ip)
-            counts: dict[tuple[str, str], int] = {}
-            for incident in by_vertex.values():
-                for i in range(len(incident)):
-                    a = incident[i]
-                    for j in range(i + 1, len(incident)):
-                        key = (a, incident[j])
-                        counts[key] = counts.get(key, 0) + 1
-            self._overlaps = counts
-        return self._overlaps
-
-    def _overlap_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`overlaps()` as (ia, ib, count) arrays over insertion-order edge ids."""
-        if self._pairs is None:
+    def overlaps(self) -> np.ndarray:
+        """Every pair of edges sharing >= 1 port, as a cached read-only
+        [n_pairs, 3] int32 table of (a, b, shared) rows sorted by (a, b):
+        a < b are insertion-order edge ids and shared is the number of
+        ports the two edges have in common."""
+        if self._table is None:
             self._ids = {ip: i for i, ip in enumerate(self.edges)}
-            pairs = self.overlaps()
-            ends = np.fromiter((self._ids[ip] for pair in pairs for ip in pair), np.int32, 2 * len(pairs))
-            self._pairs = (ends[0::2], ends[1::2], np.fromiter(pairs.values(), np.int32, len(pairs)))
-        return self._pairs
+            by_port: dict[int, list[int]] = {}
+            for a, members in enumerate(self.edges.values()):
+                for port in members:
+                    by_port.setdefault(port, []).append(a)
+            incident = {port: np.array(ids, np.int32) for port, ids in by_port.items()}
+            rows = [np.empty((0, 3), np.int32)]
+            for a, members in enumerate(self.edges.values()):
+                # shared[b]: the number of ports edge a shares with edge a + 1 + b
+                neighbours = np.concatenate([incident[p] for p in members])
+                shared = np.bincount(neighbours, minlength=len(self))[a + 1:]
+                b = np.flatnonzero(shared)
+                rows.append(np.column_stack((np.full(len(b), a), a + 1 + b, shared[b])).astype(np.int32))
+            self._table = np.concatenate(rows)
+            self._table.flags.writeable = False
+        return self._table
 
 
 @dataclass
 class SComponentMap:
     s: int
     assignment: dict[str, int]
-
-    def component_of(self, edge: str) -> int:
-        return self.assignment[edge]
 
     def groups(self) -> list[set[str]]:
         byid: dict[int, set[str]] = {}
@@ -180,7 +178,7 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
     cached = h._lines.get(s)
     if cached is not None:
         return cached
-    ia, ib, count = h._overlap_arrays()
+    ia, ib, count = h.overlaps().T
     keep = count >= s
     ia, ib = ia[keep], ib[keep]
     row = np.full(len(h.edges), -1, np.int32)  # stays -1 for an edge with no s-neighbour

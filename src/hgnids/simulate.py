@@ -48,8 +48,6 @@ from .flows import Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
 from .hypergraph import build_hypergraph, edge_profiles, feature_skip_interval
 from .trees import EvalReport, Hyperparams
 
-THRESHOLD_SET = (2, 5, 10, 20, 30, 40, 50, 100)
-
 HACKER_PAIR: IPPair = ("172.16.0.1", "192.168.10.50")
 
 PRETRAIN_FRAC = 0.8
@@ -106,6 +104,12 @@ class SimConfig:
             raise ConfigError(f"threshold must be a positive count, got {self.threshold}")
         if not (0.0 <= self.attack_frac <= 1.0):
             raise ConfigError(f"attack_frac must lie in [0, 1], got {self.attack_frac}")
+        for name in ("n_computers", "n_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be a positive count, got {getattr(self, name)}")
+        for name in ("adv_per_batch", "ballast_size"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
 
     @property
     def ip_pairs(self) -> int:

@@ -1,6 +1,7 @@
 """The string-keyed BFS that computed s-closeness before the integer
-kernel: one Python BFS per edge per s over neighbour lists built from
-`Hypergraph.overlaps()`. Kept as the reference for differential tests of
+kernel: one Python BFS per edge per s over neighbour lists built from the
+(a, b, shared) rows of `Hypergraph.overlaps()`, with edge ids mapped back
+to IPs in insertion order. Kept as the reference for differential tests of
 `hgnids.hypergraph`; too slow for large windows.
 """
 
@@ -13,8 +14,10 @@ from hgnids.hypergraph import SCHEDULE_STEPS, Hypergraph, centrality_schedule
 
 def adjacency_at(h: Hypergraph, s: int) -> dict[str, list[str]]:
     neighbours: dict[str, list[str]] = {ip: [] for ip in h.edges}
-    for (a, b), count in h.overlaps().items():
+    names = list(h.edges)
+    for ia, ib, count in h.overlaps().tolist():
         if count >= s:
+            a, b = names[ia], names[ib]
             neighbours[a].append(b)
             neighbours[b].append(a)
     return neighbours

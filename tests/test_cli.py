@@ -304,6 +304,22 @@ def test_sim_config_defaults_per_mode():
                                   "attack_frac": 0.25, "use_weights": True, **shared}
 
 
+def test_simulate_rejects_zero_computers_before_training(tmp_path):
+    path = tmp_path / "zero.cfg"
+    path.write_text("n_computers=0\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--case", "1", "--config", str(path), "--out-dir", str(out)]) == EXIT_DATA
+    assert not (out / "scorecard.csv").exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_detect_scan_rejects_non_positive_window_size(tmp_path, size):
+    out = tmp_path / "flags"
+    assert main(["detect-scan", "--input", "absent.csv", "--window-size", size,
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "flags.csv").exists()
+
+
 def test_simulate_takes_one_threshold(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--case", "1", "--threshold", "2,5", "--out-dir", str(out)]) == EXIT_USAGE

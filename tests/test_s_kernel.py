@@ -1,6 +1,7 @@
-"""The integer s-line-graph kernel against the brute-force oracle on random
-small hypergraphs, and against the string-keyed reference BFS on ~300-edge
-ones. Floats must match exactly: both sides divide the same integers."""
+"""The integer overlap table against raw set intersections, and the integer
+s-line-graph kernel against the brute-force oracle on random small
+hypergraphs and against the string-keyed reference BFS on ~300-edge ones.
+Floats must match exactly: both sides divide the same integers."""
 
 import numpy as np
 import pytest
@@ -62,6 +63,28 @@ def test_kernel_matches_oracle(flows, s):
         assert s_closeness_centrality(h, e, s) == bf.oracle_centrality(h, e, s)
         for f in names:
             assert s_distance(h, e, f, s) == bf.oracle_distance(h, e, f, s)
+
+
+@settings(max_examples=80, deadline=None)
+@given(flows=_flows)
+@example(flows=_MIXED)
+def test_overlaps_match_set_intersections(flows):
+    h = build_hypergraph(_dataset(flows))
+    names = list(h.edges)
+    expected = []
+    for i, a in enumerate(names):
+        for j in range(i + 1, len(names)):
+            shared = len(h.edges[a] & h.edges[names[j]])
+            if shared >= 1:
+                expected.append((i, j, shared))
+    table = h.overlaps()
+    assert table.dtype == np.int32
+    assert sorted(map(tuple, table.tolist())) == expected  # each pair once, a < b
+
+
+def test_overlaps_of_empty_hypergraph():
+    table = hg.Hypergraph().overlaps()
+    assert table.shape == (0, 3) and table.dtype == np.int32
 
 
 def test_mixed_example_has_both_roles_and_singletons():

@@ -66,7 +66,8 @@ def test_validate_rejects_inconsistent_case():
 
 @pytest.mark.parametrize("kw", [
     {"case_id": 9}, {"case_id": 0}, {"threshold": 0}, {"threshold": -3},
-    {"attack_frac": 1.5}, {"attack_frac": -0.1},
+    {"attack_frac": 1.5}, {"attack_frac": -0.1}, {"n_computers": 0}, {"n_epochs": 0},
+    {"batch_size": 0}, {"batch_size": -5}, {"adv_per_batch": -1}, {"ballast_size": -1},
 ])
 def test_config_rejected_when_built(kw):
     args = {"case_id": 1, **kw}
