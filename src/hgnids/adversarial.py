@@ -12,6 +12,7 @@ still rates them at or above the keep threshold, labelled as attacks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -55,6 +56,16 @@ class ZooBudget:
     step: float = 0.02
     h: float = 1e-3
     per_coord_batch: int = 2
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.per_coord_batch < 1:
+            raise ValueError(f"per_coord_batch must be >= 1, got {self.per_coord_batch}")
+        for name in ("step", "h"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass

@@ -33,6 +33,7 @@ from .features import (
 from .flows import Dataset, DataFormatError, class_balance, ingest_csv, synth_traffic, write_csv
 from .hypergraph import (
     build_hypergraph,
+    centrality_schedule,
     edge_profiles,
     feature_skip_interval,
     incidence_rows,
@@ -183,16 +184,14 @@ def cmd_hypergraph(args, cfg, manifest: Manifest) -> int:
     if len(h):
         k = feature_skip_interval(h)
         stats["skip_interval"] = k
-        profiles = edge_profiles(h, k)
+        table = edge_profiles(h, k)
         with open(out / "profiles.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            schedule = next(iter(profiles.values())).schedule if profiles else ()
-            writer.writerow(["edge", "role", "size"] + [f"scc_s{s}" for s in schedule] + ["scc_sum"])
-            for ip, prof in profiles.items():
+            header = [f"scc_s{s}" for s in centrality_schedule(k)]
+            writer.writerow(["edge", "role", "size"] + header + ["scc_sum"])
+            for (ip, members), row in zip(h.edges.items(), table.tolist()):
                 writer.writerow(
-                    [ip, h.roles[ip].value, h.edge_size(ip)]
-                    + [repr(v) for v in prof.values]
-                    + [repr(prof.total)]
+                    [ip, h.roles[ip].value, len(members)] + [repr(v) for v in row] + [repr(sum(row))]
                 )
         manifest.add_output(out / "profiles.csv")
     with open(out / "incidence.csv", "w", newline="", encoding="utf-8") as fh:
@@ -444,6 +443,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer: {text}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1]: {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not (value > 0 and math.isfinite(value)):
@@ -473,9 +486,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate synthetic traffic")
     p.add_argument("--profile", choices=("scan", "benign", "mixed"), required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_non_negative_int, required=True)
     p.add_argument("--pairs", default="", help="src>dst;src>dst endpoint pairs")
-    p.add_argument("--attack-frac", type=float, default=0.25)
+    p.add_argument("--attack-frac", type=_fraction, default=0.25)
     common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -506,17 +519,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_fraction, default=0.5)
     common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("advgen", help="generate adversarial examples")
     p.add_argument("--input", required=True)
-    p.add_argument("--iters", type=int, default=4)
-    p.add_argument("--step", type=float, default=0.02)
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--coord-batch", type=int, default=1)
-    p.add_argument("--keep-threshold", type=float, default=0.55)
+    p.add_argument("--iters", type=_non_negative_int, default=4)
+    p.add_argument("--step", type=_positive_float, default=0.02)
+    p.add_argument("--h", type=_positive_float, default=1e-3)
+    p.add_argument("--coord-batch", type=_positive_int, default=1)
+    p.add_argument("--keep-threshold", type=_fraction, default=0.55)
     common(p)
     p.set_defaults(func=cmd_advgen)
 

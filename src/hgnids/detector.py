@@ -1,12 +1,12 @@
 """Online behavioural port-scan detection over traffic windows.
 
-Each window of unlabeled records is abstracted into the port hypergraph;
-for every edge the 11 evenly spaced s-closeness centralities are
-computed, spacing chosen so the schedule tops out near the largest edge
-size. The last six centralities are binarised at 0.95, and an endpoint
-pair is flagged when both of its edges agree (element-wise minimum) on at
-least two of the six tail bits. A pair is flagged at most once per flag
-memory lifetime.
+Each window of unlabeled records is abstracted into the port hypergraph,
+whose [n_edges, 11] profile table holds every edge's 11 evenly spaced
+s-closeness centralities, spacing chosen so the schedule tops out near
+the largest edge size. The table's last six columns are binarised at 0.95
+once; each new endpoint pair takes the element-wise minimum of its two
+edges' rows and is flagged when at least two of the six tail bits
+survive. A pair is flagged at most once per flag memory lifetime.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .flows import Dataset
 from .hypergraph import build_hypergraph, detector_skip_interval, edge_profiles
@@ -42,32 +44,21 @@ def detect_window(
         return [], updated
 
     h = build_hypergraph(window)
-    k = detector_skip_interval(h.max_edge_size())
-    profiles = edge_profiles(h, k)
+    table = edge_profiles(h, detector_skip_interval(h.max_edge_size()))
+    bits = (table[:, -TAIL_LENGTH:] >= BINARIZE_THRESHOLD).astype(np.int64)
+    # every endpoint of a window record is an edge of the window's hypergraph
+    ids = h.edge_ids()
+    pairs = [p for p in dict.fromkeys(rec.pair for rec in window) if p not in flagged]
+    src = np.fromiter((ids[a] for a, _ in pairs), np.intp, len(pairs))
+    dst = np.fromiter((ids[b] for _, b in pairs), np.intp, len(pairs))
+    combined = np.minimum(bits[src], bits[dst])
+    tail_sums = combined.sum(axis=1)
 
-    tails: dict[str, tuple[int, ...]] = {}
-    for ip, profile in profiles.items():
-        tail = profile.values[-TAIL_LENGTH:]
-        tails[ip] = tuple(1 if v >= BINARIZE_THRESHOLD else 0 for v in tail)
-
-    flags: list[ScanFlag] = []
-    seen_pairs: set[IPPair] = set()
-    for rec in window:
-        pair = rec.pair
-        if pair in seen_pairs:
-            continue
-        seen_pairs.add(pair)
-        if pair in updated:
-            continue
-        src_tail = tails.get(pair[0])
-        dst_tail = tails.get(pair[1])
-        if src_tail is None or dst_tail is None:
-            continue
-        combined = tuple(min(a, b) for a, b in zip(src_tail, dst_tail))
-        tail_sum = sum(combined)
-        if tail_sum >= FLAG_MIN_SUM:
-            flags.append(ScanFlag(pair, combined, tail_sum, window_id))
-            updated.add(pair)
+    flags = [
+        ScanFlag(pairs[i], tuple(combined[i].tolist()), int(tail_sums[i]), window_id)
+        for i in np.flatnonzero(tail_sums >= FLAG_MIN_SUM).tolist()
+    ]
+    updated.update(f.pair for f in flags)
     return flags, updated
 
 

@@ -28,7 +28,7 @@ from .features import (
     build_matrix,
     encode,
 )
-from .hypergraph import CentralityProfile, Hypergraph
+from .hypergraph import Hypergraph
 from .trees import (
     EvalReport,
     Hyperparams,
@@ -60,7 +60,6 @@ class UpdateRule(str, Enum):
 @dataclass
 class EncodingContext:
     hypergraph: Hypergraph | None
-    profiles: Mapping[str, CentralityProfile] | None
     hackers: frozenset[IPPair] = frozenset()
     weights: tuple[float, ...] | None = None
 
@@ -102,9 +101,7 @@ def member_scores(
     cols = []
     for slot in state.members:
         if slot.role not in cache:
-            cache[slot.role], _ = encode(
-                records, slot.role, ctx.hypergraph, ctx.profiles, ctx.hackers, ctx.weights
-            )
+            cache[slot.role], _ = encode(records, slot.role, ctx.hypergraph, ctx.hackers, ctx.weights)
         cols.append(predict_proba_batch(slot.model, cache[slot.role]))
     return np.stack(cols, axis=1)
 
@@ -144,7 +141,7 @@ def train_member(
 ) -> TreeModel:
     kind = ROLE_KIND[role]
     params = replace(hyperparams or default_hyperparams(kind), seed=seed)
-    rows = build_matrix(train_set, ctx.hypergraph, role, ctx.hackers, ctx.weights, ctx.profiles)
+    rows = build_matrix(train_set, ctx.hypergraph, role, ctx.hackers, ctx.weights)
     return train(rows, kind, params)
 
 
@@ -163,16 +160,13 @@ def build_ensemble(
         model = train_member(role, train_set, ctx, hp, seed=seed * 31 + i)
         report = None
         if holdout is not None and len(holdout) > 0:
-            rows = build_matrix(holdout, ctx.hypergraph, role, ctx.hackers, ctx.weights, ctx.profiles)
-            report = evaluate(model, rows)
+            _, report = _holdout_f1(model, holdout, ctx)
         members.append(MemberSlot(role, model, version=0, last_eval=report))
     return EnsembleState(members)
 
 
 def _holdout_f1(model: TreeModel, holdout: Dataset, ctx: EncodingContext) -> tuple[float, EvalReport]:
-    rows = build_matrix(
-        holdout, ctx.hypergraph, model.feature_mode, ctx.hackers, ctx.weights, ctx.profiles
-    )
+    rows = build_matrix(holdout, ctx.hypergraph, model.feature_mode, ctx.hackers, ctx.weights)
     report = evaluate(model, rows)
     return report.f1, report
 

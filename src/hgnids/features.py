@@ -6,14 +6,16 @@ endpoints plus their sum; the HGA layout appends the last scheduled
 centrality and four aggregates (centrality sum, source-edge size,
 destination-edge size, and their sum).
 
-`encode` is the one implementation of all three. Every profiled IP gets
-an int row id in a [n_profiles + 1, 11] table whose last row is zeros and
-stands for an unseen IP; a record's centralities are the element-wise
-maximum of its source and destination rows, gathered for the whole batch
-at once. In full-dataset mode, records whose endpoint pair is not in the
-known-hacker set take a fixed weight vector in the centrality slots
-instead. `build_matrix` and `encode_record` wrap the same arrays as
-FeatureVector rows.
+`encode` is the one implementation of all three. It gathers each
+record's source and destination rows from the hypergraph's
+[n_edges, 11] profile table (`edge_profiles`) by integer edge id, with a
+zero row appended for an IP the hypergraph has not seen; a record's
+centralities are the element-wise maximum of the two rows, for the whole
+batch at once. Edge sizes are gathered with the same ids. In full-dataset
+mode, records whose endpoint pair is not in the known-hacker set take a
+fixed weight vector in the centrality slots instead. `build_matrix` and
+`encode_record` wrap the same arrays as FeatureVector rows;
+`record_profile` is the one-record form of the endpoint maximum.
 """
 
 from __future__ import annotations
@@ -109,13 +111,12 @@ def encode(
     records: Iterable[FlowRecord],
     mode: FeatureMode,
     hypergraph: Hypergraph | None = None,
-    profiles: Mapping[str, CentralityProfile] | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode records in the requested layout: (X [n, width], y [n]).
 
-    Centrality slots are the endpoints' profile rows gathered from one
+    Centrality slots are the endpoints' rows of the hypergraph's profile
     table, except that a record whose pair is outside the hacker set takes
     the weight vector when one is supplied. Edge-size aggregates are
     structural lookups in the hypergraph regardless of the weight rule.
@@ -129,18 +130,15 @@ def encode(
 
     if hypergraph is None or len(hypergraph) == 0:
         raise ValueError(f"{mode.value} encoding needs a non-empty hypergraph")
-    if profiles is None:
-        profiles = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
     if weights is not None and len(weights) != SCHEDULE_STEPS:
         raise ValueError("weight vector must have 11 entries")
-    if any(len(p.values) != SCHEDULE_STEPS for p in profiles.values()):
-        raise ValueError("profile schedule must have 11 entries")
 
-    row = {ip: i for i, ip in enumerate(profiles)}
-    unseen = len(row)
-    table = np.array([p.values for p in profiles.values()] + [(0.0,) * SCHEDULE_STEPS])
-    src = np.fromiter((row.get(r.src_ip, unseen) for r in records), np.intp, n)
-    dst = np.fromiter((row.get(r.dst_ip, unseen) for r in records), np.intp, n)
+    ids = hypergraph.edge_ids()
+    unseen = len(ids)  # the appended zero row
+    src = np.fromiter((ids.get(r.src_ip, unseen) for r in records), np.intp, n)
+    dst = np.fromiter((ids.get(r.dst_ip, unseen) for r in records), np.intp, n)
+    table = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
+    table = np.vstack([table, np.zeros(SCHEDULE_STEPS)])
     c = np.maximum(table[src], table[dst])
     if weights is not None:
         c[np.fromiter((r.pair not in hackers for r in records), bool, n)] = weights
@@ -151,8 +149,8 @@ def encode(
 
     if mode is FeatureMode.HGI:
         return np.column_stack([nrf, c, total]), y
-    src_size = np.fromiter((hypergraph.edge_size(r.src_ip) for r in records), np.float64, n)
-    dst_size = np.fromiter((hypergraph.edge_size(r.dst_ip) for r in records), np.float64, n)
+    size = np.array([len(m) for m in hypergraph.edges.values()] + [0], np.float64)
+    src_size, dst_size = size[src], size[dst]
     return np.column_stack([nrf, c[:, -1], total, src_size, dst_size, src_size + dst_size]), y
 
 
@@ -162,11 +160,10 @@ def build_matrix(
     mode: FeatureMode,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
-    profiles: Mapping[str, CentralityProfile] | None = None,
 ) -> list[FeatureVector]:
     """Encode every record of the dataset as a FeatureVector; see encode."""
     records = tuple(dataset)
-    X, y = encode(records, mode, hypergraph, profiles, hackers, weights)
+    X, y = encode(records, mode, hypergraph, hackers, weights)
     return [
         FeatureVector(mode, tuple(values), label, rec)
         for values, label, rec in zip(X.tolist(), y.tolist(), records)
@@ -177,12 +174,11 @@ def encode_record(
     rec: FlowRecord,
     mode: FeatureMode,
     hypergraph: Hypergraph | None = None,
-    profiles: Mapping[str, CentralityProfile] | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
 ) -> FeatureVector:
     """Encode one record in the requested layout; see encode."""
-    return build_matrix((rec,), hypergraph, mode, hackers, weights, profiles)[0]
+    return build_matrix((rec,), hypergraph, mode, hackers, weights)[0]
 
 
 def rows_to_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:

@@ -452,6 +452,8 @@ def synth_traffic(
     """
     if count < 0:
         raise ValueError("count must be >= 0")
+    if not 0.0 <= attack_frac <= 1.0:
+        raise ValueError(f"attack_frac must lie in [0, 1], got {attack_frac}")
     if profile not in ("PORT_SCAN", "BENIGN", "MIXED"):
         raise ValueError(f"unknown profile: {profile}")
     if profile in ("PORT_SCAN", "MIXED") and count > 0 and not ip_pairs:

@@ -13,7 +13,9 @@ all derive from that relation. A scanning source/target pair shows up as
 two near-identical large hyperedges whose tail centralities (large s)
 lock to 1, which is the signature the rest of the package exploits.
 
-All metrics come from one kernel over integer edge ids. The overlap
+All metrics come from one kernel over integer edge ids: an edge's id is
+its insertion index, read through `Hypergraph.edge_ids`, and it is the row
+of that edge in every per-edge array, `edge_profiles` included. The overlap
 relation is one int32 table of (a, b, shared) rows, built once per
 hypergraph by counting, for each edge, the edges incident to its ports,
 in O(pairs + edges) memory. For each s, the rows with shared >= s form the
@@ -21,7 +23,10 @@ s-line graph, and a level-synchronous BFS from a chunk of sources at once
 takes one product per level with the dense adjacency of the n_s edges
 that have an s-neighbour. Per s, memory is that [n_s, n_s] adjacency and
 the cached int32 distances, plus BFS blocks of chunk * n_s <= _CHUNK_CELLS
-cells.
+cells. `edge_profiles` stacks the cached closeness arrays of the 11
+scheduled s into one [n_edges, 11] table, the only form in which the
+feature encoder and the detector read centralities; `centrality_profile`
+is the one-edge view.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class Hypergraph:
         self.edges: dict[str, set[int]] = {}
         self.roles: dict[str, EdgeRole] = {}
         self._table: np.ndarray | None = None
-        self._ids: dict[str, int] | None = None  # edge ids, set with _table
+        self._ids: dict[str, int] | None = None
         self._lines: dict[int, _SLineGraph] = {}
 
     def __len__(self) -> int:
@@ -67,6 +72,12 @@ class Hypergraph:
         for members in self.edges.values():
             out |= members
         return out
+
+    def edge_ids(self) -> dict[str, int]:
+        """Each IP's integer edge id: its index in insertion order."""
+        if self._ids is None:
+            self._ids = {ip: i for i, ip in enumerate(self.edges)}
+        return self._ids
 
     def edge_size(self, ip: str) -> int:
         members = self.edges.get(ip)
@@ -93,7 +104,6 @@ class Hypergraph:
         a < b are insertion-order edge ids and shared is the number of
         ports the two edges have in common."""
         if self._table is None:
-            self._ids = {ip: i for i, ip in enumerate(self.edges)}
             by_port: dict[int, list[int]] = {}
             for a, members in enumerate(self.edges.values()):
                 for port in members:
@@ -206,7 +216,8 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
 def s_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
     """Length of the shortest s-path from e to f; None when unreachable."""
     line = _s_line_graph(h, s)
-    i, j = line.row[h._ids[e]], line.row[h._ids[f]]
+    ids = h.edge_ids()
+    i, j = line.row[ids[e]], line.row[ids[f]]
     if e == f:
         return 0
     if i < 0 or j < 0:
@@ -224,7 +235,7 @@ def s_components(h: Hypergraph, s: int) -> SComponentMap:
 
 def s_closeness_centrality(h: Hypergraph, e: str, s: int) -> float:
     """C_s(e) over e's s-component; 0 by convention for a singleton."""
-    return float(_s_line_graph(h, s).closeness[h._ids[e]])
+    return float(_s_line_graph(h, s).closeness[h.edge_ids()[e]])
 
 
 def centrality_schedule(k: int) -> tuple[int, ...]:
@@ -244,14 +255,11 @@ def centrality_profile(h: Hypergraph, e: str, k: int) -> CentralityProfile:
     return CentralityProfile(e, schedule, values)
 
 
-def edge_profiles(h: Hypergraph, k: int) -> dict[str, CentralityProfile]:
-    """Profiles for every edge, one kernel run per scheduled s."""
-    schedule = centrality_schedule(k)
-    table = np.column_stack([_s_line_graph(h, s).closeness for s in schedule])
-    return {
-        ip: CentralityProfile(ip, schedule, tuple(values))
-        for ip, values in zip(h.edges, table.tolist())
-    }
+def edge_profiles(h: Hypergraph, k: int) -> np.ndarray:
+    """The profiles of every edge as one float64 [n_edges, 11] table: row i
+    is edge id i, column n is C_s at s = 3 + n*k. Each column is a cached
+    s-line graph's closeness array, so a repeat call only stacks them."""
+    return np.column_stack([_s_line_graph(h, s).closeness for s in centrality_schedule(k)])
 
 
 def feature_skip_interval(h: Hypergraph) -> int:

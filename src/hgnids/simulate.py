@@ -45,7 +45,7 @@ from .ensemble import (
 )
 from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair
 from .flows import Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
-from .hypergraph import build_hypergraph, edge_profiles, feature_skip_interval
+from .hypergraph import build_hypergraph
 from .trees import EvalReport, Hyperparams
 
 HACKER_PAIR: IPPair = ("172.16.0.1", "192.168.10.50")
@@ -370,10 +370,9 @@ def run_simulation(
 
     pretrain, pretest = _split_records(data, PRETRAIN_FRAC, cfg.seed * 13 + 1)
     h = build_hypergraph(pretrain)
-    profiles = edge_profiles(h, feature_skip_interval(h))
     true_hackers = frozenset(r.pair for r in pretrain.scans())
     weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
-    train_ctx = EncodingContext(h, profiles, true_hackers, weights)
+    train_ctx = EncodingContext(h, true_hackers, weights)
 
     roles = (
         (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)

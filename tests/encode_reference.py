@@ -1,7 +1,9 @@
 """The per-record encoder that built feature rows before `features.encode`:
 one Python pass per record, with `record_profile` as the endpoint
-lookup. Kept as the reference for differential tests of
-`hgnids.features`; too slow for streaming batches.
+lookup over a profile map built edge by edge with `centrality_profile`,
+so it does not read the profile table that `encode` gathers from. Kept as
+the reference for differential tests of `hgnids.features`; too slow for
+streaming batches.
 """
 
 from __future__ import annotations
@@ -14,16 +16,35 @@ from hgnids.hypergraph import (
     SCHEDULE_STEPS,
     CentralityProfile,
     Hypergraph,
-    edge_profiles,
+    centrality_profile,
     feature_skip_interval,
 )
+
+
+def profile_map(hypergraph: Hypergraph) -> dict[str, CentralityProfile]:
+    """Every edge's profile at the feature skip interval, one edge at a time."""
+    k = feature_skip_interval(hypergraph)
+    return {ip: centrality_profile(hypergraph, ip, k) for ip in hypergraph.edges}
+
+
+def encode_records(
+    records: Sequence[FlowRecord],
+    mode: FeatureMode,
+    hypergraph: Hypergraph | None = None,
+    hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
+    weights: Sequence[float] | None = None,
+) -> list[FeatureVector]:
+    profiles = None
+    if mode is not FeatureMode.NRF and hypergraph is not None and len(hypergraph):
+        profiles = profile_map(hypergraph)
+    return [encode_record(r, mode, hypergraph, profiles, hackers, weights) for r in records]
 
 
 def encode_record(
     rec: FlowRecord,
     mode: FeatureMode,
-    hypergraph: Hypergraph | None = None,
-    profiles: Mapping[str, CentralityProfile] | None = None,
+    hypergraph: Hypergraph | None,
+    profiles: Mapping[str, CentralityProfile] | None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
 ) -> FeatureVector:
@@ -34,8 +55,6 @@ def encode_record(
 
     if hypergraph is None or len(hypergraph) == 0:
         raise ValueError(f"{mode.value} encoding needs a non-empty hypergraph")
-    if profiles is None:
-        profiles = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
 
     if weights is not None and rec.pair not in hackers:
         centralities = tuple(float(w) for w in weights)

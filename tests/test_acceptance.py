@@ -167,7 +167,7 @@ REPRO_ENV = "HGNIDS_CICIDS_CSV"
 @pytest.mark.skipif(REPRO_ENV not in os.environ, reason=f"set {REPRO_ENV} to run reproduction mode")
 def test_criterion_10_reproduction_mode():
     from hgnids.features import FeatureMode, build_matrix, train_test_split
-    from hgnids.hypergraph import build_hypergraph, edge_profiles, feature_skip_interval
+    from hgnids.hypergraph import build_hypergraph
     from hgnids.trees import ModelKind, default_hyperparams, evaluate, train
 
     path = os.environ[REPRO_ENV]
@@ -188,8 +188,7 @@ def test_criterion_10_reproduction_mode():
     assert nrf_report.f1 == pytest.approx(0.9924, abs=0.005)
 
     h = build_hypergraph(dataset)
-    profiles = edge_profiles(h, feature_skip_interval(h))
-    hgi_rows = build_matrix(dataset, h, FeatureMode.HGI, profiles=profiles)
+    hgi_rows = build_matrix(dataset, h, FeatureMode.HGI)
     hgi_train, hgi_test = train_test_split(hgi_rows, 0.8, seed=0)
     gb = train(hgi_train, ModelKind.GRADIENT_BOOSTED, default_hyperparams(ModelKind.GRADIENT_BOOSTED, 0))
     hgi_report = evaluate(gb, hgi_test)

@@ -52,6 +52,15 @@ def test_zero_iteration_budget():
     assert not result.moved
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_iters", -1), ("per_coord_batch", 0), ("step", 0.0), ("step", -0.5),
+    ("step", math.inf), ("h", 0.0), ("h", -1e-3), ("h", math.nan),
+])
+def test_zoo_budget_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        ZooBudget(**{field: value})
+
+
 def test_attack_skips_rows_already_normal():
     model = single_leaf_model(0.2)
     score = partial(predict_proba_batch, model)

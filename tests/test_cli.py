@@ -320,6 +320,34 @@ def test_detect_scan_rejects_non_positive_window_size(tmp_path, size):
     assert not (out / "flags.csv").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--count", "-5"), ("--attack-frac", "1.5"), ("--attack-frac", "-0.5"), ("--attack-frac", "nan"),
+])
+def test_synth_rejects_bad_sizes(tmp_path, flag, value):
+    out = tmp_path / "synth"
+    assert main(["synth", "--profile", "mixed", "--count", "100", "--pairs", "1.2.3.4>5.6.7.8",
+                 flag, value, "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "traffic.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--iters", "-3"), ("--coord-batch", "0"), ("--step", "-0.5"), ("--step", "inf"),
+    ("--h", "0"), ("--h", "nan"), ("--keep-threshold", "1.5"), ("--keep-threshold", "-0.1"),
+])
+def test_advgen_rejects_bad_budget(tmp_path, flag, value):
+    out = tmp_path / "adv"
+    assert main(["advgen", "--input", "absent.csv", flag, value, "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "adversarial.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_eval_rejects_threshold_outside_unit_interval(tmp_path, value):
+    out = tmp_path / "eval"
+    assert main(["eval", "--model", "absent.json", "--input", "absent.csv", "--threshold", value,
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "eval.json").exists()
+
+
 def test_simulate_takes_one_threshold(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", "--case", "1", "--threshold", "2,5", "--out-dir", str(out)]) == EXIT_USAGE

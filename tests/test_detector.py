@@ -1,11 +1,19 @@
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hgnids import detector
 from hgnids.detector import (
     BINARIZE_THRESHOLD,
     FLAG_MIN_SUM,
     detect_window,
 )
 from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, synth_traffic
-from hgnids.hypergraph import detector_skip_interval
+from hgnids.hypergraph import build_hypergraph, detector_skip_interval
 
+import detector_reference as ref
 from helpers import make_record
 
 
@@ -98,3 +106,74 @@ def test_flag_requires_both_edges_to_close():
     records += [make_record("10.1.1.1", "10.2.2.2", 80, BENIGN_LABEL) for _ in range(5)]
     flags, _ = detect_window(Dataset(tuple(records)), set())
     assert [f.pair for f in flags] == [("172.16.0.1", "192.168.10.50")]
+
+
+# Few hosts, so pairs repeat and hosts are both sources and destinations.
+# Each block sends one pair's records over a run of consecutive ports, so
+# long runs give the closed large edges that the detector flags.
+_HOSTS = [f"10.0.0.{i}" for i in range(1, 7)]
+_blocks = st.lists(
+    st.tuples(
+        st.sampled_from(_HOSTS), st.sampled_from(_HOSTS), st.integers(1, 60), st.integers(1, 45)
+    ),
+    min_size=1,
+    max_size=8,
+)
+# A sweep pair whose destination sweeps on as a source, a repeat of that
+# pair, and a third sweep; the examples run it with and without the first
+# pair flagged by an earlier window.
+_BOTH_ROLES = [
+    ("10.0.0.1", "10.0.0.2", 1, 40), ("10.0.0.2", "10.0.0.3", 1, 40),
+    ("10.0.0.1", "10.0.0.2", 30, 5), ("10.0.0.4", "10.0.0.5", 7, 30),
+]
+
+
+def _block_window(blocks) -> Dataset:
+    return Dataset(tuple(
+        make_record(src, dst, port, SCAN_LABEL)
+        for src, dst, first, n in blocks
+        for port in range(first, first + n)
+    ))
+
+
+def _flagged_subset(window, picks):
+    pairs = list(dict.fromkeys(r.pair for r in window))
+    return {pairs[i % len(pairs)] for i in picks} | {("9.9.9.9", "8.8.8.8")}
+
+
+def _assert_matches_reference(window, flagged, values=None):
+    flags, updated = detect_window(window, flagged, window_id=4)
+    assert (flags, updated) == ref.detect_window(window, flagged, 4, values)
+    assert all(type(bit) is int for f in flags for bit in f.binarized_tail)
+    return flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=_blocks, picks=st.lists(st.integers(0, 40), max_size=3))
+@example(blocks=_BOTH_ROLES, picks=[3])
+@example(blocks=_BOTH_ROLES, picks=[])
+def test_detect_window_matches_reference(blocks, picks):
+    window = _block_window(blocks)
+    _assert_matches_reference(window, _flagged_subset(window, picks))
+
+
+def test_reference_windows_raise_flags():
+    window = _block_window(_BOTH_ROLES)
+    assert _assert_matches_reference(window, set())
+    assert _assert_matches_reference(window, _flagged_subset(window, [0]))
+
+
+# Planted centralities that sit on and just under the binarisation threshold.
+_value = st.sampled_from([0.0, 0.5, 0.9499999999999999, BINARIZE_THRESHOLD, 1.0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(blocks=_blocks, picks=st.lists(st.integers(0, 40), max_size=3), data=st.data())
+def test_detect_window_matches_reference_on_planted_profiles(blocks, picks, data):
+    window = _block_window(blocks)
+    edges = list(build_hypergraph(window).edges)
+    rows = data.draw(st.lists(st.lists(_value, min_size=11, max_size=11),
+                              min_size=len(edges), max_size=len(edges)))
+    values = dict(zip(edges, rows))
+    with mock.patch.object(detector, "edge_profiles", lambda h, k: np.array(rows).reshape(-1, 11)):
+        _assert_matches_reference(window, _flagged_subset(window, picks), values)

@@ -16,7 +16,7 @@ from hgnids.features import (
     encode_record,
 )
 from hgnids.flows import BENIGN_LABEL, PROTOCOLS, SCAN_LABEL, Dataset
-from hgnids.hypergraph import build_hypergraph, edge_profiles, feature_skip_interval
+from hgnids.hypergraph import build_hypergraph
 from hgnids.simulate import HACKER_PAIR
 
 import encode_reference as ref
@@ -25,12 +25,12 @@ from helpers import make_record
 _WEIGHTS = (None, NON_HACKER_WEIGHTS)
 
 
-def _assert_matches_reference(records, mode, h, profiles, hackers, weights):
-    X, y = encode(records, mode, h, profiles, hackers, weights)
-    expected = [ref.encode_record(r, mode, h, profiles, hackers, weights) for r in records]
+def _assert_matches_reference(records, mode, h, hackers, weights):
+    X, y = encode(records, mode, h, hackers, weights)
+    expected = ref.encode_records(records, mode, h, hackers, weights)
     assert X.tolist() == [list(row.values) for row in expected]
     assert y.tolist() == [row.label for row in expected]
-    assert build_matrix(records, h, mode, hackers, weights, profiles) == expected
+    assert build_matrix(records, h, mode, hackers, weights) == expected
 
 
 def _with_strangers(records):
@@ -52,26 +52,31 @@ def _with_strangers(records):
 def test_encode_matches_reference_on_desk_data(desk_data, mode, weights):
     records = list(desk_data)
     h = build_hypergraph(Dataset(tuple(records[::2])))
-    profiles = edge_profiles(h, feature_skip_interval(h))
     probe = _with_strangers(records[::7])
     assert {r.pair for r in probe} & {HACKER_PAIR}
     for hackers in (frozenset(), frozenset({HACKER_PAIR})):
-        _assert_matches_reference(probe, mode, h, profiles, hackers, weights)
+        _assert_matches_reference(probe, mode, h, hackers, weights)
 
 
 def test_encode_computes_profiles_when_none_given(desk_data):
     records = list(desk_data)[:300]
     h = build_hypergraph(Dataset(tuple(records)))
     for mode in (FeatureMode.HGI, FeatureMode.HGA):
-        _assert_matches_reference(records, mode, h, None, frozenset(), None)
+        _assert_matches_reference(records, mode, h, frozenset(), None)
 
 
-def test_encode_with_empty_profile_map_is_all_zero():
-    d = Dataset((make_record("a", "b", 1), make_record("c", "d", 2)))
-    h = build_hypergraph(d)
-    X, _ = encode(d, FeatureMode.HGI, h, profiles={})
+def test_encode_of_unseen_endpoints_is_all_zero():
+    # a scan pair gives h non-zero profiles; the probe's IPs are not in h
+    seen = Dataset(tuple(make_record("a", "b", port) for port in range(1, 40)))
+    h = build_hypergraph(seen)
+    assert encode(seen, FeatureMode.HGI, h)[0][:, 9:].any()
+    probe = [make_record("c", "d", 1), make_record("e", "c", 2)]
+    X, _ = encode(probe, FeatureMode.HGI, h)
     assert X[:, 9:].tolist() == [[0.0] * 12] * 2
-    _assert_matches_reference(list(d), FeatureMode.HGI, h, {}, frozenset(), None)
+    X, _ = encode(probe, FeatureMode.HGA, h)
+    assert X[:, 9:].tolist() == [[0.0] * 5] * 2
+    for mode in (FeatureMode.HGI, FeatureMode.HGA):
+        _assert_matches_reference(probe, mode, h, frozenset(), None)
 
 
 def test_encode_empty_batch_has_layout_width(desk_data):
@@ -89,9 +94,6 @@ def test_encode_errors():
         encode(d, FeatureMode.HGA)
     with pytest.raises(ValueError, match="11 entries"):
         encode(d, FeatureMode.HGI, h, weights=NON_HACKER_WEIGHTS[:10])
-    short = {ip: replace(p, values=p.values[:10]) for ip, p in edge_profiles(h, 1).items()}
-    with pytest.raises(ValueError, match="11 entries"):
-        encode(d, FeatureMode.HGI, h, profiles=short)
 
 
 def test_encode_record_is_one_row_of_build_matrix():
@@ -134,9 +136,8 @@ _weights = st.one_of(
 def test_encode_matches_reference_on_random_data(records, seen, mode, hacker_picks, weights):
     h = build_hypergraph(Dataset(tuple(records[:seen])))
     hackers = frozenset(records[i % len(records)].pair for i in hacker_picks)
-    profiles = edge_profiles(h, feature_skip_interval(h))
-    _assert_matches_reference(records, mode, h, profiles, hackers, weights)
+    _assert_matches_reference(records, mode, h, hackers, weights)
     # the sum slot is a left-to-right sum, not numpy's pairwise one
     if mode is FeatureMode.HGI:
-        X, _ = encode(records, mode, h, profiles, hackers, weights)
+        X, _ = encode(records, mode, h, hackers, weights)
         assert X[:, 20].tolist() == [sum(row) for row in X[:, 9:20].tolist()]

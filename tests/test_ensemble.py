@@ -17,7 +17,7 @@ from hgnids.ensemble import (
 )
 from hgnids.features import FeatureMode
 from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, synth_traffic
-from hgnids.hypergraph import build_hypergraph, edge_profiles, feature_skip_interval
+from hgnids.hypergraph import build_hypergraph
 from hgnids.trees import Hyperparams
 
 from helpers import make_record, single_leaf_model, split_model
@@ -36,7 +36,7 @@ def _stump_state(*values):
 
 
 def _nrf_ctx():
-    return EncodingContext(None, None)
+    return EncodingContext(None)
 
 
 def test_classify_or_aggregation_attack():
@@ -80,8 +80,7 @@ def _training_world(seed=0):
     benign = synth_traffic("BENIGN", 360, [], seed=seed + 1)
     data = concat(scans, benign)
     h = build_hypergraph(data)
-    profiles = edge_profiles(h, feature_skip_interval(h))
-    ctx = EncodingContext(h, profiles, frozenset({pair}))
+    ctx = EncodingContext(h, frozenset({pair}))
     return data, ctx
 
 
@@ -121,8 +120,7 @@ def _crafted_world():
     ]
     train_set = Dataset(tuple(train_attacks + train_benign))
     h = build_hypergraph(train_set)
-    profiles = edge_profiles(h, feature_skip_interval(h))
-    ctx = EncodingContext(h, profiles, frozenset({("172.16.0.1", "192.168.10.50")}))
+    ctx = EncodingContext(h, frozenset({("172.16.0.1", "192.168.10.50")}))
     return train_set, holdout, ctx
 
 

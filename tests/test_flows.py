@@ -163,6 +163,19 @@ def test_synth_scan_requires_pairs():
         synth_traffic("PORT_SCAN", 10, [], seed=1)
 
 
+@pytest.mark.parametrize("frac", [1.5, -0.5, math.nan])
+def test_synth_rejects_attack_frac_outside_unit_interval(frac):
+    with pytest.raises(ValueError, match="attack_frac"):
+        synth_traffic("MIXED", 100, [("1.1.1.1", "2.2.2.2")], seed=1, attack_frac=frac)
+
+
+@pytest.mark.parametrize("frac,n_attack", [(0.0, 0), (1.0, 100)])
+def test_synth_attack_frac_bounds(frac, n_attack):
+    d = synth_traffic("MIXED", 100, [("1.1.1.1", "2.2.2.2")], seed=1, attack_frac=frac)
+    assert len(d) == 100
+    assert sum(r.label.is_attack for r in d) == n_attack
+
+
 def test_synth_deterministic(tmp_path):
     a = synth_traffic("MIXED", 500, [("1.1.1.1", "2.2.2.2")], seed=9)
     b = synth_traffic("MIXED", 500, [("1.1.1.1", "2.2.2.2")], seed=9)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hgnids import bruteforce as bf
@@ -130,10 +131,12 @@ def test_profile_zero_fill_small_edge():
 def test_profile_matches_pointwise():
     h = random_hypergraph(123)
     k = 2
-    profiles = edge_profiles(h, k)
-    for ip, profile in profiles.items():
-        single = centrality_profile(h, ip, k)
-        assert profile.values == single.values
+    table = edge_profiles(h, k)
+    assert table.shape == (len(h), 11) and table.dtype == np.float64
+    assert list(h.edge_ids().items()) == [(ip, i) for i, ip in enumerate(h.edges)]
+    for ip, row in zip(h.edges, table.tolist()):
+        profile = centrality_profile(h, ip, k)
+        assert tuple(row) == profile.values
         expected = tuple(
             0.0 if s > h.edge_size(ip) else s_closeness_centrality(h, ip, s)
             for s in profile.schedule

@@ -112,7 +112,7 @@ def test_kernel_matches_reference_bfs(seed, chunk_cells, monkeypatch):
     monkeypatch.setattr(hg, "_CHUNK_CELLS", chunk_cells)
     h = _large_hypergraph(seed)
     for k in {1, feature_skip_interval(h), detector_skip_interval(h.max_edge_size())}:
-        fast = {ip: p.values for ip, p in edge_profiles(h, k).items()}
+        fast = dict(zip(h.edges, map(tuple, edge_profiles(h, k).tolist())))
         assert fast == ref.profile_values(h, k)
     names = list(h.edges)
     for s in (1, 3, 8):
