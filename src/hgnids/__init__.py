@@ -54,6 +54,7 @@ from .trees import (
     default_hyperparams,
     deserialize_model,
     evaluate,
+    fit,
     predict_proba,
     serialize_model,
     train,

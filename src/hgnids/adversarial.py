@@ -20,8 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flows import Dataset, FlowRecord, LabelKind, SCAN_LABEL
-from .features import ATTACK, FeatureMode, FeatureVector, build_matrix, rows_to_arrays, train_test_split
-from .trees import ModelKind, TreeModel, default_hyperparams, predict_proba_batch, train
+from .features import (
+    ATTACK, NRF_WIDTH, FeatureMode, FeatureVector, build_matrix, rows_to_arrays, train_test_split,
+)
+from .trees import ModelKind, TreeModel, default_hyperparams, fit, predict_proba_batch
 
 PROTOCOL_SLOT = 0
 
@@ -32,16 +34,14 @@ class NormalizationParams:
     hi: tuple[float, ...]
 
     @classmethod
-    def fit(cls, rows: Sequence[FeatureVector]) -> "NormalizationParams":
-        X, _ = rows_to_arrays(rows)
+    def fit(cls, X: np.ndarray) -> "NormalizationParams":
         return cls(tuple(X.min(axis=0).tolist()), tuple(X.max(axis=0).tolist()))
 
     def forward(self, values: Sequence[float]) -> np.ndarray:
         x = np.asarray(values, dtype=np.float64)
         lo = np.asarray(self.lo)
         span = np.asarray(self.hi) - lo
-        out = np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
-        return out
+        return np.where(span > 0, (x - lo) / np.where(span > 0, span, 1.0), 0.0)
 
     def inverse(self, values: Sequence[float]) -> np.ndarray:
         z = np.asarray(values, dtype=np.float64)
@@ -80,16 +80,15 @@ class ZooResult:
 class AdversarialExample:
     vector: FeatureVector
     substitute_score: float
-    parent: FlowRecord | None
     query_count: int
 
 
-def fit_substitute(rows: Sequence[FeatureVector], seed: int, hyperparams=None) -> TreeModel:
-    """Gradient-boosted substitute on (already normalised) NRF rows."""
-    if rows and rows[0].mode is not FeatureMode.NRF:
+def fit_substitute(X: np.ndarray, y: np.ndarray, seed: int, hyperparams=None) -> TreeModel:
+    """Gradient-boosted substitute on an (already normalised) NRF matrix."""
+    if X.ndim != 2 or X.shape[1] != NRF_WIDTH:
         raise ValueError("substitute is trained on NRF rows only")
     params = replace(hyperparams or default_hyperparams(ModelKind.GRADIENT_BOOSTED), seed=seed)
-    return train(rows, ModelKind.GRADIENT_BOOSTED, params)
+    return fit(X, y, ModelKind.GRADIENT_BOOSTED, params)
 
 
 # An attack-score oracle: maps a [k, d] array of normalised rows to k scores.
@@ -184,7 +183,7 @@ def generate_examples(
         rescore = _score_one(score, params.forward(raw))
         if rescore >= keep_threshold:
             vector = FeatureVector(FeatureMode.NRF, tuple(raw.tolist()), ATTACK, row.origin)
-            kept.append(AdversarialExample(vector, rescore, row.origin, result.query_count))
+            kept.append(AdversarialExample(vector, rescore, result.query_count))
     return kept
 
 
@@ -202,13 +201,10 @@ def attack_pipeline(
     train side, and attacks the scan rows of the test side.
     """
     rows = build_matrix(data, None, FeatureMode.NRF)
-    params = NormalizationParams.fit(rows)
+    params = NormalizationParams.fit(rows_to_arrays(rows)[0])
     train_rows, test_rows = train_test_split(rows, split_frac, seed)
-    train_norm = [
-        FeatureVector(FeatureMode.NRF, tuple(params.forward(r.values).tolist()), r.label, r.origin)
-        for r in train_rows
-    ]
-    substitute = fit_substitute(train_norm, seed, substitute_hyperparams)
+    X, y = rows_to_arrays(train_rows)
+    substitute = fit_substitute(params.forward(X), y, seed, substitute_hyperparams)
     scan_rows = [
         r for r in test_rows
         if r.origin is not None and r.origin.label.kind is LabelKind.PORT_SCAN
@@ -229,7 +225,7 @@ def to_flow_records(examples: Sequence[AdversarialExample], seed: int = 0) -> li
     for i, ex in enumerate(examples):
         v = ex.vector.values
         pool_idx = i % len(_ADV_SRC_POOL)
-        parent = ex.parent
+        parent = ex.vector.origin
         dst_port = parent.dst_port if parent is not None else 80
         out.append(
             FlowRecord(

@@ -27,6 +27,8 @@ from .features import (
     FeatureMode,
     NON_HACKER_WEIGHTS,
     build_matrix,
+    encode,
+    rows_to_arrays,
     train_test_split,
     write_matrix_csv,
 )
@@ -160,6 +162,8 @@ def cmd_ingest(args, cfg, manifest: Manifest) -> int:
 def cmd_synth(args, cfg, manifest: Manifest) -> int:
     profile = {"scan": "PORT_SCAN", "benign": "BENIGN", "mixed": "MIXED"}[args.profile]
     pairs = _parse_pairs(args.pairs) if args.pairs else []
+    if profile != "BENIGN" and args.count > 0 and not pairs:
+        raise UsageError(f"--profile {args.profile} needs --pairs")
     manifest.write()
     dataset = synth_traffic(profile, args.count, pairs, args.seed, args.attack_frac)
     out = _out_dir(args)
@@ -219,12 +223,12 @@ def cmd_features(args, cfg, manifest: Manifest) -> int:
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
     hackers = frozenset(_parse_pairs(args.hackers)) if args.hackers else frozenset()
     weights = NON_HACKER_WEIGHTS if args.weights else None
-    rows = build_matrix(dataset, h, mode, hackers, weights)
+    X, y = encode(dataset, mode, h, hackers, weights)
     out = _out_dir(args)
-    write_matrix_csv(rows, out / f"matrix_{mode.value.lower()}.csv")
+    write_matrix_csv(X, y, mode, out / f"matrix_{mode.value.lower()}.csv")
     manifest.add_output(out / f"matrix_{mode.value.lower()}.csv")
     manifest.write()
-    print(f"wrote {len(rows)} rows of {mode.value}")
+    print(f"wrote {len(y)} rows of {mode.value}")
     return EXIT_OK
 
 
@@ -250,7 +254,7 @@ def cmd_train(args, cfg, manifest: Manifest) -> int:
     train_rows, test_rows = train_test_split(rows, 0.8, args.seed)
     kind = ModelKind.RANDOM_FOREST if args.kind == "rf" else ModelKind.GRADIENT_BOOSTED
     model = train(train_rows, kind, _hyperparams_from_args(args, kind))
-    report = evaluate(model, test_rows)
+    report = evaluate(model, *rows_to_arrays(test_rows))
     out = _out_dir(args)
     (out / "model.json").write_bytes(serialize_model(model))
     (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
@@ -268,8 +272,8 @@ def cmd_eval(args, cfg, manifest: Manifest) -> int:
     model = deserialize_model(Path(args.model).read_bytes())
     dataset = _load_dataset(args.input)
     h = build_hypergraph(dataset) if model.feature_mode is not FeatureMode.NRF else None
-    rows = build_matrix(dataset, h, model.feature_mode)
-    report = evaluate(model, rows, threshold=args.threshold)
+    X, y = encode(dataset, model.feature_mode, h)
+    report = evaluate(model, X, y, threshold=args.threshold)
     out = _out_dir(args)
     (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     manifest.add_output(out / "eval.json")
@@ -367,8 +371,7 @@ def cmd_simulate(args, cfg, manifest: Manifest) -> int:
     for name in ("scorecard.csv", "config.json", "retrain_log.csv", "flag_log.csv"):
         manifest.add_output(out / name)
     manifest.write()
-    final = scorecard.final_epoch_rows()
-    mean_f1 = sum(r.f1 for r in final) / len(final) if final else 0.0
+    [(_, mean_f1, _, _)] = sweep_summary_rows({sim_cfg.threshold: scorecard})
     print(
         f"case {sim_cfg.case_id} threshold {sim_cfg.threshold}: "
         f"{len(scorecard.rows)} rows, {len(artifacts.retrain_events)} retrain event(s), "

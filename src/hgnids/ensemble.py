@@ -22,12 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .flows import Dataset, FlowRecord
-from .features import (
-    FeatureMode,
-    IPPair,
-    build_matrix,
-    encode,
-)
+from .features import FeatureMode, IPPair, encode
 from .hypergraph import Hypergraph
 from .trees import (
     EvalReport,
@@ -37,9 +32,9 @@ from .trees import (
     default_hyperparams,
     deserialize_model,
     evaluate,
+    fit,
     predict_proba_batch,
     serialize_model,
-    train,
 )
 
 DECISION_THRESHOLD = 0.5
@@ -141,8 +136,8 @@ def train_member(
 ) -> TreeModel:
     kind = ROLE_KIND[role]
     params = replace(hyperparams or default_hyperparams(kind), seed=seed)
-    rows = build_matrix(train_set, ctx.hypergraph, role, ctx.hackers, ctx.weights)
-    return train(rows, kind, params)
+    X, y = encode(train_set, role, ctx.hypergraph, ctx.hackers, ctx.weights)
+    return fit(X, y, kind, params)
 
 
 def build_ensemble(
@@ -166,8 +161,8 @@ def build_ensemble(
 
 
 def _holdout_f1(model: TreeModel, holdout: Dataset, ctx: EncodingContext) -> tuple[float, EvalReport]:
-    rows = build_matrix(holdout, ctx.hypergraph, model.feature_mode, ctx.hackers, ctx.weights)
-    report = evaluate(model, rows)
+    X, y = encode(holdout, model.feature_mode, ctx.hypergraph, ctx.hackers, ctx.weights)
+    report = evaluate(model, X, y)
     return report.f1, report
 
 

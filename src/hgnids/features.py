@@ -13,8 +13,10 @@ zero row appended for an IP the hypergraph has not seen; a record's
 centralities are the element-wise maximum of the two rows, for the whole
 batch at once. Edge sizes are gathered with the same ids. In full-dataset
 mode, records whose endpoint pair is not in the known-hacker set take a
-fixed weight vector in the centrality slots instead. `build_matrix` and
-`encode_record` wrap the same arrays as FeatureVector rows;
+fixed weight vector in the centrality slots instead. Models are trained,
+evaluated and attacked on the `(X, y)` arrays. `build_matrix` and
+`encode_record` wrap them as FeatureVector rows for callers that need
+each row's origin record (stratified splits, attacked rows);
 `record_profile` is the one-record form of the endpoint maximum.
 """
 
@@ -241,12 +243,11 @@ def matrix_header(mode: FeatureMode) -> list[str]:
     return names + ["label"]
 
 
-def write_matrix_csv(rows: Sequence[FeatureVector], path) -> None:
-    if not rows:
+def write_matrix_csv(X: np.ndarray, y: np.ndarray, mode: FeatureMode, path) -> None:
+    if len(y) == 0:
         raise ValueError("no rows to write")
-    mode = rows[0].mode
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(matrix_header(mode))
-        for row in rows:
-            writer.writerow([repr(v) for v in row.values] + [row.label])
+        for values, label in zip(X.tolist(), y.tolist()):
+            writer.writerow([repr(v) for v in values] + [label])

@@ -1,14 +1,16 @@
 """Native tree learners: bagged random forests and gradient-boosted trees.
 
-Both learners grow exact greedy binary trees with a vectorised split
-search (per-node column sort + prefix sums). Random forests bag bootstrap
-samples, subsample features at every split, and average leaf class
-fractions; boosted trees fit logistic-loss gradient/hessian gains with
-shrinkage, starting from a zero base score so an empty model predicts
-0.5. Ties in the split search break toward the lower feature index and
-then the lower threshold, which together with per-tree seeded streams
-makes training bit-reproducible.
-"""
+Models learn from matrices: `fit(X, y, kind)` takes the arrays of
+`features.encode` and reads the feature layout from the width of X;
+`train` is its form for FeatureVector rows. Both learners grow exact
+greedy binary trees with one vectorised split search (per-node column
+sort + prefix sums); each kind brings only its split score. Random
+forests bag bootstrap samples, subsample features at every split, and
+average leaf class fractions; boosted trees fit logistic-loss
+gradient/hessian gains with shrinkage, starting from a zero base score
+so an empty model predicts 0.5. Ties in the split search break toward
+the lower feature index and then the lower threshold, which together
+with per-tree seeded streams makes training bit-reproducible."""
 
 from __future__ import annotations
 
@@ -20,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureMode, FeatureVector, rows_to_arrays
+from .features import MODE_WIDTH, FeatureMode, FeatureVector, rows_to_arrays
 
 _GB_LAMBDA = 1.0  # L2 stabiliser on leaf scores
 _MIN_GAIN = 1e-12
+_WIDTH_MODE = {width: mode for mode, width in MODE_WIDTH.items()}
 
 
 class ModelKind(str, Enum):
@@ -104,46 +107,40 @@ class TrainingError(ValueError):
     pass
 
 
-def _best_split_gini(Xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    n, m = Xs.shape
+def _best_split(Xs: np.ndarray, stats, score, min_leaf: int):
+    """Best (column, threshold, score) over the columns of Xs, or None.
+
+    score(n, nl, *sums) rates every cut from the left-child row counts nl
+    and, per 1-D statistic in stats, its (left prefix sums, total) pair.
+    """
+    n = Xs.shape[0]
     if n < 2 * min_leaf:
         return None
     order = np.argsort(Xs, axis=0, kind="stable")
     sv = np.take_along_axis(Xs, order, axis=0)
-    sy = ys[order]
-    cum_pos = np.cumsum(sy, axis=0)
-    total_pos = cum_pos[-1, 0]
+    sums = [np.cumsum(s[order], axis=0) for s in stats]
     nl = np.arange(1, n, dtype=np.float64)[:, None]
+    rated = score(n, nl, *[(c[:-1], c[-1, 0]) for c in sums])
+    valid = (sv[:-1] < sv[1:]) & (nl >= min_leaf) & ((n - nl) >= min_leaf)
+    return _pick_best(np.where(valid, rated, -np.inf), sv)
+
+
+def _gini_decrease(n, nl, pos):
+    """Random-forest score: the Gini impurity decrease; pos sums labels."""
+    pos_l, total_pos = pos
     nr = n - nl
-    pos_l = cum_pos[:-1]
-    pos_r = total_pos - pos_l
     pl = pos_l / nl
-    pr = pos_r / nr
+    pr = (total_pos - pos_l) / nr
     weighted = nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)
     p0 = total_pos / n
-    decrease = n * 2.0 * p0 * (1.0 - p0) - weighted
-    valid = (sv[:-1] < sv[1:]) & (nl >= min_leaf) & (nr >= min_leaf)
-    decrease = np.where(valid, decrease, -np.inf)
-    return _pick_best(decrease, sv)
+    return n * 2.0 * p0 * (1.0 - p0) - weighted
 
 
-def _best_split_gain(Xs: np.ndarray, g: np.ndarray, h: np.ndarray, min_leaf: int):
-    n, m = Xs.shape
-    if n < 2 * min_leaf:
-        return None
-    order = np.argsort(Xs, axis=0, kind="stable")
-    sv = np.take_along_axis(Xs, order, axis=0)
-    cg = np.cumsum(g[order], axis=0)
-    ch = np.cumsum(h[order], axis=0)
-    G = cg[-1, 0]
-    H = ch[-1, 0]
-    GL, HL = cg[:-1], ch[:-1]
+def _gain(n, nl, g, h):
+    """Boosted-tree score: the regularised gradient/hessian gain."""
+    (GL, G), (HL, H) = g, h
     GR, HR = G - GL, H - HL
-    gain = GL * GL / (HL + _GB_LAMBDA) + GR * GR / (HR + _GB_LAMBDA) - G * G / (H + _GB_LAMBDA)
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    valid = (sv[:-1] < sv[1:]) & (nl >= min_leaf) & ((n - nl) >= min_leaf)
-    gain = np.where(valid, gain, -np.inf)
-    return _pick_best(gain, sv)
+    return GL * GL / (HL + _GB_LAMBDA) + GR * GR / (HR + _GB_LAMBDA) - G * G / (H + _GB_LAMBDA)
 
 
 def _pick_best(score: np.ndarray, sv: np.ndarray):
@@ -202,23 +199,20 @@ def _grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
             leaf_value = lr * float(-gn.sum() / (hn.sum() + _GB_LAMBDA))
             pure = False
 
-        split = None
+        found = None
         if depth < params.max_depth and not pure and rows.size >= 2 * params.min_leaf:
             if kind is ModelKind.RANDOM_FOREST:
                 m = params.feature_subsample or max(1, int(math.sqrt(d)))
                 feats = np.sort(rng.choice(d, size=min(m, d), replace=False))
-                found = _best_split_gini(X[np.ix_(rows, feats)], yn, params.min_leaf)
-                if found is not None:
-                    split = (int(feats[found[0]]), found[1])
+                found = _best_split(X[np.ix_(rows, feats)], (yn,), _gini_decrease, params.min_leaf)
             else:
-                found = _best_split_gain(X[rows], gn, hn, params.min_leaf)
-                if found is not None:
-                    split = (found[0], found[1])
+                feats = np.arange(d)
+                found = _best_split(X[rows], (gn, hn), _gain, params.min_leaf)
 
-        if split is None:
+        if found is None:
             builder.value[node] = leaf_value
             continue
-        feat, thr = split
+        feat, thr = int(feats[found[0]]), found[1]
         mask = X[rows, feat] <= thr
         builder.feature[node] = feat
         builder.threshold[node] = thr
@@ -231,21 +225,24 @@ def _grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
     return builder.done()
 
 
-def train(
-    rows: Sequence[FeatureVector],
+def fit(
+    X: np.ndarray,
+    y: np.ndarray,
     kind: ModelKind,
     hyperparams: Hyperparams | None = None,
 ) -> TreeModel:
-    """Train a model on feature vectors; deterministic under the seed."""
-    if len(rows) == 0:
+    """Train a model on an encoded matrix and its 0/1 labels;
+    deterministic under the seed."""
+    if len(y) == 0:
         raise TrainingError("empty training set")
-    if len(rows) < 2:
+    if len(y) < 2:
         raise TrainingError("need at least 2 rows")
-    X, y = rows_to_arrays(rows)
     if y.min() == y.max():
         raise TrainingError("training set contains a single class")
+    if X.ndim != 2 or len(X) != len(y) or X.shape[1] not in _WIDTH_MODE:
+        raise TrainingError(f"no feature layout fits a {X.shape} matrix with {len(y)} labels")
     params = hyperparams or default_hyperparams(kind)
-    mode = rows[0].mode
+    mode = _WIDTH_MODE[X.shape[1]]
     n, d = X.shape
 
     trees: list[_Tree] = []
@@ -272,6 +269,15 @@ def train(
     return TreeModel(kind, mode, params, d, trees)
 
 
+def train(
+    rows: Sequence[FeatureVector],
+    kind: ModelKind,
+    hyperparams: Hyperparams | None = None,
+) -> TreeModel:
+    """`fit` on FeatureVector rows."""
+    return fit(*rows_to_arrays(rows), kind, hyperparams)
+
+
 def _apply_tree(tree: _Tree, X: np.ndarray) -> np.ndarray:
     node = np.zeros(X.shape[0], dtype=np.int32)
     while True:
@@ -289,33 +295,28 @@ def _apply_tree(tree: _Tree, X: np.ndarray) -> np.ndarray:
 def predict_proba_batch(model: TreeModel, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got shape {X.shape}")
-    if model.kind is ModelKind.RANDOM_FOREST:
-        if not model.trees:
-            return np.full(X.shape[0], 0.5)
-        acc = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in model.trees:
-            acc += _apply_tree(tree, X)
-        return acc / len(model.trees)
+    if not model.trees:
+        return np.full(X.shape[0], 0.5)
     acc = np.zeros(X.shape[0], dtype=np.float64)
     for tree in model.trees:
         acc += _apply_tree(tree, X)
+    if model.kind is ModelKind.RANDOM_FOREST:
+        return acc / len(model.trees)
     return 1.0 / (1.0 + np.exp(-acc))
 
 
-def predict_proba(model: TreeModel, row: FeatureVector | Sequence[float]) -> float:
-    values = row.values if isinstance(row, FeatureVector) else tuple(row)
+def predict_proba(model: TreeModel, values: Sequence[float]) -> float:
     X = np.asarray([values], dtype=np.float64)
     return float(predict_proba_batch(model, X)[0])
 
 
-def evaluate(model: TreeModel, rows: Sequence[FeatureVector], threshold: float = 0.5) -> EvalReport:
-    """Score rows and report the confusion matrix and derived metrics.
+def evaluate(model: TreeModel, X: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> EvalReport:
+    """Score a matrix and report the confusion matrix and derived metrics.
 
     A probability exactly at the threshold counts as an attack.
     """
-    if not rows:
+    if len(y) == 0:
         raise ValueError("cannot evaluate on empty rows")
-    X, y = rows_to_arrays(rows)
     return EvalReport.from_predictions(predict_proba_batch(model, X) >= threshold, y == 1)
 
 

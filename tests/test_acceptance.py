@@ -166,7 +166,7 @@ REPRO_ENV = "HGNIDS_CICIDS_CSV"
 
 @pytest.mark.skipif(REPRO_ENV not in os.environ, reason=f"set {REPRO_ENV} to run reproduction mode")
 def test_criterion_10_reproduction_mode():
-    from hgnids.features import FeatureMode, build_matrix, train_test_split
+    from hgnids.features import FeatureMode, build_matrix, rows_to_arrays, train_test_split
     from hgnids.hypergraph import build_hypergraph
     from hgnids.trees import ModelKind, default_hyperparams, evaluate, train
 
@@ -182,7 +182,7 @@ def test_criterion_10_reproduction_mode():
     nrf_rows = build_matrix(dataset, None, FeatureMode.NRF)
     train_rows, test_rows = train_test_split(nrf_rows, 0.8, seed=0)
     rf = train(train_rows, ModelKind.RANDOM_FOREST, default_hyperparams(ModelKind.RANDOM_FOREST, 0))
-    nrf_report = evaluate(rf, test_rows)
+    nrf_report = evaluate(rf, *rows_to_arrays(test_rows))
     assert nrf_report.precision == pytest.approx(0.9936, abs=0.005)
     assert nrf_report.recall == pytest.approx(0.9912, abs=0.005)
     assert nrf_report.f1 == pytest.approx(0.9924, abs=0.005)
@@ -191,7 +191,7 @@ def test_criterion_10_reproduction_mode():
     hgi_rows = build_matrix(dataset, h, FeatureMode.HGI)
     hgi_train, hgi_test = train_test_split(hgi_rows, 0.8, seed=0)
     gb = train(hgi_train, ModelKind.GRADIENT_BOOSTED, default_hyperparams(ModelKind.GRADIENT_BOOSTED, 0))
-    hgi_report = evaluate(gb, hgi_test)
+    hgi_report = evaluate(gb, *rows_to_arrays(hgi_test))
     assert hgi_report.f1 >= 0.999
 
     examples, _, _ = attack_pipeline(

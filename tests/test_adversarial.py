@@ -15,7 +15,7 @@ from hgnids.adversarial import (
     to_flow_records,
     zoo_attack,
 )
-from hgnids.features import ATTACK, FeatureMode, FeatureVector, build_matrix, train_test_split
+from hgnids.features import ATTACK, FeatureMode, build_matrix, rows_to_arrays, train_test_split
 from hgnids.flows import LabelKind
 from hgnids.trees import predict_proba_batch
 
@@ -94,7 +94,7 @@ def test_attack_descends_smooth_score():
 
 def test_attack_deterministic():
     rows = separable_rows(200, seed=1)
-    model = fit_substitute(rows, seed=2)
+    model = fit_substitute(*rows_to_arrays(rows), seed=2)
     x = np.full(9, 0.4)
     score = partial(predict_proba_batch, model)
     a = zoo_attack(score, x, ZooBudget(max_iters=10), seed=9)
@@ -105,7 +105,7 @@ def test_attack_deterministic():
 
 def test_normalization_roundtrip():
     rows = separable_rows(100, seed=7)
-    params = NormalizationParams.fit(rows)
+    params = NormalizationParams.fit(rows_to_arrays(rows)[0])
     for row in rows[:20]:
         z = params.forward(row.values)
         assert np.all(z >= 0.0) and np.all(z <= 1.0)
@@ -116,16 +116,16 @@ def test_normalization_roundtrip():
 
 def test_normalization_constant_feature():
     rows = separable_rows(50, seed=8)  # protocol column is constant 6.0
-    params = NormalizationParams.fit(rows)
+    params = NormalizationParams.fit(rows_to_arrays(rows)[0])
     z = params.forward(rows[0].values)
     assert z[0] == 0.0
     assert params.inverse(z)[0] == 6.0
 
 
 def test_fit_substitute_requires_nrf():
-    bad = [FeatureVector(FeatureMode.HGI, (0.0,) * 21, 1)]
+    bad = np.zeros((1, 21))
     with pytest.raises(ValueError):
-        fit_substitute(bad, seed=1)
+        fit_substitute(bad, np.ones(1, np.int64), seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,7 @@ def test_generate_keeps_only_high_scores(pipeline42):
     for ex in examples:
         assert ex.substitute_score >= 0.55
         assert ex.vector.label == ATTACK
-        assert ex.vector.values[0] == float(ex.parent.protocol)
+        assert ex.vector.values[0] == float(ex.vector.origin.protocol)
         assert all(v >= 0 for v in ex.vector.values)
 
 

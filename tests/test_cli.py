@@ -330,6 +330,13 @@ def test_synth_rejects_bad_sizes(tmp_path, flag, value):
     assert not (out / "traffic.csv").exists()
 
 
+@pytest.mark.parametrize("profile", ["scan", "mixed"])
+def test_synth_scan_profiles_need_pairs(tmp_path, profile):
+    out = tmp_path / "synth"
+    assert main(["synth", "--profile", profile, "--count", "5", "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--iters", "-3"), ("--coord-batch", "0"), ("--step", "-0.5"), ("--step", "inf"),
     ("--h", "0"), ("--h", "nan"), ("--keep-threshold", "1.5"), ("--keep-threshold", "-0.1"),

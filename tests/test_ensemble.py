@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hgnids.ensemble import (
+    ROLE_KIND,
+    _holdout_f1,
     EncodingContext,
     EnsembleState,
     MemberSlot,
@@ -14,11 +18,12 @@ from hgnids.ensemble import (
     member_scores,
     retrain_request,
     save_state,
+    train_member,
 )
-from hgnids.features import FeatureMode
+from hgnids.features import NON_HACKER_WEIGHTS, FeatureMode, build_matrix, rows_to_arrays
 from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, synth_traffic
 from hgnids.hypergraph import build_hypergraph
-from hgnids.trees import Hyperparams
+from hgnids.trees import Hyperparams, evaluate, serialize_model, train
 
 from helpers import make_record, single_leaf_model, split_model
 
@@ -82,6 +87,22 @@ def _training_world(seed=0):
     h = build_hypergraph(data)
     ctx = EncodingContext(h, frozenset({pair}))
     return data, ctx
+
+
+@pytest.mark.parametrize("weights", [None, NON_HACKER_WEIGHTS])
+@pytest.mark.parametrize("role", list(FeatureMode))
+def test_train_member_matches_row_training(role, weights):
+    """Array training is byte-identical to training on FeatureVector rows."""
+    data, ctx = _training_world(seed=5)
+    ctx = replace(ctx, weights=weights)
+    hp = replace(FAST_HP[role], n_trees=8)
+    rows = build_matrix(data, ctx.hypergraph, role, ctx.hackers, weights)
+    expected = train(rows, ROLE_KIND[role], replace(hp, seed=17))
+    model = train_member(role, data, ctx, hp, seed=17)
+    assert serialize_model(model) == serialize_model(expected)
+    holdout, _ = _training_world(seed=9)
+    rows = build_matrix(holdout, ctx.hypergraph, role, ctx.hackers, weights)
+    assert _holdout_f1(model, holdout, ctx)[1] == evaluate(expected, *rows_to_arrays(rows))
 
 
 def test_build_ensemble_roles_and_recall_dominance():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hgnids.features import FeatureMode, FeatureVector, rows_to_arrays
+from hgnids.features import MODE_WIDTH, FeatureMode, FeatureVector, rows_to_arrays
 from hgnids.trees import (
     EvalReport,
     Hyperparams,
@@ -11,6 +13,7 @@ from hgnids.trees import (
     default_hyperparams,
     deserialize_model,
     evaluate,
+    fit,
     predict_proba,
     predict_proba_batch,
     serialize_model,
@@ -44,8 +47,8 @@ def test_separable_training(kind):
     rows = separable_rows(200, seed=3)
     train_rows, test_rows = rows[:160], rows[160:]
     model = train(train_rows, kind, default_hyperparams(kind, seed=1))
-    assert evaluate(model, train_rows).f1 == 1.0
-    assert evaluate(model, test_rows).f1 >= 0.98
+    assert evaluate(model, *rows_to_arrays(train_rows)).f1 == 1.0
+    assert evaluate(model, *rows_to_arrays(test_rows)).f1 >= 0.98
 
 
 @pytest.mark.parametrize("kind", [ModelKind.RANDOM_FOREST, ModelKind.GRADIENT_BOOSTED])
@@ -99,7 +102,7 @@ def test_evaluate_perfect_predictor():
             for i in range(100)]
     # attack rows have indices < 60, i.e. feature value < 60
     model = _threshold_model(59.5)
-    report = evaluate(model, rows)
+    report = evaluate(model, *rows_to_arrays(rows))
     assert (report.tp, report.tn, report.fp, report.fn) == (60, 40, 0, 0)
     assert report.f1 == 1.0
     assert report.fnp == 0.0
@@ -109,7 +112,7 @@ def test_evaluate_constant_zero_predictor():
     rows = [FeatureVector(FeatureMode.NRF, (float(i),) * 9, 1 if i < 60 else 0)
             for i in range(100)]
     model = single_leaf_model(0.0)
-    report = evaluate(model, rows)
+    report = evaluate(model, *rows_to_arrays(rows))
     assert report.fn == 60
     assert report.fnp == 1.0
     assert report.precision == 0.0
@@ -123,7 +126,7 @@ def _threshold_model(threshold):
 def test_threshold_inclusive():
     model = single_leaf_model(0.5)
     rows = [FeatureVector(FeatureMode.NRF, (0.0,) * 9, 1)]
-    report = evaluate(model, rows, threshold=0.5)
+    report = evaluate(model, *rows_to_arrays(rows), threshold=0.5)
     assert report.tp == 1  # score exactly at the threshold counts as attack
 
 
@@ -132,7 +135,7 @@ def test_threshold_monotonicity():
     model = train(rows, ModelKind.RANDOM_FOREST, default_hyperparams(ModelKind.RANDOM_FOREST, 5))
     prev_tp, prev_fp = None, None
     for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-        report = evaluate(model, rows, threshold=threshold)
+        report = evaluate(model, *rows_to_arrays(rows), threshold=threshold)
         if prev_tp is not None:
             assert report.tp <= prev_tp
             assert report.fp <= prev_fp
@@ -142,7 +145,7 @@ def test_threshold_monotonicity():
 def test_report_consistency():
     rows = separable_rows(90, seed=31)
     model = train(rows, ModelKind.GRADIENT_BOOSTED, default_hyperparams(ModelKind.GRADIENT_BOOSTED, 1))
-    report = evaluate(model, rows)
+    report = evaluate(model, *rows_to_arrays(rows))
     recomputed = EvalReport.from_counts(report.tp, report.fp, report.tn, report.fn)
     for name in ("accuracy", "precision", "recall", "f1", "fnp"):
         assert abs(getattr(report, name) - getattr(recomputed, name)) < 1e-12
@@ -198,7 +201,7 @@ def test_train_errors():
 
 def test_evaluate_empty_errors():
     with pytest.raises(ValueError):
-        evaluate(single_leaf_model(0.5), [])
+        evaluate(single_leaf_model(0.5), np.zeros((0, 9)), np.zeros(0, np.int64))
 
 
 @pytest.mark.parametrize("kind", [ModelKind.RANDOM_FOREST, ModelKind.GRADIENT_BOOSTED])
@@ -210,6 +213,42 @@ def test_serialization_roundtrip(kind):
     assert serialize_model(restored) == blob
     X, _ = rows_to_arrays(rows)
     assert np.array_equal(predict_proba_batch(model, X), predict_proba_batch(restored, X))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(list(ModelKind)),
+    mode=st.sampled_from(list(FeatureMode)),
+    n=st.integers(2, 40),
+    n_trees=st.integers(0, 4),
+    depth=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_serialization_roundtrip_property(kind, mode, n, n_trees, depth, seed):
+    rng = np.random.default_rng(seed)
+    width = MODE_WIDTH[mode]
+    # few distinct values, some of them negative zeros and large magnitudes
+    X = rng.choice([-0.0, 0.1, 1.0, 3.5, 1e300, -7.25], size=(n, width))
+    y = np.arange(n) % 2
+    lr = None if kind is ModelKind.RANDOM_FOREST else 0.3
+    model = fit(X, y, kind, Hyperparams(n_trees, depth, 1, lr, None, seed))
+    blob = serialize_model(model)
+    restored = deserialize_model(blob)
+    assert serialize_model(restored) == blob
+    assert restored.feature_mode is mode
+    probe = rng.normal(size=(15, width)) * 10
+    assert np.array_equal(predict_proba_batch(model, probe), predict_proba_batch(restored, probe))
+
+
+def test_fit_reads_layout_from_width():
+    rows = separable_rows(40, seed=71)
+    X, y = rows_to_arrays(rows)
+    for mode, width in MODE_WIDTH.items():
+        wide = np.tile(X, (1, 3))[:, :width]
+        assert fit(wide, y, ModelKind.RANDOM_FOREST, Hyperparams(2, 3, 1, None, None, 0)).feature_mode is mode
+    for bad in (X[:, :8], np.zeros((40, 10)), X[:30]):
+        with pytest.raises(TrainingError):
+            fit(bad, y, ModelKind.RANDOM_FOREST)
 
 
 def test_deserialize_rejects_garbage():
