@@ -68,6 +68,7 @@ from .adversarial import (
     generate_examples,
     score_distribution,
     zoo_attack,
+    zoo_attack_batch,
 )
 from .detector import ScanFlag, detect_window
 from .ensemble import (

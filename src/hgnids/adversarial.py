@@ -2,12 +2,14 @@
 
 The attacker sees only the nine raw flow features: a gradient-boosted
 substitute is fitted on min-max normalised features, then each scan row
-is perturbed by zeroth-order coordinate descent. Gradients are estimated
-with symmetric differences on the substitute's attack score and the
-update steps descend that score inside the unit box; the categorical
-protocol coordinate is never touched. Perturbed rows are rescaled to the
-original feature ranges, re-scored, and kept only while the substitute
-still rates them at or above the keep threshold, labelled as attacks.
+is perturbed by zeroth-order coordinate descent. The rows descend in
+lockstep, one scorer call per step for all of them, and each row's query
+count counts its own probes. Gradients are estimated with symmetric
+differences on the substitute's attack score and the update steps descend
+that score inside the unit box; the categorical protocol coordinate is
+never touched. Perturbed rows are rescaled to the original feature ranges,
+re-scored, and kept only while the substitute still rates them at or
+above the keep threshold, labelled as attacks.
 """
 
 from __future__ import annotations
@@ -95,18 +97,62 @@ def fit_substitute(X: np.ndarray, y: np.ndarray, seed: int, hyperparams=None) ->
 Scorer = Callable[[np.ndarray], np.ndarray]
 
 
-def _score_one(score: Scorer, x: np.ndarray) -> float:
-    return float(score(x[None, :])[0])
-
-
 def estimate_gradient(score: Scorer, x: np.ndarray, coords: Sequence[int], h: float) -> np.ndarray:
-    """Symmetric-difference estimates of d(score)/dx for chosen coords."""
-    probes = np.repeat(x[None, :], 2 * len(coords), axis=0)
-    for i, c in enumerate(coords):
-        probes[2 * i, c] = x[c] + h
-        probes[2 * i + 1, c] = x[c] - h
+    """Symmetric-difference estimates of d(score)/dx for chosen coords; a
+    [k, d] x gives row i's derivative along coords[i], in one scorer call."""
+    coords = np.asarray(coords, dtype=np.intp)
+    rows = np.arange(coords.size)
+    probes = np.repeat(np.broadcast_to(x, (coords.size, np.shape(x)[-1])), 2, axis=0)
+    probes[2 * rows, coords] += h
+    probes[2 * rows + 1, coords] -= h
     values = np.asarray(score(probes), dtype=np.float64)
     return (values[0::2] - values[1::2]) / (2.0 * h)
+
+
+def zoo_attack_batch(
+    score: Scorer,
+    Z: np.ndarray,
+    budget: ZooBudget | None,
+    seeds: Sequence[int],
+    skip_coords: Sequence[int] = (PROTOCOL_SLOT,),
+) -> list[ZooResult]:
+    """`zoo_attack` on every row of Z at once, row i seeded by seeds[i].
+
+    Each row keeps its own generator and importance weights. For each
+    picked coordinate slot one scorer call probes all rows still at or
+    above 0.5, and one rescore per iteration drops those now below it.
+    Rows are scored independently, so result i equals a one-row run.
+    """
+    Z0 = np.asarray(Z, dtype=np.float64)
+    if Z0.ndim != 2:
+        raise ValueError(f"Z must be a 2-D array of rows, got shape {Z0.shape}")
+    if len(seeds) != len(Z0):
+        raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(Z0)} rows")
+    budget = budget or ZooBudget()
+    cur = Z0.copy()
+    coords = np.array([i for i in range(cur.shape[1]) if i not in set(skip_coords)], dtype=np.intp)
+    scores = np.asarray(score(cur), dtype=np.float64)
+    queries = np.zeros(len(cur), dtype=np.int64)
+    active = np.flatnonzero(scores >= 0.5) if coords.size else np.empty(0, dtype=np.intp)
+    rngs = [np.random.default_rng(np.random.SeedSequence([s, 0x200])) for s in seeds]
+    weights = np.ones((len(cur), coords.size), dtype=np.float64)
+    batch = min(budget.per_coord_batch, coords.size)
+    for _ in range(budget.max_iters):
+        if not active.size:
+            break
+        picked = np.array([rngs[r].choice(coords.size, size=batch, replace=False,
+                                          p=weights[r] / weights[r].sum()) for r in active])
+        for slot in picked.T:
+            cols = coords[slot]
+            grad = estimate_gradient(score, cur[active], cols, budget.h)
+            queries[active] += 2
+            weights[active, slot] = np.abs(grad) + 1e-6
+            stepped = np.clip(cur[active, cols] - budget.step * np.sign(grad), 0.0, 1.0)
+            cur[active, cols] = np.where(grad != 0.0, stepped, cur[active, cols])
+        scores[active] = score(cur[active])
+        active = active[scores[active] >= 0.5]
+    moved = np.any(cur != Z0, axis=1)
+    return [ZooResult(cur[i], int(queries[i]), float(scores[i]), bool(moved[i])) for i in range(len(cur))]
 
 
 def zoo_attack(
@@ -116,47 +162,18 @@ def zoo_attack(
     seed: int = 0,
     skip_coords: Sequence[int] = (PROTOCOL_SLOT,),
 ) -> ZooResult:
-    """Coordinate-descent attack on an attack score.
+    """Coordinate-descent attack on an attack score: the one-row case of
+    `zoo_attack_batch`, whose rows descend in lockstep.
 
     Coordinates are sampled by importance (recent gradient magnitude);
     each probed coordinate costs two score queries, counted in
-    query_count. Updates move against the estimated gradient sign by the
-    configured step, clipped to [0, 1]. Stops when the score falls below
-    0.5 or the iteration budget runs out; a run that never changes the
-    input is reported via the moved flag rather than an error.
+    query_count (in a batch, only the row's own probes). Updates move
+    against the estimated gradient sign by the configured step, clipped to
+    [0, 1]. Stops when the score falls below 0.5 or the iteration budget
+    runs out; a run that never changes the input is reported via the moved
+    flag rather than an error.
     """
-    budget = budget or ZooBudget()
-    x0 = np.asarray(x, dtype=np.float64)
-    current = x0.copy()
-    queries = 0
-    skip = set(skip_coords)
-    coords = [i for i in range(current.size) if i not in skip]
-    if not coords or budget.max_iters <= 0:
-        return ZooResult(current, 0, _score_one(score, current), False)
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x200]))
-    weights = np.ones(len(coords), dtype=np.float64)
-    last_score = _score_one(score, current)
-    if last_score < 0.5:
-        return ZooResult(current, 0, last_score, False)
-
-    batch = min(budget.per_coord_batch, len(coords))
-    for _ in range(budget.max_iters):
-        p = weights / weights.sum()
-        picked = rng.choice(len(coords), size=batch, replace=False, p=p)
-        for w_idx in picked:
-            c = coords[int(w_idx)]
-            grad = estimate_gradient(score, current, [c], budget.h)[0]
-            queries += 2
-            weights[int(w_idx)] = abs(grad) + 1e-6
-            if grad != 0.0:
-                current[c] = min(1.0, max(0.0, current[c] - budget.step * np.sign(grad)))
-        last_score = _score_one(score, current)
-        if last_score < 0.5:
-            break
-
-    moved = bool(np.any(current != x0))
-    return ZooResult(current, queries, last_score, moved)
+    return zoo_attack_batch(score, np.atleast_2d(x), budget, [seed], skip_coords)[0]
 
 
 def generate_examples(
@@ -167,24 +184,24 @@ def generate_examples(
     budget: ZooBudget | None = None,
     seed: int = 0,
 ) -> list[AdversarialExample]:
-    """Attack each row, rescale to the original ranges, and keep the
-    results the substitute still scores at or above keep_threshold."""
+    """Attack all rows in lockstep, rescale to the original ranges, and
+    keep the results the substitute still scores at or above
+    keep_threshold."""
     if not scan_test_rows:
         raise ValueError("no rows to attack")
-    budget = budget or ZooBudget()
     score = partial(predict_proba_batch, substitute)
-    kept: list[AdversarialExample] = []
-    for i, row in enumerate(scan_test_rows):
-        z = params.forward(row.values)
-        result = zoo_attack(score, z, budget, seed=seed * 100003 + i)
-        raw = params.inverse(result.x)
-        raw = np.maximum(raw, 0.0)
-        raw[PROTOCOL_SLOT] = row.values[PROTOCOL_SLOT]
-        rescore = _score_one(score, params.forward(raw))
-        if rescore >= keep_threshold:
-            vector = FeatureVector(FeatureMode.NRF, tuple(raw.tolist()), ATTACK, row.origin)
-            kept.append(AdversarialExample(vector, rescore, result.query_count))
-    return kept
+    X = np.asarray([row.values for row in scan_test_rows], dtype=np.float64)
+    results = zoo_attack_batch(score, params.forward(X), budget,
+                               [seed * 100003 + i for i in range(len(X))])
+    raw = np.maximum(params.inverse(np.stack([r.x for r in results])), 0.0)
+    raw[:, PROTOCOL_SLOT] = X[:, PROTOCOL_SLOT]
+    rescores = score(params.forward(raw))
+    return [
+        AdversarialExample(FeatureVector(FeatureMode.NRF, tuple(v.tolist()), ATTACK, row.origin),
+                           float(s), result.query_count)
+        for row, result, v, s in zip(scan_test_rows, results, raw, rescores)
+        if s >= keep_threshold
+    ]
 
 
 def attack_pipeline(

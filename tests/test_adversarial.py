@@ -3,7 +3,10 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgnids import adversarial
 from hgnids.adversarial import (
     NormalizationParams,
     ZooBudget,
@@ -14,11 +17,13 @@ from hgnids.adversarial import (
     score_distribution,
     to_flow_records,
     zoo_attack,
+    zoo_attack_batch,
 )
 from hgnids.features import ATTACK, FeatureMode, build_matrix, rows_to_arrays, train_test_split
 from hgnids.flows import LabelKind
-from hgnids.trees import predict_proba_batch
+from hgnids.trees import Hyperparams, predict_proba_batch
 
+import zoo_reference as ref
 from helpers import separable_rows, single_leaf_model
 
 
@@ -204,3 +209,92 @@ def test_score_distribution_dimension_mismatch(desk_adv):
     entries = [("bad", model, lambda ex: ex.vector.values)]
     with pytest.raises(ValueError):
         score_distribution(entries, desk_adv)
+
+
+@pytest.fixture(scope="module")
+def toy():
+    """Separable rows, their normalisation and a small GB substitute on it."""
+    rows = separable_rows(200, seed=4)
+    X, y = rows_to_arrays(rows)
+    params = NormalizationParams.fit(X)
+    model = fit_substitute(params.forward(X), y, seed=3, hyperparams=Hyperparams(40, 3, 5, 0.3, None, 0))
+    return rows, params, model
+
+
+_BUDGETS = st.builds(
+    ZooBudget,
+    max_iters=st.integers(0, 6),
+    step=st.sampled_from([0.02, 0.1, 0.3]),
+    h=st.sampled_from([1e-3, 0.05, 0.2]),
+    per_coord_batch=st.integers(1, 10),  # above 8 free coordinates: exercises the clip
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), z_seed=st.integers(0, 2**32 - 1), budget=_BUDGETS,
+       seed=st.integers(0, 10**6))
+def test_lockstep_attack_matches_per_row_reference(toy, n, z_seed, budget, seed):
+    _, _, model = toy
+    score = partial(predict_proba_batch, model)
+    # Some cells lie outside the unit box: a zero gradient must leave them there.
+    Z = np.random.default_rng(z_seed).uniform(-0.1, 1.1, (n, 9))
+    Z[::2, [1, 6]] *= 0.1  # even rows start on the attack side, odd rows mostly not
+    seeds = [seed + 7 * i for i in range(n)]
+    results = zoo_attack_batch(score, Z, budget, seeds)
+    assert len(results) == n
+    for z, s, got in zip(Z, seeds, results):
+        want = ref.zoo_attack(score, z, budget, s)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.query_count, got.score, got.moved) == (want.query_count, want.score, want.moved)
+
+
+def _example_bytes(examples):
+    return [(np.asarray(ex.vector.values).tobytes(), np.float64(ex.substitute_score).tobytes(),
+             ex.query_count, ex.vector.origin) for ex in examples]
+
+
+@pytest.fixture(scope="module")
+def desk_scan_attack(desk_data):
+    """The desk substitute and scan rows that make_desk_adversarial attacks."""
+    rows = build_matrix(desk_data, None, FeatureMode.NRF)
+    params = NormalizationParams.fit(rows_to_arrays(rows)[0])
+    train_rows, test_rows = train_test_split(rows, 0.85, 42)
+    X, y = rows_to_arrays(train_rows)
+    substitute = fit_substitute(params.forward(X), y, 42, Hyperparams(80, 6, 5, 0.15, None, 0))
+    scans = [r for r in test_rows if r.origin.label.kind is LabelKind.PORT_SCAN]
+    return scans, substitute, params
+
+
+@pytest.mark.parametrize("seed", [42, 1042])
+def test_generate_matches_per_row_reference_on_desk_rows(desk_scan_attack, seed):
+    scans, substitute, params = desk_scan_attack
+    budget = ZooBudget(max_iters=4, step=0.02, h=1e-3, per_coord_batch=1)
+    kept = generate_examples(scans, substitute, params, budget=budget, seed=seed)
+    expected = ref.generate_examples(scans, substitute, params, budget=budget, seed=seed)
+    assert kept
+    assert _example_bytes(kept) == _example_bytes(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 40), budget=_BUDGETS, seed=st.integers(0, 1000))
+def test_generate_scores_all_rows_in_lockstep(toy, n, budget, seed):
+    rows, params, model = toy
+    calls = []
+
+    def counting(m, X):
+        calls.append(len(X))
+        return predict_proba_batch(m, X)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversarial, "predict_proba_batch", counting)
+        generate_examples([r for r in rows if r.label == ATTACK][:n], model, params,
+                          budget=budget, seed=seed)
+    assert len(calls) <= 2 + budget.max_iters * (budget.per_coord_batch + 1)
+
+
+def test_attack_batch_rejects_bad_input():
+    score = partial(predict_proba_batch, single_leaf_model(0.9))
+    with pytest.raises(ValueError, match="2-D"):
+        zoo_attack_batch(score, np.full(9, 0.5), None, [1])
+    with pytest.raises(ValueError, match="seed"):
+        zoo_attack_batch(score, np.full((3, 9), 0.5), None, [1, 2])

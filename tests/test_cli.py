@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -239,6 +240,25 @@ def test_advgen_cli(tmp_path, tiny_cfg_file):
     stats = json.loads((out / "stats.json").read_text())
     assert stats["kept"] >= 1
     assert (out / "adversarial.csv").exists()
+
+
+# Recorded from the per-row attack, before it ran rows in lockstep.
+_ADVGEN_SHA256 = {
+    "adversarial.csv": "b41b5cb0bf622936c43375d3b0933ef55b244f8907be2c7f9b5f6dc0202b0bb5",
+    "stats.json": "5eb955f3d54bbfa27588c188d1abe916f98c880945496ddedf9e7e14f8b8ac57",
+}
+
+
+def test_advgen_cli_bytes(tmp_path):
+    traffic = tmp_path / "synth" / "traffic.csv"
+    main(["synth", "--profile", "mixed", "--count", "600", "--pairs", "7.7.7.7>6.6.6.6",
+          "--attack-frac", "0.4", "--seed", "2", "--out-dir", str(traffic.parent)])
+    out = tmp_path / "adv"
+    assert main(["advgen", "--input", str(traffic), "--seed", "6", "--iters", "2",
+                 "--coord-batch", "3", "--out-dir", str(out)]) == EXIT_OK
+    assert json.loads((out / "stats.json").read_text())["kept"] == 4
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _ADVGEN_SHA256}
+    assert digests == _ADVGEN_SHA256
 
 
 def test_simulate_same_bytes_across_hash_seeds(tmp_path):
