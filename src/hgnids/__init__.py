@@ -76,14 +76,12 @@ from .ensemble import (
     EnsembleState,
     UpdateRule,
     build_ensemble,
-    classify,
-    evaluate_ensemble,
+    classify_batch,
     retrain_request,
 )
 from .simulate import (
     Scorecard,
     SimConfig,
-    TrafficDB,
     desk_case_config,
     make_desk_adversarial,
     make_desk_dataset,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import ZooBudget, attack_pipeline, to_flow_records
-from .config import config_bool, config_float, config_int, load_config
+from .config import KEYS, load_config
 from .detector import detect_window, write_flags_csv
 from .features import (
     FeatureMode,
@@ -330,13 +330,10 @@ def cmd_detect_scan(args, cfg, manifest: Manifest) -> int:
     return EXIT_OK
 
 
-_CONFIG_PARSERS = {int: config_int, float: config_float, bool: config_bool}
-
-
 def _sim_config(args, cfg) -> SimConfig:
     """The run's base config (desk scale, or --full: 10x30x8900 with
-    weights on) with every key of cfg applied, each parsed as its field's
-    type. A sweep has no single threshold and keeps the default."""
+    weights on) with every key of cfg applied, each parsed by its parser
+    in config.KEYS. A sweep has no single threshold and keeps the default."""
     threshold = getattr(args, "threshold", 2)
     if args.full:
         base = SimConfig(
@@ -345,11 +342,7 @@ def _sim_config(args, cfg) -> SimConfig:
         )
     else:
         base = desk_case_config(args.case, seed=args.seed, threshold=threshold)
-    changes = {}
-    for key in cfg:
-        default = getattr(base, key)
-        changes[key] = _CONFIG_PARSERS[type(default)](cfg, key, default)
-    return dataclasses.replace(base, **changes)
+    return dataclasses.replace(base, **{key: KEYS[key](value) for key, value in cfg.items()})
 
 
 def _sim_inputs(args, cfg, manifest: Manifest):
@@ -371,11 +364,10 @@ def cmd_simulate(args, cfg, manifest: Manifest) -> int:
     for name in ("scorecard.csv", "config.json", "retrain_log.csv", "flag_log.csv"):
         manifest.add_output(out / name)
     manifest.write()
-    [(_, mean_f1, _, _)] = sweep_summary_rows({sim_cfg.threshold: scorecard})
     print(
         f"case {sim_cfg.case_id} threshold {sim_cfg.threshold}: "
         f"{len(scorecard.rows)} rows, {len(artifacts.retrain_events)} retrain event(s), "
-        f"final-epoch mean F1 {mean_f1:.4f}"
+        f"final-epoch mean F1 {scorecard.epoch_summaries()[-1].mean_f1:.4f}"
     )
     return EXIT_OK
 
@@ -420,19 +412,11 @@ def cmd_report(args, cfg, manifest: Manifest) -> int:
         fh.write(f"# schema: {REPORT_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "mean_f1", "min_f1", "mean_fnp", "max_fnp", "retrain_events"])
-        epochs = sorted({r.epoch for r in scorecard.rows})
-        for e in epochs:
-            rows = [r for r in scorecard.rows if r.epoch == e]
-            writer.writerow(
-                [
-                    e,
-                    repr(sum(r.f1 for r in rows) / len(rows)),
-                    repr(min(r.f1 for r in rows)),
-                    repr(sum(r.fnp for r in rows) / len(rows)),
-                    repr(max(r.fnp for r in rows)),
-                    sum(r.retrain_events for r in rows),
-                ]
-            )
+        for e in scorecard.epoch_summaries():
+            writer.writerow([
+                e.epoch, repr(e.mean_f1), repr(e.min_f1), repr(e.mean_fnp), repr(e.max_fnp),
+                e.retrain_events,
+            ])
     manifest.add_output(summary_path)
     manifest.write()
     print(f"report written to {out}")
@@ -467,8 +451,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",")]
+def _positive_int_list(text: str) -> list[int]:
+    return [_positive_int(t) for t in text.split(",")]
 
 
 def build_parser() -> _Parser:
@@ -544,7 +528,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run one evaluation case")
     p.add_argument("--case", type=int, required=True)
-    p.add_argument("--threshold", "--thresholds", type=int, default=2,
+    p.add_argument("--threshold", "--thresholds", type=_positive_int, default=2,
                    help="missed attacks that trigger a retrain (one count; sweep takes a list)")
     p.add_argument("--data", default=None, help="base dataset CSV (default: synthetic)")
     p.add_argument("--baseline", action="store_true", help="all-NRF member slots")
@@ -554,7 +538,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="run one case across several thresholds")
     p.add_argument("--case", type=int, required=True)
-    p.add_argument("--thresholds", type=_int_list, required=True, help="comma-separated counts")
+    p.add_argument("--thresholds", type=_positive_int_list, required=True,
+                   help="comma-separated positive counts")
     p.add_argument("--data", default=None)
     p.add_argument("--full", action="store_true")
     common(p)

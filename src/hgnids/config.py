@@ -4,7 +4,9 @@ Config files hold one KEY=VALUE pair per line; blank lines and lines
 starting with # are ignored. Only the keys in KEYS are recognised: an
 unknown key in a file is an error, and each key can be overridden by an
 environment variable named HGNIDS_<KEY> (upper-cased). No other
-environment variable is read.
+environment variable is read. A value that does not parse as its key's
+type is an error naming the key and where the value was set, from
+either source.
 """
 
 from __future__ import annotations
@@ -13,15 +15,38 @@ import os
 
 ENV_PREFIX = "HGNIDS_"
 
-KEYS = (
-    "n_computers",
-    "n_epochs",
-    "batch_size",
-    "attack_frac",
-    "adv_per_batch",
-    "ballast_size",
-    "use_weights",
-)
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
+def parse_bool(text: str) -> bool:
+    """1/true/yes/on or 0/false/no/off in any case; any other word is a ValueError."""
+    word = text.strip().lower()
+    if word not in _BOOL_WORDS:
+        raise ValueError(f"expected one of {'/'.join(_BOOL_WORDS)}, got {text!r}")
+    return _BOOL_WORDS[word]
+
+
+# The recognised keys, each with the parser of its value.
+KEYS = {
+    "n_computers": int,
+    "n_epochs": int,
+    "batch_size": int,
+    "attack_frac": float,
+    "adv_per_batch": int,
+    "ballast_size": int,
+    "use_weights": parse_bool,
+}
+
+
+def _checked(key: str, value: str, where: str) -> str:
+    try:
+        KEYS[key](value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: bad value for {key}: {exc}") from None
+    return value
 
 
 def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
@@ -39,24 +64,10 @@ def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
                 if key not in KEYS:
                     known = ", ".join(KEYS)
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
-                values[key] = value.strip()
+                values[key] = _checked(key, value.strip(), f"{path}:{lineno}")
     source = os.environ if env is None else env
     for key in KEYS:
         name = ENV_PREFIX + key.upper()
         if name in source:
-            values[key] = source[name]
+            values[key] = _checked(key, source[name], name)
     return values
-
-
-def config_int(cfg: dict[str, str], key: str, default: int) -> int:
-    return int(cfg[key]) if key in cfg else default
-
-
-def config_float(cfg: dict[str, str], key: str, default: float) -> float:
-    return float(cfg[key]) if key in cfg else default
-
-
-def config_bool(cfg: dict[str, str], key: str, default: bool) -> bool:
-    if key not in cfg:
-        return default
-    return cfg[key].strip().lower() in ("1", "true", "yes", "on")

@@ -8,7 +8,10 @@ STATIC never changes anything, FORGO-the-worst trains a single HGI-layout
 candidate and swaps it for the weakest member only when it beats that
 member on the holdout, and UPDATE-ALL retrains every slot by role but
 retains the incumbents wholesale if any of them still beats the best new
-model on holdout F1.
+model on holdout F1. Both updating rules run one body: plan candidates,
+train them, score incumbents and candidates on the holdout, and swap
+the slots the rule accepts. Members are scored only through
+member_scores, which encodes each role once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .trees import (
     TreeModel,
     default_hyperparams,
     deserialize_model,
-    evaluate,
     fit,
     predict_proba_batch,
     serialize_model,
@@ -101,13 +103,11 @@ def member_scores(
     return np.stack(cols, axis=1)
 
 
-def classify(
-    state: EnsembleState, rec: FlowRecord, ctx: EncodingContext
-) -> tuple[str, tuple[float, ...]]:
-    """OR-aggregated verdict for one record plus per-member scores."""
-    scores = member_scores(state, [rec], ctx)[0]
-    verdict = "ATTACK" if bool((scores >= DECISION_THRESHOLD).any()) else "NORMAL"
-    return verdict, tuple(float(s) for s in scores)
+def member_reports(scores: np.ndarray, actual) -> tuple[EvalReport, ...]:
+    """One confusion report per score column (member) against the truth."""
+    if len(actual) == 0:
+        raise ValueError("cannot evaluate on empty rows")
+    return tuple(EvalReport.from_predictions(col >= DECISION_THRESHOLD, actual) for col in scores.T)
 
 
 def classify_batch(
@@ -116,15 +116,6 @@ def classify_batch(
     """(verdicts bool array, per-member score matrix) for a batch."""
     scores = member_scores(state, records, ctx)
     return (scores >= DECISION_THRESHOLD).any(axis=1), scores
-
-
-def evaluate_ensemble(
-    state: EnsembleState, records: Sequence[FlowRecord], ctx: EncodingContext
-) -> EvalReport:
-    if not records:
-        raise ValueError("cannot evaluate on empty records")
-    verdicts, _ = classify_batch(state, records, ctx)
-    return EvalReport.from_predictions(verdicts, [r.label.is_attack for r in records])
 
 
 def train_member(
@@ -140,6 +131,12 @@ def train_member(
     return fit(X, y, kind, params)
 
 
+def _holdout_reports(
+    state: EnsembleState, holdout: Dataset, ctx: EncodingContext
+) -> tuple[EvalReport, ...]:
+    return member_reports(member_scores(state, holdout, ctx), [r.label.is_attack for r in holdout])
+
+
 def build_ensemble(
     train_set: Dataset,
     ctx: EncodingContext,
@@ -149,21 +146,16 @@ def build_ensemble(
     hyperparams: Mapping[FeatureMode, Hyperparams] | None = None,
 ) -> EnsembleState:
     """Train a fresh ensemble, one member per requested role."""
-    members = []
-    for i, role in enumerate(roles):
-        hp = hyperparams.get(role) if hyperparams else None
-        model = train_member(role, train_set, ctx, hp, seed=seed * 31 + i)
-        report = None
-        if holdout is not None and len(holdout) > 0:
-            _, report = _holdout_f1(model, holdout, ctx)
-        members.append(MemberSlot(role, model, version=0, last_eval=report))
-    return EnsembleState(members)
-
-
-def _holdout_f1(model: TreeModel, holdout: Dataset, ctx: EncodingContext) -> tuple[float, EvalReport]:
-    X, y = encode(holdout, model.feature_mode, ctx.hypergraph, ctx.hackers, ctx.weights)
-    report = evaluate(model, X, y)
-    return report.f1, report
+    state = EnsembleState([
+        MemberSlot(role, train_member(
+            role, train_set, ctx, hyperparams.get(role) if hyperparams else None, seed=seed * 31 + i
+        ))
+        for i, role in enumerate(roles)
+    ])
+    if holdout is not None and len(holdout) > 0:
+        for slot, report in zip(state.members, _holdout_reports(state, holdout, ctx)):
+            slot.last_eval = report
+    return state
 
 
 def retrain_request(
@@ -181,60 +173,44 @@ def retrain_request(
     if rule is UpdateRule.STATIC:
         return state, UpdateLog(rule)
 
-    labels = {r.label.is_attack for r in train_set}
-    if len(labels) < 2:
+    if len({r.label.is_attack for r in train_set}) < 2:
         return state, UpdateLog(rule, deferred=True, reason="single-class training set")
 
-    incumbent: list[float] = []
-    incumbent_reports: list[EvalReport] = []
-    for slot in state.members:
-        f1, report = _holdout_f1(slot.model, holdout, ctx)
-        incumbent.append(f1)
-        incumbent_reports.append(report)
-
+    # The plan: (role, hyperparams, seed) of every candidate to train.
     if rule is UpdateRule.FTW:
         hp = next(
             (s.model.hyperparams for s in state.members if s.role is FeatureMode.HGI), None
         )
-        candidate = train_member(FeatureMode.HGI, train_set, ctx, hp, seed=seed)
-        cand_f1, cand_report = _holdout_f1(candidate, holdout, ctx)
+        plan = [(FeatureMode.HGI, hp, seed)]
+    else:
+        plan = [(s.role, s.model.hyperparams, seed * 31 + i) for i, s in enumerate(state.members)]
+    candidates = EnsembleState([
+        MemberSlot(role, train_member(role, train_set, ctx, params, seed=s))
+        for role, params, s in plan
+    ])
+    incumbent = tuple(r.f1 for r in _holdout_reports(state, holdout, ctx))
+    new_reports = _holdout_reports(candidates, holdout, ctx)
+    new_f1 = tuple(r.f1 for r in new_reports)
+    log = UpdateLog(rule, incumbent_f1=incumbent, candidate_f1=new_f1)
+
+    # swaps: the (slot, candidate) pairs to take if the rule accepts.
+    if rule is UpdateRule.FTW:
         worst = min(range(len(incumbent)), key=lambda i: (incumbent[i], i))
-        log = UpdateLog(
-            rule,
-            incumbent_f1=tuple(incumbent),
-            candidate_f1=(cand_f1,),
-        )
-        if cand_f1 <= incumbent[worst]:
+        swaps = [(worst, 0)]
+        if new_f1[0] <= incumbent[worst]:
             log.reason = "candidate did not beat the weakest member"
-            return state, log
-        members = list(state.members)
-        members[worst] = MemberSlot(
-            FeatureMode.HGI, candidate, version=members[worst].version + 1, last_eval=cand_report
-        )
-        log.replaced_slots = (worst,)
-        return EnsembleState(members), log
-
-    # UALL: retrain every slot by role, retain incumbents wholesale when one
-    # of them still beats the best newly trained model.
-    new_models: list[TreeModel] = []
-    new_f1: list[float] = []
-    new_reports: list[EvalReport] = []
-    for i, slot in enumerate(state.members):
-        model = train_member(slot.role, train_set, ctx, slot.model.hyperparams, seed=seed * 31 + i)
-        f1, report = _holdout_f1(model, holdout, ctx)
-        new_models.append(model)
-        new_f1.append(f1)
-        new_reports.append(report)
-
-    log = UpdateLog(rule, incumbent_f1=tuple(incumbent), candidate_f1=tuple(new_f1))
-    if max(incumbent) > max(new_f1):
-        log.reason = "incumbents retained: existing member beats best retrained model"
+    else:
+        swaps = [(i, i) for i in range(len(plan))]
+        if max(incumbent) > max(new_f1):
+            log.reason = "incumbents retained: existing member beats best retrained model"
+    if log.reason:
         return state, log
-    members = [
-        MemberSlot(slot.role, new_models[i], version=slot.version + 1, last_eval=new_reports[i])
-        for i, slot in enumerate(state.members)
-    ]
-    log.replaced_slots = tuple(range(len(members)))
+    members = list(state.members)
+    for slot, c in swaps:
+        members[slot] = replace(
+            candidates.members[c], version=members[slot].version + 1, last_eval=new_reports[c]
+        )
+    log.replaced_slots = tuple(slot for slot, _ in swaps)
     return EnsembleState(members), log
 
 

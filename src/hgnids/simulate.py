@@ -5,9 +5,10 @@ deterministic per-(epoch, computer) batches drawn from the base traffic
 (scan endpoints remapped across the configured number of pairs), with
 adversarial examples sampled into every batch when the case calls for
 them.
-Missed attacks accumulate in the traffic database; when their count since
-the last trigger exceeds the active threshold, a retraining request fires
-and every computer adopts the updated ensemble from the next batch on.
+Missed attacks are kept as the run's evaded records; when their count
+since the last trigger exceeds the active threshold, a retraining request
+fires on a set built from them (build_retrain_set) and every computer
+adopts the updated ensemble from the next batch on.
 In production mode the encoding context learns hacker pairs only from the
 behavioural detector's flags. One scorecard row is written per
 (epoch, computer).
@@ -33,18 +34,18 @@ import numpy as np
 from .adversarial import AdversarialExample, to_flow_records
 from .detector import ScanFlag, detect_window, write_flags_csv
 from .ensemble import (
-    DECISION_THRESHOLD,
     EncodingContext,
     EnsembleState,
     UpdateLog,
     UpdateRule,
     build_ensemble,
     classify_batch,
+    member_reports,
     retrain_request,
     save_state,
 )
 from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair
-from .flows import Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
+from .flows import DataFormatError, Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
 from .hypergraph import build_hypergraph
 from .trees import EvalReport, Hyperparams
 
@@ -169,6 +170,15 @@ SCORECARD_COLUMNS = tuple(f.name for f in fields(ScoreRow))
 _SCORECARD_TYPES = get_type_hints(ScoreRow)
 
 
+class EpochSummary(NamedTuple):
+    epoch: int
+    mean_f1: float
+    min_f1: float
+    mean_fnp: float
+    max_fnp: float
+    retrain_events: int
+
+
 @dataclass
 class Scorecard:
     rows: list[ScoreRow] = field(default_factory=list)
@@ -191,47 +201,61 @@ class Scorecard:
         last = max(r.epoch for r in self.rows)
         return [r for r in self.rows if r.epoch == last]
 
+    def epoch_summaries(self) -> list[EpochSummary]:
+        """Per epoch, in order: mean and min F1, mean and max FNP across
+        computers, and the epoch's retrain events."""
+        out = []
+        for e in sorted({r.epoch for r in self.rows}):
+            rows = [r for r in self.rows if r.epoch == e]
+            out.append(EpochSummary(
+                e,
+                sum(r.f1 for r in rows) / len(rows),
+                min(r.f1 for r in rows),
+                sum(r.fnp for r in rows) / len(rows),
+                max(r.fnp for r in rows),
+                sum(r.retrain_events for r in rows),
+            ))
+        return out
+
     @staticmethod
     def read(path) -> "Scorecard":
+        """Parse a scorecard.csv; a missing column, a short row or a cell
+        of the wrong type is a DataFormatError naming the file."""
         with open(path, newline="", encoding="utf-8") as fh:
-            return Scorecard([
-                ScoreRow(**{name: _SCORECARD_TYPES[name](rec[name]) for name in SCORECARD_COLUMNS})
-                for rec in csv.DictReader(fh)
-            ])
+            reader = csv.DictReader(fh)
+            missing = [name for name in SCORECARD_COLUMNS if name not in (reader.fieldnames or ())]
+            if missing:
+                raise DataFormatError(f"{path}: missing column(s): {', '.join(missing)}")
+            rows = []
+            for rec in reader:
+                where = f"{path}:{reader.line_num}"
+                cells = {}
+                for name in SCORECARD_COLUMNS:
+                    if rec[name] is None:
+                        raise DataFormatError(f"{where}: row ends before column {name}")
+                    try:
+                        cells[name] = _SCORECARD_TYPES[name](rec[name])
+                    except ValueError:
+                        raise DataFormatError(f"{where}: column {name}: bad cell {rec[name]!r}") from None
+                rows.append(ScoreRow(**cells))
+        return Scorecard(rows)
 
 
-@dataclass
-class TrafficDB:
-    base_pool: Dataset
-    detected_attacks: list[FlowRecord] = field(default_factory=list)
-    evaded_attacks: list[FlowRecord] = field(default_factory=list)
-
-    def record_outcomes(self, records, verdicts) -> int:
-        """Accumulate classified-attack and missed-attack records; returns
-        the number of newly evaded attacks."""
-        evaded_now = 0
-        for rec, verdict in zip(records, verdicts):
-            if verdict:
-                self.detected_attacks.append(rec)
-            elif rec.label.is_attack:
-                self.evaded_attacks.append(rec)
-                evaded_now += 1
-        return evaded_now
-
-    def build_retrain_set(self, ballast_size: int, seed: int) -> Dataset:
-        """Evaded attacks + an equal benign sample + a stratified ballast
-        slice of the original training data."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD8]))
-        evaded = list(self.evaded_attacks)
-        benign_pool = [r for r in self.base_pool if not r.label.is_attack]
-        benign: list[FlowRecord] = []
-        if benign_pool and evaded:
-            idx = rng.choice(
-                len(benign_pool), size=len(evaded), replace=len(benign_pool) < len(evaded)
-            )
-            benign = [benign_pool[int(i)] for i in idx]
-        ballast = _stratified_sample(list(self.base_pool), min(ballast_size, len(self.base_pool)), rng)
-        return Dataset(tuple(evaded + benign + ballast), provenance="SYNTHETIC", seed=seed)
+def build_retrain_set(
+    base_pool: Dataset, evaded: Sequence[FlowRecord], ballast_size: int, seed: int
+) -> Dataset:
+    """Evaded attacks + an equal benign sample + a stratified ballast
+    slice of the original training data."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD8]))
+    benign_pool = [r for r in base_pool if not r.label.is_attack]
+    benign: list[FlowRecord] = []
+    if benign_pool and evaded:
+        idx = rng.choice(
+            len(benign_pool), size=len(evaded), replace=len(benign_pool) < len(evaded)
+        )
+        benign = [benign_pool[int(i)] for i in idx]
+    ballast = _stratified_sample(list(base_pool), min(ballast_size, len(base_pool)), rng)
+    return Dataset((*evaded, *benign, *ballast), provenance="SYNTHETIC", seed=seed)
 
 
 @dataclass(frozen=True)
@@ -253,9 +277,7 @@ class RunArtifacts:
     flag_log: list[ScanFlag] = field(default_factory=list)
     batch_member_fn: list[tuple[int, ...]] = field(default_factory=list)
     batch_ensemble_fn: list[int] = field(default_factory=list)
-    batch_sizes: list[int] = field(default_factory=list)
     final_state: EnsembleState | None = None
-    out_dir: str | None = None
 
 
 def _stratified_sample(records: list[FlowRecord], n: int, rng) -> list[FlowRecord]:
@@ -387,67 +409,61 @@ def run_simulation(
     adv_records = to_flow_records(list(adv), seed=cfg.seed * 3 + 2) if cfg.include_adv else []
     next_batch = _build_batches_plan(cfg, data, adv_records)
 
-    db = TrafficDB(base_pool=pretrain)
-    artifacts = RunArtifacts(cfg, baseline, out_dir=str(out_dir) if out_dir else None)
+    artifacts = RunArtifacts(cfg, baseline)
     scorecard = Scorecard()
+    evaded: list[FlowRecord] = []
     counter = 0
     flagged: set[IPPair] = set()
-    stream_hackers = frozenset() if cfg.production_mode else true_hackers
-    out_path = Path(out_dir) if out_dir is not None else None
+    stream_ctx = train_ctx
 
     for epoch in range(cfg.n_epochs):
         for computer in range(cfg.n_computers):
             b = epoch * cfg.n_computers + computer
             records = next_batch(b)
-            batch_ds = Dataset(tuple(records), provenance="SYNTHETIC")
 
             if cfg.production_mode:
-                flags, flagged = detect_window(batch_ds, flagged, window_id=b)
+                window = Dataset(tuple(records), provenance="SYNTHETIC")
+                flags, flagged = detect_window(window, flagged, window_id=b)
                 artifacts.flag_log.extend(flags)
-                stream_hackers = frozenset(flagged)
+                stream_ctx = replace(train_ctx, hackers=frozenset(flagged))
 
-            stream_ctx = replace(train_ctx, hackers=stream_hackers)
             verdicts, scores = classify_batch(state, records, stream_ctx)
             actual = np.array([r.label.is_attack for r in records])
             report = EvalReport.from_predictions(verdicts, actual)
-            artifacts.batch_member_fn.append(tuple(
-                EvalReport.from_predictions(col >= DECISION_THRESHOLD, actual).fn
-                for col in scores.T
-            ))
+            artifacts.batch_member_fn.append(tuple(r.fn for r in member_reports(scores, actual)))
             artifacts.batch_ensemble_fn.append(report.fn)
-            artifacts.batch_sizes.append(len(records))
+            evaded += [r for r, missed in zip(records, ~verdicts & actual) if missed]
+            counter += report.fn
 
-            counter += db.record_outcomes(records, verdicts)
-
-            events_this_batch = 0
-            if counter > cfg.threshold and cfg.rule is not UpdateRule.STATIC:
+            retrain = counter > cfg.threshold and cfg.rule is not UpdateRule.STATIC
+            if retrain:
                 event_idx = len(artifacts.retrain_events)
-                retrain_pool = db.build_retrain_set(cfg.ballast_size, cfg.seed * 101 + event_idx)
+                retrain_pool = build_retrain_set(
+                    pretrain, evaded, cfg.ballast_size, cfg.seed * 101 + event_idx
+                )
                 train_part, holdout_part = _split_records(
                     retrain_pool, 0.8, cfg.seed * 77 + event_idx
                 )
-                event_ctx = stream_ctx if cfg.production_mode else train_ctx
                 state, log = retrain_request(
-                    state, cfg.rule, train_part, event_ctx, holdout_part,
+                    state, cfg.rule, train_part, stream_ctx, holdout_part,
                     seed=cfg.seed * 1009 + event_idx,
                 )
                 artifacts.retrain_events.append(
                     RetrainEvent(
                         event_idx, epoch, computer, cfg.threshold,
-                        len(db.evaded_attacks), log, state.versions(),
+                        len(evaded), log, state.versions(),
                     )
                 )
-                if out_path is not None and log.replaced_slots:
-                    save_state(state, out_path / "models" / f"event_{event_idx}")
+                if out_dir is not None and log.replaced_slots:
+                    save_state(state, Path(out_dir) / "models" / f"event_{event_idx}")
                 counter = 0
-                events_this_batch += 1
 
             scorecard.rows.append(
                 ScoreRow(
                     epoch=epoch,
                     computer=computer,
                     **asdict(report),
-                    retrain_events=events_this_batch,
+                    retrain_events=int(retrain),
                     ensemble_versions="|".join(str(v) for v in state.versions()),
                 )
             )
@@ -468,24 +484,25 @@ def sweep_thresholds(
     """Independent run of cfg per threshold, identical stream."""
     if not thresholds:
         raise ConfigError("no thresholds to sweep")
+    configs = [replace(cfg, threshold=th) for th in thresholds]  # all checked before any run
     results: dict[int, Scorecard] = {}
-    for th in thresholds:
+    for run_cfg in configs:
+        th = run_cfg.threshold
         sub_dir = Path(out_dir) / f"threshold_{th}" if out_dir is not None else None
-        scorecard, _ = run_simulation(replace(cfg, threshold=th), data, adv, out_dir=sub_dir)
-        results[th] = scorecard
+        results[th], _ = run_simulation(run_cfg, data, adv, out_dir=sub_dir)
     if out_dir is not None:
         _write_sweep_summary(Path(out_dir) / "sweep_summary.csv", results)
     return results
 
 
 def sweep_summary_rows(results: dict[int, Scorecard]) -> list[tuple]:
+    """(threshold, final-epoch mean F1, final-epoch mean FNP, retrain
+    events) per threshold; a run without rows reads 0."""
     rows = []
     for th in sorted(results):
-        final = results[th].final_epoch_rows()
-        mean_f1 = sum(r.f1 for r in final) / len(final) if final else 0.0
-        mean_fnp = sum(r.fnp for r in final) / len(final) if final else 0.0
-        retrains = sum(r.retrain_events for r in results[th].rows)
-        rows.append((th, mean_f1, mean_fnp, retrains))
+        epochs = results[th].epoch_summaries()
+        final = epochs[-1] if epochs else EpochSummary(0, 0.0, 0.0, 0.0, 0.0, 0)
+        rows.append((th, final.mean_f1, final.mean_fnp, sum(e.retrain_events for e in epochs)))
     return rows
 
 
@@ -537,6 +554,4 @@ def _write_artifacts(out_dir, scorecard, artifacts) -> None:
             )
 
     write_flags_csv(artifacts.flag_log, path / "flag_log.csv")
-
-    if artifacts.final_state is not None:
-        save_state(artifacts.final_state, path / "models" / "final")
+    save_state(artifacts.final_state, path / "models" / "final")

@@ -1,0 +1,121 @@
+"""The retrain path that `ensemble.member_reports` and the single retrain
+body replaced: `_holdout_f1` encodes the holdout once per model and calls
+`trees.evaluate`, `build_ensemble` scores each new member that way, and
+`retrain_request` has separate forgo-the-worst and update-all branches
+that each train, score, log and swap members. Kept as the reference for
+differential tests of the merged path.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+from hgnids.ensemble import (
+    EncodingContext,
+    EnsembleState,
+    MemberSlot,
+    UpdateLog,
+    UpdateRule,
+    train_member,
+)
+from hgnids.features import FeatureMode, encode
+from hgnids.flows import Dataset
+from hgnids.trees import EvalReport, Hyperparams, TreeModel, evaluate
+
+
+def build_ensemble(
+    train_set: Dataset,
+    ctx: EncodingContext,
+    seed: int = 0,
+    holdout: Dataset | None = None,
+    roles: Sequence[FeatureMode] = (FeatureMode.NRF, FeatureMode.HGI, FeatureMode.HGA),
+    hyperparams: Mapping[FeatureMode, Hyperparams] | None = None,
+) -> EnsembleState:
+    """Train a fresh ensemble, one member per requested role."""
+    members = []
+    for i, role in enumerate(roles):
+        hp = hyperparams.get(role) if hyperparams else None
+        model = train_member(role, train_set, ctx, hp, seed=seed * 31 + i)
+        report = None
+        if holdout is not None and len(holdout) > 0:
+            _, report = _holdout_f1(model, holdout, ctx)
+        members.append(MemberSlot(role, model, version=0, last_eval=report))
+    return EnsembleState(members)
+
+
+def _holdout_f1(model: TreeModel, holdout: Dataset, ctx: EncodingContext) -> tuple[float, EvalReport]:
+    X, y = encode(holdout, model.feature_mode, ctx.hypergraph, ctx.hackers, ctx.weights)
+    report = evaluate(model, X, y)
+    return report.f1, report
+
+
+def retrain_request(
+    state: EnsembleState,
+    rule: UpdateRule,
+    train_set: Dataset,
+    ctx: EncodingContext,
+    holdout: Dataset,
+    seed: int = 0,
+) -> tuple[EnsembleState, UpdateLog]:
+    """Serve one retraining request; returns the (possibly new) state.
+
+    A single-class training set defers the request instead of failing.
+    """
+    if rule is UpdateRule.STATIC:
+        return state, UpdateLog(rule)
+
+    labels = {r.label.is_attack for r in train_set}
+    if len(labels) < 2:
+        return state, UpdateLog(rule, deferred=True, reason="single-class training set")
+
+    incumbent: list[float] = []
+    incumbent_reports: list[EvalReport] = []
+    for slot in state.members:
+        f1, report = _holdout_f1(slot.model, holdout, ctx)
+        incumbent.append(f1)
+        incumbent_reports.append(report)
+
+    if rule is UpdateRule.FTW:
+        hp = next(
+            (s.model.hyperparams for s in state.members if s.role is FeatureMode.HGI), None
+        )
+        candidate = train_member(FeatureMode.HGI, train_set, ctx, hp, seed=seed)
+        cand_f1, cand_report = _holdout_f1(candidate, holdout, ctx)
+        worst = min(range(len(incumbent)), key=lambda i: (incumbent[i], i))
+        log = UpdateLog(
+            rule,
+            incumbent_f1=tuple(incumbent),
+            candidate_f1=(cand_f1,),
+        )
+        if cand_f1 <= incumbent[worst]:
+            log.reason = "candidate did not beat the weakest member"
+            return state, log
+        members = list(state.members)
+        members[worst] = MemberSlot(
+            FeatureMode.HGI, candidate, version=members[worst].version + 1, last_eval=cand_report
+        )
+        log.replaced_slots = (worst,)
+        return EnsembleState(members), log
+
+    # UALL: retrain every slot by role, retain incumbents wholesale when one
+    # of them still beats the best newly trained model.
+    new_models: list[TreeModel] = []
+    new_f1: list[float] = []
+    new_reports: list[EvalReport] = []
+    for i, slot in enumerate(state.members):
+        model = train_member(slot.role, train_set, ctx, slot.model.hyperparams, seed=seed * 31 + i)
+        f1, report = _holdout_f1(model, holdout, ctx)
+        new_models.append(model)
+        new_f1.append(f1)
+        new_reports.append(report)
+
+    log = UpdateLog(rule, incumbent_f1=tuple(incumbent), candidate_f1=tuple(new_f1))
+    if max(incumbent) > max(new_f1):
+        log.reason = "incumbents retained: existing member beats best retrained model"
+        return state, log
+    members = [
+        MemberSlot(slot.role, new_models[i], version=slot.version + 1, last_eval=new_reports[i])
+        for i, slot in enumerate(state.members)
+    ]
+    log.replaced_slots = tuple(range(len(members)))
+    return EnsembleState(members), log

@@ -11,7 +11,8 @@ import pytest
 from hgnids.cli import (
     EXIT_DATA, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, _sim_config, build_parser, main,
 )
-from hgnids.config import KEYS, config_bool, config_int, load_config
+from hgnids.config import KEYS, load_config, parse_bool
+from hgnids.flows import DataFormatError
 from hgnids.simulate import Scorecard, SimConfig
 from hgnids.trees import ModelKind, default_hyperparams
 
@@ -64,10 +65,7 @@ def test_config_file_and_env_override(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nn_epochs=4\nuse_weights=yes\n\nbatch_size=250\n")
     cfg = load_config(path, env={"HGNIDS_BATCH_SIZE": "99", "UNRELATED": "x"})
-    assert config_int(cfg, "n_epochs", 0) == 4
-    assert config_int(cfg, "batch_size", 0) == 99  # env wins
-    assert config_bool(cfg, "use_weights", False) is True
-    assert config_int(cfg, "missing", 7) == 7
+    assert cfg == {"n_epochs": "4", "use_weights": "yes", "batch_size": "99"}  # env wins
 
 
 def test_config_rejects_malformed_lines(tmp_path):
@@ -294,6 +292,8 @@ _KEY_VALUES = {
 def test_config_keys_are_sim_config_fields():
     assert set(KEYS) == set(_KEY_VALUES)
     assert set(KEYS) <= {f.name for f in dataclasses.fields(SimConfig)}
+    for key, (text, _) in _KEY_VALUES.items():
+        assert type(KEYS[key](text)) is type(getattr(SimConfig(1), key))
 
 
 @pytest.mark.parametrize("full", [False, True])
@@ -380,3 +380,105 @@ def test_simulate_takes_one_threshold(tmp_path):
     assert main(["simulate", "--case", "1", "--threshold", "2,5", "--out-dir", str(out)]) == EXIT_USAGE
     assert main(["simulate", "--case", "1", "--thresholds", "2,5", "--out-dir", str(out)]) == EXIT_USAGE
     assert not (out / "scorecard.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--case", "1", "--thresholds", "2,0"],
+    ["sweep", "--case", "1", "--thresholds", "2,-1"],
+    ["sweep", "--case", "1", "--thresholds", "2,x"],
+    ["simulate", "--case", "1", "--threshold", "0"],
+    ["simulate", "--case", "1", "--threshold", "-3"],
+])
+def test_non_positive_threshold_is_usage_error_before_any_run(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out-dir", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+# SHA-256 of `sweep --case 4 --thresholds 2,20 --seed 1` (2 x 3 batches of
+# 150 records) and of `report` on its threshold_2 run, which retrains twice;
+# recorded before both outputs were read from Scorecard.epoch_summaries.
+_SWEEP_SUMMARY_SHA256 = "880a33f6d62afcdbb6de156499753140fef6fa354dd8fe71e6c892df7d58b580"
+_REPORT_SUMMARY_SHA256 = "ef2b117052d54a00cdcd631e10d29f6a25812c543ec79ce82a10500ba4bc8f6c"
+
+
+def test_sweep_and_report_summaries_pinned(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n_computers=2\nn_epochs=3\nbatch_size=150\n")
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--case", "4", "--thresholds", "2,20", "--seed", "1",
+                 "--config", str(cfg), "--out-dir", str(sweep)]) == EXIT_OK
+    report = tmp_path / "report"
+    assert main(["report", "--run-dir", str(sweep / "threshold_2"),
+                 "--out-dir", str(report)]) == EXIT_OK
+    digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()  # noqa: E731
+    assert digest(sweep / "sweep_summary.csv") == _SWEEP_SUMMARY_SHA256
+    assert digest(report / "summary.csv") == _REPORT_SUMMARY_SHA256
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+    ("0", False), ("False", False), ("NO", False), ("off", False),
+])
+def test_config_bool_words(text, value):
+    assert parse_bool(text) is value
+    assert load_config(env={"HGNIDS_USE_WEIGHTS": text}) == {"use_weights": text}
+
+
+@pytest.mark.parametrize("line,key", [
+    ("use_weights=ture", "use_weights"), ("n_epochs=ten", "n_epochs"),
+    ("attack_frac=half", "attack_frac"), ("use_weights=", "use_weights"),
+])
+def test_config_file_value_that_does_not_parse_is_data_error(tmp_path, capsys, line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"n_computers=2\n{line}\n")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--case", "1", "--config", str(path), "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}:2" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("HGNIDS_USE_WEIGHTS", "ture"), ("HGNIDS_N_EPOCHS", "ten"), ("HGNIDS_BATCH_SIZE", "1.5"),
+])
+def test_config_env_value_that_does_not_parse_is_data_error(tmp_path, capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--case", "1", "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert name in err and name[len("HGNIDS_"):].lower() in err
+    assert not out.exists()
+
+
+def _scorecard_dir(tmp_path, text):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "scorecard.csv").write_text(text)
+    return run_dir
+
+
+_SCORECARD_HEADER = (
+    "epoch,computer,tp,fp,tn,fn,fnp,accuracy,precision,recall,f1,retrain_events,ensemble_versions\n"
+)
+_SCORECARD_ROW = "0,0,5,0,10,0,0.0,1.0,1.0,1.0,1.0,0,0|0|0\n"
+
+
+@pytest.mark.parametrize("text,expected", [
+    (_SCORECARD_HEADER.replace(",fp,", ",") + _SCORECARD_ROW.replace(",0,10,", ",10,", 1),
+     "missing column(s): fp"),
+    (_SCORECARD_HEADER.replace("tp,fp", "tp").replace(",f1,", ","), "missing column(s): fp, f1"),
+    (_SCORECARD_HEADER + _SCORECARD_ROW + "1,0,5,0,10\n", ":3: row ends before column fn"),
+    (_SCORECARD_HEADER + _SCORECARD_ROW + "1,0,5,0,10,0,0.0,1.0,1.0,1.0,1.0,0\n",
+     ":3: row ends before column ensemble_versions"),
+    (_SCORECARD_HEADER + _SCORECARD_ROW.replace("0,0,5", "0,0,five"), ":2: column tp: bad cell 'five'"),
+    (_SCORECARD_HEADER + _SCORECARD_ROW.replace("1.0,0,", "high,0,"), ":2: column f1: bad cell 'high'"),
+], ids=["no-fp", "no-fp-f1", "short-row", "no-versions", "bad-int", "bad-float"])
+def test_report_rejects_malformed_scorecard_as_data(tmp_path, capsys, text, expected):
+    run_dir = _scorecard_dir(tmp_path, text)
+    out = tmp_path / "report"
+    assert main(["report", "--run-dir", str(run_dir), "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(run_dir / "scorecard.csv") in err and expected in err
+    with pytest.raises(DataFormatError, match="scorecard.csv"):
+        Scorecard.read(run_dir / "scorecard.csv")

@@ -5,26 +5,25 @@ import pytest
 
 from hgnids.ensemble import (
     ROLE_KIND,
-    _holdout_f1,
     EncodingContext,
     EnsembleState,
     MemberSlot,
     UpdateRule,
     build_ensemble,
-    classify,
     classify_batch,
-    evaluate_ensemble,
     load_state,
+    member_reports,
     member_scores,
     retrain_request,
     save_state,
     train_member,
 )
 from hgnids.features import NON_HACKER_WEIGHTS, FeatureMode, build_matrix, rows_to_arrays
-from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, synth_traffic
+from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, remap_ip_pairs, synth_traffic
 from hgnids.hypergraph import build_hypergraph
-from hgnids.trees import Hyperparams, evaluate, serialize_model, train
+from hgnids.trees import EvalReport, Hyperparams, evaluate, serialize_model, train
 
+import ensemble_reference as ref
 from helpers import make_record, single_leaf_model, split_model
 
 FAST_HP = {
@@ -46,36 +45,36 @@ def _nrf_ctx():
 
 def test_classify_or_aggregation_attack():
     state = _stump_state(0.2, 0.9, 0.4)
-    verdict, scores = classify(state, make_record(), _nrf_ctx())
-    assert verdict == "ATTACK"
-    assert scores == (0.2, 0.9, 0.4)
+    verdicts, scores = classify_batch(state, [make_record()], _nrf_ctx())
+    assert verdicts.tolist() == [True]
+    assert scores.tolist() == [[0.2, 0.9, 0.4]]
 
 
 def test_classify_or_aggregation_normal():
     state = _stump_state(0.1, 0.1, 0.1)
-    verdict, scores = classify(state, make_record(), _nrf_ctx())
-    assert verdict == "NORMAL"
+    verdicts, _ = classify_batch(state, [make_record()], _nrf_ctx())
+    assert verdicts.tolist() == [False]
 
 
 def test_classify_threshold_inclusive():
     state = _stump_state(0.5, 0.0, 0.0)
-    verdict, _ = classify(state, make_record(), _nrf_ctx())
-    assert verdict == "ATTACK"
+    verdicts, _ = classify_batch(state, [make_record()], _nrf_ctx())
+    assert verdicts.tolist() == [True]
 
 
-def test_evaluate_ensemble_perfect_and_blind():
+def test_classify_batch_perfect_and_blind():
     attacks = [make_record(label=SCAN_LABEL) for _ in range(10)]
-    perfect = _stump_state(1.0, 1.0, 1.0)
-    report = evaluate_ensemble(perfect, attacks, _nrf_ctx())
-    assert report.f1 == 1.0
-    blind = _stump_state(0.0, 0.0, 0.0)
-    report = evaluate_ensemble(blind, attacks, _nrf_ctx())
-    assert report.fnp == 1.0
+    actual = [True] * len(attacks)
+    verdicts, _ = classify_batch(_stump_state(1.0, 1.0, 1.0), attacks, _nrf_ctx())
+    assert EvalReport.from_predictions(verdicts, actual).f1 == 1.0
+    verdicts, scores = classify_batch(_stump_state(0.0, 0.0, 0.0), attacks, _nrf_ctx())
+    assert EvalReport.from_predictions(verdicts, actual).fnp == 1.0
+    assert [r.fnp for r in member_reports(scores, actual)] == [1.0, 1.0, 1.0]
 
 
-def test_evaluate_ensemble_empty_errors():
+def test_member_reports_empty_errors():
     with pytest.raises(ValueError):
-        evaluate_ensemble(_stump_state(1.0, 1.0, 1.0), [], _nrf_ctx())
+        member_reports(np.zeros((0, 3)), [])
 
 
 def _training_world(seed=0):
@@ -102,7 +101,9 @@ def test_train_member_matches_row_training(role, weights):
     assert serialize_model(model) == serialize_model(expected)
     holdout, _ = _training_world(seed=9)
     rows = build_matrix(holdout, ctx.hypergraph, role, ctx.hackers, weights)
-    assert _holdout_f1(model, holdout, ctx)[1] == evaluate(expected, *rows_to_arrays(rows))
+    scores = member_scores(EnsembleState([MemberSlot(role, model)]), holdout, ctx)
+    [report] = member_reports(scores, [r.label.is_attack for r in holdout])
+    assert report == evaluate(expected, *rows_to_arrays(rows))
 
 
 def test_build_ensemble_roles_and_recall_dominance():
@@ -261,3 +262,101 @@ def test_state_save_load_roundtrip(tmp_path):
     a = member_scores(state, probe, ctx)
     b = member_scores(restored, probe, ctx)
     assert np.array_equal(a, b)
+
+
+# Differential tests against the parent's retrain path (ensemble_reference).
+REF_HP = {role: replace(hp, n_trees=8) for role, hp in FAST_HP.items()}
+
+
+def _assert_same_outcome(expected, actual):
+    (ref_state, ref_log), (state, log) = expected, actual
+    assert log == ref_log
+    assert state.roles() == ref_state.roles()
+    assert state.versions() == ref_state.versions()
+    assert [m.last_eval for m in state.members] == [m.last_eval for m in ref_state.members]
+    assert [serialize_model(m.model) for m in state.members] == [
+        serialize_model(m.model) for m in ref_state.members
+    ]
+
+
+def _both(state, rule, train_set, ctx, holdout, seed):
+    expected = ref.retrain_request(state, rule, train_set, ctx, holdout, seed=seed)
+    actual = retrain_request(state, rule, train_set, ctx, holdout, seed=seed)
+    _assert_same_outcome(expected, actual)
+    return actual
+
+
+def _retrain_world(seed):
+    """Pretraining world plus a retrain set and holdout whose scans are
+    spread over 16 endpoint pairs, as in the simulation's stream."""
+    data, ctx = _training_world(seed)
+    train_set = remap_ip_pairs(_training_world(seed + 20)[0], 16, seed)
+    holdout = remap_ip_pairs(_training_world(seed + 40)[0], 16, seed + 1)
+    return data, ctx, train_set, holdout
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("roles", [
+    (FeatureMode.NRF, FeatureMode.HGI, FeatureMode.HGA),
+    (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF),
+])
+def test_build_ensemble_matches_reference(seed, roles):
+    data, ctx, _, holdout = _retrain_world(seed)
+    for held in (holdout, None):
+        expected = ref.build_ensemble(data, ctx, seed, held, roles, REF_HP)
+        state = build_ensemble(data, ctx, seed, held, roles, REF_HP)
+        _assert_same_outcome((expected, None), (state, None))
+        assert all((m.last_eval is None) == (held is None) for m in state.members)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ftw_replacing_nrf_then_update_all_match_reference(seed):
+    data, ctx, train_set, holdout = _retrain_world(seed)
+    state = build_ensemble(data, ctx, seed, holdout, hyperparams=REF_HP)
+    # A member that never flags an attack scores F1 0, so FTW swaps it out.
+    state.members[0] = MemberSlot(FeatureMode.NRF, single_leaf_model(0.0))
+    state, log = _both(state, UpdateRule.FTW, train_set, ctx, holdout, seed * 1009)
+    assert log.replaced_slots == (0,)
+    assert state.roles() == (FeatureMode.HGI, FeatureMode.HGI, FeatureMode.HGA)
+    state, log = _both(state, UpdateRule.UALL, train_set, ctx, holdout, seed * 1009 + 1)
+    assert log.replaced_slots == (0, 1, 2)
+    _both(state, UpdateRule.FTW, train_set, ctx, holdout, seed * 1009 + 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("rule", [UpdateRule.FTW, UpdateRule.UALL])
+def test_all_nrf_baseline_matches_reference(seed, rule):
+    data, ctx, train_set, holdout = _retrain_world(seed)
+    roles = (FeatureMode.NRF,) * 3
+    state = build_ensemble(data, ctx, seed, holdout, roles, REF_HP)
+    _both(state, rule, train_set, ctx, holdout, seed + 7)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_crafted_outcomes_match_reference(seed):
+    train_set, holdout, ctx = _crafted_world()
+    graded = EnsembleState([_duration_member(t) for t in (59.5, 49.5, 29.5)])
+    perfect = EnsembleState([_duration_member(t) for t in (59.5, 60.5, 70.0)])
+
+    _, log = _both(graded, UpdateRule.FTW, train_set, ctx, holdout, seed)
+    assert log.replaced_slots == (2,)
+    _, log = _both(perfect, UpdateRule.FTW, train_set, ctx, holdout, seed)
+    assert log.replaced_slots == () and "not beat" in log.reason
+    _, log = _both(graded, UpdateRule.UALL, train_set, ctx, holdout, seed)
+    assert log.replaced_slots == (0, 1, 2)
+
+    rng = np.random.default_rng(seed)
+    scrambled = Dataset(tuple(
+        make_record(rec.src_ip, rec.dst_ip, rec.dst_port,
+                    SCAN_LABEL if rng.random() < 0.5 else BENIGN_LABEL,
+                    duration=float(rng.uniform(0, 140)))
+        for rec in train_set
+    ))
+    retained = EnsembleState([_duration_member(t) for t in (59.5, 60.5, 80.0)])
+    _, log = _both(retained, UpdateRule.UALL, scrambled, ctx, holdout, seed)
+    assert log.replaced_slots == () and "retained" in log.reason
+
+    only_benign = Dataset(tuple(make_record(label=BENIGN_LABEL) for _ in range(20)))
+    for rule in (UpdateRule.FTW, UpdateRule.UALL):
+        state, log = _both(graded, rule, only_benign, ctx, holdout, seed)
+        assert log.deferred and state is graded

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hgnids.simulate import (
     ConfigError,
     Scorecard,
     SimConfig,
-    TrafficDB,
+    build_retrain_set,
     desk_case_config,
     run_simulation,
     sweep_thresholds,
@@ -85,10 +86,10 @@ def test_case5_requires_adv(tiny_data):
 
 def test_conservation_and_row_count(tiny_data):
     cfg = tiny_config(1, seed=3)
-    scorecard, artifacts = run_simulation(cfg, tiny_data)
+    scorecard, _ = run_simulation(cfg, tiny_data)
     assert len(scorecard.rows) == 4
-    for row, size in zip(scorecard.rows, artifacts.batch_sizes):
-        assert row.tp + row.fp + row.tn + row.fn == size
+    for row in scorecard.rows:
+        assert row.tp + row.fp + row.tn + row.fn == cfg.batch_size
 
 
 def test_determinism_byte_identical(tiny_data):
@@ -169,6 +170,12 @@ def test_sweep_requires_thresholds(tiny_data):
         sweep_thresholds(tiny_config(1), (), tiny_data)
 
 
+def test_sweep_checks_every_threshold_before_any_run(tmp_path, tiny_data):
+    with pytest.raises(ConfigError):
+        sweep_thresholds(tiny_config(1), (2, 0), tiny_data, out_dir=tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_desk_sweep_stabilisation(desk_data, desk_adv):
     cfg = desk_case_config(5, seed=42)
     results = sweep_thresholds(cfg, (2, 20), desk_data, desk_adv)
@@ -243,22 +250,95 @@ def test_weighted_mixed_stream_runs():
     assert any(name in labels for name in ("DoS Hulk", "DDoS"))
 
 
-def test_traffic_db_retrain_mix(tiny_data):
-    db = TrafficDB(base_pool=tiny_data)
-    attacks = list(tiny_data.attacks())[:6]
-    db.record_outcomes(attacks, [False] * len(attacks))
-    assert len(db.evaded_attacks) == 6
-    retrain = db.build_retrain_set(ballast_size=100, seed=1)
+def test_retrain_set_mix(tiny_data):
+    evaded = list(tiny_data.attacks())[:6]
+    retrain = build_retrain_set(tiny_data, evaded, ballast_size=100, seed=1)
     labels = [r.label.is_attack for r in retrain]
     # 6 evaded + 6 benign + 100 ballast
     assert len(retrain) == 112
+    assert list(retrain)[:6] == evaded
     assert sum(labels) >= 6
     assert sum(1 for flag in labels if not flag) >= 6
 
 
-def test_detected_attacks_accumulate(tiny_data):
-    db = TrafficDB(base_pool=tiny_data)
-    records = list(tiny_data)[:10]
-    verdicts = [True] * 4 + [False] * 6
-    db.record_outcomes(records, verdicts)
-    assert len(db.detected_attacks) == 4
+# SHA-256 of every file a tiny_config run writes, except config.json, at
+# seed 39, recorded before retraining and member scoring were merged into
+# one path. At this seed case 4 retrains three times (one candidate
+# rejected, two accepted), and cases 5 and 6 once each (all slots
+# replaced); case 6 also flags pairs. Cases 5 and 6 differ only in the
+# flag log.
+PINNED_SEED = 39
+_PINNED_DIGESTS = {
+    4: {
+        "scorecard.csv":
+            "307e6eba5ff4f27a1ae4e62d933f7489375d9bd026ec83a4e8179bac9d3794e6",
+        "retrain_log.csv":
+            "a403c262c02ec3b0e84be8422ba57ca4480c334d3d900f2fedc32a885d38cde6",
+        "flag_log.csv":
+            "ded296166db413e5949560ca4c441af55b7a0ffa48a87675d4719ba989b95508",
+        "models/event_1/ensemble.json":
+            "ba5350196a6cfde7447529ea2a05c33547b0042c601fb7c1eef16b4d76b8cc13",
+        "models/event_1/member_0_hgi_v1.json":
+            "0eb3c7345d94e9a0d78f4e1f6d743cca8e7224bc5dbad675e6b2358b64e60e71",
+        "models/event_1/member_1_hgi_v0.json":
+            "02396ca47c54c2f5523c13eace85b913ccf1b0f93c56aabce41fea566748fa0d",
+        "models/event_1/member_2_hga_v0.json":
+            "af6dab015a5d343152607d05f44f313ce20491bac8e228567e014fda9262356b",
+        "models/event_2/ensemble.json":
+            "d286fd672cbb28f4940d8bd3dbf6d8033649b53311463beda7dedd8c5cae69a3",
+        "models/event_2/member_0_hgi_v1.json":
+            "0eb3c7345d94e9a0d78f4e1f6d743cca8e7224bc5dbad675e6b2358b64e60e71",
+        "models/event_2/member_1_hgi_v1.json":
+            "f5cec9e89c556d7d7f41502d2575e826164c9e6728561d2525f4c5df21d0a432",
+        "models/event_2/member_2_hga_v0.json":
+            "af6dab015a5d343152607d05f44f313ce20491bac8e228567e014fda9262356b",
+        "models/final/ensemble.json":
+            "d286fd672cbb28f4940d8bd3dbf6d8033649b53311463beda7dedd8c5cae69a3",
+        "models/final/member_0_hgi_v1.json":
+            "0eb3c7345d94e9a0d78f4e1f6d743cca8e7224bc5dbad675e6b2358b64e60e71",
+        "models/final/member_1_hgi_v1.json":
+            "f5cec9e89c556d7d7f41502d2575e826164c9e6728561d2525f4c5df21d0a432",
+        "models/final/member_2_hga_v0.json":
+            "af6dab015a5d343152607d05f44f313ce20491bac8e228567e014fda9262356b",
+    },
+    5: {
+        "scorecard.csv":
+            "d7568aae9c33c1aa1c9327a0eb2fbec481b456c6e8a126b4726f876bceae2be3",
+        "retrain_log.csv":
+            "803a6334d3cd5971e138b9f7101e6e5a06f3389d64090571d9a7622f89de6c08",
+        "flag_log.csv":
+            "ded296166db413e5949560ca4c441af55b7a0ffa48a87675d4719ba989b95508",
+        "models/event_0/ensemble.json":
+            "5109826a20e604d7d135483b34c39d58abc6fda08d714a7068bf2dc8821b3d16",
+        "models/event_0/member_0_nrf_v1.json":
+            "6e681ec8482f2c2c6a56dbbe6736ebb67f330dda4ad48ca98f8f869be6e61b83",
+        "models/event_0/member_1_hgi_v1.json":
+            "9e22ee523f15502168dc73418afa9bffd728aa41252169723c4f23d341efb494",
+        "models/event_0/member_2_hga_v1.json":
+            "db8368a6301319cf0f84af47be68d1b3583ac7738428f2c6d9c0546fb960a452",
+        "models/final/ensemble.json":
+            "5109826a20e604d7d135483b34c39d58abc6fda08d714a7068bf2dc8821b3d16",
+        "models/final/member_0_nrf_v1.json":
+            "6e681ec8482f2c2c6a56dbbe6736ebb67f330dda4ad48ca98f8f869be6e61b83",
+        "models/final/member_1_hgi_v1.json":
+            "9e22ee523f15502168dc73418afa9bffd728aa41252169723c4f23d341efb494",
+        "models/final/member_2_hga_v1.json":
+            "db8368a6301319cf0f84af47be68d1b3583ac7738428f2c6d9c0546fb960a452",
+    },
+}
+_PINNED_DIGESTS[6] = {**_PINNED_DIGESTS[5], "flag_log.csv":
+                      "d346971c38324de5bd586ec448f383229418889855808b3054e30f47eb7f99b5"}
+
+
+@pytest.mark.parametrize("case_id", [4, 5, 6])
+def test_update_runs_pinned_bytes(tmp_path, tiny_data, tiny_adv, case_id):
+    run_dir = tmp_path / "run"
+    _, artifacts = run_simulation(
+        tiny_config(case_id, seed=PINNED_SEED), tiny_data, tiny_adv, out_dir=run_dir
+    )
+    assert artifacts.retrain_events
+    written = {
+        p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in run_dir.rglob("*") if p.is_file() and p.name != "config.json"
+    }
+    assert written == _PINNED_DIGESTS[case_id]
