@@ -114,7 +114,6 @@ def zoo_attack_batch(
     Z: np.ndarray,
     budget: ZooBudget | None,
     seeds: Sequence[int],
-    skip_coords: Sequence[int] = (PROTOCOL_SLOT,),
 ) -> list[ZooResult]:
     """`zoo_attack` on every row of Z at once, row i seeded by seeds[i].
 
@@ -130,7 +129,7 @@ def zoo_attack_batch(
         raise ValueError(f"need one seed per row, got {len(seeds)} seeds for {len(Z0)} rows")
     budget = budget or ZooBudget()
     cur = Z0.copy()
-    coords = np.array([i for i in range(cur.shape[1]) if i not in set(skip_coords)], dtype=np.intp)
+    coords = np.array([i for i in range(cur.shape[1]) if i != PROTOCOL_SLOT], dtype=np.intp)
     scores = np.asarray(score(cur), dtype=np.float64)
     queries = np.zeros(len(cur), dtype=np.int64)
     active = np.flatnonzero(scores >= 0.5) if coords.size else np.empty(0, dtype=np.intp)
@@ -160,7 +159,6 @@ def zoo_attack(
     x: Sequence[float],
     budget: ZooBudget | None = None,
     seed: int = 0,
-    skip_coords: Sequence[int] = (PROTOCOL_SLOT,),
 ) -> ZooResult:
     """Coordinate-descent attack on an attack score: the one-row case of
     `zoo_attack_batch`, whose rows descend in lockstep.
@@ -173,7 +171,7 @@ def zoo_attack(
     runs out; a run that never changes the input is reported via the moved
     flag rather than an error.
     """
-    return zoo_attack_batch(score, np.atleast_2d(x), budget, [seed], skip_coords)[0]
+    return zoo_attack_batch(score, np.atleast_2d(x), budget, [seed])[0]
 
 
 def generate_examples(
@@ -209,7 +207,6 @@ def attack_pipeline(
     seed: int = 0,
     budget: ZooBudget | None = None,
     keep_threshold: float = 0.55,
-    split_frac: float = 0.85,
     substitute_hyperparams=None,
 ) -> tuple[list[AdversarialExample], TreeModel, NormalizationParams]:
     """End-to-end generation from a labeled dataset.
@@ -219,7 +216,7 @@ def attack_pipeline(
     """
     rows = build_matrix(data, None, FeatureMode.NRF)
     params = NormalizationParams.fit(rows_to_arrays(rows)[0])
-    train_rows, test_rows = train_test_split(rows, split_frac, seed)
+    train_rows, test_rows = train_test_split(rows, 0.85, seed)
     X, y = rows_to_arrays(train_rows)
     substitute = fit_substitute(params.forward(X), y, seed, substitute_hyperparams)
     scan_rows = [

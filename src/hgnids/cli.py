@@ -1,9 +1,10 @@
 """Command-line entry point wiring the package into reproducible pipelines.
 
-Every artifact-producing command writes a manifest.json (command, config
-snapshot, seed, input digests, outputs, tool version) into its output
-directory before and after producing artifacts. Exit codes: 0 success,
-1 usage error, 2 data error, 3 internal error.
+Every command keeps one run record, manifest.json in its output directory
+(command, config snapshot, seed, input digests, outputs, tool version).
+Manifest.start writes it once the command's inputs are digested, and main()
+writes it again with every file the command returns as written. Exit codes:
+0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -101,23 +102,20 @@ class Manifest:
             "outputs": [],
         }
 
-    def add_input(self, path) -> None:
-        p = Path(path)
-        self.payload["inputs"][str(p)] = _digest(p)
+    def start(self, *inputs) -> None:
+        """Digest the input files (skipping empty or None) and write."""
+        self.payload["inputs"] = {str(Path(p)): _digest(Path(p)) for p in inputs if p}
+        self._write()
 
-    def add_output(self, path) -> None:
-        rel = str(Path(path))
-        if rel not in self.payload["outputs"]:
-            self.payload["outputs"].append(rel)
+    def finish(self, outputs) -> None:
+        """Record the files written, in order and each once, and write."""
+        self.payload["outputs"] = list(dict.fromkeys(str(Path(p)) for p in outputs))
+        self._write()
 
-    def write(self) -> None:
+    def _write(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / "manifest.json"
         path.write_text(json.dumps(self.payload, indent=2, sort_keys=True))
-
-
-def _out_dir(args) -> Path:
-    return Path(args.out_dir)
 
 
 def _load_dataset(path) -> Dataset:
@@ -138,48 +136,39 @@ def _parse_pairs(spec: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def cmd_ingest(args, cfg, manifest: Manifest) -> int:
-    column_map = None
-    if args.column_map:
-        manifest.add_input(args.column_map)
-        column_map = json.loads(Path(args.column_map).read_text())
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_ingest(args, cfg, manifest: Manifest) -> list[Path]:
+    column_map = json.loads(Path(args.column_map).read_text()) if args.column_map else None
+    manifest.start(args.column_map, args.input)
     dataset, report = ingest_csv(args.input, column_map)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     write_csv(dataset, out / "cleaned.csv")
     (out / "cleaning_report.txt").write_text(report.to_text())
-    manifest.add_output(out / "cleaned.csv")
-    manifest.add_output(out / "cleaning_report.txt")
-    manifest.write()
     print(f"kept {report.kept} of {report.total_rows} rows ({report.dropped} dropped)")
     if len(dataset):
         for name, frac in sorted(class_balance(dataset).items()):
             print(f"  {name}: {frac:.4f}")
-    return EXIT_OK
+    return [out / "cleaned.csv", out / "cleaning_report.txt"]
 
 
-def cmd_synth(args, cfg, manifest: Manifest) -> int:
+def cmd_synth(args, cfg, manifest: Manifest) -> list[Path]:
     profile = {"scan": "PORT_SCAN", "benign": "BENIGN", "mixed": "MIXED"}[args.profile]
     pairs = _parse_pairs(args.pairs) if args.pairs else []
     if profile != "BENIGN" and args.count > 0 and not pairs:
         raise UsageError(f"--profile {args.profile} needs --pairs")
-    manifest.write()
+    manifest.start()
     dataset = synth_traffic(profile, args.count, pairs, args.seed, args.attack_frac)
-    out = _out_dir(args)
-    write_csv(dataset, out / "traffic.csv")
-    manifest.add_output(out / "traffic.csv")
-    manifest.write()
+    path = Path(args.out_dir) / "traffic.csv"
+    write_csv(dataset, path)
     print(f"wrote {len(dataset)} records")
-    return EXIT_OK
+    return [path]
 
 
-def cmd_hypergraph(args, cfg, manifest: Manifest) -> int:
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_hypergraph(args, cfg, manifest: Manifest) -> list[Path]:
+    manifest.start(args.input)
     dataset = _load_dataset(args.input)
     h = build_hypergraph(dataset)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
+    written = []
     stats = {
         "edges": len(h),
         "vertices": len(h.vertices),
@@ -189,7 +178,8 @@ def cmd_hypergraph(args, cfg, manifest: Manifest) -> int:
         k = feature_skip_interval(h)
         stats["skip_interval"] = k
         table = edge_profiles(h, k)
-        with open(out / "profiles.csv", "w", newline="", encoding="utf-8") as fh:
+        written.append(out / "profiles.csv")
+        with open(written[-1], "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             header = [f"scc_s{s}" for s in centrality_schedule(k)]
             writer.writerow(["edge", "role", "size"] + header + ["scc_sum"])
@@ -197,39 +187,32 @@ def cmd_hypergraph(args, cfg, manifest: Manifest) -> int:
                 writer.writerow(
                     [ip, h.roles[ip].value, len(members)] + [repr(v) for v in row] + [repr(sum(row))]
                 )
-        manifest.add_output(out / "profiles.csv")
     with open(out / "incidence.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["edge", "role", "port"])
         for row in incidence_rows(h):
             writer.writerow(row)
     (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True))
-    manifest.add_output(out / "incidence.csv")
-    manifest.add_output(out / "stats.json")
-    manifest.write()
     print(json.dumps(stats))
-    return EXIT_OK
+    return written + [out / "incidence.csv", out / "stats.json"]
 
 
 def _mode(arg: str) -> FeatureMode:
     return FeatureMode(arg.upper())
 
 
-def cmd_features(args, cfg, manifest: Manifest) -> int:
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_features(args, cfg, manifest: Manifest) -> list[Path]:
+    manifest.start(args.input)
     dataset = _load_dataset(args.input)
     mode = _mode(args.mode)
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
     hackers = frozenset(_parse_pairs(args.hackers)) if args.hackers else frozenset()
     weights = NON_HACKER_WEIGHTS if args.weights else None
     X, y = encode(dataset, mode, h, hackers, weights)
-    out = _out_dir(args)
-    write_matrix_csv(X, y, mode, out / f"matrix_{mode.value.lower()}.csv")
-    manifest.add_output(out / f"matrix_{mode.value.lower()}.csv")
-    manifest.write()
+    path = Path(args.out_dir) / f"matrix_{mode.value.lower()}.csv"
+    write_matrix_csv(X, y, mode, path)
     print(f"wrote {len(y)} rows of {mode.value}")
-    return EXIT_OK
+    return [path]
 
 
 def _hyperparams_from_args(args, kind: ModelKind) -> Hyperparams:
@@ -244,9 +227,8 @@ def _hyperparams_from_args(args, kind: ModelKind) -> Hyperparams:
     )
 
 
-def cmd_train(args, cfg, manifest: Manifest) -> int:
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_train(args, cfg, manifest: Manifest) -> list[Path]:
+    manifest.start(args.input)
     dataset = _load_dataset(args.input)
     mode = _mode(args.mode)
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
@@ -255,36 +237,28 @@ def cmd_train(args, cfg, manifest: Manifest) -> int:
     kind = ModelKind.RANDOM_FOREST if args.kind == "rf" else ModelKind.GRADIENT_BOOSTED
     model = train(train_rows, kind, _hyperparams_from_args(args, kind))
     report = evaluate(model, *rows_to_arrays(test_rows))
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     (out / "model.json").write_bytes(serialize_model(model))
     (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
-    manifest.add_output(out / "model.json")
-    manifest.add_output(out / "eval.json")
-    manifest.write()
     print(f"holdout precision={report.precision:.4f} recall={report.recall:.4f} f1={report.f1:.4f}")
-    return EXIT_OK
+    return [out / "model.json", out / "eval.json"]
 
 
-def cmd_eval(args, cfg, manifest: Manifest) -> int:
-    manifest.add_input(args.model)
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_eval(args, cfg, manifest: Manifest) -> list[Path]:
+    manifest.start(args.model, args.input)
     model = deserialize_model(Path(args.model).read_bytes())
     dataset = _load_dataset(args.input)
     h = build_hypergraph(dataset) if model.feature_mode is not FeatureMode.NRF else None
     X, y = encode(dataset, model.feature_mode, h)
     report = evaluate(model, X, y, threshold=args.threshold)
-    out = _out_dir(args)
-    (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
-    manifest.add_output(out / "eval.json")
-    manifest.write()
+    path = Path(args.out_dir) / "eval.json"
+    path.write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     print(json.dumps(dataclasses.asdict(report)))
-    return EXIT_OK
+    return [path]
 
 
-def cmd_advgen(args, cfg, manifest: Manifest) -> int:
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_advgen(args, cfg, manifest: Manifest) -> list[Path]:
+    manifest.start(args.input)
     dataset = _load_dataset(args.input)
     budget = ZooBudget(
         max_iters=args.iters, step=args.step, h=args.h, per_coord_batch=args.coord_batch
@@ -292,7 +266,7 @@ def cmd_advgen(args, cfg, manifest: Manifest) -> int:
     examples, substitute, params = attack_pipeline(
         dataset, seed=args.seed, budget=budget, keep_threshold=args.keep_threshold
     )
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     records = to_flow_records(examples, seed=args.seed)
     write_csv(Dataset(tuple(records), provenance="SYNTHETIC", seed=args.seed), out / "adversarial.csv")
     stats = {
@@ -303,16 +277,12 @@ def cmd_advgen(args, cfg, manifest: Manifest) -> int:
         ),
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True))
-    manifest.add_output(out / "adversarial.csv")
-    manifest.add_output(out / "stats.json")
-    manifest.write()
     print(json.dumps(stats))
-    return EXIT_OK
+    return [out / "adversarial.csv", out / "stats.json"]
 
 
-def cmd_detect_scan(args, cfg, manifest: Manifest) -> int:
-    manifest.add_input(args.input)
-    manifest.write()
+def cmd_detect_scan(args, cfg, manifest: Manifest) -> list[Path]:
+    manifest.start(args.input)
     dataset = _load_dataset(args.input)
     window = args.window_size
     flagged: set = set()
@@ -322,12 +292,10 @@ def cmd_detect_scan(args, cfg, manifest: Manifest) -> int:
         chunk = Dataset(tuple(records[start : start + window]), dataset.provenance)
         flags, flagged = detect_window(chunk, flagged, window_id=w)
         all_flags.extend(flags)
-    out = _out_dir(args)
-    write_flags_csv(all_flags, out / "flags.csv")
-    manifest.add_output(out / "flags.csv")
-    manifest.write()
+    path = Path(args.out_dir) / "flags.csv"
+    write_flags_csv(all_flags, path)
     print(f"flagged {len(all_flags)} pair(s)")
-    return EXIT_OK
+    return [path]
 
 
 def _sim_config(args, cfg) -> SimConfig:
@@ -347,68 +315,56 @@ def _sim_config(args, cfg) -> SimConfig:
 
 def _sim_inputs(args, cfg, manifest: Manifest):
     sim_cfg = _sim_config(args, cfg)
-    if args.data:
-        manifest.add_input(args.data)
-        data = _load_dataset(args.data)
-    else:
-        data = make_desk_dataset(seed=args.seed)
+    manifest.start(args.data)
+    data = _load_dataset(args.data) if args.data else make_desk_dataset(seed=args.seed)
     adv = make_desk_adversarial(data, seed=args.seed) if sim_cfg.include_adv else []
     return sim_cfg, data, adv
 
 
-def cmd_simulate(args, cfg, manifest: Manifest) -> int:
+def cmd_simulate(args, cfg, manifest: Manifest) -> list[Path]:
     sim_cfg, data, adv = _sim_inputs(args, cfg, manifest)
-    manifest.write()
-    out = _out_dir(args)
-    scorecard, artifacts = run_simulation(sim_cfg, data, adv, out_dir=out, baseline=args.baseline)
-    for name in ("scorecard.csv", "config.json", "retrain_log.csv", "flag_log.csv"):
-        manifest.add_output(out / name)
-    manifest.write()
+    scorecard, artifacts = run_simulation(
+        sim_cfg, data, adv, out_dir=Path(args.out_dir), baseline=args.baseline
+    )
     print(
         f"case {sim_cfg.case_id} threshold {sim_cfg.threshold}: "
         f"{len(scorecard.rows)} rows, {len(artifacts.retrain_events)} retrain event(s), "
         f"final-epoch mean F1 {scorecard.epoch_summaries()[-1].mean_f1:.4f}"
     )
-    return EXIT_OK
+    return artifacts.files
 
 
-def cmd_sweep(args, cfg, manifest: Manifest) -> int:
+def cmd_sweep(args, cfg, manifest: Manifest) -> list[Path]:
     sim_cfg, data, adv = _sim_inputs(args, cfg, manifest)
-    manifest.write()
-    out = _out_dir(args)
+    out = Path(args.out_dir)
     results = sweep_thresholds(sim_cfg, args.thresholds, data, adv, out_dir=out)
-    manifest.add_output(out / "sweep_summary.csv")
-    for th in results:
-        manifest.add_output(out / f"threshold_{th}" / "scorecard.csv")
-    manifest.write()
-    for th, f1, fnp, retrains in sweep_summary_rows(results):
+    for th, f1, fnp, retrains in sweep_summary_rows({th: sc for th, (sc, _) in results.items()}):
         print(f"threshold {th}: final-epoch mean F1 {f1:.4f}, mean FNP {fnp:.4f}, {retrains} retrain(s)")
-    return EXIT_OK
+    return [f for _, run in results.values() for f in run.files] + [out / "sweep_summary.csv"]
 
 
 REPORT_SCHEMA = "hgnids-report-v1"
 
 
-def cmd_report(args, cfg, manifest: Manifest) -> int:
+def cmd_report(args, cfg, manifest: Manifest) -> list[Path]:
     run_dir = Path(args.run_dir)
     scorecard_path = run_dir / "scorecard.csv"
     if not scorecard_path.exists():
         raise DataFormatError(f"no scorecard.csv under {run_dir}")
-    manifest.add_input(scorecard_path)
-    manifest.write()
+    manifest.start(scorecard_path)
     scorecard = Scorecard.read(scorecard_path)
-    out = _out_dir(args)
+    out = Path(args.out_dir)
+    written = []
     for metric in ("fnp", "f1"):
-        path = out / f"{metric}_series.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        written.append(out / f"{metric}_series.csv")
+        with open(written[-1], "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# schema: {REPORT_SCHEMA}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["epoch", "computer", metric])
             for r in scorecard.rows:
                 writer.writerow([r.epoch, r.computer, repr(getattr(r, metric))])
-        manifest.add_output(path)
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", newline="", encoding="utf-8") as fh:
+    written.append(out / "summary.csv")
+    with open(written[-1], "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema: {REPORT_SCHEMA}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "mean_f1", "min_f1", "mean_fnp", "max_fnp", "retrain_events"])
@@ -417,10 +373,8 @@ def cmd_report(args, cfg, manifest: Manifest) -> int:
                 e.epoch, repr(e.mean_f1), repr(e.min_f1), repr(e.mean_fnp), repr(e.max_fnp),
                 e.retrain_events,
             ])
-    manifest.add_output(summary_path)
-    manifest.write()
     print(f"report written to {out}")
-    return EXIT_OK
+    return written
 
 
 def _positive_int(text: str) -> int:
@@ -558,15 +512,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args.config)
-        manifest = Manifest(_out_dir(args), args.command, args, cfg)
-        return args.func(args, cfg, manifest)
+        manifest = Manifest(Path(args.out_dir), args.command, args, cfg)
+        manifest.finish(args.func(args, cfg, manifest))
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

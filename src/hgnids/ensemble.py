@@ -214,7 +214,8 @@ def retrain_request(
     return EnsembleState(members), log
 
 
-def save_state(state: EnsembleState, directory) -> None:
+def save_state(state: EnsembleState, directory) -> list[Path]:
+    """Write each member's model and ensemble.json; returns their paths."""
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     manifest = {"members": []}
@@ -231,6 +232,7 @@ def save_state(state: EnsembleState, directory) -> None:
             }
         )
     (path / "ensemble.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return [path / m["file"] for m in manifest["members"]] + [path / "ensemble.json"]
 
 
 def load_state(directory) -> EnsembleState:

@@ -215,8 +215,11 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
     Drops rows with a negative flow duration, with missing values, or with
     non-finite values in any of the nine raw features; rows that cannot be
     parsed at all are skipped and counted. Returns the cleaned dataset and
-    a report with per-reason drop tallies.
+    a report with per-reason drop tallies. A column_map must map exactly
+    the fields of DEFAULT_COLUMN_MAP to header strings.
     """
+    if column_map is not None:
+        _check_column_map(column_map)
     cmap = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
     report = CleaningReport()
     records: list[FlowRecord] = []
@@ -246,6 +249,20 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
                 records.append(rec)
                 report.kept += 1
     return Dataset(tuple(records), provenance="INGESTED"), report
+
+
+def _check_column_map(column_map) -> None:
+    if not isinstance(column_map, Mapping):
+        raise DataFormatError(
+            f"column map must be an object of field -> header, got {type(column_map).__name__}"
+        )
+    missing = [f for f in DEFAULT_COLUMN_MAP if f not in column_map]
+    unknown = [f for f in column_map if f not in DEFAULT_COLUMN_MAP]
+    if missing or unknown:
+        raise DataFormatError(f"column map: missing field(s) {missing}, unknown field(s) {unknown}")
+    not_text = [f for f, header in column_map.items() if not isinstance(header, str)]
+    if not_text:
+        raise DataFormatError(f"column map: header of {not_text} is not a string")
 
 
 def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None, str]:
@@ -396,26 +413,21 @@ def _draw_features(rng: np.random.Generator, stats: dict, scale: dict | None = N
     return out
 
 
-def _make_record(src, dst, src_port, dst_port, protocol, feats, label) -> FlowRecord:
-    return FlowRecord(src, dst, src_port, dst_port, protocol, label=label, **feats)
-
-
 def _scan_record(rng, pair, port) -> FlowRecord:
     feats = _draw_features(rng, SCAN_FEATURE_STATS)
     src_port = int(rng.integers(1024, 65536))
-    return _make_record(pair[0], pair[1], src_port, port, 6, feats, SCAN_LABEL)
+    return FlowRecord(pair[0], pair[1], src_port, port, 6, label=SCAN_LABEL, **feats)
 
 
-def _benign_record(rng, pair=None) -> FlowRecord:
+def _benign_record(rng) -> FlowRecord:
     feats = _draw_features(rng, BENIGN_FEATURE_STATS)
     proto = int(rng.choice(np.array([6, 17, 0]), p=[0.53, 0.45, 0.02]))
-    if pair is None:
-        src = _DEFAULT_CLIENTS[int(rng.integers(0, len(_DEFAULT_CLIENTS)))]
-        dst = _DEFAULT_SERVERS[int(rng.integers(0, len(_DEFAULT_SERVERS)))]
-    else:
-        src, dst = pair
+    src = _DEFAULT_CLIENTS[int(rng.integers(0, len(_DEFAULT_CLIENTS)))]
+    dst = _DEFAULT_SERVERS[int(rng.integers(0, len(_DEFAULT_SERVERS)))]
     port = int(POPULAR_PORTS[int(rng.integers(0, len(POPULAR_PORTS)))])
-    return _make_record(src, dst, int(rng.integers(1024, 65536)), port, proto, feats, BENIGN_LABEL)
+    return FlowRecord(
+        src, dst, int(rng.integers(1024, 65536)), port, proto, label=BENIGN_LABEL, **feats
+    )
 
 
 def _other_attack_record(rng, pair, name_idx: int) -> FlowRecord:
@@ -430,9 +442,9 @@ def _other_attack_record(rng, pair, name_idx: int) -> FlowRecord:
     }
     feats = _draw_features(rng, SCAN_FEATURE_STATS, scale)
     port = int(POPULAR_PORTS[name_idx % len(POPULAR_PORTS)])
-    return _make_record(
-        pair[0], pair[1], int(rng.integers(1024, 65536)), port, 6, feats,
-        ActivityLabel(LabelKind.OTHER_ATTACK, name),
+    return FlowRecord(
+        pair[0], pair[1], int(rng.integers(1024, 65536)), port, 6,
+        label=ActivityLabel(LabelKind.OTHER_ATTACK, name), **feats,
     )
 
 

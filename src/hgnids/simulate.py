@@ -278,6 +278,7 @@ class RunArtifacts:
     batch_member_fn: list[tuple[int, ...]] = field(default_factory=list)
     batch_ensemble_fn: list[int] = field(default_factory=list)
     final_state: EnsembleState | None = None
+    files: list[Path] = field(default_factory=list)  # every file written, in order
 
 
 def _stratified_sample(records: list[FlowRecord], n: int, rng) -> list[FlowRecord]:
@@ -455,7 +456,7 @@ def run_simulation(
                     )
                 )
                 if out_dir is not None and log.replaced_slots:
-                    save_state(state, Path(out_dir) / "models" / f"event_{event_idx}")
+                    artifacts.files += save_state(state, Path(out_dir) / "models" / f"event_{event_idx}")
                 counter = 0
 
             scorecard.rows.append(
@@ -470,7 +471,7 @@ def run_simulation(
 
     artifacts.final_state = state
     if out_dir is not None:
-        _write_artifacts(out_dir, scorecard, artifacts)
+        artifacts.files += _write_artifacts(out_dir, scorecard, artifacts)
     return scorecard, artifacts
 
 
@@ -480,16 +481,18 @@ def sweep_thresholds(
     data: Dataset,
     adv: Sequence[AdversarialExample] = (),
     out_dir=None,
-) -> dict[int, Scorecard]:
-    """Independent run of cfg per threshold, identical stream."""
+) -> dict[int, tuple[Scorecard, RunArtifacts]]:
+    """Independent run of cfg per threshold, identical stream: threshold ->
+    run_simulation's (Scorecard, RunArtifacts). With out_dir, each run
+    writes to out_dir/threshold_<th>, then sweep_summary.csv is written."""
     if not thresholds:
         raise ConfigError("no thresholds to sweep")
     configs = [replace(cfg, threshold=th) for th in thresholds]  # all checked before any run
-    results: dict[int, Scorecard] = {}
+    results: dict[int, tuple[Scorecard, RunArtifacts]] = {}
     for run_cfg in configs:
         th = run_cfg.threshold
         sub_dir = Path(out_dir) / f"threshold_{th}" if out_dir is not None else None
-        results[th], _ = run_simulation(run_cfg, data, adv, out_dir=sub_dir)
+        results[th] = run_simulation(run_cfg, data, adv, out_dir=sub_dir)
     if out_dir is not None:
         _write_sweep_summary(Path(out_dir) / "sweep_summary.csv", results)
     return results
@@ -506,16 +509,16 @@ def sweep_summary_rows(results: dict[int, Scorecard]) -> list[tuple]:
     return rows
 
 
-def _write_sweep_summary(path: Path, results: dict[int, Scorecard]) -> None:
+def _write_sweep_summary(path: Path, results: dict[int, tuple[Scorecard, RunArtifacts]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["threshold", "final_epoch_mean_f1", "final_epoch_mean_fnp", "retrain_events"])
-        for th, f1, fnp, retrains in sweep_summary_rows(results):
+        for th, f1, fnp, retrains in sweep_summary_rows({th: sc for th, (sc, _) in results.items()}):
             writer.writerow([th, repr(f1), repr(fnp), retrains])
 
 
-def _write_artifacts(out_dir, scorecard, artifacts) -> None:
+def _write_artifacts(out_dir, scorecard, artifacts) -> list[Path]:
     cfg = artifacts.config
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -554,4 +557,6 @@ def _write_artifacts(out_dir, scorecard, artifacts) -> None:
             )
 
     write_flags_csv(artifacts.flag_log, path / "flag_log.csv")
-    save_state(artifacts.final_state, path / "models" / "final")
+    return [
+        path / name for name in ("scorecard.csv", "config.json", "retrain_log.csv", "flag_log.csv")
+    ] + save_state(artifacts.final_state, path / "models" / "final")

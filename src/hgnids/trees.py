@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .features import MODE_WIDTH, FeatureMode, FeatureVector, rows_to_arrays
+from .flows import DataFormatError
 
 _GB_LAMBDA = 1.0  # L2 stabiliser on leaf scores
 _MIN_GAIN = 1e-12
@@ -323,6 +324,13 @@ def evaluate(model: TreeModel, X: np.ndarray, y: np.ndarray, threshold: float = 
 _FORMAT = "hgnids.tree-model"
 _VERSION = 1
 
+_PAYLOAD_KEYS = ("format", "version", "kind", "feature_mode", "n_features", "hyperparams", "trees")
+_HYPERPARAM_FIELDS = tuple(f.name for f in fields(Hyperparams))
+_TREE_ARRAYS = (
+    ("feature", np.int32), ("threshold", np.float64), ("left", np.int32), ("right", np.int32),
+    ("value", np.float64),
+)
+
 
 def serialize_model(model: TreeModel) -> bytes:
     payload = {
@@ -332,39 +340,57 @@ def serialize_model(model: TreeModel) -> bytes:
         "feature_mode": model.feature_mode.value,
         "n_features": model.n_features,
         "hyperparams": asdict(model.hyperparams),
-        "trees": [
-            {
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-            }
-            for t in model.trees
-        ],
+        "trees": [{key: getattr(t, key).tolist() for key, _ in _TREE_ARRAYS} for t in model.trees],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def deserialize_model(blob: bytes) -> TreeModel:
+    """Parse serialize_model's bytes. A DataFormatError unless the payload
+    has every key and the six hyperparams, each tree's five arrays have one
+    length, a leaf has feature, left and right all -1, and an internal node
+    i splits on a feature below n_features with i < left, right < n_nodes,
+    as _grow_tree builds them, so every walk down a tree ends at a leaf."""
     payload = json.loads(blob.decode("utf-8"))
+    if not isinstance(payload, dict):
+        raise DataFormatError("model payload is not a JSON object")
     if payload.get("format") != _FORMAT or payload.get("version") != _VERSION:
-        raise ValueError("not a recognised model payload")
-    params = Hyperparams(**payload["hyperparams"])
-    trees = [
-        _Tree(
-            np.asarray(t["feature"], dtype=np.int32),
-            np.asarray(t["threshold"], dtype=np.float64),
-            np.asarray(t["left"], dtype=np.int32),
-            np.asarray(t["right"], dtype=np.int32),
-            np.asarray(t["value"], dtype=np.float64),
-        )
-        for t in payload["trees"]
-    ]
-    return TreeModel(
-        ModelKind(payload["kind"]),
-        FeatureMode(payload["feature_mode"]),
-        params,
-        int(payload["n_features"]),
-        trees,
+        raise DataFormatError("not a recognised model payload")
+    missing = [key for key in _PAYLOAD_KEYS if key not in payload]
+    if missing:
+        raise DataFormatError(f"model payload lacks {missing}")
+    hp = payload["hyperparams"]
+    if not isinstance(hp, dict) or set(hp) != set(_HYPERPARAM_FIELDS):
+        raise DataFormatError(f"model hyperparams need exactly {list(_HYPERPARAM_FIELDS)}")
+    try:
+        kind, mode = ModelKind(payload["kind"]), FeatureMode(payload["feature_mode"])
+        n_features = int(payload["n_features"])
+        trees = [
+            _Tree(**{key: np.asarray(t[key], dtype=dtype) for key, dtype in _TREE_ARRAYS})
+            for t in payload["trees"]
+        ]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"malformed model payload: {exc!r}") from None
+    for i, tree in enumerate(trees):
+        _check_tree(tree, i, n_features)
+    return TreeModel(kind, mode, Hyperparams(**hp), n_features, trees)
+
+
+def _check_tree(tree: _Tree, i: int, n_features: int) -> None:
+    where = f"model tree {i}"
+    n = tree.feature.size
+    if n == 0 or any(getattr(tree, key).shape != (n,) for key, _ in _TREE_ARRAYS):
+        raise DataFormatError(f"{where}: its five arrays need one non-zero length")
+    leaf = tree.feature == -1
+    if np.any(leaf & ((tree.left != -1) | (tree.right != -1))):
+        raise DataFormatError(f"{where}: a leaf (feature -1) must have left and right -1")
+    ids = np.arange(n)
+    bad = ~leaf & (
+        (tree.feature < 0) | (tree.feature >= n_features)
+        | (tree.left <= ids) | (tree.left >= n) | (tree.right <= ids) | (tree.right >= n)
     )
+    if np.any(bad):
+        raise DataFormatError(
+            f"{where}: node {int(np.argmax(bad))} needs 0 <= feature < {n_features} "
+            f"and children i < left, right < {n}"
+        )

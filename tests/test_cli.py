@@ -8,13 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from hgnids import cli
 from hgnids.cli import (
-    EXIT_DATA, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, _sim_config, build_parser, main,
+    EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, _sim_config,
+    build_parser, main,
 )
 from hgnids.config import KEYS, load_config, parse_bool
-from hgnids.flows import DataFormatError
+from hgnids.flows import DEFAULT_COLUMN_MAP, DataFormatError
 from hgnids.simulate import Scorecard, SimConfig
-from hgnids.trees import ModelKind, default_hyperparams
+from hgnids.trees import ModelKind, default_hyperparams, serialize_model
+
+from helpers import single_leaf_model
 
 TINY_CONFIG = "n_computers=2\nn_epochs=2\nbatch_size=150\n"
 
@@ -26,8 +30,10 @@ def tiny_cfg_file(tmp_path):
     return str(path)
 
 
-def test_unknown_subcommand_is_usage_error(tmp_path):
+def test_unknown_subcommand_is_usage_error(tmp_path, capsys):
     assert main(["frobnicate", "--out-dir", str(tmp_path)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def _train_args(*flags):
@@ -125,8 +131,10 @@ def test_synth_ingest_roundtrip(tmp_path):
     assert str(out_synth / "traffic.csv") in manifest["inputs"]
 
 
-def test_ingest_missing_file(tmp_path):
+def test_ingest_missing_file(tmp_path, capsys):
     assert main(["ingest", "--input", "/nonexistent.csv", "--out-dir", str(tmp_path)]) == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_features_and_train_eval(tmp_path):
@@ -482,3 +490,55 @@ def test_report_rejects_malformed_scorecard_as_data(tmp_path, capsys, text, expe
     assert str(run_dir / "scorecard.csv") in err and expected in err
     with pytest.raises(DataFormatError, match="scorecard.csv"):
         Scorecard.read(run_dir / "scorecard.csv")
+
+
+def test_internal_error_is_exit_3_and_lists_no_outputs(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("synthesis broke")
+
+    monkeypatch.setattr(cli, "synth_traffic", broken)
+    out = tmp_path / "synth"
+    assert main(["synth", "--profile", "benign", "--count", "5", "--out-dir", str(out)]) == EXIT_INTERNAL
+    assert "internal error: synthesis broke" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+
+
+def _benign_csv(tmp_path) -> Path:
+    out = tmp_path / "benign"
+    assert main(["synth", "--profile", "benign", "--count", "20", "--out-dir", str(out)]) == EXIT_OK
+    return out / "traffic.csv"
+
+
+@pytest.mark.parametrize("column_map,expected", [
+    ({"src_ip": "Source IP"}, "missing field(s) ['dst_ip', 'src_port'"),
+    ([1, 2], "must be an object of field -> header, got list"),
+    ({**DEFAULT_COLUMN_MAP, "label": 5}, "header of ['label'] is not a string"),
+    ({**{k: v for k, v in DEFAULT_COLUMN_MAP.items() if k != "label"}, "lable": "Label"},
+     "missing field(s) ['label'], unknown field(s) ['lable']"),
+], ids=["partial", "list", "non-string-header", "typo-key"])
+def test_bad_column_map_is_data_error(tmp_path, capsys, column_map, expected):
+    traffic = _benign_csv(tmp_path)
+    cmap = tmp_path / "cmap.json"
+    cmap.write_text(json.dumps(column_map))
+    assert main(["ingest", "--input", str(traffic), "--column-map", str(cmap),
+                 "--out-dir", str(tmp_path / "ingest")]) == EXIT_DATA
+    assert expected in capsys.readouterr().err
+
+
+def _cyclic_model() -> bytes:
+    payload = json.loads(serialize_model(single_leaf_model(0.5)))
+    payload["trees"][0].update(feature=[0], left=[0], right=[0])
+    return json.dumps(payload).encode()
+
+
+@pytest.mark.parametrize("blob,expected", [
+    (b"[]", "model payload is not a JSON object"),
+    (b'{"format": "hgnids.tree-model", "version": 1}', "model payload lacks"),
+    (_cyclic_model(), "model tree 0: node 0"),
+], ids=["list", "no-keys", "self-cycle"])
+def test_malformed_model_is_data_error(tmp_path, capsys, blob, expected):
+    model = tmp_path / "model.json"
+    model.write_bytes(blob)
+    assert main(["eval", "--model", str(model), "--input", str(_benign_csv(tmp_path)),
+                 "--out-dir", str(tmp_path / "eval")]) == EXIT_DATA
+    assert expected in capsys.readouterr().err

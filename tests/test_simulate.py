@@ -180,7 +180,7 @@ def test_desk_sweep_stabilisation(desk_data, desk_adv):
     cfg = desk_case_config(5, seed=42)
     results = sweep_thresholds(cfg, (2, 20), desk_data, desk_adv)
     stabilise = {}
-    for th, scorecard in results.items():
+    for th, (scorecard, _) in results.items():
         assert all(r.fnp == 0.0 for r in scorecard.final_epoch_rows())
         bad = [i for i, r in enumerate(scorecard.rows) if r.fnp > 0]
         events = [i for i, r in enumerate(scorecard.rows) if r.retrain_events > 0]

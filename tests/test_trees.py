@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgnids.features import MODE_WIDTH, FeatureMode, FeatureVector, rows_to_arrays
+from hgnids.flows import DataFormatError
 from hgnids.trees import (
     EvalReport,
     Hyperparams,
@@ -20,7 +23,7 @@ from hgnids.trees import (
     train,
 )
 
-from helpers import separable_rows, single_leaf_model
+from helpers import separable_rows, single_leaf_model, split_model
 
 
 def _walk(tree, x):
@@ -254,6 +257,55 @@ def test_fit_reads_layout_from_width():
 def test_deserialize_rejects_garbage():
     with pytest.raises(ValueError):
         deserialize_model(b'{"format": "something-else"}')
+
+
+def _split_payload() -> dict:
+    """A saved one-split forest: node 0 splits on feature 3, nodes 1, 2 are leaves."""
+    return json.loads(serialize_model(split_model(3, 0.5, 0.1, 0.9)))
+
+
+def _tree_edit(**arrays):
+    def edit(payload):
+        payload["trees"][0].update(arrays)
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda p: p.pop("hyperparams"), "lacks \\['hyperparams'\\]"),
+    (lambda p: p.pop("trees"), "lacks \\['trees'\\]"),
+    (lambda p: p["hyperparams"].pop("min_leaf"), "hyperparams need exactly"),
+    (lambda p: p["hyperparams"].update(extra=1), "hyperparams need exactly"),
+    (_tree_edit(value=[0.0, 0.1]), "five arrays"),
+    (_tree_edit(feature=[], threshold=[], left=[], right=[], value=[]), "five arrays"),
+    (_tree_edit(right=[2, -1, 0]), "tree 0: a leaf"),
+    (_tree_edit(feature=[9, -1, -1]), "tree 0: node 0 needs 0 <= feature < 9"),
+    (_tree_edit(feature=[-2, -1, -1]), "tree 0: node 0"),
+    (_tree_edit(left=[0, -1, -1]), "tree 0: node 0"),
+    (_tree_edit(right=[3, -1, -1]), "tree 0: node 0"),
+    (_tree_edit(feature=[0], threshold=[0.0], left=[0], right=[0], value=[0.0]), "tree 0: node 0"),
+    (lambda p: p.update(kind="RANDOM_JUNGLE"), "malformed"),
+    (_tree_edit(left="one"), "malformed"),
+], ids=[
+    "no-hyperparams", "no-trees", "hyperparam-missing", "hyperparam-extra", "unequal-lengths",
+    "no-nodes", "leaf-with-child", "feature-too-high", "feature-negative", "child-not-after-node",
+    "child-past-end", "self-cycle", "unknown-kind", "array-not-a-list",
+])
+def test_deserialize_rejects_malformed_payload(edit, message):
+    payload = _split_payload()
+    edit(payload)
+    with pytest.raises(DataFormatError, match=message):
+        deserialize_model(json.dumps(payload).encode())
+
+
+def test_deserialize_rejects_non_object():
+    with pytest.raises(DataFormatError, match="not a JSON object"):
+        deserialize_model(b"[]")
+
+
+def test_deserialize_accepts_its_own_split_payload():
+    assert serialize_model(deserialize_model(json.dumps(_split_payload()).encode())) == serialize_model(
+        split_model(3, 0.5, 0.1, 0.9)
+    )
 
 
 def test_min_leaf_respected():
