@@ -43,7 +43,6 @@ from .features import (
     NON_HACKER_WEIGHTS,
     NORMAL,
     build_matrix,
-    record_profile,
     train_test_split,
 )
 from .trees import (
@@ -66,13 +65,11 @@ from .adversarial import (
     attack_pipeline,
     fit_substitute,
     generate_examples,
-    score_distribution,
     zoo_attack,
     zoo_attack_batch,
 )
 from .detector import ScanFlag, detect_window
 from .ensemble import (
-    EncodingContext,
     EnsembleState,
     UpdateRule,
     build_ensemble,

@@ -260,30 +260,3 @@ def to_flow_records(examples: Sequence[AdversarialExample], seed: int = 0) -> li
             )
         )
     return out
-
-
-def score_distribution(
-    entries: Sequence[tuple[str, TreeModel, Callable[[AdversarialExample], Sequence[float]]]],
-    examples: Sequence[AdversarialExample],
-) -> dict[str, dict]:
-    """Sorted score curve and detection fraction per model.
-
-    Each entry carries an encoder mapping an example to that model's
-    feature layout, since the models disagree on normalisation and on
-    hypergraph context.
-    """
-    if not examples:
-        raise ValueError("no examples to score")
-    out: dict[str, dict] = {}
-    for name, model, encode in entries:
-        X = np.asarray([encode(ex) for ex in examples], dtype=np.float64)
-        if X.shape[1] != model.n_features:
-            raise ValueError(f"encoder for {name} produced {X.shape[1]} features, "
-                             f"model expects {model.n_features}")
-        scores = predict_proba_batch(model, X)
-        ordered = np.sort(scores)
-        out[name] = {
-            "scores": ordered.tolist(),
-            "detect_fraction": float(np.mean(scores >= 0.5)),
-        }
-    return out

@@ -6,12 +6,17 @@ scores it at or above 0.5, so ensemble recall can never fall below the
 best member's. Retraining requests are served under one of three rules:
 STATIC never changes anything, FORGO-the-worst trains a single HGI-layout
 candidate and swaps it for the weakest member only when it beats that
-member on the holdout, and UPDATE-ALL retrains every slot by role but
-retains the incumbents wholesale if any of them still beats the best new
-model on holdout F1. Both updating rules run one body: plan candidates,
-train them, score incumbents and candidates on the holdout, and swap
-the slots the rule accepts. Members are scored only through
-member_scores, which encodes each role once.
+member on the holdout, and UPDATE-ALL retrains every slot in its
+member's layout but retains the incumbents wholesale if any of them
+still beats the best new model on holdout F1. Both updating rules run
+one body: plan candidates, train them, score incumbents and candidates
+on the holdout, and swap the slots the rule accepts.
+
+The ensemble works on encoded arrays only: every record set arrives as
+`features.encode`'s full table (`mode=None`) with its labels, and each
+member reads its layout's columns of it (`LAYOUT_COLUMNS`), so a record
+set is encoded once for all members. Members are scored only through
+member_scores.
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .flows import Dataset, FlowRecord
-from .features import FeatureMode, IPPair, encode
-from .hypergraph import Hypergraph
+from .features import ATTACK, LAYOUT_COLUMNS, FeatureMode
 from .trees import (
+    DataFormatError,
     EvalReport,
     Hyperparams,
     ModelKind,
@@ -47,6 +51,8 @@ ROLE_KIND = {
     FeatureMode.HGA: ModelKind.GRADIENT_BOOSTED,
 }
 
+Encoded = tuple[np.ndarray, np.ndarray]  # (X, y) as features.encode returns them
+
 
 class UpdateRule(str, Enum):
     STATIC = "STATIC"
@@ -55,15 +61,7 @@ class UpdateRule(str, Enum):
 
 
 @dataclass
-class EncodingContext:
-    hypergraph: Hypergraph | None
-    hackers: frozenset[IPPair] = frozenset()
-    weights: tuple[float, ...] | None = None
-
-
-@dataclass
 class MemberSlot:
-    role: FeatureMode
     model: TreeModel
     version: int = 0
     last_eval: EvalReport | None = None
@@ -77,7 +75,7 @@ class EnsembleState:
         return tuple(m.version for m in self.members)
 
     def roles(self) -> tuple[FeatureMode, ...]:
-        return tuple(m.role for m in self.members)
+        return tuple(m.model.feature_mode for m in self.members)
 
 
 @dataclass
@@ -90,17 +88,14 @@ class UpdateLog:
     candidate_f1: tuple[float, ...] = ()
 
 
-def member_scores(
-    state: EnsembleState, records: Sequence[FlowRecord], ctx: EncodingContext
-) -> np.ndarray:
-    """Per-member attack scores, shape (n_records, n_members)."""
-    cache: dict[FeatureMode, np.ndarray] = {}
-    cols = []
-    for slot in state.members:
-        if slot.role not in cache:
-            cache[slot.role], _ = encode(records, slot.role, ctx.hypergraph, ctx.hackers, ctx.weights)
-        cols.append(predict_proba_batch(slot.model, cache[slot.role]))
-    return np.stack(cols, axis=1)
+def member_scores(state: EnsembleState, X: np.ndarray) -> np.ndarray:
+    """Per-member attack scores, shape (n_rows, n_members). X holds at
+    least the columns of every member's layout, as encode's full table
+    does; each member reads its own."""
+    return np.stack([
+        predict_proba_batch(slot.model, X[:, LAYOUT_COLUMNS[slot.model.feature_mode]])
+        for slot in state.members
+    ], axis=1)
 
 
 def member_reports(scores: np.ndarray, actual) -> tuple[EvalReport, ...]:
@@ -110,50 +105,42 @@ def member_reports(scores: np.ndarray, actual) -> tuple[EvalReport, ...]:
     return tuple(EvalReport.from_predictions(col >= DECISION_THRESHOLD, actual) for col in scores.T)
 
 
-def classify_batch(
-    state: EnsembleState, records: Sequence[FlowRecord], ctx: EncodingContext
-) -> tuple[np.ndarray, np.ndarray]:
+def classify_batch(state: EnsembleState, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(verdicts bool array, per-member score matrix) for a batch."""
-    scores = member_scores(state, records, ctx)
+    scores = member_scores(state, X)
     return (scores >= DECISION_THRESHOLD).any(axis=1), scores
 
 
-def train_member(
-    role: FeatureMode,
-    train_set: Dataset,
-    ctx: EncodingContext,
-    hyperparams: Hyperparams | None = None,
-    seed: int = 0,
+def _fit_member(
+    role: FeatureMode, data: Encoded, hyperparams: Hyperparams | None, seed: int
 ) -> TreeModel:
+    """Train one member on its layout's columns of the full table."""
     kind = ROLE_KIND[role]
+    X, y = data
     params = replace(hyperparams or default_hyperparams(kind), seed=seed)
-    X, y = encode(train_set, role, ctx.hypergraph, ctx.hackers, ctx.weights)
-    return fit(X, y, kind, params)
-
-
-def _holdout_reports(
-    state: EnsembleState, holdout: Dataset, ctx: EncodingContext
-) -> tuple[EvalReport, ...]:
-    return member_reports(member_scores(state, holdout, ctx), [r.label.is_attack for r in holdout])
+    return fit(X[:, LAYOUT_COLUMNS[role]], y, kind, params)
 
 
 def build_ensemble(
-    train_set: Dataset,
-    ctx: EncodingContext,
+    X: np.ndarray,
+    y: np.ndarray,
     seed: int = 0,
-    holdout: Dataset | None = None,
+    holdout: Encoded | None = None,
     roles: Sequence[FeatureMode] = (FeatureMode.NRF, FeatureMode.HGI, FeatureMode.HGA),
     hyperparams: Mapping[FeatureMode, Hyperparams] | None = None,
 ) -> EnsembleState:
-    """Train a fresh ensemble, one member per requested role."""
+    """Train a fresh ensemble, one member per requested role, on the full
+    table X; a non-empty holdout (X, y) sets each member's last_eval."""
     state = EnsembleState([
-        MemberSlot(role, train_member(
-            role, train_set, ctx, hyperparams.get(role) if hyperparams else None, seed=seed * 31 + i
+        MemberSlot(_fit_member(
+            role, (X, y), hyperparams.get(role) if hyperparams else None, seed * 31 + i
         ))
         for i, role in enumerate(roles)
     ])
-    if holdout is not None and len(holdout) > 0:
-        for slot, report in zip(state.members, _holdout_reports(state, holdout, ctx)):
+    if holdout is not None and len(holdout[1]) > 0:
+        Xh, yh = holdout
+        reports = member_reports(member_scores(state, Xh), yh == ATTACK)
+        for slot, report in zip(state.members, reports):
             slot.last_eval = report
     return state
 
@@ -161,35 +148,36 @@ def build_ensemble(
 def retrain_request(
     state: EnsembleState,
     rule: UpdateRule,
-    train_set: Dataset,
-    ctx: EncodingContext,
-    holdout: Dataset,
+    train_set: Encoded,
+    holdout: Encoded,
     seed: int = 0,
 ) -> tuple[EnsembleState, UpdateLog]:
     """Serve one retraining request; returns the (possibly new) state.
 
-    A single-class training set defers the request instead of failing.
+    train_set and holdout are (X, y) pairs of encode's full table. A
+    single-class training set defers the request instead of failing.
     """
     if rule is UpdateRule.STATIC:
         return state, UpdateLog(rule)
 
-    if len({r.label.is_attack for r in train_set}) < 2:
+    y = train_set[1]
+    if len(y) == 0 or y.min() == y.max():
         return state, UpdateLog(rule, deferred=True, reason="single-class training set")
 
     # The plan: (role, hyperparams, seed) of every candidate to train.
     if rule is UpdateRule.FTW:
-        hp = next(
-            (s.model.hyperparams for s in state.members if s.role is FeatureMode.HGI), None
-        )
+        hp = next((s.model.hyperparams for s in state.members
+                   if s.model.feature_mode is FeatureMode.HGI), None)
         plan = [(FeatureMode.HGI, hp, seed)]
     else:
-        plan = [(s.role, s.model.hyperparams, seed * 31 + i) for i, s in enumerate(state.members)]
+        plan = [(s.model.feature_mode, s.model.hyperparams, seed * 31 + i)
+                for i, s in enumerate(state.members)]
     candidates = EnsembleState([
-        MemberSlot(role, train_member(role, train_set, ctx, params, seed=s))
-        for role, params, s in plan
+        MemberSlot(_fit_member(role, train_set, params, s)) for role, params, s in plan
     ])
-    incumbent = tuple(r.f1 for r in _holdout_reports(state, holdout, ctx))
-    new_reports = _holdout_reports(candidates, holdout, ctx)
+    Xh, yh = holdout
+    incumbent = tuple(r.f1 for r in member_reports(member_scores(state, Xh), yh == ATTACK))
+    new_reports = member_reports(member_scores(candidates, Xh), yh == ATTACK)
     new_f1 = tuple(r.f1 for r in new_reports)
     log = UpdateLog(rule, incumbent_f1=incumbent, candidate_f1=new_f1)
 
@@ -220,12 +208,13 @@ def save_state(state: EnsembleState, directory) -> list[Path]:
     path.mkdir(parents=True, exist_ok=True)
     manifest = {"members": []}
     for i, slot in enumerate(state.members):
-        filename = f"member_{i}_{slot.role.value.lower()}_v{slot.version}.json"
+        role = slot.model.feature_mode.value
+        filename = f"member_{i}_{role.lower()}_v{slot.version}.json"
         (path / filename).write_bytes(serialize_model(slot.model))
         manifest["members"].append(
             {
                 "slot": i,
-                "role": slot.role.value,
+                "role": role,
                 "version": slot.version,
                 "file": filename,
                 "f1": slot.last_eval.f1 if slot.last_eval else None,
@@ -236,10 +225,17 @@ def save_state(state: EnsembleState, directory) -> list[Path]:
 
 
 def load_state(directory) -> EnsembleState:
+    """Read save_state's directory; a member whose model layout is not the
+    role ensemble.json gives it is a DataFormatError."""
     path = Path(directory)
     manifest = json.loads((path / "ensemble.json").read_text())
     members = []
     for entry in manifest["members"]:
         model = deserialize_model((path / entry["file"]).read_bytes())
-        members.append(MemberSlot(FeatureMode(entry["role"]), model, version=entry["version"]))
+        if entry["role"] != model.feature_mode.value:
+            raise DataFormatError(
+                f"{path / entry['file']}: role {entry['role']!r} in ensemble.json, "
+                f"but the model reads the {model.feature_mode.value} layout"
+            )
+        members.append(MemberSlot(model, version=entry["version"]))
     return EnsembleState(members)

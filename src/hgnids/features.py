@@ -6,18 +6,22 @@ endpoints plus their sum; the HGA layout appends the last scheduled
 centrality and four aggregates (centrality sum, source-edge size,
 destination-edge size, and their sum).
 
-`encode` is the one implementation of all three. It gathers each
-record's source and destination rows from the hypergraph's
-[n_edges, 11] profile table (`edge_profiles`) by integer edge id, with a
-zero row appended for an IP the hypergraph has not seen; a record's
-centralities are the element-wise maximum of the two rows, for the whole
-batch at once. Edge sizes are gathered with the same ids. In full-dataset
-mode, records whose endpoint pair is not in the known-hacker set take a
-fixed weight vector in the centrality slots instead. Models are trained,
-evaluated and attacked on the `(X, y)` arrays. `build_matrix` and
-`encode_record` wrap them as FeatureVector rows for callers that need
-each row's origin record (stratified splits, attacked rows);
-`record_profile` is the one-record form of the endpoint maximum.
+`encode` builds one 24-column table per record set: the 9 NRF values,
+the 11 centralities, their sum, and the source, destination and summed
+edge sizes. Each layout is a fixed set of its columns,
+`LAYOUT_COLUMNS[mode]`, so a caller that needs several layouts of the
+same records encodes them once (`mode=None`) and each model reads its
+own columns. `encode` gathers each record's source and destination rows
+from the hypergraph's [n_edges, 11] profile table (`edge_profiles`) by
+integer edge id, with a zero row appended for an IP the hypergraph has
+not seen; a record's centralities are the element-wise maximum of the
+two rows, for the whole batch at once. Edge sizes are gathered with the
+same ids. In full-dataset mode, records whose endpoint pair is not in
+the known-hacker set take a fixed weight vector in the centrality slots
+instead. Models are trained, evaluated and attacked on the `(X, y)`
+arrays. `build_matrix` and `encode_record` wrap them as FeatureVector
+rows for callers that need each row's origin record (stratified splits,
+attacked rows).
 """
 
 from __future__ import annotations
@@ -26,19 +30,12 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .flows import NRF_FIELDS, FlowRecord
-from .hypergraph import (
-    CentralityProfile,
-    Hypergraph,
-    SCHEDULE_STEPS,
-    centrality_schedule,
-    edge_profiles,
-    feature_skip_interval,
-)
+from .hypergraph import Hypergraph, SCHEDULE_STEPS, edge_profiles, feature_skip_interval
 
 ATTACK = 1
 NORMAL = 0
@@ -64,6 +61,15 @@ class FeatureMode(str, Enum):
 
 MODE_WIDTH = {FeatureMode.NRF: NRF_WIDTH, FeatureMode.HGI: HGI_WIDTH, FeatureMode.HGA: HGA_WIDTH}
 
+# Each layout's columns of encode's full table: NRF 0:9, centralities
+# 9:20, their sum 20, source, destination and summed edge sizes 21:24.
+# The NRF and HGI layouts are slices, so selecting them copies nothing.
+LAYOUT_COLUMNS = {
+    FeatureMode.NRF: slice(0, 9),
+    FeatureMode.HGI: slice(0, 21),
+    FeatureMode.HGA: np.r_[0:9, 19:24],
+}
+
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -79,44 +85,16 @@ class FeatureVector:
             )
 
 
-def zero_profile(schedule: tuple[int, ...], edge: str = "") -> CentralityProfile:
-    return CentralityProfile(edge, schedule, (0.0,) * len(schedule))
-
-
-def record_profile(
-    rec: FlowRecord, profiles: Mapping[str, CentralityProfile]
-) -> CentralityProfile:
-    """Element-wise maximum of the source and destination edge profiles.
-
-    An IP absent from the map contributes zeros, so a record between two
-    unseen endpoints yields an all-zero profile.
-    """
-    src = profiles.get(rec.src_ip)
-    dst = profiles.get(rec.dst_ip)
-    if src is None and dst is None:
-        schedule = _any_schedule(profiles)
-        return zero_profile(schedule, f"{rec.src_ip}|{rec.dst_ip}")
-    schedule = (src or dst).schedule
-    a = src.values if src is not None else (0.0,) * len(schedule)
-    b = dst.values if dst is not None else (0.0,) * len(schedule)
-    values = tuple(max(x, y) for x, y in zip(a, b))
-    return CentralityProfile(f"{rec.src_ip}|{rec.dst_ip}", schedule, values)
-
-
-def _any_schedule(profiles: Mapping[str, CentralityProfile]) -> tuple[int, ...]:
-    for p in profiles.values():
-        return p.schedule
-    return centrality_schedule(1)
-
-
 def encode(
     records: Iterable[FlowRecord],
-    mode: FeatureMode,
+    mode: FeatureMode | None,
     hypergraph: Hypergraph | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode records in the requested layout: (X [n, width], y [n]).
+    """Encode records in the requested layout: (X [n, width], y [n]);
+    mode=None gives the full 24-column table that every layout's
+    LAYOUT_COLUMNS index.
 
     Centrality slots are the endpoints' rows of the hypergraph's profile
     table, except that a record whose pair is outside the hacker set takes
@@ -131,7 +109,8 @@ def encode(
         return nrf, y
 
     if hypergraph is None or len(hypergraph) == 0:
-        raise ValueError(f"{mode.value} encoding needs a non-empty hypergraph")
+        layout = "full" if mode is None else mode.value
+        raise ValueError(f"{layout} encoding needs a non-empty hypergraph")
     if weights is not None and len(weights) != SCHEDULE_STEPS:
         raise ValueError("weight vector must have 11 entries")
 
@@ -148,12 +127,10 @@ def encode(
     total = c[:, 0].copy()
     for j in range(1, SCHEDULE_STEPS):
         total += c[:, j]
-
-    if mode is FeatureMode.HGI:
-        return np.column_stack([nrf, c, total]), y
     size = np.array([len(m) for m in hypergraph.edges.values()] + [0], np.float64)
     src_size, dst_size = size[src], size[dst]
-    return np.column_stack([nrf, c[:, -1], total, src_size, dst_size, src_size + dst_size]), y
+    X = np.column_stack([nrf, c, total, src_size, dst_size, src_size + dst_size])
+    return (X if mode is None else X[:, LAYOUT_COLUMNS[mode]]), y
 
 
 def build_matrix(

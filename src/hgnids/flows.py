@@ -212,9 +212,9 @@ NRF_FIELDS = (
 def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Dataset, CleaningReport]:
     """Read a flow CSV, dropping rows that fail the cleaning rules.
 
-    Drops rows with a negative flow duration, with missing values, or with
-    non-finite values in any of the nine raw features; rows that cannot be
-    parsed at all are skipped and counted. Returns the cleaned dataset and
+    Drops rows with a negative flow duration, with missing values (a blank
+    IP cell among them), or with non-finite values in any of the nine raw
+    features; rows that cannot be parsed at all are skipped and counted. Returns the cleaned dataset and
     a report with per-reason drop tallies. A column_map must map exactly
     the fields of DEFAULT_COLUMN_MAP to header strings.
     """
@@ -272,7 +272,7 @@ def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None
         return None, "unparseable"
 
     raw_numeric: dict[str, float] = {}
-    missing = False
+    missing = cells["src_ip"] == "" or cells["dst_ip"] == ""
     for name in NRF_FIELDS:
         cell = cells[name]
         if cell == "":

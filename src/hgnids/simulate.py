@@ -9,9 +9,11 @@ Missed attacks are kept as the run's evaded records; when their count
 since the last trigger exceeds the active threshold, a retraining request
 fires on a set built from them (build_retrain_set) and every computer
 adopts the updated ensemble from the next batch on.
-In production mode the encoding context learns hacker pairs only from the
-behavioural detector's flags. One scorecard row is written per
-(epoch, computer).
+Every record set (pre-training split, holdout, each batch, each retrain
+set) is encoded once into features.encode's full table, which all
+members read. In production mode the hacker pairs used for encoding come
+only from the behavioural detector's flags. One scorecard row is written
+per (epoch, computer).
 
 A run is described by one SimConfig. Its case id fixes the case's policy
 (scan pairs, update rule, adversarial injection, production mode); every
@@ -25,6 +27,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_type_hints
@@ -34,7 +37,6 @@ import numpy as np
 from .adversarial import AdversarialExample, to_flow_records
 from .detector import ScanFlag, detect_window, write_flags_csv
 from .ensemble import (
-    EncodingContext,
     EnsembleState,
     UpdateLog,
     UpdateRule,
@@ -44,7 +46,7 @@ from .ensemble import (
     retrain_request,
     save_state,
 )
-from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair
+from .features import ATTACK, NON_HACKER_WEIGHTS, FeatureMode, IPPair, encode
 from .flows import DataFormatError, Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
 from .hypergraph import build_hypergraph
 from .trees import EvalReport, Hyperparams
@@ -393,9 +395,8 @@ def run_simulation(
 
     pretrain, pretest = _split_records(data, PRETRAIN_FRAC, cfg.seed * 13 + 1)
     h = build_hypergraph(pretrain)
-    true_hackers = frozenset(r.pair for r in pretrain.scans())
+    hackers = frozenset(r.pair for r in pretrain.scans())
     weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
-    train_ctx = EncodingContext(h, true_hackers, weights)
 
     roles = (
         (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)
@@ -403,7 +404,8 @@ def run_simulation(
         else (FeatureMode.NRF, FeatureMode.HGI, FeatureMode.HGA)
     )
     state = build_ensemble(
-        pretrain, train_ctx, seed=cfg.seed, holdout=pretest, roles=roles,
+        *encode(pretrain, None, h, hackers, weights), seed=cfg.seed,
+        holdout=encode(pretest, None, h, hackers, weights), roles=roles,
         hyperparams=cfg.hyperparams_map(),
     )
 
@@ -415,7 +417,6 @@ def run_simulation(
     evaded: list[FlowRecord] = []
     counter = 0
     flagged: set[IPPair] = set()
-    stream_ctx = train_ctx
 
     for epoch in range(cfg.n_epochs):
         for computer in range(cfg.n_computers):
@@ -426,10 +427,11 @@ def run_simulation(
                 window = Dataset(tuple(records), provenance="SYNTHETIC")
                 flags, flagged = detect_window(window, flagged, window_id=b)
                 artifacts.flag_log.extend(flags)
-                stream_ctx = replace(train_ctx, hackers=frozenset(flagged))
+                hackers = frozenset(flagged)
 
-            verdicts, scores = classify_batch(state, records, stream_ctx)
-            actual = np.array([r.label.is_attack for r in records])
+            X, y = encode(records, None, h, hackers, weights)
+            verdicts, scores = classify_batch(state, X)
+            actual = y == ATTACK
             report = EvalReport.from_predictions(verdicts, actual)
             artifacts.batch_member_fn.append(tuple(r.fn for r in member_reports(scores, actual)))
             artifacts.batch_ensemble_fn.append(report.fn)
@@ -446,7 +448,8 @@ def run_simulation(
                     retrain_pool, 0.8, cfg.seed * 77 + event_idx
                 )
                 state, log = retrain_request(
-                    state, cfg.rule, train_part, stream_ctx, holdout_part,
+                    state, cfg.rule, encode(train_part, None, h, hackers, weights),
+                    encode(holdout_part, None, h, hackers, weights),
                     seed=cfg.seed * 1009 + event_idx,
                 )
                 artifacts.retrain_events.append(
@@ -484,9 +487,13 @@ def sweep_thresholds(
 ) -> dict[int, tuple[Scorecard, RunArtifacts]]:
     """Independent run of cfg per threshold, identical stream: threshold ->
     run_simulation's (Scorecard, RunArtifacts). With out_dir, each run
-    writes to out_dir/threshold_<th>, then sweep_summary.csv is written."""
+    writes to out_dir/threshold_<th>, then sweep_summary.csv is written.
+    An empty list or a repeated threshold is a ConfigError before any run."""
     if not thresholds:
         raise ConfigError("no thresholds to sweep")
+    repeated = sorted(th for th, n in Counter(thresholds).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"threshold(s) {repeated} repeated: each names one threshold_<th> run")
     configs = [replace(cfg, threshold=th) for th in thresholds]  # all checked before any run
     results: dict[int, tuple[Scorecard, RunArtifacts]] = {}
     for run_cfg in configs:

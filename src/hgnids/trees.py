@@ -347,10 +347,11 @@ def serialize_model(model: TreeModel) -> bytes:
 
 def deserialize_model(blob: bytes) -> TreeModel:
     """Parse serialize_model's bytes. A DataFormatError unless the payload
-    has every key and the six hyperparams, each tree's five arrays have one
-    length, a leaf has feature, left and right all -1, and an internal node
-    i splits on a feature below n_features with i < left, right < n_nodes,
-    as _grow_tree builds them, so every walk down a tree ends at a leaf."""
+    has every key and the six hyperparams, n_features is the width of its
+    feature_mode, each tree's five arrays have one length, a leaf has
+    feature, left and right all -1, and an internal node i splits on a
+    feature below n_features with i < left, right < n_nodes, as _grow_tree
+    builds them, so every walk down a tree ends at a leaf."""
     payload = json.loads(blob.decode("utf-8"))
     if not isinstance(payload, dict):
         raise DataFormatError("model payload is not a JSON object")
@@ -371,6 +372,10 @@ def deserialize_model(blob: bytes) -> TreeModel:
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"malformed model payload: {exc!r}") from None
+    if n_features != MODE_WIDTH[mode]:
+        raise DataFormatError(
+            f"model reads {n_features} features, but the {mode.value} layout has {MODE_WIDTH[mode]}"
+        )
     for i, tree in enumerate(trees):
         _check_tree(tree, i, n_features)
     return TreeModel(kind, mode, Hyperparams(**hp), n_features, trees)

@@ -10,15 +10,36 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from hgnids.features import ATTACK, NORMAL, FeatureMode, FeatureVector, IPPair, record_profile
+from hgnids.features import ATTACK, NORMAL, FeatureMode, FeatureVector, IPPair
 from hgnids.flows import FlowRecord
 from hgnids.hypergraph import (
     SCHEDULE_STEPS,
     CentralityProfile,
     Hypergraph,
     centrality_profile,
+    centrality_schedule,
     feature_skip_interval,
 )
+
+
+def record_profile(
+    rec: FlowRecord, profiles: Mapping[str, CentralityProfile]
+) -> CentralityProfile:
+    """Element-wise maximum of the source and destination edge profiles.
+
+    An IP absent from the map contributes zeros, so a record between two
+    unseen endpoints yields an all-zero profile.
+    """
+    src = profiles.get(rec.src_ip)
+    dst = profiles.get(rec.dst_ip)
+    edge = f"{rec.src_ip}|{rec.dst_ip}"
+    if src is None and dst is None:
+        schedule = next((p.schedule for p in profiles.values()), centrality_schedule(1))
+        return CentralityProfile(edge, schedule, (0.0,) * len(schedule))
+    schedule = (src or dst).schedule
+    a = src.values if src is not None else (0.0,) * len(schedule)
+    b = dst.values if dst is not None else (0.0,) * len(schedule)
+    return CentralityProfile(edge, schedule, tuple(max(x, y) for x, y in zip(a, b)))
 
 
 def profile_map(hypergraph: Hypergraph) -> dict[str, CentralityProfile]:

@@ -1,26 +1,44 @@
-"""The retrain path that `ensemble.member_reports` and the single retrain
-body replaced: `_holdout_f1` encodes the holdout once per model and calls
+"""The record-based ensemble that `ensemble` replaced with its matrix API.
+
+Here every member encodes the records it reads in its own layout through
+an `EncodingContext`: `train_member` encodes the training set per
+member, `_holdout_f1` encodes the holdout once per model and calls
 `trees.evaluate`, `build_ensemble` scores each new member that way, and
 `retrain_request` has separate forgo-the-worst and update-all branches
 that each train, score, log and swap members. Kept as the reference for
-differential tests of the merged path.
+differential tests of the merged, encode-once path.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from hgnids.ensemble import (
-    EncodingContext,
-    EnsembleState,
-    MemberSlot,
-    UpdateLog,
-    UpdateRule,
-    train_member,
-)
-from hgnids.features import FeatureMode, encode
+from hgnids.ensemble import ROLE_KIND, EnsembleState, MemberSlot, UpdateLog, UpdateRule
+from hgnids.features import FeatureMode, IPPair, encode
 from hgnids.flows import Dataset
-from hgnids.trees import EvalReport, Hyperparams, TreeModel, evaluate
+from hgnids.hypergraph import Hypergraph
+from hgnids.trees import EvalReport, Hyperparams, TreeModel, default_hyperparams, evaluate, fit
+
+
+@dataclass
+class EncodingContext:
+    hypergraph: Hypergraph | None
+    hackers: frozenset[IPPair] = frozenset()
+    weights: tuple[float, ...] | None = None
+
+
+def train_member(
+    role: FeatureMode,
+    train_set: Dataset,
+    ctx: EncodingContext,
+    hyperparams: Hyperparams | None = None,
+    seed: int = 0,
+) -> TreeModel:
+    kind = ROLE_KIND[role]
+    params = replace(hyperparams or default_hyperparams(kind), seed=seed)
+    X, y = encode(train_set, role, ctx.hypergraph, ctx.hackers, ctx.weights)
+    return fit(X, y, kind, params)
 
 
 def build_ensemble(
@@ -39,7 +57,7 @@ def build_ensemble(
         report = None
         if holdout is not None and len(holdout) > 0:
             _, report = _holdout_f1(model, holdout, ctx)
-        members.append(MemberSlot(role, model, version=0, last_eval=report))
+        members.append(MemberSlot(model, version=0, last_eval=report))
     return EnsembleState(members)
 
 
@@ -77,7 +95,8 @@ def retrain_request(
 
     if rule is UpdateRule.FTW:
         hp = next(
-            (s.model.hyperparams for s in state.members if s.role is FeatureMode.HGI), None
+            (s.model.hyperparams for s in state.members if s.model.feature_mode is FeatureMode.HGI),
+            None,
         )
         candidate = train_member(FeatureMode.HGI, train_set, ctx, hp, seed=seed)
         cand_f1, cand_report = _holdout_f1(candidate, holdout, ctx)
@@ -92,7 +111,7 @@ def retrain_request(
             return state, log
         members = list(state.members)
         members[worst] = MemberSlot(
-            FeatureMode.HGI, candidate, version=members[worst].version + 1, last_eval=cand_report
+            candidate, version=members[worst].version + 1, last_eval=cand_report
         )
         log.replaced_slots = (worst,)
         return EnsembleState(members), log
@@ -103,7 +122,8 @@ def retrain_request(
     new_f1: list[float] = []
     new_reports: list[EvalReport] = []
     for i, slot in enumerate(state.members):
-        model = train_member(slot.role, train_set, ctx, slot.model.hyperparams, seed=seed * 31 + i)
+        role = slot.model.feature_mode
+        model = train_member(role, train_set, ctx, slot.model.hyperparams, seed=seed * 31 + i)
         f1, report = _holdout_f1(model, holdout, ctx)
         new_models.append(model)
         new_f1.append(f1)
@@ -114,7 +134,7 @@ def retrain_request(
         log.reason = "incumbents retained: existing member beats best retrained model"
         return state, log
     members = [
-        MemberSlot(slot.role, new_models[i], version=slot.version + 1, last_eval=new_reports[i])
+        MemberSlot(new_models[i], version=slot.version + 1, last_eval=new_reports[i])
         for i, slot in enumerate(state.members)
     ]
     log.replaced_slots = tuple(range(len(members)))

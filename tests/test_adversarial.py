@@ -14,7 +14,6 @@ from hgnids.adversarial import (
     estimate_gradient,
     fit_substitute,
     generate_examples,
-    score_distribution,
     to_flow_records,
     zoo_attack,
     zoo_attack_batch,
@@ -189,26 +188,6 @@ def test_to_flow_records_fresh_pairs(desk_data, desk_adv):
         assert rec.src_ip not in base_ips
         assert rec.dst_ip not in base_ips
         assert rec.label.kind is LabelKind.PORT_SCAN
-
-
-def test_score_distribution(pipeline42):
-    examples, substitute, params = pipeline42
-    entries = [
-        ("substitute", substitute, lambda ex: params.forward(ex.vector.values)),
-    ]
-    result = score_distribution(entries, examples)
-    assert all(s >= 0.55 for s in result["substitute"]["scores"])
-    assert result["substitute"]["detect_fraction"] == 1.0
-
-    single = score_distribution(entries, examples[:1])
-    assert len(single["substitute"]["scores"]) == 1
-
-
-def test_score_distribution_dimension_mismatch(desk_adv):
-    model = single_leaf_model(0.5, n_features=21)
-    entries = [("bad", model, lambda ex: ex.vector.values)]
-    with pytest.raises(ValueError):
-        score_distribution(entries, desk_adv)
 
 
 @pytest.fixture(scope="module")

@@ -197,6 +197,16 @@ def test_sweep_two_thresholds(tmp_path, tiny_cfg_file):
     assert len(summary) == 3
 
 
+def test_sweep_rejects_repeated_thresholds(tmp_path, tiny_cfg_file, capsys):
+    code = main([
+        "sweep", "--case", "1", "--thresholds", "5,5", "--seed", "1",
+        "--config", tiny_cfg_file, "--out-dir", str(tmp_path),
+    ])
+    assert code == EXIT_DATA
+    assert "repeated" in capsys.readouterr().err
+    assert not list(tmp_path.glob("threshold_*"))
+
+
 def test_report_roundtrip(tmp_path, tiny_cfg_file):
     run_dir = tmp_path / "run"
     main(["simulate", "--case", "1", "--thresholds", "2", "--seed", "8",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hgnids.features import (
+    LAYOUT_COLUMNS,
     FeatureMode,
     NON_HACKER_WEIGHTS,
     build_matrix,
@@ -31,6 +32,11 @@ def _assert_matches_reference(records, mode, h, hackers, weights):
     assert X.tolist() == [list(row.values) for row in expected]
     assert y.tolist() == [row.label for row in expected]
     assert build_matrix(records, h, mode, hackers, weights) == expected
+    if h is not None and len(h):
+        table, y_all = encode(records, None, h, hackers, weights)
+        assert table.shape == (len(records), 24)
+        assert table[:, LAYOUT_COLUMNS[mode]].tolist() == X.tolist()
+        assert y_all.tolist() == y.tolist()
 
 
 def _with_strangers(records):
@@ -81,7 +87,7 @@ def test_encode_of_unseen_endpoints_is_all_zero():
 
 def test_encode_empty_batch_has_layout_width(desk_data):
     h = build_hypergraph(desk_data)
-    for mode, width in ((FeatureMode.NRF, 9), (FeatureMode.HGI, 21), (FeatureMode.HGA, 14)):
+    for mode, width in ((FeatureMode.NRF, 9), (FeatureMode.HGI, 21), (FeatureMode.HGA, 14), (None, 24)):
         X, y = encode([], mode, h)
         assert X.shape == (0, width)
         assert y.shape == (0,)
@@ -90,8 +96,9 @@ def test_encode_empty_batch_has_layout_width(desk_data):
 def test_encode_errors():
     d = Dataset((make_record("a", "b", 1),))
     h = build_hypergraph(d)
-    with pytest.raises(ValueError, match="non-empty hypergraph"):
-        encode(d, FeatureMode.HGA)
+    for mode in (FeatureMode.HGA, None):
+        with pytest.raises(ValueError, match="non-empty hypergraph"):
+            encode(d, mode)
     with pytest.raises(ValueError, match="11 entries"):
         encode(d, FeatureMode.HGI, h, weights=NON_HACKER_WEIGHTS[:10])
 

@@ -1,11 +1,13 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hgnids import ensemble
 from hgnids.ensemble import (
     ROLE_KIND,
-    EncodingContext,
     EnsembleState,
     MemberSlot,
     UpdateRule,
@@ -16,14 +18,28 @@ from hgnids.ensemble import (
     member_scores,
     retrain_request,
     save_state,
-    train_member,
 )
-from hgnids.features import NON_HACKER_WEIGHTS, FeatureMode, build_matrix, rows_to_arrays
-from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, remap_ip_pairs, synth_traffic
+from hgnids.features import (
+    NON_HACKER_WEIGHTS,
+    FeatureMode,
+    build_matrix,
+    encode,
+    rows_to_arrays,
+)
+from hgnids.flows import (
+    BENIGN_LABEL,
+    DataFormatError,
+    Dataset,
+    SCAN_LABEL,
+    concat,
+    remap_ip_pairs,
+    synth_traffic,
+)
 from hgnids.hypergraph import build_hypergraph
 from hgnids.trees import EvalReport, Hyperparams, evaluate, serialize_model, train
 
 import ensemble_reference as ref
+from ensemble_reference import EncodingContext
 from helpers import make_record, single_leaf_model, split_model
 
 FAST_HP = {
@@ -34,40 +50,45 @@ FAST_HP = {
 
 
 def _stump_state(*values):
-    return EnsembleState([
-        MemberSlot(FeatureMode.NRF, single_leaf_model(v)) for v in values
-    ])
+    return EnsembleState([MemberSlot(single_leaf_model(v)) for v in values])
 
 
-def _nrf_ctx():
-    return EncodingContext(None)
+def _nrf(records):
+    """The NRF columns of records, all that NRF-layout members read."""
+    X, _ = encode(records, FeatureMode.NRF)
+    return X
+
+
+def _table(records, ctx):
+    """encode's full table and labels: what the ensemble scores and trains on."""
+    return encode(records, None, ctx.hypergraph, ctx.hackers, ctx.weights)
 
 
 def test_classify_or_aggregation_attack():
     state = _stump_state(0.2, 0.9, 0.4)
-    verdicts, scores = classify_batch(state, [make_record()], _nrf_ctx())
+    verdicts, scores = classify_batch(state, _nrf([make_record()]))
     assert verdicts.tolist() == [True]
     assert scores.tolist() == [[0.2, 0.9, 0.4]]
 
 
 def test_classify_or_aggregation_normal():
     state = _stump_state(0.1, 0.1, 0.1)
-    verdicts, _ = classify_batch(state, [make_record()], _nrf_ctx())
+    verdicts, _ = classify_batch(state, _nrf([make_record()]))
     assert verdicts.tolist() == [False]
 
 
 def test_classify_threshold_inclusive():
     state = _stump_state(0.5, 0.0, 0.0)
-    verdicts, _ = classify_batch(state, [make_record()], _nrf_ctx())
+    verdicts, _ = classify_batch(state, _nrf([make_record()]))
     assert verdicts.tolist() == [True]
 
 
 def test_classify_batch_perfect_and_blind():
     attacks = [make_record(label=SCAN_LABEL) for _ in range(10)]
     actual = [True] * len(attacks)
-    verdicts, _ = classify_batch(_stump_state(1.0, 1.0, 1.0), attacks, _nrf_ctx())
+    verdicts, _ = classify_batch(_stump_state(1.0, 1.0, 1.0), _nrf(attacks))
     assert EvalReport.from_predictions(verdicts, actual).f1 == 1.0
-    verdicts, scores = classify_batch(_stump_state(0.0, 0.0, 0.0), attacks, _nrf_ctx())
+    verdicts, scores = classify_batch(_stump_state(0.0, 0.0, 0.0), _nrf(attacks))
     assert EvalReport.from_predictions(verdicts, actual).fnp == 1.0
     assert [r.fnp for r in member_reports(scores, actual)] == [1.0, 1.0, 1.0]
 
@@ -91,29 +112,30 @@ def _training_world(seed=0):
 @pytest.mark.parametrize("weights", [None, NON_HACKER_WEIGHTS])
 @pytest.mark.parametrize("role", list(FeatureMode))
 def test_train_member_matches_row_training(role, weights):
-    """Array training is byte-identical to training on FeatureVector rows."""
+    """A member trained on its layout's columns of the full table is
+    byte-identical to one trained on that layout's FeatureVector rows."""
     data, ctx = _training_world(seed=5)
     ctx = replace(ctx, weights=weights)
     hp = replace(FAST_HP[role], n_trees=8)
     rows = build_matrix(data, ctx.hypergraph, role, ctx.hackers, weights)
-    expected = train(rows, ROLE_KIND[role], replace(hp, seed=17))
-    model = train_member(role, data, ctx, hp, seed=17)
-    assert serialize_model(model) == serialize_model(expected)
+    expected = train(rows, ROLE_KIND[role], replace(hp, seed=31))  # member 0 of seed 1
+    state = build_ensemble(*_table(data, ctx), seed=1, roles=(role,), hyperparams={role: hp})
+    assert serialize_model(state.members[0].model) == serialize_model(expected)
     holdout, _ = _training_world(seed=9)
     rows = build_matrix(holdout, ctx.hypergraph, role, ctx.hackers, weights)
-    scores = member_scores(EnsembleState([MemberSlot(role, model)]), holdout, ctx)
-    [report] = member_reports(scores, [r.label.is_attack for r in holdout])
+    Xh, yh = _table(holdout, ctx)
+    [report] = member_reports(member_scores(state, Xh), yh == 1)
     assert report == evaluate(expected, *rows_to_arrays(rows))
 
 
 def test_build_ensemble_roles_and_recall_dominance():
     data, ctx = _training_world()
-    state = build_ensemble(data, ctx, seed=3, hyperparams=FAST_HP)
+    state = build_ensemble(*_table(data, ctx), seed=3, hyperparams=FAST_HP)
     assert state.roles() == (FeatureMode.NRF, FeatureMode.HGI, FeatureMode.HGA)
     assert state.versions() == (0, 0, 0)
 
     probe = list(data)[:200]
-    verdicts, scores = classify_batch(state, probe, ctx)
+    verdicts, scores = classify_batch(state, _table(probe, ctx)[0])
     actual = np.array([r.label.is_attack for r in probe])
     ensemble_fn = int(np.sum(~verdicts & actual))
     member_fns = [int(np.sum((scores[:, j] < 0.5) & actual)) for j in range(3)]
@@ -148,31 +170,36 @@ def _crafted_world():
 
 def _duration_member(threshold):
     # attack (value 1.0) when duration <= threshold
-    return MemberSlot(FeatureMode.NRF, split_model(1, threshold, 1.0, 0.0))
+    return MemberSlot(split_model(1, threshold, 1.0, 0.0))
+
+
+def _crafted_tables():
+    train_set, holdout, ctx = _crafted_world()
+    return _table(train_set, ctx), _table(holdout, ctx), ctx
 
 
 def test_static_rule_never_mutates():
-    train_set, holdout, ctx = _crafted_world()
+    train_set, holdout, _ = _crafted_tables()
     state = _stump_state(0.9, 0.9, 0.9)
-    new_state, log = retrain_request(state, UpdateRule.STATIC, train_set, ctx, holdout)
+    new_state, log = retrain_request(state, UpdateRule.STATIC, train_set, holdout)
     assert new_state is state
     assert not log.replaced_slots
     assert new_state.versions() == (0, 0, 0)
 
 
 def test_ftw_replaces_worst_slot():
-    train_set, holdout, ctx = _crafted_world()
+    train_set, holdout, _ = _crafted_tables()
     state = EnsembleState([
         _duration_member(59.5),   # perfect on the holdout
         _duration_member(49.5),   # misses 10 attacks
         _duration_member(29.5),   # misses 30 attacks: the worst
     ])
-    new_state, log = retrain_request(state, UpdateRule.FTW, train_set, ctx, holdout, seed=1)
+    new_state, log = retrain_request(state, UpdateRule.FTW, train_set, holdout, seed=1)
     assert log.replaced_slots == (2,)
     assert log.incumbent_f1[0] == pytest.approx(1.0)
     assert log.incumbent_f1[1] < log.incumbent_f1[0]
     assert log.incumbent_f1[2] < log.incumbent_f1[1]
-    assert new_state.members[2].role is FeatureMode.HGI
+    assert new_state.roles()[2] is FeatureMode.HGI
     assert new_state.members[2].version == 1
     assert new_state.members[0].version == 0
     assert new_state.members[1].version == 0
@@ -180,26 +207,26 @@ def test_ftw_replaces_worst_slot():
 
 
 def test_ftw_keeps_state_when_candidate_does_not_beat_worst():
-    train_set, holdout, ctx = _crafted_world()
+    train_set, holdout, _ = _crafted_tables()
     state = EnsembleState([
         _duration_member(59.5),
         _duration_member(60.5),
         _duration_member(70.0),  # all three perfectly separate the holdout
     ])
-    new_state, log = retrain_request(state, UpdateRule.FTW, train_set, ctx, holdout, seed=1)
+    new_state, log = retrain_request(state, UpdateRule.FTW, train_set, holdout, seed=1)
     assert log.replaced_slots == ()
     assert new_state.versions() == (0, 0, 0)
     assert "not beat" in log.reason
 
 
 def test_uall_replaces_all_or_none():
-    train_set, holdout, ctx = _crafted_world()
+    train_set, holdout, _ = _crafted_tables()
     state = EnsembleState([
         _duration_member(59.5),
         _duration_member(49.5),
         _duration_member(29.5),
     ])
-    new_state, log = retrain_request(state, UpdateRule.UALL, train_set, ctx, holdout, seed=2)
+    new_state, log = retrain_request(state, UpdateRule.UALL, train_set, holdout, seed=2)
     assert log.replaced_slots == (0, 1, 2)
     assert new_state.versions() == (1, 1, 1)
     assert new_state.roles() == (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)
@@ -221,23 +248,26 @@ def test_uall_retention_rule():
         _duration_member(60.5),
         _duration_member(80.0),
     ])
-    new_state, log = retrain_request(state, UpdateRule.UALL, scrambled_set, ctx, holdout, seed=3)
+    new_state, log = retrain_request(
+        state, UpdateRule.UALL, _table(scrambled_set, ctx), _table(holdout, ctx), seed=3
+    )
     assert log.replaced_slots == ()
     assert new_state.versions() == (0, 0, 0)
     assert "retained" in log.reason
 
 
 def test_single_class_train_set_deferred():
-    _, holdout, ctx = _crafted_world()
+    _, holdout, ctx = _crafted_tables()
     only_benign = Dataset(tuple(make_record(label=BENIGN_LABEL) for _ in range(20)))
     state = _stump_state(0.9, 0.9, 0.9)
-    new_state, log = retrain_request(state, UpdateRule.UALL, only_benign, ctx, holdout)
-    assert log.deferred
-    assert new_state is state
+    for train_set in (only_benign, Dataset(())):
+        new_state, log = retrain_request(state, UpdateRule.UALL, _table(train_set, ctx), holdout)
+        assert log.deferred
+        assert new_state is state
 
 
 def test_version_monotonicity_over_requests():
-    train_set, holdout, ctx = _crafted_world()
+    train_set, holdout, _ = _crafted_tables()
     state = EnsembleState([
         _duration_member(59.5),
         _duration_member(49.5),
@@ -245,7 +275,7 @@ def test_version_monotonicity_over_requests():
     ])
     versions = [state.versions()]
     for i in range(3):
-        state, _ = retrain_request(state, UpdateRule.UALL, train_set, ctx, holdout, seed=i)
+        state, _ = retrain_request(state, UpdateRule.UALL, train_set, holdout, seed=i)
         versions.append(state.versions())
     for before, after in zip(versions, versions[1:]):
         assert all(b <= a for b, a in zip(before, after))
@@ -253,15 +283,31 @@ def test_version_monotonicity_over_requests():
 
 def test_state_save_load_roundtrip(tmp_path):
     data, ctx = _training_world(seed=9)
-    state = build_ensemble(data, ctx, seed=4, hyperparams=FAST_HP)
+    state = build_ensemble(*_table(data, ctx), seed=4, hyperparams=FAST_HP)
     save_state(state, tmp_path / "models")
     restored = load_state(tmp_path / "models")
     assert restored.roles() == state.roles()
     assert restored.versions() == state.versions()
-    probe = list(data)[:50]
-    a = member_scores(state, probe, ctx)
-    b = member_scores(restored, probe, ctx)
-    assert np.array_equal(a, b)
+    X, _ = _table(list(data)[:50], ctx)
+    assert np.array_equal(member_scores(state, X), member_scores(restored, X))
+
+
+def test_load_state_rejects_role_that_is_not_the_model_layout(tmp_path):
+    save_state(_stump_state(0.1, 0.2), tmp_path)
+    manifest = json.loads((tmp_path / "ensemble.json").read_text())
+    manifest["members"][1]["role"] = "HGA"
+    (tmp_path / "ensemble.json").write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match="role 'HGA'.*NRF layout"):
+        load_state(tmp_path)
+
+
+def test_ensemble_reads_no_records():
+    """The ensemble takes encoded arrays only: it imports nothing from the
+    record or hypergraph modules."""
+    source = Path(ensemble.__file__).read_text(encoding="utf-8")
+    assert "from .flows" not in source and "from .hypergraph" not in source
+    assert not hasattr(ensemble, "EncodingContext")
+    assert "role" not in MemberSlot.__dataclass_fields__
 
 
 # Differential tests against the parent's retrain path (ensemble_reference).
@@ -281,7 +327,7 @@ def _assert_same_outcome(expected, actual):
 
 def _both(state, rule, train_set, ctx, holdout, seed):
     expected = ref.retrain_request(state, rule, train_set, ctx, holdout, seed=seed)
-    actual = retrain_request(state, rule, train_set, ctx, holdout, seed=seed)
+    actual = retrain_request(state, rule, _table(train_set, ctx), _table(holdout, ctx), seed=seed)
     _assert_same_outcome(expected, actual)
     return actual
 
@@ -304,7 +350,8 @@ def test_build_ensemble_matches_reference(seed, roles):
     data, ctx, _, holdout = _retrain_world(seed)
     for held in (holdout, None):
         expected = ref.build_ensemble(data, ctx, seed, held, roles, REF_HP)
-        state = build_ensemble(data, ctx, seed, held, roles, REF_HP)
+        held_table = None if held is None else _table(held, ctx)
+        state = build_ensemble(*_table(data, ctx), seed, held_table, roles, REF_HP)
         _assert_same_outcome((expected, None), (state, None))
         assert all((m.last_eval is None) == (held is None) for m in state.members)
 
@@ -312,9 +359,9 @@ def test_build_ensemble_matches_reference(seed, roles):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_ftw_replacing_nrf_then_update_all_match_reference(seed):
     data, ctx, train_set, holdout = _retrain_world(seed)
-    state = build_ensemble(data, ctx, seed, holdout, hyperparams=REF_HP)
+    state = build_ensemble(*_table(data, ctx), seed, _table(holdout, ctx), hyperparams=REF_HP)
     # A member that never flags an attack scores F1 0, so FTW swaps it out.
-    state.members[0] = MemberSlot(FeatureMode.NRF, single_leaf_model(0.0))
+    state.members[0] = MemberSlot(single_leaf_model(0.0))
     state, log = _both(state, UpdateRule.FTW, train_set, ctx, holdout, seed * 1009)
     assert log.replaced_slots == (0,)
     assert state.roles() == (FeatureMode.HGI, FeatureMode.HGI, FeatureMode.HGA)
@@ -328,7 +375,7 @@ def test_ftw_replacing_nrf_then_update_all_match_reference(seed):
 def test_all_nrf_baseline_matches_reference(seed, rule):
     data, ctx, train_set, holdout = _retrain_world(seed)
     roles = (FeatureMode.NRF,) * 3
-    state = build_ensemble(data, ctx, seed, holdout, roles, REF_HP)
+    state = build_ensemble(*_table(data, ctx), seed, _table(holdout, ctx), roles, REF_HP)
     _both(state, rule, train_set, ctx, holdout, seed + 7)
 
 

@@ -9,12 +9,12 @@ from hgnids.features import (
     NORMAL,
     build_matrix,
     encode_record,
-    record_profile,
     train_test_split,
 )
 from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL
 from hgnids.hypergraph import CentralityProfile, build_hypergraph, centrality_schedule
 
+from encode_reference import record_profile
 from helpers import make_record, separable_rows
 
 SCHEDULE = centrality_schedule(2)

@@ -23,6 +23,7 @@ from hgnids.flows import (
     synth_traffic,
     write_csv,
 )
+from hgnids.hypergraph import build_hypergraph
 
 from helpers import make_record
 
@@ -81,6 +82,16 @@ def test_ingest_counts_missing_and_unparseable(tmp_path):
     assert len(dataset) == 1
     assert report.reasons["missing_value"] == 2  # empty cell and NaN
     assert report.reasons["unparseable"] == 1
+
+
+def test_ingest_drops_rows_with_a_blank_ip(tmp_path):
+    rows = [_row(), _row().replace("10.0.0.1,", ",", 1), _row().replace(",10.0.0.2,", ", ,", 1)]
+    path = tmp_path / "blank_ip.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    dataset, report = ingest_csv(path)
+    assert [r.pair for r in dataset] == [("10.0.0.1", "10.0.0.2")]
+    assert report.reasons == {"missing_value": 2}
+    assert "" not in build_hypergraph(dataset).edges
 
 
 def test_ingest_rejects_non_integral_ports_and_protocol(tmp_path):

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 
 from hgnids import simulate
 from hgnids.ensemble import UpdateRule
-from hgnids.features import FeatureMode
+from hgnids.features import FeatureMode, encode
 from hgnids.flows import concat
 from hgnids.simulate import (
     ConfigError,
@@ -147,7 +148,7 @@ def test_production_mode_flags_drive_hackers(tiny_data, tiny_adv):
 def test_baseline_all_nrf(tiny_data, tiny_adv):
     cfg = tiny_config(5, seed=15)
     _, artifacts = run_simulation(cfg, tiny_data, tiny_adv, baseline=True)
-    assert all(m.role is FeatureMode.NRF for m in artifacts.final_state.members)
+    assert artifacts.final_state.roles() == (FeatureMode.NRF,) * 3
 
 
 def test_no_attack_stream_is_metric_safe(tiny_data):
@@ -173,6 +174,33 @@ def test_sweep_requires_thresholds(tiny_data):
 def test_sweep_checks_every_threshold_before_any_run(tmp_path, tiny_data):
     with pytest.raises(ConfigError):
         sweep_thresholds(tiny_config(1), (2, 0), tiny_data, out_dir=tmp_path / "sweep")
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("case_id", [4, 5])
+def test_each_record_set_is_encoded_once(monkeypatch, desk_data, desk_adv, case_id):
+    """One encode per record set, which every member reads: the
+    pre-training split and its holdout, each batch, and each retrain's
+    training and holdout sets."""
+    calls = []
+
+    def counting(records, *args, **kwargs):
+        calls.append(len(records))
+        return encode(records, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hgnids") and getattr(module, "encode", None) is encode:
+            monkeypatch.setattr(module, "encode", counting)
+    cfg = desk_case_config(case_id, seed=42)
+    _, artifacts = run_simulation(cfg, desk_data, desk_adv)
+    batches = cfg.n_computers * cfg.n_epochs
+    assert artifacts.retrain_events
+    assert len(calls) <= 2 + batches + 2 * len(artifacts.retrain_events)
+
+
+def test_sweep_rejects_repeated_thresholds(tmp_path, tiny_data):
+    with pytest.raises(ConfigError, match=r"\[5\] repeated"):
+        sweep_thresholds(tiny_config(1), (5, 2, 5), tiny_data, out_dir=tmp_path / "sweep")
     assert not (tmp_path / "sweep").exists()
 
 

@@ -297,6 +297,14 @@ def test_deserialize_rejects_malformed_payload(edit, message):
         deserialize_model(json.dumps(payload).encode())
 
 
+@pytest.mark.parametrize("mode,n_features", [("NRF", 30), ("HGI", 9), ("HGA", 21)])
+def test_deserialize_rejects_width_of_another_layout(mode, n_features):
+    payload = _split_payload()
+    payload.update(feature_mode=mode, n_features=n_features)
+    with pytest.raises(DataFormatError, match=f"reads {n_features} features, but the {mode} layout"):
+        deserialize_model(json.dumps(payload).encode())
+
+
 def test_deserialize_rejects_non_object():
     with pytest.raises(DataFormatError, match="not a JSON object"):
         deserialize_model(b"[]")
