@@ -155,7 +155,8 @@ def retrain_request(
     """Serve one retraining request; returns the (possibly new) state.
 
     train_set and holdout are (X, y) pairs of encode's full table. A
-    single-class training set defers the request instead of failing.
+    single-class training set or an empty holdout defers the request
+    instead of failing.
     """
     if rule is UpdateRule.STATIC:
         return state, UpdateLog(rule)
@@ -163,6 +164,8 @@ def retrain_request(
     y = train_set[1]
     if len(y) == 0 or y.min() == y.max():
         return state, UpdateLog(rule, deferred=True, reason="single-class training set")
+    if len(holdout[1]) == 0:
+        return state, UpdateLog(rule, deferred=True, reason="empty holdout")
 
     # The plan: (role, hyperparams, seed) of every candidate to train.
     if rule is UpdateRule.FTW:

@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
-from .flows import Dataset
+from .flows import FlowRecord
 
 SCHEDULE_BASE = 3
 SCHEDULE_STEPS = 11
@@ -154,11 +155,11 @@ class _SLineGraph:
     component: np.ndarray  # per edge: s-component id, numbered in insertion order
 
 
-def build_hypergraph(dataset: Dataset) -> Hypergraph:
+def build_hypergraph(records: Iterable[FlowRecord]) -> Hypergraph:
     """Build the port hypergraph: each record adds its destination port to
     both its source-IP edge and its destination-IP edge."""
     h = Hypergraph()
-    for r in dataset:
+    for r in records:
         h._add(r.src_ip, r.dst_port, EdgeRole.SOURCE)
         h._add(r.dst_ip, r.dst_port, EdgeRole.DEST)
     return h

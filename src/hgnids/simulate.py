@@ -9,11 +9,13 @@ Missed attacks are kept as the run's evaded records; when their count
 since the last trigger exceeds the active threshold, a retraining request
 fires on a set built from them (build_retrain_set) and every computer
 adopts the updated ensemble from the next batch on.
-Every record set (pre-training split, holdout, each batch, each retrain
-set) is encoded once into features.encode's full table, which all
-members read. In production mode the hacker pairs used for encoding come
-only from the behavioural detector's flags. One scorecard row is written
-per (epoch, computer).
+A run encodes one table, features.encode's full table over its base
+data, stream source and adversarial records; every record set (splits,
+batches, evaded attacks, retrain sets) is an integer id array into it.
+In production mode the hacker pairs come only from the behavioural
+detector's flags; with the non-hacker weights on, the table is encoded
+again whenever they change. One scorecard row is written per (epoch,
+computer).
 
 A run is described by one SimConfig. Its case id fixes the case's policy
 (scan pairs, update rule, adversarial injection, production mode); every
@@ -46,8 +48,8 @@ from .ensemble import (
     retrain_request,
     save_state,
 )
-from .features import ATTACK, NON_HACKER_WEIGHTS, FeatureMode, IPPair, encode
-from .flows import DataFormatError, Dataset, FlowRecord, concat, remap_ip_pairs, synth_traffic
+from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair, encode
+from .flows import DataFormatError, Dataset, LabelKind, concat, remap_ip_pairs, synth_traffic
 from .hypergraph import build_hypergraph
 from .trees import EvalReport, Hyperparams
 
@@ -244,20 +246,17 @@ class Scorecard:
 
 
 def build_retrain_set(
-    base_pool: Dataset, evaded: Sequence[FlowRecord], ballast_size: int, seed: int
-) -> Dataset:
-    """Evaded attacks + an equal benign sample + a stratified ballast
-    slice of the original training data."""
+    is_attack: np.ndarray, base_ids: np.ndarray, evaded_ids: np.ndarray,
+    ballast_size: int, seed: int,
+) -> np.ndarray:
+    """Ids of the evaded attacks + an equal benign sample + a stratified
+    ballast slice of the original training data (base_ids), in that
+    order."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD8]))
-    benign_pool = [r for r in base_pool if not r.label.is_attack]
-    benign: list[FlowRecord] = []
-    if benign_pool and evaded:
-        idx = rng.choice(
-            len(benign_pool), size=len(evaded), replace=len(benign_pool) < len(evaded)
-        )
-        benign = [benign_pool[int(i)] for i in idx]
-    ballast = _stratified_sample(list(base_pool), min(ballast_size, len(base_pool)), rng)
-    return Dataset((*evaded, *benign, *ballast), provenance="SYNTHETIC", seed=seed)
+    pool, n = base_ids[~is_attack[base_ids]], len(evaded_ids)
+    benign = rng.choice(len(pool), size=n, replace=len(pool) < n) if len(pool) and n else []
+    ballast = _stratified_sample(is_attack, base_ids, min(ballast_size, len(base_ids)), rng)
+    return np.concatenate([evaded_ids, pool[benign], ballast])
 
 
 @dataclass(frozen=True)
@@ -283,43 +282,35 @@ class RunArtifacts:
     files: list[Path] = field(default_factory=list)  # every file written, in order
 
 
-def _stratified_sample(records: list[FlowRecord], n: int, rng) -> list[FlowRecord]:
-    if n >= len(records):
-        return list(records)
-    attack_idx = [i for i, r in enumerate(records) if r.label.is_attack]
-    benign_idx = [i for i, r in enumerate(records) if not r.label.is_attack]
-    n_attack = int(math.floor(n * len(attack_idx) / len(records) + 0.5))
-    n_attack = min(n_attack, len(attack_idx))
-    n_benign = min(n - n_attack, len(benign_idx))
-    picked = []
-    if attack_idx and n_attack:
-        sel = rng.choice(len(attack_idx), size=n_attack, replace=False)
-        picked += [attack_idx[int(i)] for i in sel]
-    if benign_idx and n_benign:
-        sel = rng.choice(len(benign_idx), size=n_benign, replace=False)
-        picked += [benign_idx[int(i)] for i in sel]
-    return [records[i] for i in sorted(picked)]
+def _stratified_sample(is_attack: np.ndarray, ids: np.ndarray, n: int, rng) -> np.ndarray:
+    """n of ids, attacks in proportion, in the order of ids."""
+    if n >= len(ids):
+        return ids
+    labels = is_attack[ids]
+    attack, benign = np.flatnonzero(labels), np.flatnonzero(~labels)
+    n_attack = min(int(math.floor(n * len(attack) / len(ids) + 0.5)), len(attack))
+    n_benign = min(n - n_attack, len(benign))
+    picked = np.zeros(len(ids), bool)
+    for pos, k in ((attack, n_attack), (benign, n_benign)):
+        if k:
+            picked[pos[rng.choice(len(pos), size=k, replace=False)]] = True
+    return ids[picked]
 
 
-def _split_records(dataset: Dataset, frac: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Stratified record-level split shared by every feature layout."""
-    records = list(dataset)
-    groups: dict[bool, list[int]] = {}
-    for i, r in enumerate(records):
-        groups.setdefault(r.label.is_attack, []).append(i)
+def _split(
+    is_attack: np.ndarray, ids: np.ndarray, frac: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified split of ids: per label, benign first, a seeded
+    permutation sends round(frac * n) of them to the head. Both sides
+    keep the order of ids."""
+    labels = is_attack[ids]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x51D]))
-    head_idx: list[int] = []
-    tail_idx: list[int] = []
-    for key in sorted(groups):
-        idx = groups[key]
-        order = rng.permutation(len(idx))
-        take = int(math.floor(frac * len(idx) + 0.5))
-        shuffled = [idx[int(j)] for j in order]
-        head_idx += shuffled[:take]
-        tail_idx += shuffled[take:]
-    head = Dataset(tuple(records[i] for i in sorted(head_idx)), dataset.provenance, seed)
-    tail = Dataset(tuple(records[i] for i in sorted(tail_idx)), dataset.provenance, seed)
-    return head, tail
+    head = np.zeros(len(ids), bool)
+    for key in (False, True):  # an empty group's permutation draws nothing
+        pos = np.flatnonzero(labels == key)
+        take = int(math.floor(frac * len(pos) + 0.5))
+        head[pos[rng.permutation(len(pos))[:take]]] = True
+    return ids[head], ids[~head]
 
 
 def make_desk_dataset(seed: int = 0, n_scan: int = 1200, n_benign: int = 1800) -> Dataset:
@@ -346,35 +337,29 @@ def make_desk_adversarial(data: Dataset, seed: int = 0):
     return examples
 
 
-def _build_batches_plan(cfg: SimConfig, data: Dataset, adv_records: list[FlowRecord]):
-    """Deterministic per-batch record lists."""
-    if cfg.ip_pairs > 1:
-        stream_source = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5)
-    else:
-        stream_source = data
-    attack_pool = list(stream_source.attacks())
-    benign_pool = list(stream_source.benign())
-    if not benign_pool:
+def _build_batches_plan(
+    cfg: SimConfig, is_attack: np.ndarray, stream_ids: np.ndarray, adv_ids: np.ndarray
+):
+    """Deterministic per-batch id arrays: attacks and benign rows drawn
+    from the stream ids, plus adversarial ids, shuffled."""
+    attack_pool = stream_ids[is_attack[stream_ids]]
+    benign_pool = stream_ids[~is_attack[stream_ids]]
+    if not len(benign_pool):
         raise ConfigError("base data has no benign records to stream")
-    if cfg.attack_frac > 0 and not attack_pool:
+    if cfg.attack_frac > 0 and not len(attack_pool):
         raise ConfigError("base data has no attack records to stream")
+    n_attack = int(math.floor(cfg.batch_size * cfg.attack_frac + 0.5))
+    draws = [
+        (attack_pool, n_attack), (benign_pool, cfg.batch_size - n_attack),
+        (adv_ids, cfg.adv_per_batch),
+    ]
 
-    def batch(b: int) -> list[FlowRecord]:
+    def batch(b: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xBA7C, b]))
-        n_attack = int(math.floor(cfg.batch_size * cfg.attack_frac + 0.5))
-        records: list[FlowRecord] = []
-        if n_attack:
-            idx = rng.integers(0, len(attack_pool), size=n_attack)
-            records += [attack_pool[int(i)] for i in idx]
-        n_benign = cfg.batch_size - n_attack
-        if n_benign:
-            idx = rng.integers(0, len(benign_pool), size=n_benign)
-            records += [benign_pool[int(i)] for i in idx]
-        if adv_records and cfg.adv_per_batch > 0:
-            idx = rng.integers(0, len(adv_records), size=cfg.adv_per_batch)
-            records += [adv_records[int(i)] for i in idx]
-        order = rng.permutation(len(records))
-        return [records[int(i)] for i in order]
+        ids = np.concatenate([
+            pool[rng.integers(0, len(pool), size=n)] for pool, n in draws if n and len(pool)
+        ])
+        return ids[rng.permutation(len(ids))]
 
     return batch
 
@@ -393,10 +378,23 @@ def run_simulation(
     if cfg.include_adv and not adv:
         raise ConfigError(f"case {cfg.case_id} expects adversarial examples")
 
-    pretrain, pretest = _split_records(data, PRETRAIN_FRAC, cfg.seed * 13 + 1)
-    h = build_hypergraph(pretrain)
-    hackers = frozenset(r.pair for r in pretrain.scans())
+    # One table per run: the base data, the stream source and the
+    # adversarial records, in that order; every record set is an id array.
+    stream = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5) if cfg.ip_pairs > 1 else data
+    adv_records = to_flow_records(list(adv), seed=cfg.seed * 3 + 2) if cfg.include_adv else []
+    records = (*data, *stream, *adv_records)
+    is_attack = np.fromiter((r.label.is_attack for r in records), bool, len(records))
+    base_ids = np.arange(len(data))
+    next_batch = _build_batches_plan(
+        cfg, is_attack, base_ids + len(data), np.arange(2 * len(data), len(records))
+    )
+
+    pretrain, pretest = _split(is_attack, base_ids, PRETRAIN_FRAC, cfg.seed * 13 + 1)
+    h = build_hypergraph(records[i] for i in pretrain)
+    scans = (records[i] for i in pretrain if records[i].label.kind is LabelKind.PORT_SCAN)
+    hackers = frozenset(r.pair for r in scans)
     weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
+    X, y = encode(records, None, h, hackers, weights)
 
     roles = (
         (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)
@@ -404,53 +402,48 @@ def run_simulation(
         else (FeatureMode.NRF, FeatureMode.HGI, FeatureMode.HGA)
     )
     state = build_ensemble(
-        *encode(pretrain, None, h, hackers, weights), seed=cfg.seed,
-        holdout=encode(pretest, None, h, hackers, weights), roles=roles,
-        hyperparams=cfg.hyperparams_map(),
+        X[pretrain], y[pretrain], seed=cfg.seed, holdout=(X[pretest], y[pretest]),
+        roles=roles, hyperparams=cfg.hyperparams_map(),
     )
-
-    adv_records = to_flow_records(list(adv), seed=cfg.seed * 3 + 2) if cfg.include_adv else []
-    next_batch = _build_batches_plan(cfg, data, adv_records)
 
     artifacts = RunArtifacts(cfg, baseline)
     scorecard = Scorecard()
-    evaded: list[FlowRecord] = []
+    evaded = np.empty(0, np.intp)
     counter = 0
     flagged: set[IPPair] = set()
 
     for epoch in range(cfg.n_epochs):
         for computer in range(cfg.n_computers):
             b = epoch * cfg.n_computers + computer
-            records = next_batch(b)
+            ids = next_batch(b)
 
             if cfg.production_mode:
-                window = Dataset(tuple(records), provenance="SYNTHETIC")
+                window = Dataset(tuple(records[i] for i in ids), provenance="SYNTHETIC")
                 flags, flagged = detect_window(window, flagged, window_id=b)
                 artifacts.flag_log.extend(flags)
-                hackers = frozenset(flagged)
+                # Only the weight rule reads the hacker pairs.
+                if weights is not None and flagged != hackers:
+                    hackers = frozenset(flagged)
+                    X, y = encode(records, None, h, hackers, weights)
 
-            X, y = encode(records, None, h, hackers, weights)
-            verdicts, scores = classify_batch(state, X)
-            actual = y == ATTACK
+            verdicts, scores = classify_batch(state, X[ids])
+            actual = is_attack[ids]
             report = EvalReport.from_predictions(verdicts, actual)
             artifacts.batch_member_fn.append(tuple(r.fn for r in member_reports(scores, actual)))
             artifacts.batch_ensemble_fn.append(report.fn)
-            evaded += [r for r, missed in zip(records, ~verdicts & actual) if missed]
+            evaded = np.concatenate([evaded, ids[~verdicts & actual]])
             counter += report.fn
 
             retrain = counter > cfg.threshold and cfg.rule is not UpdateRule.STATIC
             if retrain:
                 event_idx = len(artifacts.retrain_events)
-                retrain_pool = build_retrain_set(
-                    pretrain, evaded, cfg.ballast_size, cfg.seed * 101 + event_idx
+                pool = build_retrain_set(
+                    is_attack, pretrain, evaded, cfg.ballast_size, cfg.seed * 101 + event_idx
                 )
-                train_part, holdout_part = _split_records(
-                    retrain_pool, 0.8, cfg.seed * 77 + event_idx
-                )
+                train_part, holdout_part = _split(is_attack, pool, 0.8, cfg.seed * 77 + event_idx)
                 state, log = retrain_request(
-                    state, cfg.rule, encode(train_part, None, h, hackers, weights),
-                    encode(holdout_part, None, h, hackers, weights),
-                    seed=cfg.seed * 1009 + event_idx,
+                    state, cfg.rule, (X[train_part], y[train_part]),
+                    (X[holdout_part], y[holdout_part]), seed=cfg.seed * 1009 + event_idx,
                 )
                 artifacts.retrain_events.append(
                     RetrainEvent(

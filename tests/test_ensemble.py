@@ -266,6 +266,15 @@ def test_single_class_train_set_deferred():
         assert new_state is state
 
 
+def test_empty_holdout_deferred():
+    train_set, _, ctx = _crafted_tables()
+    state = _stump_state(0.9, 0.9, 0.9)
+    for rule in (UpdateRule.FTW, UpdateRule.UALL):
+        new_state, log = retrain_request(state, rule, train_set, _table((), ctx))
+        assert log.deferred and log.reason == "empty holdout"
+        assert new_state is state
+
+
 def test_version_monotonicity_over_requests():
     train_set, holdout, _ = _crafted_tables()
     state = EnsembleState([

@@ -1,14 +1,19 @@
+import csv
 import dataclasses
 import hashlib
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import simulate_reference as ref
+from helpers import make_record
 from hgnids import simulate
 from hgnids.ensemble import UpdateRule
 from hgnids.features import FeatureMode, encode
-from hgnids.flows import concat
+from hgnids.flows import BENIGN_LABEL, SCAN_LABEL, Dataset, concat
 from hgnids.simulate import (
     ConfigError,
     Scorecard,
@@ -177,11 +182,13 @@ def test_sweep_checks_every_threshold_before_any_run(tmp_path, tiny_data):
     assert not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize("case_id", [4, 5])
+@pytest.mark.parametrize("case_id", [4, 5, 6])
 def test_each_record_set_is_encoded_once(monkeypatch, desk_data, desk_adv, case_id):
-    """One encode per record set, which every member reads: the
-    pre-training split and its holdout, each batch, and each retrain's
-    training and holdout sets."""
+    """One encode per run: every record set (the pre-training split and
+    its holdout, each batch, each retrain's training and holdout sets)
+    is an id array into one table, which every member reads. Case 6 runs
+    with the non-hacker weights on, so the table is encoded again each
+    time the detector's flags change the hacker pairs."""
     calls = []
 
     def counting(records, *args, **kwargs):
@@ -191,11 +198,16 @@ def test_each_record_set_is_encoded_once(monkeypatch, desk_data, desk_adv, case_
     for name, module in list(sys.modules.items()):
         if name.startswith("hgnids") and getattr(module, "encode", None) is encode:
             monkeypatch.setattr(module, "encode", counting)
-    cfg = desk_case_config(case_id, seed=42)
+    cfg = dataclasses.replace(desk_case_config(case_id, seed=42), use_weights=case_id == 6)
     _, artifacts = run_simulation(cfg, desk_data, desk_adv)
-    batches = cfg.n_computers * cfg.n_epochs
     assert artifacts.retrain_events
-    assert len(calls) <= 2 + batches + 2 * len(artifacts.retrain_events)
+    # the base data, its remapped stream copy and the adversarial rows
+    assert set(calls) == {2 * len(desk_data) + len(desk_adv)}
+    if case_id == 6:
+        flagging_batches = {f.window_id for f in artifacts.flag_log}
+        assert 1 < len(calls) <= 1 + len(flagging_batches)
+    else:
+        assert len(calls) == 1
 
 
 def test_sweep_rejects_repeated_thresholds(tmp_path, tiny_data):
@@ -279,14 +291,126 @@ def test_weighted_mixed_stream_runs():
 
 
 def test_retrain_set_mix(tiny_data):
-    evaded = list(tiny_data.attacks())[:6]
-    retrain = build_retrain_set(tiny_data, evaded, ballast_size=100, seed=1)
-    labels = [r.label.is_attack for r in retrain]
+    is_attack = np.array([r.label.is_attack for r in tiny_data])
+    base_ids = np.arange(len(tiny_data))
+    evaded = np.flatnonzero(is_attack)[:6]
+    retrain = build_retrain_set(is_attack, base_ids, evaded, ballast_size=100, seed=1)
+    labels = is_attack[retrain]
     # 6 evaded + 6 benign + 100 ballast
-    assert len(retrain) == 112
-    assert list(retrain)[:6] == evaded
+    assert len(retrain) == 112 and retrain.dtype == np.intp
+    assert retrain[:6].tolist() == evaded.tolist()
+    assert not labels[6:12].any()
     assert sum(labels) >= 6
     assert sum(1 for flag in labels if not flag) >= 6
+
+
+@pytest.mark.parametrize("case_id, seed", [(4, 5), (5, 7)])
+def test_empty_retrain_holdout_is_deferred(tmp_path, tiny_data, tiny_adv, case_id, seed):
+    """With no ballast, a retrain set of two evaded attacks and two benign
+    rows leaves an empty holdout: the request is deferred, not a crash."""
+    run_dir = tmp_path / "run"
+    cfg = tiny_config(case_id, seed=seed, threshold=1, ballast_size=0)
+    scorecard, artifacts = run_simulation(cfg, tiny_data, tiny_adv, out_dir=run_dir)
+    assert len(scorecard.rows) == cfg.n_computers * cfg.n_epochs
+    assert any(ev.log.reason == "empty holdout" for ev in artifacts.retrain_events)
+    with open(run_dir / "retrain_log.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert any(r["deferred"] == "True" and r["reason"] == "empty holdout" for r in rows)
+
+
+# Differential tests: the id-based record-set helpers against the
+# record-based ones they replaced (tests/simulate_reference.py). Ids may
+# repeat and come in any order, as a retrain set's do.
+_labels = st.lists(st.booleans(), max_size=40)
+_picks = st.none() | st.lists(st.integers(0, 999), max_size=40)
+
+
+def _table(labels, picks):
+    """Distinct records with the given labels, their is_attack array, and
+    the id array picks names (every id, in order, for None)."""
+    records = tuple(
+        make_record(src_port=1024 + i, label=SCAN_LABEL if a else BENIGN_LABEL)
+        for i, a in enumerate(labels)
+    )
+    if picks is None or not records:
+        ids = np.arange(len(records))
+    else:
+        ids = np.array([p % len(records) for p in picks], np.intp)
+    return records, np.array(labels, bool), ids
+
+
+def _same(records, ids, expected):
+    """ids name exactly the expected record objects, in order."""
+    return len(ids) == len(expected) and all(records[i] is r for i, r in zip(ids, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_labels, picks=_picks, frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(labels=[True] * 5, picks=None, frac=0.8, seed=1)
+@example(labels=[False] * 5, picks=[4, 0, 0, 2], frac=0.8, seed=1)
+@example(labels=[], picks=None, frac=0.8, seed=1)
+def test_split_picks_the_reference_records(labels, picks, frac, seed):
+    records, is_attack, ids = _table(labels, picks)
+    ref_head, ref_tail = ref.split_records(Dataset(tuple(records[i] for i in ids)), frac, seed)
+    head, tail = simulate._split(is_attack, ids, frac, seed)
+    assert _same(records, head, ref_head.records)
+    assert _same(records, tail, ref_tail.records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_labels, picks=_picks, n=st.integers(0, 50), seed=st.integers(0, 2**32 - 1))
+@example(labels=[True] * 6, picks=None, n=3, seed=2)
+@example(labels=[False] * 6, picks=[5, 1, 1, 3], n=2, seed=2)
+def test_stratified_sample_picks_the_reference_records(labels, picks, n, seed):
+    records, is_attack, ids = _table(labels, picks)
+    rng_ref, rng = (np.random.default_rng(seed) for _ in range(2))
+    expected = ref.stratified_sample([records[i] for i in ids], n, rng_ref)
+    assert _same(records, simulate._stratified_sample(is_attack, ids, n, rng), expected)
+    assert rng.integers(2**62) == rng_ref.integers(2**62)  # the same draws were made
+
+
+@settings(max_examples=150, deadline=None)
+@given(labels=_labels, base=_picks, evaded=st.lists(st.integers(0, 999), max_size=12),
+       ballast=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+@example(labels=[True] * 4, base=None, evaded=[1, 2], ballast=3, seed=3)
+@example(labels=[False] * 4, base=None, evaded=[0, 3], ballast=0, seed=3)
+def test_retrain_set_picks_the_reference_records(labels, base, evaded, ballast, seed):
+    records, is_attack, base_ids = _table(labels, base)
+    evaded_ids = np.array([e % len(records) for e in evaded] if records else [], np.intp)
+    expected = ref.build_retrain_set(
+        Dataset(tuple(records[i] for i in base_ids)), [records[i] for i in evaded_ids],
+        ballast, seed,
+    )
+    got = build_retrain_set(is_attack, base_ids, evaded_ids, ballast, seed)
+    assert _same(records, got, expected.records)
+
+
+_STREAM_DATA = simulate.make_desk_dataset(seed=3, n_scan=30, n_benign=40)
+_ADV_RECORDS = [
+    make_record("203.0.113.1", "198.51.100.1", dst_port=p, label=SCAN_LABEL) for p in range(4)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case_id=st.sampled_from([1, 2]), batch_size=st.integers(1, 60),
+       attack_frac=st.floats(0.0, 1.0), seed=st.integers(0, 10_000),
+       adv_per_batch=st.integers(0, 5), with_adv=st.booleans())
+def test_batches_pick_the_reference_records(case_id, batch_size, attack_frac, seed,
+                                            adv_per_batch, with_adv):
+    cfg = SimConfig(case_id, batch_size=batch_size, attack_frac=attack_frac, seed=seed,
+                    adv_per_batch=adv_per_batch)
+    data = _STREAM_DATA
+    adv = _ADV_RECORDS if with_adv else []
+    stream = simulate.remap_ip_pairs(data, cfg.ip_pairs, seed * 7 + 5) if cfg.ip_pairs > 1 else data
+    records = (*data, *stream, *adv)
+    is_attack = np.array([r.label.is_attack for r in records])
+    n = len(data)
+    batch = simulate._build_batches_plan(
+        cfg, is_attack, np.arange(n, 2 * n), np.arange(2 * n, len(records))
+    )
+    ref_batch = ref.build_batches_plan(cfg, data, adv)
+    for b in range(3):
+        assert [records[i] for i in batch(b)] == ref_batch(b)
 
 
 # SHA-256 of every file a tiny_config run writes, except config.json, at
@@ -370,3 +494,47 @@ def test_update_runs_pinned_bytes(tmp_path, tiny_data, tiny_adv, case_id):
         for p in run_dir.rglob("*") if p.is_file() and p.name != "config.json"
     }
     assert written == _PINNED_DIGESTS[case_id]
+
+
+# The same digests for a production-mode run with the non-hacker weights
+# on (tiny case 6, 2 computers x 3 epochs, threshold 1, seed 13),
+# recorded before the record sets became id arrays into one table. With
+# weights on, the encoding follows the detector's flags, so here the
+# scorecard, the retrain log and the HGI and HGA models differ from
+# case 5's.
+_PINNED_WEIGHTED_CASE6 = {
+    "flag_log.csv":
+        "b5d0b21861bb50fc588f6d6ee30de67bc3910c6658e5ba75afe20c07d105d639",
+    "models/event_0/ensemble.json":
+        "0e4d742d8b5cdc812d2aa935abf769a02dea8143de487c50ad973f47bf3ecbdc",
+    "models/event_0/member_0_nrf_v1.json":
+        "b1f4cab7906526f5f3725124fec3508f8e757085ebdca982ee8bf0214a37e7e6",
+    "models/event_0/member_1_hgi_v1.json":
+        "d82b41c83656dda0906249cd8a27c3832dddb46dac501e1d9c69dcb35f725d8c",
+    "models/event_0/member_2_hga_v1.json":
+        "edd6b234de03d62b8345752057b5567f45ddd5775d856aadb4d574fc61589907",
+    "models/final/ensemble.json":
+        "0e4d742d8b5cdc812d2aa935abf769a02dea8143de487c50ad973f47bf3ecbdc",
+    "models/final/member_0_nrf_v1.json":
+        "b1f4cab7906526f5f3725124fec3508f8e757085ebdca982ee8bf0214a37e7e6",
+    "models/final/member_1_hgi_v1.json":
+        "d82b41c83656dda0906249cd8a27c3832dddb46dac501e1d9c69dcb35f725d8c",
+    "models/final/member_2_hga_v1.json":
+        "edd6b234de03d62b8345752057b5567f45ddd5775d856aadb4d574fc61589907",
+    "retrain_log.csv":
+        "3cc2ead58a4eadd8ed04ce43f49cc3de8d8d46e3266bf56cca539ad1c50f43d9",
+    "scorecard.csv":
+        "d3015ebc9d0286401a39a9347dd6e493b75d6e4c976773daa6b0811ee643714a",
+}
+
+
+def test_weighted_production_run_pinned_bytes(tmp_path, tiny_data, tiny_adv):
+    run_dir = tmp_path / "run"
+    cfg = dataclasses.replace(tiny_config(6, seed=13, threshold=1, use_weights=True), n_epochs=3)
+    _, artifacts = run_simulation(cfg, tiny_data, tiny_adv, out_dir=run_dir)
+    assert artifacts.retrain_events and artifacts.flag_log
+    written = {
+        p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in run_dir.rglob("*") if p.is_file() and p.name != "config.json"
+    }
+    assert written == _PINNED_WEIGHTED_CASE6
