@@ -2,8 +2,8 @@
 
 A flow record carries the nine raw features used for classification
 (transport protocol plus eight numeric flow measurements), the endpoint
-addresses and ports, and an activity label. Ingestion drops rows with
-negative durations or missing/non-finite feature values and reports why.
+addresses and ports, and an activity label; it checks its own values.
+Ingestion parses each row's text and reports why it dropped a row.
 The synthetic generator produces statistics-matched scan and benign
 traffic for desk-scale experiments, deterministic under a seed.
 """
@@ -81,8 +81,21 @@ class DataFormatError(ValueError):
     """Raised for unusable input files (bad header, empty dataset, ...)."""
 
 
+class InvalidFlow(ValueError):
+    """A FlowRecord value that breaks a cleaning rule; `reason` is the
+    CleaningReport drop reason."""
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
+
+
 @dataclass(frozen=True)
 class FlowRecord:
+    """One flow. Construction raises InvalidFlow for the first value rule
+    it breaks: raw features finite, flow_duration >= 0, protocol in
+    PROTOCOLS and ports in 0..65535, raw features >= 0."""
+
     src_ip: str
     dst_ip: str
     src_port: int
@@ -99,17 +112,15 @@ class FlowRecord:
     label: ActivityLabel
 
     def __post_init__(self):
-        if not (0 <= self.src_port <= 65535):
-            raise ValueError(f"invalid src_port: {self.src_port}")
-        if not (0 <= self.dst_port <= 65535):
-            raise ValueError(f"invalid dst_port: {self.dst_port}")
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"invalid protocol: {self.protocol}")
+        numerics = self.numeric_features()
+        if not (math.isfinite(self.protocol) and all(map(math.isfinite, numerics))):
+            raise InvalidFlow("non_finite", f"raw features {self.nrf()}")
         if self.flow_duration < 0:
-            raise ValueError("negative flow_duration")
-        for value in self.numeric_features():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"non-finite or negative feature value: {value}")
+            raise InvalidFlow("negative_duration", f"flow_duration {self.flow_duration}")
+        if self.protocol not in PROTOCOLS or not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
+            raise InvalidFlow("unparseable", f"protocol {self.protocol}, ports {self.src_port} -> {self.dst_port}")
+        if min(numerics) < 0:
+            raise InvalidFlow("negative_value", f"raw features {self.nrf()}")
 
     def numeric_features(self) -> tuple[float, ...]:
         return (
@@ -212,42 +223,40 @@ NRF_FIELDS = (
 def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Dataset, CleaningReport]:
     """Read a flow CSV, dropping rows that fail the cleaning rules.
 
-    Drops rows with a negative flow duration, with missing values (a blank
-    IP cell among them), or with non-finite values in any of the nine raw
-    features; rows that cannot be parsed at all are skipped and counted. Returns the cleaned dataset and
-    a report with per-reason drop tallies. A column_map must map exactly
-    the fields of DEFAULT_COLUMN_MAP to header strings.
+    A row is `unparseable` (short, a number or port that does not parse,
+    a blank label), then `missing_value` (a blank IP, a blank or NaN raw
+    feature), then dropped by the first FlowRecord value rule it breaks.
+    Returns the dataset and a report of drop tallies. A column_map maps
+    the fields of DEFAULT_COLUMN_MAP to distinct headers. A malformed
+    file is a DataFormatError naming its line.
     """
     if column_map is not None:
         _check_column_map(column_map)
-    cmap = dict(DEFAULT_COLUMN_MAP if column_map is None else column_map)
+    cmap = DEFAULT_COLUMN_MAP if column_map is None else column_map
     report = CleaningReport()
     records: list[FlowRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"empty file: {path}")
-        index: dict[str, int] = {}
-        stripped = [h.strip() for h in header]
-        missing_cols = []
-        for fieldname, colname in cmap.items():
-            try:
-                index[fieldname] = stripped.index(colname.strip())
-            except ValueError:
-                missing_cols.append(colname)
-        if missing_cols:
-            raise DataFormatError(f"missing mapped columns: {missing_cols}")
-
-        for row in reader:
-            report.total_rows += 1
-            rec, reason = _parse_row(row, index)
-            if rec is None:
-                report.note_drop(reason)
-            else:
-                records.append(rec)
-                report.kept += 1
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"empty file: {path}")
+            stripped = [h.strip() for h in header]
+            missing_cols = [colname for colname in cmap.values() if colname.strip() not in stripped]
+            if missing_cols:
+                raise DataFormatError(f"missing mapped columns: {missing_cols}")
+            # Column of each field, in FlowRecord field order.
+            index = tuple(stripped.index(cmap[name].strip()) for name in DEFAULT_COLUMN_MAP)
+            for row in reader:
+                report.total_rows += 1
+                rec, reason = _parse_row(row, index)
+                if rec is None:
+                    report.note_drop(reason)
+                else:
+                    records.append(rec)
+                    report.kept += 1
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
     return Dataset(tuple(records), provenance="INGESTED"), report
 
 
@@ -263,61 +272,34 @@ def _check_column_map(column_map) -> None:
     not_text = [f for f, header in column_map.items() if not isinstance(header, str)]
     if not_text:
         raise DataFormatError(f"column map: header of {not_text} is not a string")
+    headers = [h.strip() for h in column_map.values()]
+    for header in headers:
+        if headers.count(header) > 1:
+            named_by = [f for f, h in column_map.items() if h.strip() == header]
+            raise DataFormatError(f"column map: header {header!r} is named by fields {named_by}")
 
 
-def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None, str]:
+def _parse_row(row: list[str], index: tuple[int, ...]) -> tuple[FlowRecord | None, str]:
+    """Turn one row's text into a FlowRecord, or (None, drop reason)."""
     try:
-        cells = {name: row[i].strip() for name, i in index.items()}
-    except IndexError:
+        src_ip, dst_ip, src_port, dst_port, *nrf_cells, label = [row[i].strip() for i in index]
+        nrf = [float(cell) if cell else math.nan for cell in nrf_cells]
+        ports = float(src_port), float(dst_port)
+    except (IndexError, ValueError):
         return None, "unparseable"
-
-    raw_numeric: dict[str, float] = {}
-    missing = cells["src_ip"] == "" or cells["dst_ip"] == ""
-    for name in NRF_FIELDS:
-        cell = cells[name]
-        if cell == "":
-            missing = True
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            return None, "unparseable"
-        if math.isnan(value):
-            missing = True
-        raw_numeric[name] = value
-    try:
-        src_port = _integral(float(cells["src_port"]))
-        dst_port = _integral(float(cells["dst_port"]))
-    except ValueError:
+    # A port of 80.5 is not truncated to 80: it is unparseable.
+    if not (label and ports[0].is_integer() and ports[1].is_integer()):
         return None, "unparseable"
-    if cells["label"] == "":
-        return None, "unparseable"
-    if missing:
+    if not (src_ip and dst_ip) or any(map(math.isnan, nrf)):
         return None, "missing_value"
-    if any(math.isinf(v) for v in raw_numeric.values()):
-        return None, "non_finite"
-    if raw_numeric["flow_duration"] < 0:
-        return None, "negative_duration"
-    protocol = raw_numeric["protocol"]
-    if not protocol.is_integer() or int(protocol) not in PROTOCOLS or not (0 <= src_port <= 65535) or not (0 <= dst_port <= 65535):
-        return None, "unparseable"
-    if any(v < 0 for v in raw_numeric.values()):
-        return None, "negative_value"
-
-    rec = FlowRecord(
-        cells["src_ip"], cells["dst_ip"], src_port, dst_port,
-        **{**raw_numeric, "protocol": int(protocol)},
-        label=ActivityLabel.parse(cells["label"]),
-    )
+    protocol = nrf[0]  # stored as an int when whole; FlowRecord rejects any other value
+    try:
+        rec = FlowRecord(src_ip, dst_ip, int(ports[0]), int(ports[1]),
+                         int(protocol) if protocol.is_integer() else protocol,
+                         *nrf[1:], ActivityLabel.parse(label))
+    except InvalidFlow as exc:
+        return None, exc.reason
     return rec, ""
-
-
-def _integral(value: float) -> int:
-    """A port number; ValueError for a non-integral cell such as 80.5, which
-    int() would silently truncate."""
-    if not value.is_integer():
-        raise ValueError(f"non-integral value: {value!r}")
-    return int(value)
 
 
 def write_csv(dataset: Dataset, path) -> None:

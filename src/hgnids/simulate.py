@@ -223,25 +223,28 @@ class Scorecard:
 
     @staticmethod
     def read(path) -> "Scorecard":
-        """Parse a scorecard.csv; a missing column, a short row or a cell
-        of the wrong type is a DataFormatError naming the file."""
+        """Parse a scorecard.csv; a missing column, a short row, a cell of
+        the wrong type or a malformed line is a DataFormatError naming the file."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            missing = [name for name in SCORECARD_COLUMNS if name not in (reader.fieldnames or ())]
-            if missing:
-                raise DataFormatError(f"{path}: missing column(s): {', '.join(missing)}")
-            rows = []
-            for rec in reader:
-                where = f"{path}:{reader.line_num}"
-                cells = {}
-                for name in SCORECARD_COLUMNS:
-                    if rec[name] is None:
-                        raise DataFormatError(f"{where}: row ends before column {name}")
-                    try:
-                        cells[name] = _SCORECARD_TYPES[name](rec[name])
-                    except ValueError:
-                        raise DataFormatError(f"{where}: column {name}: bad cell {rec[name]!r}") from None
-                rows.append(ScoreRow(**cells))
+            try:
+                missing = [name for name in SCORECARD_COLUMNS if name not in (reader.fieldnames or ())]
+                if missing:
+                    raise DataFormatError(f"{path}: missing column(s): {', '.join(missing)}")
+                rows = []
+                for rec in reader:
+                    where = f"{path}:{reader.line_num}"
+                    cells = {}
+                    for name in SCORECARD_COLUMNS:
+                        if rec[name] is None:
+                            raise DataFormatError(f"{where}: row ends before column {name}")
+                        try:
+                            cells[name] = _SCORECARD_TYPES[name](rec[name])
+                        except ValueError:
+                            raise DataFormatError(f"{where}: column {name}: bad cell {rec[name]!r}") from None
+                    rows.append(ScoreRow(**cells))
+            except csv.Error as exc:
+                raise DataFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
         return Scorecard(rows)
 
 

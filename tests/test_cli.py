@@ -502,6 +502,26 @@ def test_report_rejects_malformed_scorecard_as_data(tmp_path, capsys, text, expe
         Scorecard.read(run_dir / "scorecard.csv")
 
 
+_OVER_FIELD_LIMIT = "x" * (1 << 17) + "x"  # one past the csv module's default field limit
+
+
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_cell_over_csv_field_limit_is_data_error(tmp_path, capsys, command):
+    if command == "ingest":
+        source = tmp_path / "flows.csv"
+        source.write_text(",".join(DEFAULT_COLUMN_MAP.values()) + "\n" + _OVER_FIELD_LIMIT + "\n")
+        args = ["ingest", "--input", str(source)]
+    else:
+        run_dir = _scorecard_dir(tmp_path, _SCORECARD_HEADER + _OVER_FIELD_LIMIT + "\n")
+        source = run_dir / "scorecard.csv"
+        args = ["report", "--run-dir", str(run_dir)]
+    out = tmp_path / "out"
+    assert main([*args, "--out-dir", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{source}:2: field larger than field limit" in err
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == []
+
+
 def test_internal_error_is_exit_3_and_lists_no_outputs(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise RuntimeError("synthesis broke")
@@ -525,7 +545,9 @@ def _benign_csv(tmp_path) -> Path:
     ({**DEFAULT_COLUMN_MAP, "label": 5}, "header of ['label'] is not a string"),
     ({**{k: v for k, v in DEFAULT_COLUMN_MAP.items() if k != "label"}, "lable": "Label"},
      "missing field(s) ['label'], unknown field(s) ['lable']"),
-], ids=["partial", "list", "non-string-header", "typo-key"])
+    ({**DEFAULT_COLUMN_MAP, "dst_ip": " Source IP"},
+     "header 'Source IP' is named by fields ['src_ip', 'dst_ip']"),
+], ids=["partial", "list", "non-string-header", "typo-key", "header-named-twice"])
 def test_bad_column_map_is_data_error(tmp_path, capsys, column_map, expected):
     traffic = _benign_csv(tmp_path)
     cmap = tmp_path / "cmap.json"

@@ -1,4 +1,6 @@
 import math
+import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,9 +12,11 @@ from hgnids import flows
 from hgnids.flows import (
     ActivityLabel,
     BENIGN_LABEL,
+    DEFAULT_COLUMN_MAP,
     DataFormatError,
     Dataset,
     FlowRecord,
+    InvalidFlow,
     LabelKind,
     OTHER_ATTACK_NAMES,
     PROTOCOLS,
@@ -25,6 +29,7 @@ from hgnids.flows import (
 )
 from hgnids.hypergraph import build_hypergraph
 
+import ingest_reference
 from helpers import make_record
 
 HEADER = (
@@ -107,6 +112,111 @@ def test_ingest_rejects_non_integral_ports_and_protocol(tmp_path):
     dataset, report = ingest_csv(path)
     assert [(r.protocol, r.src_port, r.dst_port) for r in dataset] == [(6, 40000, 80)]
     assert report.reasons == {"unparseable": 4}
+
+
+def test_ingest_decision_order(tmp_path):
+    rows = [
+        _row(protocol="6.5", duration=""),
+        _row(protocol="inf", duration="-1"),
+        _row(protocol="6.5", duration="-1"),
+        _row(protocol="6.5", bytes_s="-1"),
+        _row(dst_port="70000", bytes_s="-1"),
+        _row(bytes_s="-1"),
+        _row(protocol="6.0", duration="-0.0"),
+    ]
+    path = tmp_path / "order.csv"
+    path.write_text(HEADER + "\n" + "\n".join(rows) + "\n")
+    dataset, report = ingest_csv(path)
+    assert report.reasons == {"missing_value": 1, "non_finite": 1, "negative_duration": 1,
+                              "unparseable": 2, "negative_value": 1}
+    (kept,) = dataset.records
+    assert type(kept.protocol) is int and str(kept.flow_duration) == "-0.0"
+    write_csv(dataset, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_text().splitlines()[1].startswith("10.0.0.1,10.0.0.2,40000,80,6,-0.0,")
+
+
+def test_ingest_missing_columns_listed_in_map_order(tmp_path):
+    path = tmp_path / "partial.csv"
+    path.write_text("Source IP,Label\n")
+    column_map = dict(reversed(DEFAULT_COLUMN_MAP.items()))
+    missing = [h for h in column_map.values() if h not in ("Source IP", "Label")]
+    with pytest.raises(DataFormatError, match=re.escape(f"missing mapped columns: {missing}")):
+        ingest_csv(path, column_map)
+
+
+@pytest.mark.parametrize("fields,reason", [
+    ({"bytes_s": math.inf}, "non_finite"),
+    ({"protocol": math.inf, "duration": -1.0, "dst_port": 70000}, "non_finite"),
+    ({"pkts_s": math.nan}, "non_finite"),
+    ({"duration": -1.0, "protocol": 5, "ratio": -2.0}, "negative_duration"),
+    ({"protocol": 6.5, "ratio": -2.0}, "unparseable"),
+    ({"src_port": -1}, "unparseable"),
+    ({"dst_port": 70000, "fwd_pkts": -1.0}, "unparseable"),
+    ({"fwd_bytes": -0.5}, "negative_value"),
+])
+def test_flow_record_value_rules(fields, reason):
+    with pytest.raises(InvalidFlow) as info:
+        make_record(**fields)
+    assert info.value.reason == reason
+    assert isinstance(info.value, ValueError) and str(info.value).startswith(reason + ": ")
+
+
+# Ordinary cells per column (DEFAULT_COLUMN_MAP order), and odd cells that
+# reach every drop reason: blanks and NaN (missing_value), inf and 1e999
+# (non_finite), -1 and -0.0 (negative durations, values and ports), 6.5
+# and 80.25 (not whole numbers), 70000 (out of range) and text.
+_GOOD_CELLS = (
+    ("10.0.0.1", " 172.16.0.1 "), ("10.0.0.2", "8.8.8.8"), ("40000", "1024.0"), ("80", "443"),
+    ("6", "17", "0", "6.0"), ("100", "0", "1.5e3"), ("2",), ("2", "0"), ("120",), ("240",),
+    ("5000.0", " 7.25 "), ("100.0",), ("1.0", "0.5"), ("BENIGN", "PortScan", " DoS Hulk "),
+)
+_ODD_CELLS = (
+    "", " ", "nan", "NaN", "inf", "-inf", "1e999", "-0.0", "-1", "-3.5", "0", "6", "17",
+    "6.5", "80.25", "70000", "65535", "abc", "1_000",
+)
+_REASONS = {"", "unparseable", "missing_value", "non_finite", "negative_duration", "negative_value"}
+
+
+def _random_row(pick) -> list[str]:
+    """Ordinary cells with up to three replaced by odd ones, and one row in
+    ten cut short; pick(n) draws an integer in [0, n)."""
+    row = [cells[pick(len(cells))] for cells in _GOOD_CELLS]
+    for _ in range(pick(4)):
+        row[pick(len(row))] = _ODD_CELLS[pick(len(_ODD_CELLS))]
+    return row if pick(10) else row[: pick(len(row))]
+
+
+def _parse_both(row):
+    """(record field values with their types, reason) from the current
+    parser and from the reference."""
+    index = tuple(range(len(DEFAULT_COLUMN_MAP)))
+    outcomes = (
+        flows._parse_row(row, index),
+        ingest_reference._parse_row(row, dict(zip(DEFAULT_COLUMN_MAP, index))),
+    )
+    return [
+        (None if rec is None else [(type(v), repr(v)) for v in vars(rec).values()], reason)
+        for rec, reason in outcomes
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_row_matches_reference(data):
+    row = _random_row(lambda n: data.draw(st.integers(0, n - 1)))
+    new, old = _parse_both(row)
+    assert new == old
+
+
+def test_parse_row_matches_reference_on_every_reason():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(20_000):
+        row = _random_row(rng.randrange)
+        new, old = _parse_both(row)
+        assert new == old, row
+        seen.add(new[1])
+    assert seen == _REASONS
 
 
 def test_ingest_header_whitespace_tolerated(tmp_path):
