@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .adversarial import ZooBudget, attack_pipeline, to_flow_records
-from .config import KEYS, load_config
+from .config import KEYS, ConfigError, load_config
 from .detector import detect_window, write_flags_csv
 from .features import (
     FeatureMode,
@@ -42,7 +42,6 @@ from .hypergraph import (
     incidence_rows,
 )
 from .simulate import (
-    ConfigError,
     Scorecard,
     SimConfig,
     desk_case_config,
@@ -55,6 +54,7 @@ from .simulate import (
 from .trees import (
     Hyperparams,
     ModelKind,
+    TrainingError,
     default_hyperparams,
     deserialize_model,
     evaluate,
@@ -118,8 +118,10 @@ class Manifest:
         path.write_text(json.dumps(self.payload, indent=2, sort_keys=True))
 
 
-def _load_dataset(path) -> Dataset:
+def _load_dataset(path, allow_empty: bool = False) -> Dataset:
     dataset, _ = ingest_csv(path)
+    if not (len(dataset) or allow_empty):
+        raise DataFormatError(f"{path}: no flow row survives cleaning")
     return dataset
 
 
@@ -137,7 +139,10 @@ def _parse_pairs(spec: str) -> list[tuple[str, str]]:
 
 
 def cmd_ingest(args, cfg, manifest: Manifest) -> list[Path]:
-    column_map = json.loads(Path(args.column_map).read_text()) if args.column_map else None
+    try:
+        column_map = json.loads(Path(args.column_map).read_text()) if args.column_map else None
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{args.column_map}: column map is not JSON: {exc}") from None
     manifest.start(args.column_map, args.input)
     dataset, report = ingest_csv(args.input, column_map)
     out = Path(args.out_dir)
@@ -165,7 +170,7 @@ def cmd_synth(args, cfg, manifest: Manifest) -> list[Path]:
 
 def cmd_hypergraph(args, cfg, manifest: Manifest) -> list[Path]:
     manifest.start(args.input)
-    dataset = _load_dataset(args.input)
+    dataset = _load_dataset(args.input, allow_empty=True)
     h = build_hypergraph(dataset)
     out = Path(args.out_dir)
     written = []
@@ -283,7 +288,7 @@ def cmd_advgen(args, cfg, manifest: Manifest) -> list[Path]:
 
 def cmd_detect_scan(args, cfg, manifest: Manifest) -> list[Path]:
     manifest.start(args.input)
-    dataset = _load_dataset(args.input)
+    dataset = _load_dataset(args.input, allow_empty=True)
     window = args.window_size
     flagged: set = set()
     all_flags = []
@@ -518,7 +523,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ConfigError, FileNotFoundError, ValueError) as exc:
+    except (DataFormatError, ConfigError, TrainingError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:

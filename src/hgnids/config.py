@@ -6,7 +6,7 @@ unknown key in a file is an error, and each key can be overridden by an
 environment variable named HGNIDS_<KEY> (upper-cased). No other
 environment variable is read. A value that does not parse as its key's
 type is an error naming the key and where the value was set, from
-either source.
+either source. Every such error is a ConfigError.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from __future__ import annotations
 import os
 
 ENV_PREFIX = "HGNIDS_"
+
+
+class ConfigError(ValueError):
+    """A config file, environment override or run setting that cannot be used."""
+
 
 _BOOL_WORDS = {
     "1": True, "true": True, "yes": True, "on": True,
@@ -45,7 +50,7 @@ def _checked(key: str, value: str, where: str) -> str:
     try:
         KEYS[key](value)
     except ValueError as exc:
-        raise ValueError(f"{where}: bad value for {key}: {exc}") from None
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from None
     return value
 
 
@@ -58,12 +63,12 @@ def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+                    raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip().lower()
                 if key not in KEYS:
                     known = ", ".join(KEYS)
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
                 values[key] = _checked(key, value.strip(), f"{path}:{lineno}")
     source = os.environ if env is None else env
     for key in KEYS:

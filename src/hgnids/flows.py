@@ -155,15 +155,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.records)
 
-    def scans(self) -> tuple[FlowRecord, ...]:
-        return tuple(r for r in self.records if r.label.kind is LabelKind.PORT_SCAN)
-
-    def attacks(self) -> tuple[FlowRecord, ...]:
-        return tuple(r for r in self.records if r.label.is_attack)
-
-    def benign(self) -> tuple[FlowRecord, ...]:
-        return tuple(r for r in self.records if not r.label.is_attack)
-
 
 @dataclass
 class CleaningReport:
@@ -227,8 +218,9 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
     a blank label), then `missing_value` (a blank IP, a blank or NaN raw
     feature), then dropped by the first FlowRecord value rule it breaks.
     Returns the dataset and a report of drop tallies. A column_map maps
-    the fields of DEFAULT_COLUMN_MAP to distinct headers. A malformed
-    file is a DataFormatError naming its line.
+    the fields of DEFAULT_COLUMN_MAP to distinct headers, and the file's
+    header must name each of them once. A malformed file is a
+    DataFormatError naming its line.
     """
     if column_map is not None:
         _check_column_map(column_map)
@@ -245,6 +237,9 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
             missing_cols = [colname for colname in cmap.values() if colname.strip() not in stripped]
             if missing_cols:
                 raise DataFormatError(f"missing mapped columns: {missing_cols}")
+            repeated = [h for h in map(str.strip, cmap.values()) if stripped.count(h) > 1]
+            if repeated:
+                raise DataFormatError(f"{path}: header names mapped column {repeated[0]!r} twice")
             # Column of each field, in FlowRecord field order.
             index = tuple(stripped.index(cmap[name].strip()) for name in DEFAULT_COLUMN_MAP)
             for row in reader:

@@ -37,6 +37,7 @@ from typing import NamedTuple, Sequence, get_type_hints
 import numpy as np
 
 from .adversarial import AdversarialExample, to_flow_records
+from .config import ConfigError
 from .detector import ScanFlag, detect_window, write_flags_csv
 from .ensemble import (
     EnsembleState,
@@ -77,10 +78,6 @@ _CASES: dict[int, CasePolicy] = {
     5: CasePolicy(16, UpdateRule.UALL, True, False),
     6: CasePolicy(16, UpdateRule.UALL, True, True),
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

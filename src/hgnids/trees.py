@@ -3,14 +3,16 @@
 Models learn from matrices: `fit(X, y, kind)` takes the arrays of
 `features.encode` and reads the feature layout from the width of X;
 `train` is its form for FeatureVector rows. Both learners grow exact
-greedy binary trees with one vectorised split search (per-node column
-sort + prefix sums); each kind brings only its split score. Random
+greedy binary trees with one vectorised split search (columns sorted
+once per fit or tree, then partitioned at each split, + prefix sums over
+the valid cuts); each kind brings only its split score. Random
 forests bag bootstrap samples, subsample features at every split, and
 average leaf class fractions; boosted trees fit logistic-loss
 gradient/hessian gains with shrinkage, starting from a zero base score
 so an empty model predicts 0.5. Ties in the split search break toward
 the lower feature index and then the lower threshold, which together
-with per-tree seeded streams makes training bit-reproducible."""
+with per-tree seeded streams makes training bit-reproducible. Scoring
+walks all of a model's trees at once through one packed node table."""
 
 from __future__ import annotations
 
@@ -108,22 +110,33 @@ class TrainingError(ValueError):
     pass
 
 
-def _best_split(Xs: np.ndarray, stats, score, min_leaf: int):
-    """Best (column, threshold, score) over the columns of Xs, or None.
+def _best_split(sv: np.ndarray, stats, score, min_leaf: int):
+    """Best (column, threshold, score) over the rows of sv, or None.
 
-    score(n, nl, *sums) rates every cut from the left-child row counts nl
-    and, per 1-D statistic in stats, its (left prefix sums, total) pair.
+    Row j of sv holds one column's values in stable ascending order, and
+    row j of each array in stats a statistic of the same rows in the same
+    order. A cut after sorted position i must fall between two distinct
+    values and leave min_leaf rows on each side; score(n, nl, *sums)
+    rates the valid cuts from their left-child row counts nl and, per
+    statistic, the (left prefix sums, total) pair.
     """
-    n = Xs.shape[0]
+    n = sv.shape[1]
     if n < 2 * min_leaf:
         return None
-    order = np.argsort(Xs, axis=0, kind="stable")
-    sv = np.take_along_axis(Xs, order, axis=0)
-    sums = [np.cumsum(s[order], axis=0) for s in stats]
-    nl = np.arange(1, n, dtype=np.float64)[:, None]
-    rated = score(n, nl, *[(c[:-1], c[-1, 0]) for c in sums])
-    valid = (sv[:-1] < sv[1:]) & (nl >= min_leaf) & ((n - nl) >= min_leaf)
-    return _pick_best(np.where(valid, rated, -np.inf), sv)
+    lo, hi = min_leaf - 1, n - min_leaf
+    col, cut = np.divmod(np.flatnonzero(sv[:, lo:hi] < sv[:, lo + 1 : hi + 1]), hi - lo)
+    if col.size == 0:
+        return None
+    cut += lo
+    sums = [np.cumsum(s, axis=1) for s in stats]
+    rated = score(n, cut + 1.0, *[(c.take(col * n + cut), c[0, -1]) for c in sums])
+    # the first best cut in (column, position) order: ties break toward
+    # the lower feature index, then the lower threshold
+    best = int(np.argmax(rated))
+    if not np.isfinite(rated[best]) or rated[best] <= _MIN_GAIN:
+        return None
+    j, i = col[best], cut[best]
+    return int(j), float((sv[j, i] + sv[j, i + 1]) / 2.0), float(rated[best])
 
 
 def _gini_decrease(n, nl, pos):
@@ -142,20 +155,6 @@ def _gain(n, nl, g, h):
     (GL, G), (HL, H) = g, h
     GR, HR = G - GL, H - HL
     return GL * GL / (HL + _GB_LAMBDA) + GR * GR / (HR + _GB_LAMBDA) - G * G / (H + _GB_LAMBDA)
-
-
-def _pick_best(score: np.ndarray, sv: np.ndarray):
-    # argmax picks the first (lowest-threshold) row per column and the first
-    # (lowest-index) column overall, which fixes the tie-break order
-    per_col_row = np.argmax(score, axis=0)
-    per_col = score[per_col_row, np.arange(score.shape[1])]
-    col = int(np.argmax(per_col))
-    best = per_col[col]
-    if not np.isfinite(best) or best <= _MIN_GAIN:
-        return None
-    row = int(per_col_row[col])
-    threshold = (sv[row, col] + sv[row + 1, col]) / 2.0
-    return col, float(threshold), float(best)
 
 
 class _TreeBuilder:
@@ -184,20 +183,23 @@ class _TreeBuilder:
         )
 
 
-def _grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
-    d = X.shape[1]
+def _grow_tree(XT, order, params, rng, kind, y=None, g=None, h=None, lr=1.0, F=None):
+    """Grow one tree on its root rows, the columns 0..N-1 of XT (one row
+    per feature). order[j] lists those positions stably sorted by XT[j].
+    A split stable-partitions every row of the node's order, so a child's
+    order equals a fresh stable argsort of its rows, ties included. Given
+    the boosting margins F, each leaf adds its value to its rows' margins."""
+    d, N = XT.shape
     builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(root, idx, 0)]
+    stack = [(builder.add(), np.arange(N), order, 0)]
     while stack:
-        node, rows, depth = stack.pop()
+        node, rows, order, depth = stack.pop()
         if kind is ModelKind.RANDOM_FOREST:
             yn = y[rows]
             leaf_value = float(yn.mean())
             pure = yn.min() == yn.max()
         else:
-            gn, hn = g[rows], h[rows]
-            leaf_value = lr * float(-gn.sum() / (hn.sum() + _GB_LAMBDA))
+            leaf_value = lr * float(-g[rows].sum() / (h[rows].sum() + _GB_LAMBDA))
             pure = False
 
         found = None
@@ -205,24 +207,28 @@ def _grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
             if kind is ModelKind.RANDOM_FOREST:
                 m = params.feature_subsample or max(1, int(math.sqrt(d)))
                 feats = np.sort(rng.choice(d, size=min(m, d), replace=False))
-                found = _best_split(X[np.ix_(rows, feats)], (yn,), _gini_decrease, params.min_leaf)
+                sub, stats, score = order[feats], (y,), _gini_decrease
             else:
-                feats = np.arange(d)
-                found = _best_split(X[rows], (gn, hn), _gain, params.min_leaf)
+                feats, sub, stats, score = np.arange(d), order, (g, h), _gain
+            sv = XT[feats[:, None], sub]
+            found = _best_split(sv, [s.take(sub) for s in stats], score, params.min_leaf)
 
         if found is None:
             builder.value[node] = leaf_value
+            if F is not None:
+                F[rows] += leaf_value
             continue
         feat, thr = int(feats[found[0]]), found[1]
-        mask = X[rows, feat] <= thr
+        goes_left = XT[feat] <= thr
+        mask, sides = goes_left[rows], goes_left[order].ravel()
         builder.feature[node] = feat
         builder.threshold[node] = thr
         left = builder.add()
         right = builder.add()
         builder.left[node] = left
         builder.right[node] = right
-        stack.append((right, rows[~mask], depth + 1))
-        stack.append((left, rows[mask], depth + 1))
+        stack.append((right, rows[~mask], order.compress(~sides).reshape(d, -1), depth + 1))
+        stack.append((left, rows[mask], order.compress(sides).reshape(d, -1), depth + 1))
     return builder.done()
 
 
@@ -252,20 +258,21 @@ def fit(
         for child in children:
             rng = np.random.default_rng(child)
             boot = rng.integers(0, n, size=n)
-            trees.append(_grow_tree(X, boot, params, rng, kind, y=y.astype(np.float64)))
+            XT = np.ascontiguousarray(X[boot].T)
+            order = np.argsort(XT, axis=1, kind="stable")
+            trees.append(_grow_tree(XT, order, params, rng, kind, y=y[boot].astype(np.float64)))
     else:
         rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0x6B]))
         lr = params.learning_rate if params.learning_rate is not None else 0.1
         F = np.zeros(n, dtype=np.float64)
         yf = y.astype(np.float64)
-        all_rows = np.arange(n)
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")  # every round grows on all rows
         for _ in range(params.n_trees):
             p = 1.0 / (1.0 + np.exp(-F))
             g = p - yf
             h = p * (1.0 - p)
-            tree = _grow_tree(X, all_rows, params, rng, kind, g=g, h=h, lr=lr)
-            F += _apply_tree(tree, X)
-            trees.append(tree)
+            trees.append(_grow_tree(XT, order, params, rng, kind, g=g, h=h, lr=lr, F=F))
 
     return TreeModel(kind, mode, params, d, trees)
 
@@ -279,18 +286,20 @@ def train(
     return fit(*rows_to_arrays(rows), kind, hyperparams)
 
 
-def _apply_tree(tree: _Tree, X: np.ndarray) -> np.ndarray:
-    node = np.zeros(X.shape[0], dtype=np.int32)
-    while True:
-        feat = tree.feature[node]
-        active = feat >= 0
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        cur = node[rows]
-        goleft = X[rows, feat[rows]] <= tree.threshold[cur]
-        node[rows] = np.where(goleft, tree.left[cur], tree.right[cur])
-    return tree.value[node]
+_WALK_CELLS = 1 << 16  # (row, tree) cells walked at a time
+
+
+def _packed(trees: list[_Tree]):
+    """The trees as one node table: each tree's children shifted by its
+    offset, and each leaf its own child, so a walk may step past it."""
+    sizes = [t.feature.size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(t, key) for t in trees]) for key, _ in _TREE_ARRAYS
+    )
+    shift = np.repeat(roots, sizes)
+    kids = np.where(feature < 0, np.arange(feature.size), np.stack([left + shift, right + shift]))
+    return roots, feature, threshold, kids.T.ravel(), value
 
 
 def predict_proba_batch(model: TreeModel, X: np.ndarray) -> np.ndarray:
@@ -298,9 +307,23 @@ def predict_proba_batch(model: TreeModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {model.n_features} features, got shape {X.shape}")
     if not model.trees:
         return np.full(X.shape[0], 0.5)
+    roots, feature, threshold, kids, value = _packed(model.trees)
     acc = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        acc += _apply_tree(tree, X)
+    step = max(1, _WALK_CELLS // len(roots))
+    for start in range(0, X.shape[0], step):
+        Xc = np.ascontiguousarray(X[start : start + step])
+        node = np.tile(roots, (Xc.shape[0], 1))
+        row_start = np.arange(0, Xc.size, Xc.shape[1])[:, None]
+        while True:
+            feat = feature.take(node)
+            if not (feat >= 0).any():
+                break
+            goleft = Xc.take(row_start + feat) <= threshold.take(node)
+            node = kids.take(2 * node + ~goleft)
+        leaves = value.take(node)
+        part = acc[start : start + step]
+        for t in range(len(roots)):
+            part += leaves[:, t]
     if model.kind is ModelKind.RANDOM_FOREST:
         return acc / len(model.trees)
     return 1.0 / (1.0 + np.exp(-acc))
@@ -352,7 +375,10 @@ def deserialize_model(blob: bytes) -> TreeModel:
     feature, left and right all -1, and an internal node i splits on a
     feature below n_features with i < left, right < n_nodes, as _grow_tree
     builds them, so every walk down a tree ends at a leaf."""
-    payload = json.loads(blob.decode("utf-8"))
+    try:
+        payload = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise DataFormatError(f"model payload is not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataFormatError("model payload is not a JSON object")
     if payload.get("format") != _FORMAT or payload.get("version") != _VERSION:

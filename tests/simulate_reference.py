@@ -74,8 +74,8 @@ def build_batches_plan(cfg: SimConfig, data: Dataset, adv_records: list[FlowReco
         stream_source = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5)
     else:
         stream_source = data
-    attack_pool = list(stream_source.attacks())
-    benign_pool = list(stream_source.benign())
+    attack_pool = [r for r in stream_source.records if r.label.is_attack]
+    benign_pool = [r for r in stream_source.records if not r.label.is_attack]
     if not benign_pool:
         raise ConfigError("base data has no benign records to stream")
     if cfg.attack_frac > 0 and not attack_pool:

@@ -1,15 +1,31 @@
 """The two split searches that `trees._best_split` replaced: one for the
 random forest (Gini decrease over labels) and one for boosted trees
-(gradient/hessian gain), each with its own sort, prefix sums and validity
-mask. Kept as the reference for differential tests of the shared search;
-both still hand their scores to `trees._pick_best`.
+(gradient/hessian gain), each with its own per-node sort, prefix sums and
+validity mask, and `pick_best`, which chooses among the scores of every
+cut (invalid ones at -inf) where `trees._best_split` now rates only the
+valid cuts. Kept as the reference for differential tests of the shared
+search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hgnids.trees import _GB_LAMBDA, _pick_best
+from hgnids.trees import _GB_LAMBDA, _MIN_GAIN
+
+
+def pick_best(score: np.ndarray, sv: np.ndarray):
+    # argmax picks the first (lowest-threshold) row per column and the first
+    # (lowest-index) column overall, which fixes the tie-break order
+    per_col_row = np.argmax(score, axis=0)
+    per_col = score[per_col_row, np.arange(score.shape[1])]
+    col = int(np.argmax(per_col))
+    best = per_col[col]
+    if not np.isfinite(best) or best <= _MIN_GAIN:
+        return None
+    row = int(per_col_row[col])
+    threshold = (sv[row, col] + sv[row + 1, col]) / 2.0
+    return col, float(threshold), float(best)
 
 
 def best_split_gini(Xs: np.ndarray, ys: np.ndarray, min_leaf: int):
@@ -32,7 +48,7 @@ def best_split_gini(Xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     decrease = n * 2.0 * p0 * (1.0 - p0) - weighted
     valid = (sv[:-1] < sv[1:]) & (nl >= min_leaf) & (nr >= min_leaf)
     decrease = np.where(valid, decrease, -np.inf)
-    return _pick_best(decrease, sv)
+    return pick_best(decrease, sv)
 
 
 def best_split_gain(Xs: np.ndarray, g: np.ndarray, h: np.ndarray, min_leaf: int):
@@ -51,4 +67,4 @@ def best_split_gain(Xs: np.ndarray, g: np.ndarray, h: np.ndarray, min_leaf: int)
     nl = np.arange(1, n, dtype=np.float64)[:, None]
     valid = (sv[:-1] < sv[1:]) & (nl >= min_leaf) & ((n - nl) >= min_leaf)
     gain = np.where(valid, gain, -np.inf)
-    return _pick_best(gain, sv)
+    return pick_best(gain, sv)

@@ -13,7 +13,7 @@ from hgnids.cli import (
     EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, _sim_config,
     build_parser, main,
 )
-from hgnids.config import KEYS, load_config, parse_bool
+from hgnids.config import KEYS, ConfigError, load_config, parse_bool
 from hgnids.flows import DEFAULT_COLUMN_MAP, DataFormatError
 from hgnids.simulate import Scorecard, SimConfig
 from hgnids.trees import ModelKind, default_hyperparams, serialize_model
@@ -77,14 +77,14 @@ def test_config_file_and_env_override(tmp_path):
 def test_config_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("this is not a pair\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         load_config(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "typo.cfg"
     path.write_text("n_epochs=2\n# comment\nn_epoch=1\n")
-    with pytest.raises(ValueError, match=f"{path}:3: unknown key 'n_epoch'"):
+    with pytest.raises(ConfigError, match=f"{path}:3: unknown key 'n_epoch'"):
         load_config(path)
     out = tmp_path / "sim"
     assert main(["simulate", "--case", "1", "--config", str(path), "--out-dir", str(out)]) == EXIT_DATA
@@ -533,6 +533,17 @@ def test_internal_error_is_exit_3_and_lists_no_outputs(tmp_path, capsys, monkeyp
     assert json.loads((out / "manifest.json").read_text())["outputs"] == []
 
 
+def test_value_error_inside_a_command_is_exit_3(tmp_path, capsys, monkeypatch):
+    """A bare ValueError is a fault in the program, not bad input."""
+    def broken(*args):
+        raise ValueError("zero-size array to reduction operation minimum")
+
+    monkeypatch.setattr(cli, "synth_traffic", broken)
+    out = tmp_path / "synth"
+    assert main(["synth", "--profile", "benign", "--count", "5", "--out-dir", str(out)]) == EXIT_INTERNAL
+    assert "internal error: zero-size array" in capsys.readouterr().err
+
+
 def _benign_csv(tmp_path) -> Path:
     out = tmp_path / "benign"
     assert main(["synth", "--profile", "benign", "--count", "20", "--out-dir", str(out)]) == EXIT_OK
@@ -557,6 +568,32 @@ def test_bad_column_map_is_data_error(tmp_path, capsys, column_map, expected):
     assert expected in capsys.readouterr().err
 
 
+def test_header_naming_a_mapped_column_twice_is_data_error(tmp_path, capsys):
+    lines = _benign_csv(tmp_path).read_text().splitlines()
+    doubled = tmp_path / "doubled.csv"
+    doubled.write_text("\n".join([lines[0] + ",Label"] + [row + ",PortScan" for row in lines[1:]]) + "\n")
+    assert main(["ingest", "--input", str(doubled), "--out-dir", str(tmp_path / "ingest")]) == EXIT_DATA
+    assert f"{doubled}: header names mapped column 'Label' twice" in capsys.readouterr().err
+
+
+def test_column_map_that_is_not_json_is_data_error(tmp_path, capsys):
+    cmap = tmp_path / "cmap.json"
+    cmap.write_text("{src_ip: Source IP}")
+    assert main(["ingest", "--input", str(_benign_csv(tmp_path)), "--column-map", str(cmap),
+                 "--out-dir", str(tmp_path / "ingest")]) == EXIT_DATA
+    assert f"{cmap}: column map is not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["features", "--mode", "hgi"], ["train", "--mode", "nrf", "--kind", "rf"], ["advgen"],
+])
+def test_input_with_no_clean_rows_is_data_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(_benign_csv(tmp_path).read_text().splitlines()[0] + "\n")
+    assert main([*command, "--input", str(empty), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert f"{empty}: no flow row survives cleaning" in capsys.readouterr().err
+
+
 def _cyclic_model() -> bytes:
     payload = json.loads(serialize_model(single_leaf_model(0.5)))
     payload["trees"][0].update(feature=[0], left=[0], right=[0])
@@ -567,7 +604,9 @@ def _cyclic_model() -> bytes:
     (b"[]", "model payload is not a JSON object"),
     (b'{"format": "hgnids.tree-model", "version": 1}', "model payload lacks"),
     (_cyclic_model(), "model tree 0: node 0"),
-], ids=["list", "no-keys", "self-cycle"])
+    (b"model", "model payload is not JSON"),
+    (b"\xff\xfe", "model payload is not JSON"),
+], ids=["list", "no-keys", "self-cycle", "not-json", "not-utf8"])
 def test_malformed_model_is_data_error(tmp_path, capsys, blob, expected):
     model = tmp_path / "model.json"
     model.write_bytes(blob)

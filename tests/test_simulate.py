@@ -13,7 +13,7 @@ from helpers import make_record
 from hgnids import simulate
 from hgnids.ensemble import UpdateRule
 from hgnids.features import FeatureMode, encode
-from hgnids.flows import BENIGN_LABEL, SCAN_LABEL, Dataset, concat
+from hgnids.flows import BENIGN_LABEL, SCAN_LABEL, Dataset, LabelKind, concat
 from hgnids.simulate import (
     ConfigError,
     Scorecard,
@@ -142,7 +142,8 @@ def test_production_mode_flags_drive_hackers(tiny_data, tiny_adv):
     scorecard, artifacts = run_simulation(cfg, tiny_data, tiny_adv)
     flagged_pairs = {f.pair for f in artifacts.flag_log}
     scan_pairs = {
-        r.pair for r in simulate.remap_ip_pairs(tiny_data, 16, cfg.seed * 7 + 5).scans()
+        r.pair for r in simulate.remap_ip_pairs(tiny_data, 16, cfg.seed * 7 + 5).records
+        if r.label.kind is LabelKind.PORT_SCAN
     }
     assert flagged_pairs <= scan_pairs | {
         p for p in flagged_pairs if p[0].startswith("203.0.113.")

@@ -1,0 +1,110 @@
+"""Differential tests of the presorted tree learner and the packed walk
+against the per-node-sort learner and the one-tree-at-a-time walk they
+replaced (tests/tree_reference.py): same model bytes, same scores, same
+errors."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from hgnids import trees
+from hgnids.features import MODE_WIDTH, FeatureMode
+from hgnids.trees import Hyperparams, ModelKind, fit, predict_proba_batch, serialize_model
+
+import tree_reference as ref
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+# How a column draws its values: few tied values, one constant value,
+# two floats one ulp apart, or values that rarely repeat.
+_COLUMN_KINDS = ("ties", "ties", "constant", "adjacent", "spread", "spread")
+
+
+def _column(kind, rng, n):
+    if kind == "ties":
+        return rng.choice([-3.0, 0.0, -0.0, 0.5, 1.0, 2.0, 100.0], size=n)
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, 1.0, 7.5]))
+    if kind == "adjacent":
+        return rng.choice([_BELOW_ONE, 1.0], size=n)
+    return rng.normal(size=n) * 10
+
+
+@st.composite
+def _problems(draw):
+    kind = draw(st.sampled_from(list(ModelKind)))
+    width = MODE_WIDTH[draw(st.sampled_from(list(FeatureMode)))]
+    n = draw(st.integers(2, 60))
+    columns = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=width, max_size=width))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.stack([_column(c, rng, n) for c in columns], axis=1)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, n, size=n)]  # duplicate rows
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    subsample = draw(st.one_of(st.none(), st.integers(1, width)))
+    lr = None if kind is ModelKind.RANDOM_FOREST else draw(st.sampled_from([0.1, 0.15, 0.5]))
+    params = Hyperparams(
+        draw(st.integers(1, 4)), draw(st.integers(1, 7)), draw(st.integers(1, 6)), lr, subsample,
+        draw(st.integers(0, 2**16)),
+    )
+    return X, y, kind, params
+
+
+def _fit_or_error(fit_fn, X, y, kind, params):
+    # an empty random-forest child warns (mean of an empty slice), then raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return fit_fn(X, y, kind, params)
+        except ValueError as exc:
+            return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_problems())
+def test_presorted_fit_matches_reference(problem):
+    X, y, kind, params = problem
+    expected = _fit_or_error(ref.fit, X, y, kind, params)
+    got = _fit_or_error(fit, X, y, kind, params)
+    if isinstance(expected, ValueError):
+        event("empty random-forest child")
+        assert isinstance(got, ValueError) and str(got) == str(expected)
+        return
+    event(f"{kind.value}, {'splits' if any(t.feature.size > 1 for t in got.trees) else 'stumps'}")
+    assert serialize_model(got) == serialize_model(expected)
+    probe = np.concatenate([X, np.random.default_rng(0).normal(size=X.shape) * 10])
+    assert predict_proba_batch(got, probe).tobytes() == ref.predict_proba_batch(got, probe).tobytes()
+
+
+def test_adjacent_float_forest_still_raises():
+    """A cut between two floats one ulp apart sends every row left (the
+    midpoint rounds up); the empty random-forest child raises, as before."""
+    width = MODE_WIDTH[FeatureMode.NRF]
+    X = np.zeros((40, width))
+    X[:, 0] = [_BELOW_ONE, 1.0] * 20
+    y = np.arange(40) % 2
+    params = Hyperparams(1, 3, 1, None, width, 0)
+    assert isinstance(_fit_or_error(ref.fit, X, y, ModelKind.RANDOM_FOREST, params), ValueError)
+    with pytest.raises(ValueError), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fit(X, y, ModelKind.RANDOM_FOREST, params)
+
+
+@pytest.mark.parametrize("cells", [1, 50, 1 << 16])
+def test_packed_walk_in_chunks_matches_reference(monkeypatch, cells):
+    """Rows are walked a chunk of (row, tree) cells at a time; any chunk
+    size, one row per chunk included, gives the same bytes."""
+    rng = np.random.default_rng(3)
+    X = rng.choice([0.0, 0.5, 1.0, 2.0], size=(300, MODE_WIDTH[FeatureMode.NRF]))
+    X[:, 1] = rng.normal(size=300)
+    y = (X[:, 0] + X[:, 1] > 1).astype(int)
+    models = [
+        fit(X, y, ModelKind.RANDOM_FOREST, Hyperparams(12, 5, 1, None, None, 1)),
+        fit(X, y, ModelKind.GRADIENT_BOOSTED, Hyperparams(12, 4, 2, 0.3, None, 1)),
+    ]
+    monkeypatch.setattr(trees, "_WALK_CELLS", cells)
+    for model in models:
+        assert predict_proba_batch(model, X).tobytes() == ref.predict_proba_batch(model, X).tobytes()

@@ -178,14 +178,35 @@ def test_from_predictions_empty_batch():
     assert report == EvalReport(0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def test_rf_tree_order_invariance():
+def _check_tree_order_invariance(kind):
     rows = separable_rows(100, seed=41)
-    model = train(rows, ModelKind.RANDOM_FOREST, default_hyperparams(ModelKind.RANDOM_FOREST, 9))
+    model = train(rows, kind, default_hyperparams(kind, 9))
     X, _ = rows_to_arrays(rows[:20])
     before = predict_proba_batch(model, X)
     model.trees.reverse()
     after = predict_proba_batch(model, X)
     assert np.allclose(before, after)
+    assert np.array_equal(after, _oracle_proba(model, X))
+
+
+def test_rf_tree_order_invariance():
+    _check_tree_order_invariance(ModelKind.RANDOM_FOREST)
+
+
+def test_gb_tree_order_invariance():
+    _check_tree_order_invariance(ModelKind.GRADIENT_BOOSTED)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.RANDOM_FOREST, ModelKind.GRADIENT_BOOSTED])
+def test_scores_follow_a_replaced_tree(kind):
+    """Scoring reads model.trees as it is at each call."""
+    lr = None if kind is ModelKind.RANDOM_FOREST else 0.3
+    rows = separable_rows(100, seed=42)
+    model = train(rows, kind, Hyperparams(6, 4, 1, lr, None, 5))
+    X, _ = rows_to_arrays(rows)
+    predict_proba_batch(model, X)
+    model.trees[2] = train(separable_rows(100, seed=43), kind, Hyperparams(1, 2, 1, lr, None, 6)).trees[0]
+    assert np.array_equal(predict_proba_batch(model, X), _oracle_proba(model, X))
 
 
 def test_dimension_mismatch():
