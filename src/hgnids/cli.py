@@ -292,9 +292,8 @@ def cmd_detect_scan(args, cfg, manifest: Manifest) -> list[Path]:
     window = args.window_size
     flagged: set = set()
     all_flags = []
-    records = list(dataset)
-    for w, start in enumerate(range(0, len(records), window)):
-        chunk = Dataset(tuple(records[start : start + window]), dataset.provenance)
+    for w, start in enumerate(range(0, len(dataset), window)):
+        chunk = dataset.take(np.arange(start, min(start + window, len(dataset))))
         flags, flagged = detect_window(chunk, flagged, window_id=w)
         all_flags.extend(flags)
     path = Path(args.out_dir) / "flags.csv"

@@ -6,7 +6,8 @@ s-closeness centralities, spacing chosen so the schedule tops out near
 the largest edge size. The table's last six columns are binarised at 0.95
 once; each new endpoint pair takes the element-wise minimum of its two
 edges' rows and is flagged when at least two of the six tail bits
-survive. A pair is flagged at most once per flag memory lifetime.
+survive. Pairs and edges are read by integer id from the window's
+address columns. A pair is flagged at most once per flag memory lifetime.
 """
 
 from __future__ import annotations
@@ -46,18 +47,16 @@ def detect_window(
     h = build_hypergraph(window)
     table = edge_profiles(h, detector_skip_interval(h.max_edge_size()))
     bits = (table[:, -TAIL_LENGTH:] >= BINARIZE_THRESHOLD).astype(np.int64)
-    # every endpoint of a window record is an edge of the window's hypergraph
-    ids = h.edge_ids()
-    pairs = [p for p in dict.fromkeys(rec.pair for rec in window) if p not in flagged]
-    src = np.fromiter((ids[a] for a, _ in pairs), np.intp, len(pairs))
-    dst = np.fromiter((ids[b] for _, b in pairs), np.intp, len(pairs))
+    # a window's address ids are its hypergraph's edge ids
+    src, dst = window.pair_ids()
     combined = np.minimum(bits[src], bits[dst])
     tail_sums = combined.sum(axis=1)
 
-    flags = [
-        ScanFlag(pairs[i], tuple(combined[i].tolist()), int(tail_sums[i]), window_id)
-        for i in np.flatnonzero(tail_sums >= FLAG_MIN_SUM).tolist()
-    ]
+    flags = []
+    for i in np.flatnonzero(tail_sums >= FLAG_MIN_SUM).tolist():
+        pair = (window.ips[src[i]], window.ips[dst[i]])
+        if pair not in flagged:
+            flags.append(ScanFlag(pair, tuple(combined[i].tolist()), int(tail_sums[i]), window_id))
     updated.update(f.pair for f in flags)
     return flags, updated
 

@@ -11,14 +11,15 @@ the 11 centralities, their sum, and the source, destination and summed
 edge sizes. Each layout is a fixed set of its columns,
 `LAYOUT_COLUMNS[mode]`, so a caller that needs several layouts of the
 same records encodes them once (`mode=None`) and each model reads its
-own columns. `encode` gathers each record's source and destination rows
-from the hypergraph's [n_edges, 11] profile table (`edge_profiles`) by
-integer edge id, with a zero row appended for an IP the hypergraph has
-not seen; a record's centralities are the element-wise maximum of the
-two rows, for the whole batch at once. Edge sizes are gathered with the
-same ids. In full-dataset mode, records whose endpoint pair is not in
-the known-hacker set take a fixed weight vector in the centrality slots
-instead. Models are trained, evaluated and attacked on the `(X, y)`
+own columns. `encode` reads a Dataset's columns: it maps each of the
+dataset's addresses to its hypergraph edge id once, then gathers each
+record's source and destination rows from the hypergraph's [n_edges, 11]
+profile table (`edge_profiles`) through the dataset's integer address
+ids, with a zero row appended for an IP the hypergraph has not seen; a
+record's centralities are the element-wise maximum of the two rows, for
+the whole batch at once. Edge sizes are gathered with the same ids. In
+full-dataset mode, records whose endpoint pair is not in the known-hacker
+set take a fixed weight vector in the centrality slots instead. Models are trained, evaluated and attacked on the `(X, y)`
 arrays. `build_matrix` and `encode_record` wrap them as FeatureVector
 rows for callers that need each row's origin record (stratified splits,
 attacked rows).
@@ -34,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .flows import NRF_FIELDS, FlowRecord
+from .flows import NRF_FIELDS, DataFormatError, Dataset, FlowRecord, as_dataset
 from .hypergraph import Hypergraph, SCHEDULE_STEPS, edge_profiles, feature_skip_interval
 
 ATTACK = 1
@@ -86,7 +87,7 @@ class FeatureVector:
 
 
 def encode(
-    records: Iterable[FlowRecord],
+    records: Dataset | Iterable[FlowRecord],
     mode: FeatureMode | None,
     hypergraph: Hypergraph | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
@@ -101,12 +102,10 @@ def encode(
     the weight vector when one is supplied. Edge-size aggregates are
     structural lookups in the hypergraph regardless of the weight rule.
     """
-    records = tuple(records)
-    n = len(records)
-    y = np.fromiter((ATTACK if r.label.is_attack else NORMAL for r in records), np.int64, n)
-    nrf = np.array([r.nrf() for r in records], dtype=np.float64).reshape(n, NRF_WIDTH)
+    data = as_dataset(records)
+    y = data.is_attack.astype(np.int64)  # ATTACK is 1, NORMAL 0
     if mode is FeatureMode.NRF:
-        return nrf, y
+        return data.nrf.copy(), y
 
     if hypergraph is None or len(hypergraph) == 0:
         layout = "full" if mode is None else mode.value
@@ -116,20 +115,20 @@ def encode(
 
     ids = hypergraph.edge_ids()
     unseen = len(ids)  # the appended zero row
-    src = np.fromiter((ids.get(r.src_ip, unseen) for r in records), np.intp, n)
-    dst = np.fromiter((ids.get(r.dst_ip, unseen) for r in records), np.intp, n)
+    edge_of = np.array([ids.get(ip, unseen) for ip in data.ips], np.intp)
+    src, dst = edge_of[data.src], edge_of[data.dst]
     table = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
     table = np.vstack([table, np.zeros(SCHEDULE_STEPS)])
     c = np.maximum(table[src], table[dst])
     if weights is not None:
-        c[np.fromiter((r.pair not in hackers for r in records), bool, n)] = weights
+        c[~data.pair_mask(hackers)] = weights
     # left-to-right column sum, bit-equal to sum() over each row
     total = c[:, 0].copy()
     for j in range(1, SCHEDULE_STEPS):
         total += c[:, j]
     size = np.array([len(m) for m in hypergraph.edges.values()] + [0], np.float64)
     src_size, dst_size = size[src], size[dst]
-    X = np.column_stack([nrf, c, total, src_size, dst_size, src_size + dst_size])
+    X = np.column_stack([data.nrf, c, total, src_size, dst_size, src_size + dst_size])
     return (X if mode is None else X[:, LAYOUT_COLUMNS[mode]]), y
 
 
@@ -141,11 +140,11 @@ def build_matrix(
     weights: Sequence[float] | None = None,
 ) -> list[FeatureVector]:
     """Encode every record of the dataset as a FeatureVector; see encode."""
-    records = tuple(dataset)
-    X, y = encode(records, mode, hypergraph, hackers, weights)
+    data = as_dataset(dataset)
+    X, y = encode(data, mode, hypergraph, hackers, weights)
     return [
         FeatureVector(mode, tuple(values), label, rec)
-        for values, label, rec in zip(X.tolist(), y.tolist(), records)
+        for values, label, rec in zip(X.tolist(), y.tolist(), data)
     ]
 
 
@@ -174,7 +173,7 @@ def train_test_split(
     if not (0.0 < frac < 1.0):
         raise ValueError("frac must be in (0, 1)")
     if len(rows) < 2:
-        raise ValueError("need at least 2 rows to split")
+        raise DataFormatError("need at least 2 rows to split")
 
     groups: dict[int, list[int]] = {}
     for i, row in enumerate(rows):

@@ -2,8 +2,13 @@
 
 A flow record carries the nine raw features used for classification
 (transport protocol plus eight numeric flow measurements), the endpoint
-addresses and ports, and an activity label; it checks its own values.
-Ingestion parses each row's text and reports why it dropped a row.
+addresses and ports, and an activity label; a record built by hand
+checks its own values. A Dataset holds flows as columns: the [n, 9] raw
+features, the ports, label codes and integer address ids, with records
+as a row view built only when a caller iterates. Ingestion reads a CSV
+in chunks of CHUNK_ROWS rows, converts each mapped column with float()
+in one pass, and gives each row its drop reason from whole-column masks
+that apply FlowRecord's value rules in its order; it builds no record.
 The synthetic generator produces statistics-matched scan and benign
 traffic for desk-scale experiments, deterministic under a seed.
 """
@@ -12,9 +17,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from collections import defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from itertools import compress, islice
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -143,17 +151,153 @@ class FlowRecord:
         return (self.src_ip, self.dst_ip)
 
 
-@dataclass(frozen=True)
 class Dataset:
-    records: tuple[FlowRecord, ...]
-    provenance: str = "INGESTED"
-    seed: int | None = None
+    """Flows as columns, with FlowRecords as a row view.
+
+    `nrf` is the float64 [n, 9] raw-feature matrix (the floats of
+    `FlowRecord.nrf()`, protocol first), `src_port` and `dst_port` are
+    int64 columns, and `label_code` indexes `labels`. `src` and `dst` index
+    `ips`: each address once, in the order it first appears when each
+    row's source is read before its destination. That is the order
+    `build_hypergraph` inserts edges in, so an address's id here is its
+    edge id in the dataset's hypergraph. The columns are read-only.
+
+    Iterating yields FlowRecords, built from the columns on first use. A
+    Dataset made from records keeps the tuple it was given as that view,
+    and derives its columns on first use.
+    """
+
+    def __init__(self, records: Iterable[FlowRecord] = (), provenance: str = "INGESTED",
+                 seed: int | None = None):
+        self._records = tuple(records)
+        self.provenance, self.seed = provenance, seed
+
+    @classmethod
+    def _from_columns(cls, nrf, src_port, dst_port, label_code, labels, src, dst, ips,
+                      provenance: str = "INGESTED", seed: int | None = None) -> "Dataset":
+        self = cls.__new__(cls)
+        self._records, self.provenance, self.seed = None, provenance, seed
+        self._set_columns(nrf, src_port, dst_port, label_code, labels, src, dst, ips)
+        return self
+
+    def _set_columns(self, nrf, src_port, dst_port, label_code, labels, src, dst, ips) -> None:
+        for column in (nrf, src_port, dst_port, label_code, src, dst):
+            column.flags.writeable = False
+        self.nrf, self.src_port, self.dst_port = nrf, src_port, dst_port
+        self.label_code, self.labels = label_code, labels
+        self.src, self.dst, self.ips = src, dst, ips
+
+    def __getattr__(self, name):
+        # Reached only while a column is unset: derive them from the records.
+        records = self.__dict__.get("_records")
+        if name not in _COLUMNS or records is None:
+            raise AttributeError(f"'Dataset' object has no attribute {name!r}")
+        self._set_columns(*_columns_of(records))
+        return self.__dict__[name]
+
+    @property
+    def records(self) -> tuple[FlowRecord, ...]:
+        if self._records is None:
+            ips, labels = self.ips, self.labels
+            self._records = tuple(
+                FlowRecord(ips[s], ips[d], sp, dp, int(protocol), *numerics, labels[c])
+                for s, d, sp, dp, (protocol, *numerics), c in zip(
+                    self.src.tolist(), self.dst.tolist(), self.src_port.tolist(),
+                    self.dst_port.tolist(), self.nrf.tolist(), self.label_code.tolist(),
+                )
+            )
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.nrf) if self._records is None else len(self._records)
 
     def __iter__(self):
         return iter(self.records)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.provenance, self.seed) == (other.provenance, other.seed) and self.records == other.records
+
+    def __repr__(self) -> str:
+        return f"Dataset(<{len(self)} flows>, provenance={self.provenance!r}, seed={self.seed!r})"
+
+    def is_kind(self, kind: LabelKind) -> np.ndarray:
+        """Per row: whether its label is of this kind."""
+        return np.array([label.kind is kind for label in self.labels], bool)[self.label_code]
+
+    @property
+    def is_attack(self) -> np.ndarray:
+        return ~self.is_kind(LabelKind.BENIGN)
+
+    def pair_mask(self, pairs) -> np.ndarray:
+        """Per row: whether its (src_ip, dst_ip) pair is one of `pairs`."""
+        index, n = {ip: i for i, ip in enumerate(self.ips)}, len(self.ips)
+        keys = [index[a] * n + index[b] for a, b in pairs if a in index and b in index]
+        return np.isin(self.src * n + self.dst, np.array(keys, np.intp))
+
+    def pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The src and dst ids of each distinct address pair, in the order
+        the pairs first appear."""
+        _, first = np.unique(self.src * len(self.ips) + self.dst, return_index=True)
+        first.sort()
+        return self.src[first], self.dst[first]
+
+    def take(self, rows) -> "Dataset":
+        """The rows at these positions, in this order."""
+        rows = np.asarray(rows, np.intp)
+        return Dataset._from_columns(
+            self.nrf[rows], self.src_port[rows], self.dst_port[rows], self.label_code[rows],
+            self.labels, *_first_seen(self.src[rows], self.dst[rows], self.ips),
+            self.provenance, self.seed,
+        )
+
+
+_COLUMNS = ("nrf", "src_port", "dst_port", "label_code", "labels", "src", "dst", "ips")
+
+
+def _columns_of(records: tuple[FlowRecord, ...]) -> tuple:
+    """The columns of Dataset, in _COLUMNS order, read from records."""
+    n = len(records)
+
+    def column(name, dtype=np.float64):
+        return np.fromiter(map(operator.attrgetter(name), records), dtype, n)
+
+    nrf = np.empty((n, len(NRF_FIELDS)))
+    for j, name in enumerate(NRF_FIELDS):
+        nrf[:, j] = column(name)
+    ips, labels = _numbering(), _numbering()
+    ends = _ids(ips, [ip for r in records for ip in (r.src_ip, r.dst_ip)])
+    label_code = _ids(labels, list(map(operator.attrgetter("label"), records)))
+    return (nrf, column("src_port", np.int64), column("dst_port", np.int64), label_code,
+            tuple(labels), ends[0::2], ends[1::2], tuple(ips))
+
+
+def _numbering() -> defaultdict:
+    """A dict that gives each new key the next integer id when it is read,
+    so ids follow the order in which keys first appear."""
+    ids = defaultdict()
+    ids.default_factory = ids.__len__
+    return ids
+
+
+def _ids(numbering: defaultdict, keys: Sequence) -> np.ndarray:
+    return np.fromiter(map(numbering.__getitem__, keys), np.intp, len(keys))
+
+
+def as_dataset(records: Dataset | Iterable[FlowRecord]) -> Dataset:
+    return records if isinstance(records, Dataset) else Dataset(records)
+
+
+def _first_seen(src: np.ndarray, dst: np.ndarray, ips: Sequence[str]):
+    """src and dst renumbered so that ids follow the order in which the
+    addresses first appear (each row's src, then its dst), and the
+    addresses they use, in that order."""
+    used, first = np.unique(np.column_stack((src, dst)).ravel(), return_index=True)
+    order = used[np.argsort(first)]
+    renumber = np.empty(len(ips), np.intp)
+    renumber[order] = np.arange(len(order))
+    return renumber[src], renumber[dst], tuple(ips[i] for i in order.tolist())
 
 
 @dataclass
@@ -163,9 +307,9 @@ class CleaningReport:
     dropped: int = 0
     reasons: dict[str, int] = field(default_factory=dict)
 
-    def note_drop(self, reason: str) -> None:
-        self.dropped += 1
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+    def note_drop(self, reason: str, count: int = 1) -> None:
+        self.dropped += count
+        self.reasons[reason] = self.reasons.get(reason, 0) + count
 
     def to_text(self) -> str:
         lines = [
@@ -211,6 +355,18 @@ NRF_FIELDS = (
 )
 
 
+# Rows read and cleaned per step of ingest_csv; bounds the text held at once.
+CHUNK_ROWS = 1024
+
+# Drop reasons by code; code 0 keeps the row.
+_REASONS = ("", "unparseable", "missing_value", "non_finite", "negative_duration",
+            "unparseable", "negative_value")
+# The columns of no rows: nrf, src_port, dst_port, label (or label-text)
+# code, src, dst.
+_NO_ROWS = (np.empty((0, len(NRF_FIELDS))), np.empty(0, np.int64), np.empty(0, np.int64),
+            np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0, np.intp))
+
+
 def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Dataset, CleaningReport]:
     """Read a flow CSV, dropping rows that fail the cleaning rules.
 
@@ -226,7 +382,8 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
         _check_column_map(column_map)
     cmap = DEFAULT_COLUMN_MAP if column_map is None else column_map
     report = CleaningReport()
-    records: list[FlowRecord] = []
+    chunks: list[tuple] = []
+    ip_ids, label_ids = _numbering(), _numbering()
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -242,17 +399,100 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
                 raise DataFormatError(f"{path}: header names mapped column {repeated[0]!r} twice")
             # Column of each field, in FlowRecord field order.
             index = tuple(stripped.index(cmap[name].strip()) for name in DEFAULT_COLUMN_MAP)
-            for row in reader:
-                report.total_rows += 1
-                rec, reason = _parse_row(row, index)
-                if rec is None:
-                    report.note_drop(reason)
-                else:
-                    records.append(rec)
-                    report.kept += 1
+            while rows := list(islice(reader, CHUNK_ROWS)):
+                chunks.append(_clean_chunk(rows, index, ip_ids, label_ids, report))
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    return Dataset(tuple(records), provenance="INGESTED"), report
+    # Distinct label texts may parse to one label ("PortScan", "Port Scan").
+    labels = _numbering()
+    label_of_text = _ids(labels, [ActivityLabel.parse(text) for text in label_ids])
+    nrf, src_port, dst_port, text_code, src, dst = map(np.concatenate, zip(_NO_ROWS, *chunks))
+    dataset = Dataset._from_columns(
+        nrf, src_port, dst_port, label_of_text[text_code], tuple(labels), src, dst, tuple(ip_ids)
+    )
+    return dataset, report
+
+
+
+def _clean_chunk(rows: list[list[str]], index: tuple[int, ...], ip_ids: defaultdict,
+                 label_ids: defaultdict, report: CleaningReport) -> tuple:
+    """Parse one chunk of rows column by column, tally each dropped row's
+    reason in the report, and return the kept rows' NRF matrix, ports,
+    label-text ids and source and destination ids, numbered by ip_ids and
+    label_ids.
+
+    The masks are FlowRecord's value rules, in its order, after the two
+    parse reasons.
+    """
+    n = len(rows)
+    width = max(index) + 1
+    short = np.fromiter(map(len, rows), np.intp, n) < width
+    if short.any():
+        blank = [""] * width
+        rows = [blank if cut else row for row, cut in zip(rows, short.tolist())]
+    src_ip, dst_ip, src_cells, dst_cells, *nrf_cells, label = zip(*map(operator.itemgetter(*index), rows))
+    src_ip, dst_ip, label = (list(map(str.strip, cells)) for cells in (src_ip, dst_ip, label))
+    nrf = np.empty((n, len(NRF_FIELDS)))
+    unparseable = short | _is_blank(label)
+    for j, cells in enumerate(nrf_cells):
+        nrf[:, j], not_number = _floats(cells)
+        unparseable |= not_number
+    # [2, n]: a blank port is NaN, and a port of 80.5 is not truncated to
+    # 80; both are unparseable.
+    ports = np.array([_floats(cells)[0] for cells in (src_cells, dst_cells)])
+    unparseable |= ~(np.isfinite(ports) & (np.floor(ports) == ports)).all(axis=0)
+    numerics = nrf[:, 1:]
+    reason = np.select(  # the first that holds, in _REASONS order
+        [
+            unparseable,  # unparseable
+            _is_blank(src_ip) | _is_blank(dst_ip) | np.isnan(nrf).any(axis=1),  # missing_value
+            np.isinf(nrf).any(axis=1),  # non_finite
+            numerics[:, 0] < 0,  # negative_duration
+            ~np.isin(nrf[:, 0], PROTOCOLS) | ((ports < 0) | (ports > 65535)).any(axis=0),  # unparseable
+            (numerics < 0).any(axis=1),  # negative_value
+        ],
+        list(range(1, len(_REASONS))),
+    )
+    counts = np.bincount(reason, minlength=len(_REASONS)).tolist()
+    report.total_rows += n
+    report.kept += counts[0]
+    for name, count in zip(_REASONS[1:], counts[1:]):
+        if count:
+            report.note_drop(name, count)
+
+    keep = reason == 0
+    if counts[0] < n:
+        nrf, ports = nrf[keep], ports[:, keep]
+        src_ip, dst_ip, label = (list(compress(cells, keep.tolist())) for cells in (src_ip, dst_ip, label))
+    nrf[:, 0] = np.abs(nrf[:, 0])  # a protocol cell of -0.0 is protocol 0
+    src_port, dst_port = ports.astype(np.int64)
+    ends = [""] * (2 * len(src_ip))
+    ends[0::2], ends[1::2] = src_ip, dst_ip
+    ends = _ids(ip_ids, ends)
+    return nrf, src_port, dst_port, _ids(label_ids, label), ends[0::2], ends[1::2]
+
+
+def _is_blank(cells: list[str]) -> np.ndarray:
+    return np.fromiter(map(operator.not_, cells), bool, len(cells))
+
+
+def _floats(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """float() of each cell, NaN for a blank one, and a mask of the cells
+    that are neither blank nor a number."""
+    n = len(cells)
+    try:
+        return np.fromiter(map(float, cells), np.float64, n), np.zeros(n, bool)
+    except ValueError:
+        pass
+    values, not_number = np.full(n, math.nan), np.zeros(n, bool)
+    for i, cell in enumerate(cells):
+        cell = cell.strip()
+        if cell:
+            try:
+                values[i] = float(cell)
+            except ValueError:
+                not_number[i] = True
+    return values, not_number
 
 
 def _check_column_map(column_map) -> None:
@@ -274,29 +514,6 @@ def _check_column_map(column_map) -> None:
             raise DataFormatError(f"column map: header {header!r} is named by fields {named_by}")
 
 
-def _parse_row(row: list[str], index: tuple[int, ...]) -> tuple[FlowRecord | None, str]:
-    """Turn one row's text into a FlowRecord, or (None, drop reason)."""
-    try:
-        src_ip, dst_ip, src_port, dst_port, *nrf_cells, label = [row[i].strip() for i in index]
-        nrf = [float(cell) if cell else math.nan for cell in nrf_cells]
-        ports = float(src_port), float(dst_port)
-    except (IndexError, ValueError):
-        return None, "unparseable"
-    # A port of 80.5 is not truncated to 80: it is unparseable.
-    if not (label and ports[0].is_integer() and ports[1].is_integer()):
-        return None, "unparseable"
-    if not (src_ip and dst_ip) or any(map(math.isnan, nrf)):
-        return None, "missing_value"
-    protocol = nrf[0]  # stored as an int when whole; FlowRecord rejects any other value
-    try:
-        rec = FlowRecord(src_ip, dst_ip, int(ports[0]), int(ports[1]),
-                         int(protocol) if protocol.is_integer() else protocol,
-                         *nrf[1:], ActivityLabel.parse(label))
-    except InvalidFlow as exc:
-        return None, exc.reason
-    return rec, ""
-
-
 def write_csv(dataset: Dataset, path) -> None:
     """Persist a dataset in the same schema accepted by ingest_csv."""
     columns = list(DEFAULT_COLUMN_MAP.values())
@@ -316,8 +533,9 @@ def class_balance(dataset: Dataset) -> dict[str, float]:
     if len(dataset) == 0:
         raise DataFormatError("class_balance of an empty dataset")
     counts: dict[str, int] = {}
-    for r in dataset:
-        counts[r.label.text] = counts.get(r.label.text, 0) + 1
+    for label, count in zip(dataset.labels, np.bincount(dataset.label_code, minlength=len(dataset.labels)).tolist()):
+        if count:
+            counts[label.text] = counts.get(label.text, 0) + count
     n = len(dataset)
     return {name: c / n for name, c in counts.items()}
 
@@ -489,19 +707,21 @@ def remap_ip_pairs(dataset: Dataset, n_pairs: int, seed: int) -> Dataset:
 
     Pair 0 is the dominant original scan pair; the remaining pairs are
     fresh synthetic addresses unseen elsewhere in the dataset. Feature
-    values are untouched.
+    values are untouched. A dataset with no scan records is a
+    DataFormatError.
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    scan_pairs: dict[tuple[str, str], int] = {}
-    for r in dataset:
-        if r.label.kind is LabelKind.PORT_SCAN:
-            scan_pairs[r.pair] = scan_pairs.get(r.pair, 0) + 1
-    if not scan_pairs:
-        raise ValueError("dataset has no port-scan records to remap")
+    scans = np.flatnonzero(dataset.is_kind(LabelKind.PORT_SCAN))
+    if not len(scans):
+        raise DataFormatError("dataset has no port-scan records to remap")
 
-    original = sorted(scan_pairs.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-    used_ips = {r.src_ip for r in dataset} | {r.dst_ip for r in dataset}
+    ips, n_ips = dataset.ips, len(dataset.ips)
+    keys, counts = np.unique(dataset.src[scans] * n_ips + dataset.dst[scans], return_counts=True)
+    original = min(
+        (-count, (ips[key // n_ips], ips[key % n_ips])) for key, count in zip(keys.tolist(), counts.tolist())
+    )[1]
+    used_ips = set(ips)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9A1B]))
     pairs: list[tuple[str, str]] = [original]
     while len(pairs) < n_pairs:
@@ -516,18 +736,29 @@ def remap_ip_pairs(dataset: Dataset, n_pairs: int, seed: int) -> Dataset:
         used_ips.add(a)
         used_ips.add(b)
 
-    out: list[FlowRecord] = []
-    scan_idx = 0
-    for r in dataset:
-        if r.label.kind is LabelKind.PORT_SCAN:
-            src, dst = pairs[scan_idx % n_pairs]
-            scan_idx += 1
-            out.append(replace(r, src_ip=src, dst_ip=dst))
-        else:
-            out.append(r)
-    return Dataset(tuple(out), provenance=dataset.provenance, seed=seed)
+    ips += tuple(ip for pair in pairs[1:] for ip in pair)
+    index = {ip: i for i, ip in enumerate(ips)}
+    turn = np.arange(len(scans)) % n_pairs
+    src, dst = dataset.src.copy(), dataset.dst.copy()
+    src[scans] = np.array([index[a] for a, _ in pairs], np.intp)[turn]
+    dst[scans] = np.array([index[b] for _, b in pairs], np.intp)[turn]
+    return Dataset._from_columns(
+        dataset.nrf, dataset.src_port, dataset.dst_port, dataset.label_code, dataset.labels,
+        *_first_seen(src, dst, ips), dataset.provenance, seed,
+    )
 
 
 def concat(*datasets: Dataset, provenance: str = "SYNTHETIC", seed: int | None = None) -> Dataset:
-    records = tuple(r for d in datasets for r in d.records)
-    return Dataset(records, provenance=provenance, seed=seed)
+    """The rows of each dataset in turn. Each address and label keeps the
+    first-seen order, since every part lists its own in that order."""
+    if all(d._records is not None for d in datasets):
+        return Dataset((r for d in datasets for r in d._records), provenance, seed)
+    ip_ids, label_ids = _numbering(), _numbering()
+    parts = [_NO_ROWS]
+    for d in datasets:
+        label_id, ip_id = _ids(label_ids, d.labels), _ids(ip_ids, d.ips)
+        parts.append((d.nrf, d.src_port, d.dst_port, label_id[d.label_code], ip_id[d.src], ip_id[d.dst]))
+    nrf, src_port, dst_port, label_code, src, dst = map(np.concatenate, zip(*parts))
+    return Dataset._from_columns(
+        nrf, src_port, dst_port, label_code, tuple(label_ids), src, dst, tuple(ip_ids), provenance, seed
+    )

@@ -15,10 +15,12 @@ lock to 1, which is the signature the rest of the package exploits.
 
 All metrics come from one kernel over integer edge ids: an edge's id is
 its insertion index, read through `Hypergraph.edge_ids`, and it is the row
-of that edge in every per-edge array, `edge_profiles` included. The overlap
-relation is one int32 table of (a, b, shared) rows, built once per
-hypergraph by counting, for each edge, the edges incident to its ports,
-in O(pairs + edges) memory. For each s, the rows with shared >= s form the
+of that edge in every per-edge array, `edge_profiles` included.
+`build_hypergraph` reads a dataset's address and port columns and inserts
+its addresses in the order of their ids, so a dataset's address ids are
+its hypergraph's edge ids. The overlap relation is one int32 table of
+(a, b, shared) rows, built once per hypergraph by counting, for each
+edge, the edges incident to its ports, in O(pairs + edges) memory. For each s, the rows with shared >= s form the
 s-line graph, and a level-synchronous BFS from a chunk of sources at once
 takes one product per level with the dense adjacency of the n_s edges
 that have an s-neighbour. Per s, memory is that [n_s, n_s] adjacency and
@@ -38,12 +40,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .flows import FlowRecord
+from .flows import Dataset, FlowRecord, as_dataset
 
 SCHEDULE_BASE = 3
 SCHEDULE_STEPS = 11
 # Bound on the cells of one source chunk's frontier and distance blocks.
 _CHUNK_CELLS = 1 << 14
+# Ports lie in 0..65535, so edge * _PORT_SPAN + port packs an incidence.
+_PORT_SPAN = 1 << 16
 
 
 class EdgeRole(Enum):
@@ -155,13 +159,26 @@ class _SLineGraph:
     component: np.ndarray  # per edge: s-component id, numbered in insertion order
 
 
-def build_hypergraph(records: Iterable[FlowRecord]) -> Hypergraph:
+def build_hypergraph(records: Dataset | Iterable[FlowRecord]) -> Hypergraph:
     """Build the port hypergraph: each record adds its destination port to
-    both its source-IP edge and its destination-IP edge."""
+    both its source-IP edge and its destination-IP edge. Edges are
+    inserted in the dataset's address order, so each edge id is the
+    address's id in the dataset."""
+    data = as_dataset(records)
+    ends = np.concatenate([data.src, data.dst])
+    key = np.sort(ends * _PORT_SPAN + np.concatenate([data.dst_port, data.dst_port]))
+    key = key[np.diff(key, prepend=-1) > 0]  # each (edge, port) incidence once, by edge id
+    edge, port = np.divmod(key, _PORT_SPAN)
+    members = np.split(port, np.flatnonzero(np.diff(edge)) + 1) if len(key) else []
+    source = np.zeros(len(data.ips), bool)
+    dest = np.zeros(len(data.ips), bool)
+    source[data.src] = dest[data.dst] = True
     h = Hypergraph()
-    for r in records:
-        h._add(r.src_ip, r.dst_port, EdgeRole.SOURCE)
-        h._add(r.dst_ip, r.dst_port, EdgeRole.DEST)
+    h.edges = {ip: set(ports.tolist()) for ip, ports in zip(data.ips, members)}
+    h.roles = {
+        ip: EdgeRole.BOTH if s and d else EdgeRole.SOURCE if s else EdgeRole.DEST
+        for ip, s, d in zip(data.ips, source.tolist(), dest.tolist())
+    }
     return h
 
 

@@ -9,9 +9,11 @@ Missed attacks are kept as the run's evaded records; when their count
 since the last trigger exceeds the active threshold, a retraining request
 fires on a set built from them (build_retrain_set) and every computer
 adopts the updated ensemble from the next batch on.
-A run encodes one table, features.encode's full table over its base
-data, stream source and adversarial records; every record set (splits,
-batches, evaded attacks, retrain sets) is an integer id array into it.
+A run holds its base data, stream source and adversarial records as one
+columnar Dataset and encodes one table over it, features.encode's full
+table; every record set (splits, batches, evaded attacks, retrain sets)
+is an integer id array into both, and a detector window is the Dataset's
+take(ids).
 In production mode the hacker pairs come only from the behavioural
 detector's flags; with the non-hacker weights on, the table is encoded
 again whenever they change. One scorecard row is written per (epoch,
@@ -382,19 +384,19 @@ def run_simulation(
     # adversarial records, in that order; every record set is an id array.
     stream = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5) if cfg.ip_pairs > 1 else data
     adv_records = to_flow_records(list(adv), seed=cfg.seed * 3 + 2) if cfg.include_adv else []
-    records = (*data, *stream, *adv_records)
-    is_attack = np.fromiter((r.label.is_attack for r in records), bool, len(records))
+    table = concat(data, stream, Dataset(adv_records))
+    is_attack = table.is_attack
     base_ids = np.arange(len(data))
     next_batch = _build_batches_plan(
-        cfg, is_attack, base_ids + len(data), np.arange(2 * len(data), len(records))
+        cfg, is_attack, base_ids + len(data), np.arange(2 * len(data), len(table))
     )
 
     pretrain, pretest = _split(is_attack, base_ids, PRETRAIN_FRAC, cfg.seed * 13 + 1)
-    h = build_hypergraph(records[i] for i in pretrain)
-    scans = (records[i] for i in pretrain if records[i].label.kind is LabelKind.PORT_SCAN)
-    hackers = frozenset(r.pair for r in scans)
+    h = build_hypergraph(table.take(pretrain))
+    scans = table.take(pretrain[table.is_kind(LabelKind.PORT_SCAN)[pretrain]])
+    hackers = frozenset((scans.ips[a], scans.ips[b]) for a, b in zip(*scans.pair_ids()))
     weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
-    X, y = encode(records, None, h, hackers, weights)
+    X, y = encode(table, None, h, hackers, weights)
 
     roles = (
         (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)
@@ -418,13 +420,12 @@ def run_simulation(
             ids = next_batch(b)
 
             if cfg.production_mode:
-                window = Dataset(tuple(records[i] for i in ids), provenance="SYNTHETIC")
-                flags, flagged = detect_window(window, flagged, window_id=b)
+                flags, flagged = detect_window(table.take(ids), flagged, window_id=b)
                 artifacts.flag_log.extend(flags)
                 # Only the weight rule reads the hacker pairs.
                 if weights is not None and flagged != hackers:
                     hackers = frozenset(flagged)
-                    X, y = encode(records, None, h, hackers, weights)
+                    X, y = encode(table, None, h, hackers, weights)
 
             verdicts, scores = classify_batch(state, X[ids])
             actual = is_attack[ids]

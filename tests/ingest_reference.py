@@ -1,69 +1,57 @@
-"""The row parser that `flows._parse_row` replaced: it builds a dict of the
-mapped cells, parses them, and then checks every value rule itself before
-the record's own constructor checks them again. Kept as the reference for
-differential tests: the current parser must keep and drop the same rows,
-for the same reasons, and build records with the same field values.
-
-`index` maps each field of `flows.DEFAULT_COLUMN_MAP` to its column.
+"""The row-by-row ingest that the columnar `flows.ingest_csv` replaced: each
+row's mapped cells are read by position and parsed, and one FlowRecord is
+built per row, whose constructor applies the value rules. Kept as the
+reference for differential tests: the columnar ingest must keep and drop
+the same rows, for the same reasons, and its row view must give records
+with the same field values and types.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
-from hgnids.flows import NRF_FIELDS, PROTOCOLS, ActivityLabel, FlowRecord
+from hgnids.flows import DEFAULT_COLUMN_MAP, ActivityLabel, CleaningReport, FlowRecord, InvalidFlow
 
 
-def _parse_row(row: list[str], index: dict[str, int]) -> tuple[FlowRecord | None, str]:
+def ingest_rows(path) -> tuple[list[FlowRecord], CleaningReport]:
+    """The kept records and the report of a CSV whose header names every
+    column of DEFAULT_COLUMN_MAP once."""
+    report = CleaningReport()
+    records = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        index = tuple(header.index(name) for name in DEFAULT_COLUMN_MAP.values())
+        for row in reader:
+            report.total_rows += 1
+            rec, reason = _parse_row(row, index)
+            if rec is None:
+                report.note_drop(reason)
+            else:
+                records.append(rec)
+                report.kept += 1
+    return records, report
+
+
+def _parse_row(row: list[str], index: tuple[int, ...]) -> tuple[FlowRecord | None, str]:
+    """Turn one row's text into a FlowRecord, or (None, drop reason)."""
     try:
-        cells = {name: row[i].strip() for name, i in index.items()}
-    except IndexError:
+        src_ip, dst_ip, src_port, dst_port, *nrf_cells, label = [row[i].strip() for i in index]
+        nrf = [float(cell) if cell else math.nan for cell in nrf_cells]
+        ports = float(src_port), float(dst_port)
+    except (IndexError, ValueError):
         return None, "unparseable"
-
-    raw_numeric: dict[str, float] = {}
-    missing = cells["src_ip"] == "" or cells["dst_ip"] == ""
-    for name in NRF_FIELDS:
-        cell = cells[name]
-        if cell == "":
-            missing = True
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            return None, "unparseable"
-        if math.isnan(value):
-            missing = True
-        raw_numeric[name] = value
-    try:
-        src_port = _integral(float(cells["src_port"]))
-        dst_port = _integral(float(cells["dst_port"]))
-    except ValueError:
+    # A port of 80.5 is not truncated to 80: it is unparseable.
+    if not (label and ports[0].is_integer() and ports[1].is_integer()):
         return None, "unparseable"
-    if cells["label"] == "":
-        return None, "unparseable"
-    if missing:
+    if not (src_ip and dst_ip) or any(map(math.isnan, nrf)):
         return None, "missing_value"
-    if any(math.isinf(v) for v in raw_numeric.values()):
-        return None, "non_finite"
-    if raw_numeric["flow_duration"] < 0:
-        return None, "negative_duration"
-    protocol = raw_numeric["protocol"]
-    if not protocol.is_integer() or int(protocol) not in PROTOCOLS or not (0 <= src_port <= 65535) or not (0 <= dst_port <= 65535):
-        return None, "unparseable"
-    if any(v < 0 for v in raw_numeric.values()):
-        return None, "negative_value"
-
-    rec = FlowRecord(
-        cells["src_ip"], cells["dst_ip"], src_port, dst_port,
-        **{**raw_numeric, "protocol": int(protocol)},
-        label=ActivityLabel.parse(cells["label"]),
-    )
+    protocol = nrf[0]  # stored as an int when whole; FlowRecord rejects any other value
+    try:
+        rec = FlowRecord(src_ip, dst_ip, int(ports[0]), int(ports[1]),
+                         int(protocol) if protocol.is_integer() else protocol,
+                         *nrf[1:], ActivityLabel.parse(label))
+    except InvalidFlow as exc:
+        return None, exc.reason
     return rec, ""
-
-
-def _integral(value: float) -> int:
-    """A port number; ValueError for a non-integral cell such as 80.5, which
-    int() would silently truncate."""
-    if not value.is_integer():
-        raise ValueError(f"non-integral value: {value!r}")
-    return int(value)

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per release criterion, each printing a
 PASS/FAIL line. Criterion 10 needs the public flow dataset and only runs
-when HGNIDS_CICIDS_CSV points at the port-scan CSV.
+when HGNIDS_CICIDS_CSV points at the port-scan CSV; its cleaning counts
+are also checked on a generated file of the same size.
 """
 
 import os
@@ -13,7 +14,7 @@ from hgnids import bruteforce as bf
 from hgnids import hypergraph as hg
 from hgnids.adversarial import ZooBudget, attack_pipeline, estimate_gradient
 from hgnids.cli import EXIT_OK, main
-from hgnids.flows import concat, ingest_csv, class_balance, synth_traffic
+from hgnids.flows import concat, ingest_csv, class_balance, synth_traffic, write_csv
 from hgnids.detector import detect_window
 from hgnids.simulate import desk_case_config, run_simulation
 
@@ -201,6 +202,46 @@ def test_criterion_10_reproduction_mode():
     kept_fraction = len(examples) / scan_test
     assert kept_fraction == pytest.approx(0.861, abs=0.05)
     _verdict("10 reproduction-mode", True)
+
+
+# Criterion 10's file size and cleaning counts: a block of 7,742 rows with
+# 11 planted bad rows, written 37 times and then cut 13 rows into a 38th
+# copy, is 286,467 rows, of which 286,060 are kept and 407 dropped.
+_BLOCK_COPIES, _BLOCK_TAIL = 37, 13
+_PLANTED = (  # (row of the block, column, cell)
+    (20, 5, "-1"), (700, 10, "Infinity"), (1500, 6, ""), (2300, 7, "abc"), (3100, 4, "5"),
+    (3900, 8, "-2"), (4100, 3, "70000"), (4800, 0, " "), (5600, 13, ""), (6400, 9, "NaN"),
+    (7700, 2, "80.5"),
+)
+
+
+def test_criterion_10_ingest_at_full_scale(tmp_path):
+    pair = ("172.16.0.1", "192.168.10.50")
+    block = concat(synth_traffic("PORT_SCAN", 4297, [pair], seed=10), synth_traffic("BENIGN", 3445, [], seed=11))
+    write_csv(block, tmp_path / "block.csv")
+    header, *rows = (tmp_path / "block.csv").read_text().splitlines(keepends=True)
+    for at, column, cell in _PLANTED:
+        cells = rows[at].rstrip("\r\n").split(",")
+        cells[column] = cell
+        rows[at] = ",".join(cells) + "\r\n"
+    (tmp_path / "block.csv").write_text(header + "".join(rows))
+    with open(tmp_path / "full.csv", "w") as fh:
+        fh.write(header)
+        for _ in range(_BLOCK_COPIES):
+            fh.writelines(rows)
+        fh.writelines(rows[:_BLOCK_TAIL])
+
+    dataset, report = ingest_csv(tmp_path / "full.csv")
+    assert (report.total_rows, report.dropped, len(dataset)) == (286467, 407, 286060)
+    kept_block, block_report = ingest_csv(tmp_path / "block.csv")
+    assert block_report.dropped == len(_PLANTED) and set(block_report.reasons) == {
+        "unparseable", "missing_value", "non_finite", "negative_duration", "negative_value"}
+    for name in ("nrf", "src_port", "dst_port", "label_code", "src", "dst"):
+        column = getattr(kept_block, name)
+        repeated = np.concatenate([column] * _BLOCK_COPIES + [column[:_BLOCK_TAIL]])
+        assert np.array_equal(getattr(dataset, name), repeated), name
+    assert (dataset.labels, dataset.ips) == (kept_block.labels, kept_block.ips)
+    _verdict("10 ingest at full scale", True)
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -594,6 +594,25 @@ def test_input_with_no_clean_rows_is_data_error(tmp_path, capsys, command):
     assert f"{empty}: no flow row survives cleaning" in capsys.readouterr().err
 
 
+def test_train_on_one_clean_row_is_data_error(tmp_path, capsys):
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("\n".join(_benign_csv(tmp_path).read_text().splitlines()[:2]) + "\n")
+    assert main(["train", "--input", str(one_row), "--mode", "nrf", "--kind", "rf",
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert "data error: need at least 2 rows to split" in capsys.readouterr().err
+
+
+def test_simulate_on_benign_only_data_is_data_error(tmp_path, capsys):
+    """Case 1 streams the base data as it is; case 3 first spreads its scan
+    rows over 16 pairs, and there are none."""
+    benign = _benign_csv(tmp_path)
+    for case, expected in ((1, "base data has no attack records to stream"),
+                           (3, "dataset has no port-scan records to remap")):
+        assert main(["simulate", "--case", str(case), "--data", str(benign),
+                     "--out-dir", str(tmp_path / f"case{case}")]) == EXIT_DATA
+        assert f"data error: {expected}" in capsys.readouterr().err
+
+
 def _cyclic_model() -> bytes:
     payload = json.loads(serialize_model(single_leaf_model(0.5)))
     payload["trees"][0].update(feature=[0], left=[0], right=[0])

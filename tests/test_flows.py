@@ -1,9 +1,12 @@
+import csv
 import math
 import random
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from hgnids.flows import (
     synth_traffic,
     write_csv,
 )
+from hgnids.detector import detect_window
 from hgnids.hypergraph import build_hypergraph
 
 import ingest_reference
@@ -164,7 +168,7 @@ def test_flow_record_value_rules(fields, reason):
 # Ordinary cells per column (DEFAULT_COLUMN_MAP order), and odd cells that
 # reach every drop reason: blanks and NaN (missing_value), inf and 1e999
 # (non_finite), -1 and -0.0 (negative durations, values and ports), 6.5
-# and 80.25 (not whole numbers), 70000 (out of range) and text.
+# and 80.25 (not whole numbers), 65536 and 70000 (out of range) and text.
 _GOOD_CELLS = (
     ("10.0.0.1", " 172.16.0.1 "), ("10.0.0.2", "8.8.8.8"), ("40000", "1024.0"), ("80", "443"),
     ("6", "17", "0", "6.0"), ("100", "0", "1.5e3"), ("2",), ("2", "0"), ("120",), ("240",),
@@ -172,7 +176,7 @@ _GOOD_CELLS = (
 )
 _ODD_CELLS = (
     "", " ", "nan", "NaN", "inf", "-inf", "1e999", "-0.0", "-1", "-3.5", "0", "6", "17",
-    "6.5", "80.25", "70000", "65535", "abc", "1_000",
+    "6.5", "80.25", "70000", "65535", "65536", "abc", "1_000",
 )
 _REASONS = {"", "unparseable", "missing_value", "non_finite", "negative_duration", "negative_value"}
 
@@ -186,37 +190,78 @@ def _random_row(pick) -> list[str]:
     return row if pick(10) else row[: pick(len(row))]
 
 
-def _parse_both(row):
-    """(record field values with their types, reason) from the current
-    parser and from the reference."""
-    index = tuple(range(len(DEFAULT_COLUMN_MAP)))
-    outcomes = (
-        flows._parse_row(row, index),
-        ingest_reference._parse_row(row, dict(zip(DEFAULT_COLUMN_MAP, index))),
-    )
-    return [
-        (None if rec is None else [(type(v), repr(v)) for v in vars(rec).values()], reason)
-        for rec, reason in outcomes
-    ]
+def _typed(records):
+    """Each record's field values with their types."""
+    return [[(type(v), repr(v)) for v in vars(r).values()] for r in records]
+
+
+def _ingest_both(rows, path):
+    """Write rows under the default header, ingest them with ingest_csv and
+    with the row-by-row reference, check that both keep the same records
+    (read through the row view, and as the NRF column) and give the same
+    report, and return it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(DEFAULT_COLUMN_MAP.values())
+        writer.writerows(rows)
+    dataset, report = ingest_csv(path)
+    ref_records, ref_report = ingest_reference.ingest_rows(path)
+    assert report == ref_report
+    assert _typed(dataset) == _typed(ref_records)
+    ref_nrf = np.array([r.nrf() for r in ref_records]).reshape(-1, len(flows.NRF_FIELDS))
+    assert dataset.nrf.tobytes() == ref_nrf.tobytes()  # -0.0 and 0.0 differ here
+    return report
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_parse_row_matches_reference(data):
-    row = _random_row(lambda n: data.draw(st.integers(0, n - 1)))
-    new, old = _parse_both(row)
-    assert new == old
+    """Whole files in small chunks, so that the drawn rows span several."""
+    chunk = data.draw(st.integers(1, 8))
+    n_rows = data.draw(st.integers(chunk + 1, 4 * chunk))
+    pick = data.draw(st.randoms(use_true_random=False)).randrange
+    rows = [_random_row(pick) for _ in range(n_rows)]
+    with mock.patch.object(flows, "CHUNK_ROWS", chunk), tempfile.TemporaryDirectory() as tmp:
+        _ingest_both(rows, Path(tmp) / "rows.csv")
 
 
-def test_parse_row_matches_reference_on_every_reason():
+def test_parse_row_matches_reference_on_every_reason(tmp_path):
     rng = random.Random(13)
-    seen = set()
-    for _ in range(20_000):
-        row = _random_row(rng.randrange)
-        new, old = _parse_both(row)
-        assert new == old, row
-        seen.add(new[1])
-    assert seen == _REASONS
+    rows = [_random_row(rng.randrange) for _ in range(20_000)]
+    assert len(rows) > 4 * flows.CHUNK_ROWS
+    report = _ingest_both(rows, tmp_path / "rows.csv")
+    assert report.kept and set(report.reasons) == _REASONS - {""}
+
+
+def test_dataset_from_records_matches_its_ingested_csv(tmp_path):
+    """The columns a Dataset derives from records equal the columns that
+    ingest reads back from its CSV, and so do the row views."""
+    data = synth_traffic("MIXED", 3000, [("1.1.1.1", "2.2.2.2"), ("3.3.3.3", "4.4.4.4")], seed=8)
+    write_csv(data, tmp_path / "mixed.csv")
+    back, _ = ingest_csv(tmp_path / "mixed.csv")
+    assert back.nrf.tobytes() == data.nrf.tobytes()
+    for name in ("src_port", "dst_port", "label_code", "src", "dst"):
+        assert np.array_equal(getattr(back, name), getattr(data, name)), name
+    assert (back.labels, back.ips) == (data.labels, data.ips)
+    assert back.records == data.records
+    assert _typed(back) == _typed(data)
+
+
+def test_ingest_then_detect_builds_no_flow_record(tmp_path, monkeypatch):
+    window = synth_traffic("MIXED", 2000, [("172.16.0.1", "192.168.10.50")], seed=6)
+    write_csv(window, tmp_path / "window.csv")
+    built = []
+    init = FlowRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowRecord, "__init__", counting)
+    dataset, _ = ingest_csv(tmp_path / "window.csv")
+    flags, _ = detect_window(dataset, set())
+    assert flags and not built
+    assert len(list(dataset)) == len(built) == len(dataset)  # the row view counts
 
 
 def test_ingest_header_whitespace_tolerated(tmp_path):
