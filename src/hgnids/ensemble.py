@@ -151,12 +151,15 @@ def retrain_request(
     train_set: Encoded,
     holdout: Encoded,
     seed: int = 0,
+    hyperparams: Mapping[FeatureMode, Hyperparams] | None = None,
 ) -> tuple[EnsembleState, UpdateLog]:
     """Serve one retraining request; returns the (possibly new) state.
 
     train_set and holdout are (X, y) pairs of encode's full table. A
     single-class training set or an empty holdout defers the request
-    instead of failing.
+    instead of failing. The forgo-the-worst candidate takes hyperparams'
+    HGI entry, else the first HGI member's, else the defaults; update-all
+    candidates take their slot's.
     """
     if rule is UpdateRule.STATIC:
         return state, UpdateLog(rule)
@@ -169,8 +172,10 @@ def retrain_request(
 
     # The plan: (role, hyperparams, seed) of every candidate to train.
     if rule is UpdateRule.FTW:
-        hp = next((s.model.hyperparams for s in state.members
-                   if s.model.feature_mode is FeatureMode.HGI), None)
+        hp = (hyperparams or {}).get(FeatureMode.HGI) or next(
+            (s.model.hyperparams for s in state.members if s.model.feature_mode is FeatureMode.HGI),
+            None,
+        )
         plan = [(FeatureMode.HGI, hp, seed)]
     else:
         plan = [(s.model.feature_mode, s.model.hyperparams, seed * 31 + i)

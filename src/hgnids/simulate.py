@@ -16,8 +16,11 @@ is an integer id array into both, and a detector window is the Dataset's
 take(ids).
 In production mode the hacker pairs come only from the behavioural
 detector's flags; with the non-hacker weights on, the table is encoded
-again whenever they change. One scorecard row is written per (epoch,
-computer).
+again whenever they change. A row's scores depend only on the ensemble
+and that row, so each table row is scored once per ensemble state: a
+batch scores only its ids not yet scored, until a retrain replaces a
+slot or the table is encoded again. One scorecard row is written per
+(epoch, computer).
 
 A run is described by one SimConfig. Its case id fixes the case's policy
 (scan pairs, update rule, adversarial injection, production mode); every
@@ -410,6 +413,11 @@ def run_simulation(
 
     artifacts = RunArtifacts(cfg, baseline)
     scorecard = Scorecard()
+    # Each table row's verdict and scores, kept until a slot is replaced
+    # or X is encoded again.
+    known = np.zeros(len(table), bool)
+    verdict_of = np.zeros(len(table), bool)
+    scores_of = np.zeros((len(table), len(state.members)))
     evaded = np.empty(0, np.intp)
     counter = 0
     flagged: set[IPPair] = set()
@@ -426,8 +434,14 @@ def run_simulation(
                 if weights is not None and flagged != hackers:
                     hackers = frozenset(flagged)
                     X, y = encode(table, None, h, hackers, weights)
+                    known[:] = False
 
-            verdicts, scores = classify_batch(state, X[ids])
+            fresh = np.sort(ids[~known[ids]])
+            fresh = fresh[np.diff(fresh, prepend=-1) != 0]  # each id once
+            if fresh.size:
+                verdict_of[fresh], scores_of[fresh] = classify_batch(state, X[fresh])
+                known[fresh] = True
+            verdicts, scores = verdict_of[ids], scores_of[ids]
             actual = is_attack[ids]
             report = EvalReport.from_predictions(verdicts, actual)
             artifacts.batch_member_fn.append(tuple(r.fn for r in member_reports(scores, actual)))
@@ -445,7 +459,10 @@ def run_simulation(
                 state, log = retrain_request(
                     state, cfg.rule, (X[train_part], y[train_part]),
                     (X[holdout_part], y[holdout_part]), seed=cfg.seed * 1009 + event_idx,
+                    hyperparams=cfg.hyperparams_map(),
                 )
+                if log.replaced_slots:
+                    known[:] = False
                 artifacts.retrain_events.append(
                     RetrainEvent(
                         event_idx, epoch, computer, cfg.threshold,

@@ -3,9 +3,14 @@
 Models learn from matrices: `fit(X, y, kind)` takes the arrays of
 `features.encode` and reads the feature layout from the width of X;
 `train` is its form for FeatureVector rows. Both learners grow exact
-greedy binary trees with one vectorised split search (columns sorted
-once per fit or tree, then partitioned at each split, + prefix sums over
-the valid cuts); each kind brings only its split score. Random
+greedy binary trees with one vectorised split search: columns are
+sorted once per fit or tree and partitioned at each split, and the
+split statistics (labels, or gradients and hessians) are gathered and
+prefix-summed as one array over the valid cuts; each kind brings only
+its split score. What does not change is computed once per fit: every
+boosting round grows on all rows, so the rounds share the root's sorted
+values and valid cuts, and each forest tree takes its bootstrap orders
+from a stable sort of the columns' dense integer ranks. Random
 forests bag bootstrap samples, subsample features at every split, and
 average leaf class fractions; boosted trees fit logistic-loss
 gradient/hessian gains with shrinkage, starting from a zero base score
@@ -110,15 +115,14 @@ class TrainingError(ValueError):
     pass
 
 
-def _best_split(sv: np.ndarray, stats, score, min_leaf: int):
-    """Best (column, threshold, score) over the rows of sv, or None.
+def _valid_cuts(sv: np.ndarray, min_leaf: int):
+    """(col, cut, flat) of every valid cut of sv, in (column, position)
+    order, or None if there is none.
 
-    Row j of sv holds one column's values in stable ascending order, and
-    row j of each array in stats a statistic of the same rows in the same
-    order. A cut after sorted position i must fall between two distinct
-    values and leave min_leaf rows on each side; score(n, nl, *sums)
-    rates the valid cuts from their left-child row counts nl and, per
-    statistic, the (left prefix sums, total) pair.
+    Row j of sv holds one column's values in stable ascending order. The
+    cut after sorted position i of column j must fall between two
+    distinct values and leave min_leaf rows on each side; its flat index
+    is j * n + i, into a row-major [d, n] array.
     """
     n = sv.shape[1]
     if n < 2 * min_leaf:
@@ -128,8 +132,21 @@ def _best_split(sv: np.ndarray, stats, score, min_leaf: int):
     if col.size == 0:
         return None
     cut += lo
-    sums = [np.cumsum(s, axis=1) for s in stats]
-    rated = score(n, cut + 1.0, *[(c.take(col * n + cut), c[0, -1]) for c in sums])
+    return col, cut, col * n + cut
+
+
+def _best_split(sv: np.ndarray, cuts, stats: np.ndarray, score):
+    """Best (column, threshold, score) among the valid cuts of sv, or None.
+
+    cuts is _valid_cuts(sv, min_leaf), not None. stats[k, j] holds
+    statistic k of the rows of sv[j] in the same order; score(n, nl,
+    *sums) rates the cuts from their left-child row counts nl and, per
+    statistic, the (left prefix sums, total) pair.
+    """
+    col, cut, flat = cuts
+    n = sv.shape[1]
+    sums = np.cumsum(stats, axis=2)
+    rated = score(n, cut + 1.0, *[(c.take(flat), c[0, -1]) for c in sums])
     # the first best cut in (column, position) order: ties break toward
     # the lower feature index, then the lower threshold
     best = int(np.argmax(rated))
@@ -183,35 +200,45 @@ class _TreeBuilder:
         )
 
 
-def _grow_tree(XT, order, params, rng, kind, y=None, g=None, h=None, lr=1.0, F=None):
+def _grow_tree(XT, order, params, rng, kind, stats, lr=1.0, F=None, root=None):
     """Grow one tree on its root rows, the columns 0..N-1 of XT (one row
-    per feature). order[j] lists those positions stably sorted by XT[j].
-    A split stable-partitions every row of the node's order, so a child's
-    order equals a fresh stable argsort of its rows, ties included. Given
-    the boosting margins F, each leaf adds its value to its rows' margins."""
+    per feature). order[j] lists those positions stably sorted by XT[j],
+    and stats[k] holds split statistic k of each position: the labels of
+    a forest tree, or a boosting round's gradients and hessians. root,
+    when given, is the root's sorted values and _valid_cuts, which every
+    boosting round shares. A split stable-partitions every row of the
+    node's order, so a child's order equals a fresh stable argsort of its
+    rows, ties included. Given the boosting margins F, each leaf adds its
+    value to its rows' margins."""
     d, N = XT.shape
+    forest = kind is ModelKind.RANDOM_FOREST
     builder = _TreeBuilder()
     stack = [(builder.add(), np.arange(N), order, 0)]
     while stack:
         node, rows, order, depth = stack.pop()
-        if kind is ModelKind.RANDOM_FOREST:
-            yn = y[rows]
+        if forest:
+            yn = stats[0][rows]
             leaf_value = float(yn.mean())
             pure = yn.min() == yn.max()
         else:
-            leaf_value = lr * float(-g[rows].sum() / (h[rows].sum() + _GB_LAMBDA))
+            leaf_value = lr * float(-stats[0][rows].sum() / (stats[1][rows].sum() + _GB_LAMBDA))
             pure = False
 
         found = None
         if depth < params.max_depth and not pure and rows.size >= 2 * params.min_leaf:
-            if kind is ModelKind.RANDOM_FOREST:
+            if forest:
                 m = params.feature_subsample or max(1, int(math.sqrt(d)))
                 feats = np.sort(rng.choice(d, size=min(m, d), replace=False))
-                sub, stats, score = order[feats], (y,), _gini_decrease
+                sub, score = order[feats], _gini_decrease
             else:
-                feats, sub, stats, score = np.arange(d), order, (g, h), _gain
-            sv = XT[feats[:, None], sub]
-            found = _best_split(sv, [s.take(sub) for s in stats], score, params.min_leaf)
+                feats, sub, score = np.arange(d), order, _gain
+            if depth == 0 and root is not None:
+                sv, cuts = root
+            else:
+                sv = XT.take(sub + N * feats[:, None])
+                cuts = _valid_cuts(sv, params.min_leaf)
+            if cuts is not None:
+                found = _best_split(sv, cuts, stats.take(sub, axis=1), score)
 
         if found is None:
             builder.value[node] = leaf_value
@@ -220,7 +247,7 @@ def _grow_tree(XT, order, params, rng, kind, y=None, g=None, h=None, lr=1.0, F=N
             continue
         feat, thr = int(feats[found[0]]), found[1]
         goes_left = XT[feat] <= thr
-        mask, sides = goes_left[rows], goes_left[order].ravel()
+        mask, sides = goes_left.take(rows), goes_left.take(order).ravel()
         builder.feature[node] = feat
         builder.threshold[node] = thr
         left = builder.add()
@@ -230,6 +257,16 @@ def _grow_tree(XT, order, params, rng, kind, y=None, g=None, h=None, lr=1.0, F=N
         stack.append((right, rows[~mask], order.compress(~sides).reshape(d, -1), depth + 1))
         stack.append((left, rows[mask], order.compress(sides).reshape(d, -1), depth + 1))
     return builder.done()
+
+
+def _dense_ranks(X: np.ndarray) -> np.ndarray:
+    """[d, n] ranks of X's columns: equal values (-0.0 and 0.0 included)
+    share a rank and ranks follow value order, so a stable argsort of
+    any selection of a column's ranks orders those rows as a stable
+    argsort of their values does. The key is the smallest unsigned type
+    that holds every rank, which numpy sorts by radix below 17 bits."""
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])
+    return ranks.astype(np.min_scalar_type(int(ranks.max())))
 
 
 def fit(
@@ -253,26 +290,30 @@ def fit(
     n, d = X.shape
 
     trees: list[_Tree] = []
+    yf = y.astype(np.float64)
     if kind is ModelKind.RANDOM_FOREST:
         children = np.random.SeedSequence([params.seed, 0x8F]).spawn(params.n_trees)
+        ranks = _dense_ranks(X)
         for child in children:
             rng = np.random.default_rng(child)
             boot = rng.integers(0, n, size=n)
             XT = np.ascontiguousarray(X[boot].T)
-            order = np.argsort(XT, axis=1, kind="stable")
-            trees.append(_grow_tree(XT, order, params, rng, kind, y=y[boot].astype(np.float64)))
+            order = np.argsort(ranks[:, boot], axis=1, kind="stable")
+            trees.append(_grow_tree(XT, order, params, rng, kind, yf[None, boot]))
     else:
         rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0x6B]))
         lr = params.learning_rate if params.learning_rate is not None else 0.1
         F = np.zeros(n, dtype=np.float64)
-        yf = y.astype(np.float64)
         XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable")  # every round grows on all rows
+        # every round grows on all rows: the root's orders, sorted values
+        # and valid cuts are the same in each
+        order = np.argsort(XT, axis=1, kind="stable")
+        sv = np.take_along_axis(XT, order, axis=1)
+        root = (sv, _valid_cuts(sv, params.min_leaf))
         for _ in range(params.n_trees):
             p = 1.0 / (1.0 + np.exp(-F))
-            g = p - yf
-            h = p * (1.0 - p)
-            trees.append(_grow_tree(XT, order, params, rng, kind, g=g, h=h, lr=lr, F=F))
+            gh = np.stack([p - yf, p * (1.0 - p)])  # gradients, hessians
+            trees.append(_grow_tree(XT, order, params, rng, kind, gh, lr=lr, F=F, root=root))
 
     return TreeModel(kind, mode, params, d, trees)
 

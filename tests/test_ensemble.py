@@ -20,6 +20,7 @@ from hgnids.ensemble import (
     save_state,
 )
 from hgnids.features import (
+    MODE_WIDTH,
     NON_HACKER_WEIGHTS,
     FeatureMode,
     build_matrix,
@@ -204,6 +205,29 @@ def test_ftw_replaces_worst_slot():
     assert new_state.members[0].version == 0
     assert new_state.members[1].version == 0
     assert log.candidate_f1[0] > log.incumbent_f1[2]
+
+
+@pytest.mark.parametrize("given, member_hgi, expected", [
+    ("run", True, "run"), ("run", False, "run"), (None, True, "member"), (None, False, "default"),
+])
+def test_ftw_candidate_hyperparams_precedence(monkeypatch, given, member_hgi, expected):
+    """The forgo-the-worst candidate takes the request's HGI entry, else
+    the HGI member's hyperparams, else the defaults; only the seed is the
+    request's."""
+    train_set, holdout, _ = _crafted_tables()
+    member_hp, run_hp = Hyperparams(7, 3, 2, 0.3, None, 11), Hyperparams(9, 4, 3, 0.2, None, 0)
+    hgi_member = MemberSlot(replace(single_leaf_model(0.9, MODE_WIDTH[FeatureMode.HGI]),
+                                    feature_mode=FeatureMode.HGI,
+                                    hyperparams=member_hp))
+    state = EnsembleState([_duration_member(29.5), _duration_member(49.5)]
+                          + ([hgi_member] if member_hgi else []))
+    seen = []
+    real = ensemble._fit_member
+    monkeypatch.setattr(ensemble, "_fit_member",
+                        lambda role, data, hp, seed: seen.append(hp) or real(role, data, hp, seed))
+    retrain_request(state, UpdateRule.FTW, train_set, holdout, seed=1,
+                    hyperparams={FeatureMode.HGI: run_hp} if given else None)
+    assert seen == [{"run": run_hp, "member": member_hp, "default": None}[expected]]
 
 
 def test_ftw_keeps_state_when_candidate_does_not_beat_worst():

@@ -539,3 +539,161 @@ def test_weighted_production_run_pinned_bytes(tmp_path, tiny_data, tiny_adv):
         for p in run_dir.rglob("*") if p.is_file() and p.name != "config.json"
     }
     assert written == _PINNED_WEIGHTED_CASE6
+
+
+# Digests of three runs at threshold 1, where a retrain request follows
+# almost every missed attack, recorded before the simulation kept its
+# scores across batches: desk case 3 at seed 42 (forgo-the-worst replaces
+# a slot twice) and tiny case 5 at seed 39 (update-all replaces every
+# slot twice), 2 computers x 3 epochs. The weighted case-6 run of
+# _PINNED_WEIGHTED_CASE6 also re-encodes the table as the flags change.
+_PINNED_THRESHOLD_1 = {
+    "desk-3": {
+        "flag_log.csv":
+            "ded296166db413e5949560ca4c441af55b7a0ffa48a87675d4719ba989b95508",
+        "models/event_0/ensemble.json":
+            "03cee49419abe742b9aa31a213192488e568f999788306b4fb06feafda014357",
+        "models/event_0/member_0_hgi_v1.json":
+            "99d03074acf79e0f3dadc498c95e6e82bfae78afcd569b24befcef26346a3bd2",
+        "models/event_0/member_1_hgi_v0.json":
+            "bc0022ba8aa30fab9cef48a53e42635793a05c61076f946ccbd77d689a1047ba",
+        "models/event_0/member_2_hga_v0.json":
+            "13a5dcf0ae379b97ad3a2790dc222bdc277d2af8885bd1a55abce80203cb9009",
+        "models/event_1/ensemble.json":
+            "ee409d35cd0e5bc6b726c44f15519c33b02dbdf48816ca24783ac9f20182c26b",
+        "models/event_1/member_0_hgi_v1.json":
+            "99d03074acf79e0f3dadc498c95e6e82bfae78afcd569b24befcef26346a3bd2",
+        "models/event_1/member_1_hgi_v1.json":
+            "0c4fec4517bac6dda2e9a454e97888567d37fc93d217415af353228f505f143d",
+        "models/event_1/member_2_hga_v0.json":
+            "13a5dcf0ae379b97ad3a2790dc222bdc277d2af8885bd1a55abce80203cb9009",
+        "models/final/ensemble.json":
+            "ee409d35cd0e5bc6b726c44f15519c33b02dbdf48816ca24783ac9f20182c26b",
+        "models/final/member_0_hgi_v1.json":
+            "99d03074acf79e0f3dadc498c95e6e82bfae78afcd569b24befcef26346a3bd2",
+        "models/final/member_1_hgi_v1.json":
+            "0c4fec4517bac6dda2e9a454e97888567d37fc93d217415af353228f505f143d",
+        "models/final/member_2_hga_v0.json":
+            "13a5dcf0ae379b97ad3a2790dc222bdc277d2af8885bd1a55abce80203cb9009",
+        "retrain_log.csv":
+            "a430b7f0b0454c20301812ce8280828555958a2d1c7a330cf672a3062a914e83",
+        "scorecard.csv":
+            "c380db3d0672bd5bc38a17bfe96de46ffc22dc9b4c75e35ba2076955690ebd59",
+    },
+    "tiny-5": {
+        "flag_log.csv":
+            "ded296166db413e5949560ca4c441af55b7a0ffa48a87675d4719ba989b95508",
+        "models/event_0/ensemble.json":
+            "5109826a20e604d7d135483b34c39d58abc6fda08d714a7068bf2dc8821b3d16",
+        "models/event_0/member_0_nrf_v1.json":
+            "8085d656262eecd6fb25ea0e697cf87461196bb0754f618bdc31b6e85c60dacb",
+        "models/event_0/member_1_hgi_v1.json":
+            "cd267246c38824ee1d89c7b43b9ee920b4818fa175b00b9483d2b89a57a84203",
+        "models/event_0/member_2_hga_v1.json":
+            "c70e081693530b4b19f83ede9c9530d9f2e92c7304ca974b45a82b8cf02a38cd",
+        "models/event_1/ensemble.json":
+            "76d2a2faedad20447156f04ae522ad62bae2a14f2e25fc8692abbf3378a26550",
+        "models/event_1/member_0_nrf_v2.json":
+            "b3a667a65f4d03971c6f0eb536e6f66a35f41c55feb559267ee2b6c2b5de22fe",
+        "models/event_1/member_1_hgi_v2.json":
+            "5c1e342fe6fe006eee74353f6f30166858a8c24d86087abf395aab489cf63ce2",
+        "models/event_1/member_2_hga_v2.json":
+            "6c9c7b3ede7c0caab63fd4c956a132114d5227389e2e2741ba254e33c5eec3ca",
+        "models/final/ensemble.json":
+            "76d2a2faedad20447156f04ae522ad62bae2a14f2e25fc8692abbf3378a26550",
+        "models/final/member_0_nrf_v2.json":
+            "b3a667a65f4d03971c6f0eb536e6f66a35f41c55feb559267ee2b6c2b5de22fe",
+        "models/final/member_1_hgi_v2.json":
+            "5c1e342fe6fe006eee74353f6f30166858a8c24d86087abf395aab489cf63ce2",
+        "models/final/member_2_hga_v2.json":
+            "6c9c7b3ede7c0caab63fd4c956a132114d5227389e2e2741ba254e33c5eec3ca",
+        "retrain_log.csv":
+            "d3ba389879fef396e130d90cfe22a365e7dd88aece97fae9822edf3a85fcb9b8",
+        "scorecard.csv":
+            "b745d8f2498803c357ae473870c1d8d14e40a7fac1eaf07f856ab8567d0f7b62",
+    },
+    "tiny-6-weighted": _PINNED_WEIGHTED_CASE6,
+}
+
+
+@pytest.mark.parametrize("run", sorted(_PINNED_THRESHOLD_1))
+def test_each_row_is_scored_once_per_ensemble_state(
+    monkeypatch, tmp_path, desk_data, tiny_data, tiny_adv, run
+):
+    """Counts the rows handed to classify_batch. A state is the ensemble
+    between two slot replacements and one encoding of the table: under
+    each, the rows scored are exactly the distinct ids of its batches, so
+    no run scores more rows than its batches hold."""
+    if run == "desk-3":
+        cfg, data, adv = desk_case_config(3, seed=42, threshold=1), desk_data, ()
+    else:
+        case, seed = (5, 39) if run == "tiny-5" else (6, 13)
+        cfg = dataclasses.replace(
+            tiny_config(case, seed=seed, threshold=1, use_weights=case == 6), n_epochs=3
+        )
+        data, adv = tiny_data, tiny_adv
+    events: list[tuple] = []  # ("batch", ids), ("state", obj), ("encode",), ("scored", n)
+
+    def spy(name, wrap):
+        real = getattr(simulate, name)
+        monkeypatch.setattr(simulate, name, lambda *a, **kw: wrap(real(*a, **kw)))
+
+    def plan(next_batch):
+        def batch(b):
+            ids = next_batch(b)
+            events.append(("batch", ids))
+            return ids
+        return batch
+
+    def scored(result):
+        events.append(("scored", len(result[0])))
+        return result
+
+    spy("_build_batches_plan", plan)
+    spy("classify_batch", scored)
+    spy("encode", lambda result: events.append(("encode",)) or result)
+    spy("build_ensemble", lambda state: events.append(("state", state)) or state)
+    spy("retrain_request", lambda result: events.append(("state", result[0])) or result)
+    run_dir = tmp_path / "run"
+    run_simulation(cfg, data, adv, out_dir=run_dir)
+
+    # A batch is scored after any re-encode its window causes and before
+    # the retrain request it may trigger.
+    ids_of, scored_of, key, states, encodes, pending = {}, {}, None, [], 0, None
+    for ev in events + [("batch", None)]:
+        if ev[0] in ("batch", "state") and pending is not None:
+            ids_of.setdefault(key, set()).update(pending.tolist())
+            pending = None
+        if ev[0] == "batch":
+            pending = ev[1]
+        elif ev[0] == "encode":
+            encodes += 1
+        elif ev[0] == "state":
+            if not states or ev[1] is not states[-1]:
+                states.append(ev[1])
+        else:
+            scored_of[key] = scored_of.get(key, 0) + ev[1]
+        key = (len(states), encodes)
+    assert len(states) > 1  # at least one slot replacement
+    assert (encodes > 1) == (run == "tiny-6-weighted")
+    assert {k: len(v) for k, v in ids_of.items()} == {k: scored_of.get(k, 0) for k in ids_of}
+    assert set(scored_of) <= set(ids_of)
+    batch_rows = sum(len(ev[1]) for ev in events if ev[0] == "batch")
+    assert sum(scored_of.values()) < batch_rows
+    written = {
+        p.relative_to(run_dir).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in run_dir.rglob("*") if p.is_file() and p.name != "config.json"
+    }
+    assert written == _PINNED_THRESHOLD_1[run]
+
+
+def test_baseline_ftw_candidate_takes_the_run_hyperparams(desk_data, desk_adv):
+    """An all-NRF baseline has no HGI member, so its forgo-the-worst
+    candidate reads its hyperparams from the run's HGI entry."""
+    cfg = desk_case_config(4, seed=42)
+    _, artifacts = run_simulation(cfg, desk_data, desk_adv, baseline=True)
+    hgi = [m.model.hyperparams for m in artifacts.final_state.members
+           if m.model.feature_mode is FeatureMode.HGI]
+    assert hgi
+    expected = cfg.hyperparams_map()[FeatureMode.HGI]
+    assert all(dataclasses.replace(hp, seed=0) == expected for hp in hgi)

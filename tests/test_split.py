@@ -5,16 +5,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgnids.trees import _best_split, _gain, _gini_decrease
+from hgnids.trees import _best_split, _gain, _gini_decrease, _valid_cuts
 
 import split_reference as ref
 
 
-def _presorted(Xs, *stats):
-    """Each column of Xs as a row of sorted values, and each statistic in
-    the same per-column order, as a tree node holds them."""
+def _split(Xs, stats, score, min_leaf):
+    """_best_split over a tree node that holds Xs: each column as a row of
+    sorted values, its valid cuts (None if there is none), and each
+    statistic in the same per-column order, stacked as [k, d, n]."""
     order = np.argsort(Xs, axis=0, kind="stable").T
-    return np.take_along_axis(Xs.T, order, axis=1), [s[order] for s in stats]
+    sv = np.take_along_axis(Xs.T, order, axis=1)
+    cuts = _valid_cuts(sv, min_leaf)
+    return cuts and _best_split(sv, cuts, np.stack(stats).take(order, axis=1), score)
 
 
 # Few distinct values, so columns repeat values and cuts tie on score.
@@ -35,7 +38,7 @@ def test_gini_split_matches_reference(Xs, data, min_leaf):
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(Xs), max_size=len(Xs)))
     ys = np.array(labels, dtype=np.float64)
     expected = ref.best_split_gini(Xs, ys, min_leaf)
-    assert _best_split(*_presorted(Xs, ys), _gini_decrease, min_leaf) == expected
+    assert _split(Xs, [ys], _gini_decrease, min_leaf) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,10 +50,10 @@ def test_gain_split_matches_reference(Xs, data, min_leaf):
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
     g, h = p - y, p * (1.0 - p)
     expected = ref.best_split_gain(Xs, g, h, min_leaf)
-    assert _best_split(*_presorted(Xs, g, h), _gain, min_leaf) == expected
+    assert _split(Xs, [g, h], _gain, min_leaf) == expected
 
 
 def test_split_search_finds_splits():
     Xs = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     ys = np.array([0.0, 0.0, 1.0, 1.0])
-    assert _best_split(*_presorted(Xs, ys), _gini_decrease, 1) == ref.best_split_gini(Xs, ys, 1) == (0, 1.5, 2.0)
+    assert _split(Xs, [ys], _gini_decrease, 1) == ref.best_split_gini(Xs, ys, 1) == (0, 1.5, 2.0)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from hgnids import trees
 from hgnids.features import MODE_WIDTH, FeatureMode
-from hgnids.trees import Hyperparams, ModelKind, fit, predict_proba_batch, serialize_model
+from hgnids.trees import (
+    Hyperparams,
+    ModelKind,
+    _dense_ranks,
+    fit,
+    predict_proba_batch,
+    serialize_model,
+)
 
 import tree_reference as ref
 
@@ -79,6 +86,89 @@ def test_presorted_fit_matches_reference(problem):
     assert predict_proba_batch(got, probe).tobytes() == ref.predict_proba_batch(got, probe).tobytes()
 
 
+def _assert_fit_matches_reference(X, y, kind, params):
+    expected = _fit_or_error(ref.fit, X, y, kind, params)
+    got = _fit_or_error(fit, X, y, kind, params)
+    if isinstance(expected, ValueError):
+        assert isinstance(got, ValueError) and str(got) == str(expected)
+    else:
+        assert serialize_model(got) == serialize_model(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(12, 200), rounds=st.integers(10, 40), min_leaf=st.integers(1, 8),
+    data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16),
+)
+def test_boosted_rounds_on_binary_columns_match_reference(n, rounds, min_leaf, data_seed, seed):
+    """The desk HGI layout: a few spread and many-valued columns, one
+    constant column and eleven binary ones. Every round starts from the
+    root's sorted values and valid cuts, computed once per fit."""
+    rng = np.random.default_rng(data_seed)
+    X = np.concatenate([
+        rng.choice([0.0, 1.0, 2.0], size=(n, 1)),
+        rng.normal(size=(n, 8)) * 10,
+        np.full((n, 1), 1.0),
+        rng.integers(0, 2, size=(n, 11)).astype(np.float64),
+    ], axis=1)
+    assert X.shape[1] == MODE_WIDTH[FeatureMode.HGI]
+    y = (X[:, 10] + (rng.random(n) < 0.2) > 0.5).astype(int)
+    y[:2] = (0, 1)
+    _assert_fit_matches_reference(
+        X, y, ModelKind.GRADIENT_BOOSTED, Hyperparams(rounds, 6, min_leaf, 0.15, None, seed)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 400), data=st.data(), seed=st.integers(0, 2**16),
+    subsample=st.one_of(st.none(), st.integers(1, 9)),
+)
+def test_forest_on_tied_and_signed_zero_columns_matches_reference(n, data, seed, subsample):
+    """Bootstrap orders come from dense ranks: ties and -0.0/0.0 mixes
+    must order rows as a stable argsort of the values does."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.lists(
+        st.sampled_from(["zeros", "ties", "binary", "spread"]), min_size=9, max_size=9
+    ))
+    pools = {"zeros": [0.0, -0.0], "ties": [-0.0, 0.0, 0.5, 1.0], "binary": [0.0, 1.0]}
+    X = np.stack([
+        rng.choice(pools[k], size=n) if k in pools else rng.normal(size=n) for k in kinds
+    ], axis=1)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    _assert_fit_matches_reference(
+        X, y, ModelKind.RANDOM_FOREST,
+        Hyperparams(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8)), 1, None,
+                    subsample, seed),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dense_rank_orders_equal_value_orders(data):
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = rng.choice([-3.0, -0.0, 0.0, 0.5, _BELOW_ONE, 1.0, 1e300], size=(n, 3))
+    X[:, 2] = rng.normal(size=n)
+    boot = rng.integers(0, n, size=n)
+    got = np.argsort(_dense_ranks(X)[:, boot], axis=1, kind="stable")
+    assert np.array_equal(got, np.argsort(X[boot].T, axis=1, kind="stable"))
+
+
+@pytest.mark.parametrize("distinct, key", [(65_536, np.uint16), (65_537, np.uint32)])
+def test_rank_key_widens_past_16_bits(distinct, key):
+    """A column with more distinct values than a 16-bit key holds gets a
+    32-bit key, and the forest still matches the reference."""
+    rng = np.random.default_rng(9)
+    X = np.zeros((distinct, MODE_WIDTH[FeatureMode.NRF]))
+    X[:, 0] = rng.permutation(distinct) - distinct / 2.0
+    X[:, 1] = rng.choice([-0.0, 0.0, 1.0], size=distinct)
+    assert _dense_ranks(X).dtype == key
+    y = (X[:, 0] > 100.0).astype(int)
+    _assert_fit_matches_reference(X, y, ModelKind.RANDOM_FOREST, Hyperparams(2, 2, 1, None, 2, 4))
+
+
 def test_adjacent_float_forest_still_raises():
     """A cut between two floats one ulp apart sends every row left (the
     midpoint rounds up); the empty random-forest child raises, as before."""
@@ -108,3 +198,20 @@ def test_packed_walk_in_chunks_matches_reference(monkeypatch, cells):
     monkeypatch.setattr(trees, "_WALK_CELLS", cells)
     for model in models:
         assert predict_proba_batch(model, X).tobytes() == ref.predict_proba_batch(model, X).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_problems(), data=st.data())
+def test_scores_of_a_row_subset_equal_the_whole_matrix_rows(problem, data):
+    """A row's score depends only on the model and that row: scoring any
+    selection of rows (repeats, any order) gives the bytes of the same
+    rows of a whole-matrix call. The simulation's score cache relies on it."""
+    X, y, kind, params = problem
+    model = _fit_or_error(fit, X, y, kind, params)
+    if isinstance(model, ValueError):
+        return
+    probe = np.concatenate([X, np.random.default_rng(1).normal(size=X.shape) * 10])
+    ids = np.array(data.draw(st.lists(st.integers(0, len(probe) - 1), max_size=3 * len(probe))),
+                   dtype=np.intp)
+    whole = predict_proba_batch(model, probe)
+    assert predict_proba_batch(model, probe[ids]).tobytes() == whole[ids].tobytes()
