@@ -133,8 +133,10 @@ def _parse_pairs(spec: str) -> list[tuple[str, str]]:
             continue
         if ">" not in part:
             raise UsageError(f"pair must look like src>dst, got {part!r}")
-        src, _, dst = part.partition(">")
-        pairs.append((src.strip(), dst.strip()))
+        src, _, dst = (end.strip() for end in part.partition(">"))
+        if not (src and dst):
+            raise UsageError(f"pair needs a src and a dst, got {part!r}")
+        pairs.append((src, dst))
     return pairs
 
 
@@ -207,11 +209,11 @@ def _mode(arg: str) -> FeatureMode:
 
 
 def cmd_features(args, cfg, manifest: Manifest) -> list[Path]:
+    hackers = frozenset(_parse_pairs(args.hackers)) if args.hackers else frozenset()
     manifest.start(args.input)
     dataset = _load_dataset(args.input)
     mode = _mode(args.mode)
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
-    hackers = frozenset(_parse_pairs(args.hackers)) if args.hackers else frozenset()
     weights = NON_HACKER_WEIGHTS if args.weights else None
     X, y = encode(dataset, mode, h, hackers, weights)
     path = Path(args.out_dir) / f"matrix_{mode.value.lower()}.csv"

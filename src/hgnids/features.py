@@ -31,11 +31,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .flows import NRF_FIELDS, DataFormatError, Dataset, FlowRecord, as_dataset
+from .flows import NRF_FIELDS, DataFormatError, Dataset, FlowRecord
 from .hypergraph import Hypergraph, SCHEDULE_STEPS, edge_profiles, feature_skip_interval
 
 ATTACK = 1
@@ -87,7 +87,7 @@ class FeatureVector:
 
 
 def encode(
-    records: Dataset | Iterable[FlowRecord],
+    data: Dataset,
     mode: FeatureMode | None,
     hypergraph: Hypergraph | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
@@ -102,7 +102,6 @@ def encode(
     the weight vector when one is supplied. Edge-size aggregates are
     structural lookups in the hypergraph regardless of the weight rule.
     """
-    data = as_dataset(records)
     y = data.is_attack.astype(np.int64)  # ATTACK is 1, NORMAL 0
     if mode is FeatureMode.NRF:
         return data.nrf.copy(), y
@@ -133,14 +132,13 @@ def encode(
 
 
 def build_matrix(
-    dataset: Iterable[FlowRecord],
+    data: Dataset,
     hypergraph: Hypergraph | None,
     mode: FeatureMode,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
     weights: Sequence[float] | None = None,
 ) -> list[FeatureVector]:
     """Encode every record of the dataset as a FeatureVector; see encode."""
-    data = as_dataset(dataset)
     X, y = encode(data, mode, hypergraph, hackers, weights)
     return [
         FeatureVector(mode, tuple(values), label, rec)
@@ -156,7 +154,7 @@ def encode_record(
     weights: Sequence[float] | None = None,
 ) -> FeatureVector:
     """Encode one record in the requested layout; see encode."""
-    return build_matrix((rec,), hypergraph, mode, hackers, weights)[0]
+    return build_matrix(Dataset((rec,)), hypergraph, mode, hackers, weights)[0]
 
 
 def rows_to_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,14 +3,15 @@
 A flow record carries the nine raw features used for classification
 (transport protocol plus eight numeric flow measurements), the endpoint
 addresses and ports, and an activity label; a record built by hand
-checks its own values. A Dataset holds flows as columns: the [n, 9] raw
-features, the ports, label codes and integer address ids, with records
-as a row view built only when a caller iterates. Ingestion reads a CSV
-in chunks of CHUNK_ROWS rows, converts each mapped column with float()
-in one pass, and gives each row its drop reason from whole-column masks
-that apply FlowRecord's value rules in its order; it builds no record.
-The synthetic generator produces statistics-matched scan and benign
-traffic for desk-scale experiments, deterministic under a seed.
+checks its own values. A Dataset holds flows only as columns: the [n, 9]
+raw features, the ports, label codes and integer address ids, with
+records as a row view built only when a caller iterates. Ingestion reads
+a CSV in chunks of CHUNK_ROWS rows, converts each mapped column with
+float() in one pass, and gives each row its drop reason from whole-column
+masks that apply FlowRecord's value rules in its order. The synthetic
+generator produces statistics-matched scan and benign traffic for
+desk-scale experiments, deterministic under a seed. Ingestion, synthesis
+and write_csv build no record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, islice
+from itertools import compress, islice, starmap
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -160,64 +161,73 @@ class Dataset:
     `ips`: each address once, in the order it first appears when each
     row's source is read before its destination. That is the order
     `build_hypergraph` inserts edges in, so an address's id here is its
-    edge id in the dataset's hypergraph. The columns are read-only.
+    edge id in the dataset's hypergraph. `labels` lists each label once,
+    in the order rows first use it. The columns are read-only, and they
+    are a Dataset's only state: one made from records derives them at
+    once and keeps no record.
 
-    Iterating yields FlowRecords, built from the columns on first use. A
-    Dataset made from records keeps the tuple it was given as that view,
-    and derives its columns on first use.
+    Iterating yields FlowRecords, built from the columns CHUNK_ROWS rows
+    at a time and not kept.
     """
 
-    def __init__(self, records: Iterable[FlowRecord] = (), provenance: str = "INGESTED",
+    def __init__(self, records: Sequence[FlowRecord] = (), provenance: str = "INGESTED",
                  seed: int | None = None):
-        self._records = tuple(records)
-        self.provenance, self.seed = provenance, seed
+        records = tuple(records)
+        fields = [map(operator.attrgetter(name), records) for name in DEFAULT_COLUMN_MAP]
+        self._set_columns(*_columns(fields, len(records)), provenance, seed)
 
     @classmethod
     def _from_columns(cls, nrf, src_port, dst_port, label_code, labels, src, dst, ips,
                       provenance: str = "INGESTED", seed: int | None = None) -> "Dataset":
         self = cls.__new__(cls)
-        self._records, self.provenance, self.seed = None, provenance, seed
-        self._set_columns(nrf, src_port, dst_port, label_code, labels, src, dst, ips)
+        self._set_columns(nrf, src_port, dst_port, label_code, labels, src, dst, ips,
+                          provenance, seed)
         return self
 
-    def _set_columns(self, nrf, src_port, dst_port, label_code, labels, src, dst, ips) -> None:
+    def _set_columns(self, nrf, src_port, dst_port, label_code, labels, src, dst, ips,
+                     provenance, seed) -> None:
         for column in (nrf, src_port, dst_port, label_code, src, dst):
             column.flags.writeable = False
         self.nrf, self.src_port, self.dst_port = nrf, src_port, dst_port
         self.label_code, self.labels = label_code, labels
         self.src, self.dst, self.ips = src, dst, ips
+        self.provenance, self.seed = provenance, seed
 
-    def __getattr__(self, name):
-        # Reached only while a column is unset: derive them from the records.
-        records = self.__dict__.get("_records")
-        if name not in _COLUMNS or records is None:
-            raise AttributeError(f"'Dataset' object has no attribute {name!r}")
-        self._set_columns(*_columns_of(records))
-        return self.__dict__[name]
+    def _rows(self, labels: Sequence):
+        """Each row as a tuple in FlowRecord field order, with `labels` in
+        place of self.labels, read from the columns CHUNK_ROWS rows at a
+        time."""
+        ips = self.ips
+        for start in range(0, len(self), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            nrf = self.nrf[rows]
+            yield from zip(
+                map(ips.__getitem__, self.src[rows].tolist()),
+                map(ips.__getitem__, self.dst[rows].tolist()),
+                self.src_port[rows].tolist(),
+                self.dst_port[rows].tolist(),
+                nrf[:, 0].astype(np.int64).tolist(),
+                *nrf[:, 1:].T.tolist(),
+                map(labels.__getitem__, self.label_code[rows].tolist()),
+            )
 
     @property
     def records(self) -> tuple[FlowRecord, ...]:
-        if self._records is None:
-            ips, labels = self.ips, self.labels
-            self._records = tuple(
-                FlowRecord(ips[s], ips[d], sp, dp, int(protocol), *numerics, labels[c])
-                for s, d, sp, dp, (protocol, *numerics), c in zip(
-                    self.src.tolist(), self.dst.tolist(), self.src_port.tolist(),
-                    self.dst_port.tolist(), self.nrf.tolist(), self.label_code.tolist(),
-                )
-            )
-        return self._records
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.nrf) if self._records is None else len(self._records)
+        return len(self.nrf)
 
     def __iter__(self):
-        return iter(self.records)
+        return starmap(FlowRecord, self._rows(self.labels))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.provenance, self.seed) == (other.provenance, other.seed) and self.records == other.records
+        arrays = ("nrf", "src_port", "dst_port", "label_code", "src", "dst")
+        return (self.provenance, self.seed, self.labels, self.ips) == (
+            other.provenance, other.seed, other.labels, other.ips
+        ) and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays)
 
     def __repr__(self) -> str:
         return f"Dataset(<{len(self)} flows>, provenance={self.provenance!r}, seed={self.seed!r})"
@@ -247,30 +257,25 @@ class Dataset:
         """The rows at these positions, in this order."""
         rows = np.asarray(rows, np.intp)
         return Dataset._from_columns(
-            self.nrf[rows], self.src_port[rows], self.dst_port[rows], self.label_code[rows],
-            self.labels, *_first_seen(self.src[rows], self.dst[rows], self.ips),
+            self.nrf[rows], self.src_port[rows], self.dst_port[rows],
+            *_first_seen(self.label_code[rows], self.labels),
+            *_first_seen_ends(self.src[rows], self.dst[rows], self.ips),
             self.provenance, self.seed,
         )
 
 
-_COLUMNS = ("nrf", "src_port", "dst_port", "label_code", "labels", "src", "dst", "ips")
-
-
-def _columns_of(records: tuple[FlowRecord, ...]) -> tuple:
-    """The columns of Dataset, in _COLUMNS order, read from records."""
-    n = len(records)
-
-    def column(name, dtype=np.float64):
-        return np.fromiter(map(operator.attrgetter(name), records), dtype, n)
-
+def _columns(fields: Sequence[Iterable], n: int) -> tuple:
+    """The columns of Dataset, in _from_columns order, of n rows given as
+    one iterable per FlowRecord field, in field order."""
+    src_ip, dst_ip, src_port, dst_port, *nrf_fields, label = fields
     nrf = np.empty((n, len(NRF_FIELDS)))
-    for j, name in enumerate(NRF_FIELDS):
-        nrf[:, j] = column(name)
-    ips, labels = _numbering(), _numbering()
-    ends = _ids(ips, [ip for r in records for ip in (r.src_ip, r.dst_ip)])
-    label_code = _ids(labels, list(map(operator.attrgetter("label"), records)))
-    return (nrf, column("src_port", np.int64), column("dst_port", np.int64), label_code,
-            tuple(labels), ends[0::2], ends[1::2], tuple(ips))
+    for j, values in enumerate(nrf_fields):
+        nrf[:, j] = np.fromiter(values, np.float64, n)
+    labels, ips = _numbering(), _numbering()
+    label_code = np.fromiter(map(labels.__getitem__, label), np.intp, n)
+    src, dst = _end_ids(ips, list(src_ip), list(dst_ip))
+    return (nrf, np.fromiter(src_port, np.int64, n), np.fromiter(dst_port, np.int64, n),
+            label_code, tuple(labels), src, dst, tuple(ips))
 
 
 def _numbering() -> defaultdict:
@@ -285,19 +290,30 @@ def _ids(numbering: defaultdict, keys: Sequence) -> np.ndarray:
     return np.fromiter(map(numbering.__getitem__, keys), np.intp, len(keys))
 
 
-def as_dataset(records: Dataset | Iterable[FlowRecord]) -> Dataset:
-    return records if isinstance(records, Dataset) else Dataset(records)
+def _end_ids(numbering: defaultdict, src_ip: Sequence[str], dst_ip: Sequence[str]):
+    """The src and dst ids of each row's addresses, numbering each row's
+    source before its destination."""
+    ends = [""] * (2 * len(src_ip))
+    ends[0::2], ends[1::2] = src_ip, dst_ip
+    ends = _ids(numbering, ends)
+    return ends[0::2], ends[1::2]
 
 
-def _first_seen(src: np.ndarray, dst: np.ndarray, ips: Sequence[str]):
-    """src and dst renumbered so that ids follow the order in which the
-    addresses first appear (each row's src, then its dst), and the
-    addresses they use, in that order."""
-    used, first = np.unique(np.column_stack((src, dst)).ravel(), return_index=True)
+def _first_seen(codes: np.ndarray, names: Sequence) -> tuple[np.ndarray, tuple]:
+    """codes renumbered so that ids follow the order in which they first
+    appear, and the names they use, in that order."""
+    used, first = np.unique(codes, return_index=True)
     order = used[np.argsort(first)]
-    renumber = np.empty(len(ips), np.intp)
+    renumber = np.empty(len(names), np.intp)
     renumber[order] = np.arange(len(order))
-    return renumber[src], renumber[dst], tuple(ips[i] for i in order.tolist())
+    return renumber[codes], tuple(names[i] for i in order.tolist())
+
+
+def _first_seen_ends(src: np.ndarray, dst: np.ndarray, ips: Sequence[str]):
+    """src and dst renumbered by _first_seen, reading each row's src
+    before its dst, and the addresses they use."""
+    ends, ips = _first_seen(np.column_stack((src, dst)).ravel(), ips)
+    return ends[0::2], ends[1::2], ips
 
 
 @dataclass
@@ -466,10 +482,7 @@ def _clean_chunk(rows: list[list[str]], index: tuple[int, ...], ip_ids: defaultd
         src_ip, dst_ip, label = (list(compress(cells, keep.tolist())) for cells in (src_ip, dst_ip, label))
     nrf[:, 0] = np.abs(nrf[:, 0])  # a protocol cell of -0.0 is protocol 0
     src_port, dst_port = ports.astype(np.int64)
-    ends = [""] * (2 * len(src_ip))
-    ends[0::2], ends[1::2] = src_ip, dst_ip
-    ends = _ids(ip_ids, ends)
-    return nrf, src_port, dst_port, _ids(label_ids, label), ends[0::2], ends[1::2]
+    return nrf, src_port, dst_port, _ids(label_ids, label), *_end_ids(ip_ids, src_ip, dst_ip)
 
 
 def _is_blank(cells: list[str]) -> np.ndarray:
@@ -515,17 +528,12 @@ def _check_column_map(column_map) -> None:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Persist a dataset in the same schema accepted by ingest_csv."""
-    columns = list(DEFAULT_COLUMN_MAP.values())
+    """Persist a dataset in the same schema accepted by ingest_csv: ports
+    and protocol as integers, the other raw features as float reprs."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in dataset:
-            writer.writerow(
-                [r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.protocol]
-                + [repr(v) for v in r.numeric_features()]
-                + [r.label.text]
-            )
+        writer.writerow(DEFAULT_COLUMN_MAP.values())
+        writer.writerows(dataset._rows([label.text for label in dataset.labels]))
 
 
 def class_balance(dataset: Dataset) -> dict[str, float]:
@@ -594,8 +602,9 @@ def _lognormal_draw(rng: np.random.Generator, stats: tuple[float, float, float, 
     return min(max(value, 0.0), float(upper))
 
 
-def _draw_features(rng: np.random.Generator, stats: dict, scale: dict | None = None) -> dict[str, float]:
-    out = {}
+def _draw_features(rng: np.random.Generator, stats: dict, scale: dict | None = None) -> list[float]:
+    """The eight numeric features, in FlowRecord field order."""
+    out = []
     for name in SCAN_FEATURE_STATS:
         mode, upper, mean, std = stats[name]
         if scale and name in scale:
@@ -604,28 +613,28 @@ def _draw_features(rng: np.random.Generator, stats: dict, scale: dict | None = N
         value = _lognormal_draw(rng, (mode, upper, mean, std))
         if name in _INT_FEATURES:
             value = float(round(value))
-        out[name] = value
+        out.append(value)
     return out
 
 
-def _scan_record(rng, pair, port) -> FlowRecord:
+# Each row builder returns one flow as a tuple in FlowRecord field order;
+# every value it draws passes FlowRecord's value rules.
+def _scan_row(rng, pair, port) -> tuple:
     feats = _draw_features(rng, SCAN_FEATURE_STATS)
     src_port = int(rng.integers(1024, 65536))
-    return FlowRecord(pair[0], pair[1], src_port, port, 6, label=SCAN_LABEL, **feats)
+    return (pair[0], pair[1], src_port, port, 6, *feats, SCAN_LABEL)
 
 
-def _benign_record(rng) -> FlowRecord:
+def _benign_row(rng) -> tuple:
     feats = _draw_features(rng, BENIGN_FEATURE_STATS)
     proto = int(rng.choice(np.array([6, 17, 0]), p=[0.53, 0.45, 0.02]))
     src = _DEFAULT_CLIENTS[int(rng.integers(0, len(_DEFAULT_CLIENTS)))]
     dst = _DEFAULT_SERVERS[int(rng.integers(0, len(_DEFAULT_SERVERS)))]
     port = int(POPULAR_PORTS[int(rng.integers(0, len(POPULAR_PORTS)))])
-    return FlowRecord(
-        src, dst, int(rng.integers(1024, 65536)), port, proto, label=BENIGN_LABEL, **feats
-    )
+    return (src, dst, int(rng.integers(1024, 65536)), port, proto, *feats, BENIGN_LABEL)
 
 
-def _other_attack_record(rng, pair, name_idx: int) -> FlowRecord:
+def _other_attack_row(rng, pair, name_idx: int) -> tuple:
     # Scan-like base statistics with a per-type deterministic shift so the
     # thirteen attack families stay mutually distinguishable and non-benign.
     name = OTHER_ATTACK_NAMES[name_idx]
@@ -637,10 +646,8 @@ def _other_attack_record(rng, pair, name_idx: int) -> FlowRecord:
     }
     feats = _draw_features(rng, SCAN_FEATURE_STATS, scale)
     port = int(POPULAR_PORTS[name_idx % len(POPULAR_PORTS)])
-    return FlowRecord(
-        pair[0], pair[1], int(rng.integers(1024, 65536)), port, 6,
-        label=ActivityLabel(LabelKind.OTHER_ATTACK, name), **feats,
-    )
+    return (pair[0], pair[1], int(rng.integers(1024, 65536)), port, 6, *feats,
+            ActivityLabel(LabelKind.OTHER_ATTACK, name))
 
 
 def synth_traffic(
@@ -667,30 +674,24 @@ def synth_traffic(
         raise ValueError("scan profiles need at least one ip pair")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF10]))
-    records: list[FlowRecord] = []
-
     if profile == "PORT_SCAN":
-        records = _scan_batch(rng, count, ip_pairs)
+        rows = _scan_batch(rng, count, ip_pairs)
     elif profile == "BENIGN":
-        records = [_benign_record(rng) for _ in range(count)]
+        rows = [_benign_row(rng) for _ in range(count)]
     else:
         n_attack = int(math.floor(count * attack_frac + 0.5))
         n_scan = int(math.floor(n_attack * 0.4 + 0.5))
-        n_other = n_attack - n_scan
-        records.extend(_scan_batch(rng, n_scan, ip_pairs))
-        for i in range(n_other):
+        rows = _scan_batch(rng, n_scan, ip_pairs)
+        for i in range(n_attack - n_scan):
             pair = ip_pairs[i % len(ip_pairs)]
-            records.append(_other_attack_record(rng, pair, i % len(OTHER_ATTACK_NAMES)))
-        records.extend(_benign_record(rng) for _ in range(count - n_attack))
-        order = rng.permutation(len(records))
-        records = [records[i] for i in order]
+            rows.append(_other_attack_row(rng, pair, i % len(OTHER_ATTACK_NAMES)))
+        rows.extend(_benign_row(rng) for _ in range(count - n_attack))
+    fields = list(zip(*rows)) or [()] * len(DEFAULT_COLUMN_MAP)
+    data = Dataset._from_columns(*_columns(fields, len(rows)), provenance="SYNTHETIC", seed=seed)
+    return data.take(rng.permutation(len(rows))) if profile == "MIXED" else data
 
-    return Dataset(tuple(records), provenance="SYNTHETIC", seed=seed)
 
-
-def _scan_batch(rng, count: int, ip_pairs) -> list[FlowRecord]:
-    if count == 0:
-        return []
+def _scan_batch(rng, count: int, ip_pairs) -> list[tuple]:
     out = []
     per_pair_pos = [0] * len(ip_pairs)
     for i in range(count):
@@ -698,7 +699,7 @@ def _scan_batch(rng, count: int, ip_pairs) -> list[FlowRecord]:
         base = 1 + (997 * p) % 50000
         port = base + per_pair_pos[p]
         per_pair_pos[p] += 1
-        out.append(_scan_record(rng, ip_pairs[p], ((port - 1) % 65535) + 1))
+        out.append(_scan_row(rng, ip_pairs[p], ((port - 1) % 65535) + 1))
     return out
 
 
@@ -744,15 +745,13 @@ def remap_ip_pairs(dataset: Dataset, n_pairs: int, seed: int) -> Dataset:
     dst[scans] = np.array([index[b] for _, b in pairs], np.intp)[turn]
     return Dataset._from_columns(
         dataset.nrf, dataset.src_port, dataset.dst_port, dataset.label_code, dataset.labels,
-        *_first_seen(src, dst, ips), dataset.provenance, seed,
+        *_first_seen_ends(src, dst, ips), dataset.provenance, seed,
     )
 
 
 def concat(*datasets: Dataset, provenance: str = "SYNTHETIC", seed: int | None = None) -> Dataset:
     """The rows of each dataset in turn. Each address and label keeps the
     first-seen order, since every part lists its own in that order."""
-    if all(d._records is not None for d in datasets):
-        return Dataset((r for d in datasets for r in d._records), provenance, seed)
     ip_ids, label_ids = _numbering(), _numbering()
     parts = [_NO_ROWS]
     for d in datasets:

@@ -36,11 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 import numpy as np
 
-from .flows import Dataset, FlowRecord, as_dataset
+from .flows import Dataset
 
 SCHEDULE_BASE = 3
 SCHEDULE_STEPS = 11
@@ -159,12 +158,11 @@ class _SLineGraph:
     component: np.ndarray  # per edge: s-component id, numbered in insertion order
 
 
-def build_hypergraph(records: Dataset | Iterable[FlowRecord]) -> Hypergraph:
+def build_hypergraph(data: Dataset) -> Hypergraph:
     """Build the port hypergraph: each record adds its destination port to
     both its source-IP edge and its destination-IP edge. Edges are
     inserted in the dataset's address order, so each edge id is the
     address's id in the dataset."""
-    data = as_dataset(records)
     ends = np.concatenate([data.src, data.dst])
     key = np.sort(ends * _PORT_SPAN + np.concatenate([data.dst_port, data.dst_port]))
     key = key[np.diff(key, prepend=-1) > 0]  # each (edge, port) incidence once, by edge id

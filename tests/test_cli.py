@@ -375,6 +375,42 @@ def test_synth_scan_profiles_need_pairs(tmp_path, profile):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("spec", ["a>", ">b", " > ", "1.2.3.4>5.6.7.8;a> "])
+def test_synth_pairs_need_both_endpoints(tmp_path, spec):
+    out = tmp_path / "synth"
+    assert main(["synth", "--profile", "scan", "--count", "5", "--pairs", spec,
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["x>", ">y"])
+def test_features_hackers_need_both_endpoints(tmp_path, spec):
+    traffic = tmp_path / "synth" / "traffic.csv"
+    main(["synth", "--profile", "scan", "--count", "20", "--pairs", "7.7.7.7>6.6.6.6",
+          "--out-dir", str(traffic.parent)])
+    out = tmp_path / "features"
+    assert main(["features", "--input", str(traffic), "--mode", "hgi", "--hackers", spec,
+                 "--out-dir", str(out)]) == EXIT_USAGE
+    assert not (out / "manifest.json").exists()
+
+
+# Recorded from the record-by-record generator, before synthesis wrote
+# columns; the pipeline test pins only --profile mixed.
+_SYNTH_SHA256 = {
+    ("scan", "1.2.3.4>5.6.7.8;9.9.9.9>8.8.8.8"):
+        "d5970585c777def4090230c2480a7709aab2968a14feccef08f7e5c9e9a54fc0",
+    ("benign", None): "eb45237b64f5d2397c68836dbfc0d61d6b375247cb308d035ad445ba8c5963fb",
+}
+
+
+@pytest.mark.parametrize("profile,pairs", list(_SYNTH_SHA256))
+def test_synth_cli_bytes(tmp_path, profile, pairs):
+    argv = ["synth", "--profile", profile, "--count", "400", "--out-dir", str(tmp_path)]
+    assert main(argv + (["--pairs", pairs] if pairs else [])) == EXIT_OK
+    digest = hashlib.sha256((tmp_path / "traffic.csv").read_bytes()).hexdigest()
+    assert digest == _SYNTH_SHA256[profile, pairs]
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--iters", "-3"), ("--coord-batch", "0"), ("--step", "-0.5"), ("--step", "inf"),
     ("--h", "0"), ("--h", "nan"), ("--keep-threshold", "1.5"), ("--keep-threshold", "-0.1"),

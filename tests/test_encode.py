@@ -27,13 +27,13 @@ _WEIGHTS = (None, NON_HACKER_WEIGHTS)
 
 
 def _assert_matches_reference(records, mode, h, hackers, weights):
-    X, y = encode(records, mode, h, hackers, weights)
+    X, y = encode(Dataset(records), mode, h, hackers, weights)
     expected = ref.encode_records(records, mode, h, hackers, weights)
     assert X.tolist() == [list(row.values) for row in expected]
     assert y.tolist() == [row.label for row in expected]
-    assert build_matrix(records, h, mode, hackers, weights) == expected
+    assert build_matrix(Dataset(records), h, mode, hackers, weights) == expected
     if h is not None and len(h):
-        table, y_all = encode(records, None, h, hackers, weights)
+        table, y_all = encode(Dataset(records), None, h, hackers, weights)
         assert table.shape == (len(records), 24)
         assert table[:, LAYOUT_COLUMNS[mode]].tolist() == X.tolist()
         assert y_all.tolist() == y.tolist()
@@ -77,9 +77,9 @@ def test_encode_of_unseen_endpoints_is_all_zero():
     h = build_hypergraph(seen)
     assert encode(seen, FeatureMode.HGI, h)[0][:, 9:].any()
     probe = [make_record("c", "d", 1), make_record("e", "c", 2)]
-    X, _ = encode(probe, FeatureMode.HGI, h)
+    X, _ = encode(Dataset(probe), FeatureMode.HGI, h)
     assert X[:, 9:].tolist() == [[0.0] * 12] * 2
-    X, _ = encode(probe, FeatureMode.HGA, h)
+    X, _ = encode(Dataset(probe), FeatureMode.HGA, h)
     assert X[:, 9:].tolist() == [[0.0] * 5] * 2
     for mode in (FeatureMode.HGI, FeatureMode.HGA):
         _assert_matches_reference(probe, mode, h, frozenset(), None)
@@ -88,7 +88,7 @@ def test_encode_of_unseen_endpoints_is_all_zero():
 def test_encode_empty_batch_has_layout_width(desk_data):
     h = build_hypergraph(desk_data)
     for mode, width in ((FeatureMode.NRF, 9), (FeatureMode.HGI, 21), (FeatureMode.HGA, 14), (None, 24)):
-        X, y = encode([], mode, h)
+        X, y = encode(Dataset(), mode, h)
         assert X.shape == (0, width)
         assert y.shape == (0,)
 
@@ -146,5 +146,5 @@ def test_encode_matches_reference_on_random_data(records, seen, mode, hacker_pic
     _assert_matches_reference(records, mode, h, hackers, weights)
     # the sum slot is a left-to-right sum, not numpy's pairwise one
     if mode is FeatureMode.HGI:
-        X, _ = encode(records, mode, h, hackers, weights)
+        X, _ = encode(Dataset(records), mode, h, hackers, weights)
         assert X[:, 20].tolist() == [sum(row) for row in X[:, 9:20].tolist()]

@@ -56,13 +56,13 @@ def _stump_state(*values):
 
 def _nrf(records):
     """The NRF columns of records, all that NRF-layout members read."""
-    X, _ = encode(records, FeatureMode.NRF)
+    X, _ = encode(Dataset(records), FeatureMode.NRF)
     return X
 
 
 def _table(records, ctx):
     """encode's full table and labels: what the ensemble scores and trains on."""
-    return encode(records, None, ctx.hypergraph, ctx.hackers, ctx.weights)
+    return encode(Dataset(records), None, ctx.hypergraph, ctx.hackers, ctx.weights)
 
 
 def test_classify_or_aggregation_attack():

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from hgnids.flows import (
     PROTOCOLS,
     SCAN_LABEL,
     class_balance,
+    concat,
     ingest_csv,
     remap_ip_pairs,
     synth_traffic,
@@ -34,6 +36,7 @@ from hgnids.detector import detect_window
 from hgnids.hypergraph import build_hypergraph
 
 import ingest_reference
+import synth_reference
 from helpers import make_record
 
 HEADER = (
@@ -440,3 +443,116 @@ def test_write_ingest_roundtrip(records):
         dataset, report = ingest_csv(path)
     assert dataset.records == tuple(records)
     assert (report.total_rows, report.kept, report.dropped) == (len(records), len(records), 0)
+
+
+_COLUMN_NAMES = ("nrf", "src_port", "dst_port", "label_code", "src", "dst")
+
+
+def _same_columns(a: Dataset, b: Dataset) -> bool:
+    """Bit-equal columns of one dtype, the same labels and addresses in the
+    same order, and the same provenance and seed."""
+    return all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in _COLUMN_NAMES
+    ) and (a.labels, a.ips, a.provenance, a.seed) == (b.labels, b.ips, b.provenance, b.seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    profile=st.sampled_from(["PORT_SCAN", "BENIGN", "MIXED"]),
+    count=st.integers(0, 300),
+    pairs=st.lists(st.tuples(_ip, _ip), min_size=1, max_size=4),
+    attack_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_synth_matches_record_by_record_reference(profile, count, pairs, attack_frac, seed):
+    data = synth_traffic(profile, count, pairs, seed, attack_frac)
+    records = synth_reference.synth_records(profile, count, pairs, seed, attack_frac)
+    assert _same_columns(data, Dataset(tuple(records), "SYNTHETIC", seed))
+
+
+def test_synth_builds_no_flow_record(monkeypatch):
+    built = []
+    init = FlowRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowRecord, "__init__", counting)
+    pairs = [("172.16.0.1", "192.168.10.50"), ("172.16.0.2", "192.168.10.51")]
+    sizes = 0
+    for profile in ("PORT_SCAN", "BENIGN", "MIXED"):
+        data = synth_traffic(profile, 700, pairs, seed=4)
+        sizes += len(data)
+    assert sizes == 2100 and not built
+    assert len(list(data)) == len(built) == len(data)  # the row view counts
+
+
+_VIEW_SYNTH = ("MIXED", 1500, [("1.1.1.1", "2.2.2.2"), ("3.3.3.3", "4.4.4.4")], 12, 0.4)
+
+
+def _views(tmp_path) -> dict[str, Dataset]:
+    """Datasets from each way the package makes one from columns."""
+    synth = synth_traffic(*_VIEW_SYNTH)
+    write_csv(synth, tmp_path / "synth.csv")
+    ingested, _ = ingest_csv(tmp_path / "synth.csv")
+    perm = np.random.default_rng(5).permutation(len(ingested))
+    return {
+        "synth": synth,
+        "ingested": ingested,
+        "take": ingested.take(perm),
+        "concat": concat(ingested.take(perm[:700]), ingested.take(perm[700:])),
+        "remap": remap_ip_pairs(ingested, 6, seed=2),
+    }
+
+
+def test_write_csv_matches_record_writer(tmp_path):
+    for name, data in _views(tmp_path).items():
+        write_csv(data, tmp_path / f"{name}.csv")
+        synth_reference.write_records(data, tmp_path / f"{name}-ref.csv")
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}-ref.csv").read_bytes(), name
+    # and the records of the record-by-record generator, not read back
+    # through the row view
+    synth_reference.write_records(synth_reference.synth_records(*_VIEW_SYNTH), tmp_path / "records.csv")
+    assert (tmp_path / "synth.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def test_take_and_concat_give_back_the_dataset(tmp_path):
+    rng = np.random.default_rng(9)
+    for name, d in _views(tmp_path).items():
+        p = rng.permutation(len(d))
+        assert d.take(p).take(np.argsort(p)) == d, name
+        cut = int(rng.integers(0, len(d) + 1))
+        head, tail = np.arange(cut), np.arange(cut, len(d))
+        assert concat(d.take(head), d.take(tail), provenance=d.provenance, seed=d.seed) == d, name
+        # A take lists labels and addresses in first-seen order, as a
+        # Dataset made from the same rows does.
+        assert _same_columns(d.take(p), Dataset(d.take(p).records, d.provenance, d.seed)), name
+        swapped = concat(d.take(tail), d.take(head), provenance=d.provenance, seed=d.seed)
+        assert swapped == Dataset(d.take(np.r_[tail, head]).records, d.provenance, d.seed), name
+        assert class_balance(d.take(p)) == class_balance(d), name
+
+
+def test_dataset_equality_reads_every_column():
+    d = Dataset((make_record("a", "b", 80), make_record("b", "c", 22, SCAN_LABEL)))
+    assert d == Dataset(d.records)
+    assert d != Dataset(d.records, provenance="SYNTHETIC")
+    assert d != Dataset(d.records, seed=1)
+    for changed in (
+        replace(d.records[0], dst_port=81),
+        replace(d.records[0], src_port=40001),
+        replace(d.records[0], dst_ip="c"),
+        replace(d.records[0], label=SCAN_LABEL),
+        replace(d.records[0], down_up_ratio=2.0),
+    ):
+        assert d != Dataset((changed, d.records[1])), changed
+
+
+def test_write_csv_writes_numerics_as_floats(tmp_path):
+    """The writer reads the float64 columns, so a record built by hand with
+    an int feature is written as its float."""
+    write_csv(Dataset((make_record(duration=1000),)), tmp_path / "one.csv")
+    row = (tmp_path / "one.csv").read_text().splitlines()[1]
+    assert row.split(",")[4:6] == ["6", "1000.0"]

@@ -341,8 +341,10 @@ def _table(labels, picks):
 
 
 def _same(records, ids, expected):
-    """ids name exactly the expected record objects, in order."""
-    return len(ids) == len(expected) and all(records[i] is r for i, r in zip(ids, expected))
+    """ids name exactly the expected records, in order. The records are
+    distinct (each has its own source port), so equal means the same
+    record, also when a Dataset's row view has rebuilt it."""
+    return len(ids) == len(expected) and all(records[i] == r for i, r in zip(ids, expected))
 
 
 @settings(max_examples=150, deadline=None)
