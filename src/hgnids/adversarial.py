@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flows import Dataset, FlowRecord, LabelKind, SCAN_LABEL
+from .flows import DataFormatError, Dataset, FlowRecord, LabelKind, SCAN_LABEL
 from .features import (
     ATTACK, NRF_WIDTH, FeatureMode, FeatureVector, build_matrix, rows_to_arrays, train_test_split,
 )
@@ -217,12 +217,14 @@ def attack_pipeline(
     rows = build_matrix(data, None, FeatureMode.NRF)
     params = NormalizationParams.fit(rows_to_arrays(rows)[0])
     train_rows, test_rows = train_test_split(rows, 0.85, seed)
-    X, y = rows_to_arrays(train_rows)
-    substitute = fit_substitute(params.forward(X), y, seed, substitute_hyperparams)
     scan_rows = [
         r for r in test_rows
         if r.origin is not None and r.origin.label.kind is LabelKind.PORT_SCAN
     ]
+    if not scan_rows:
+        raise DataFormatError("the 85/15 split leaves no port-scan row to attack")
+    X, y = rows_to_arrays(train_rows)
+    substitute = fit_substitute(params.forward(X), y, seed, substitute_hyperparams)
     examples = generate_examples(scan_rows, substitute, params, keep_threshold, budget, seed)
     return examples, substitute, params
 

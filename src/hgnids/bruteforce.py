@@ -13,11 +13,12 @@ from .hypergraph import Hypergraph
 
 
 def oracle_adjacency(h: Hypergraph, s: int) -> dict[str, set[str]]:
-    names = list(h.edges)
+    edges = h.edges
+    names = list(edges)
     adj: dict[str, set[str]] = {ip: set() for ip in names}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            if len(h.edges[a] & h.edges[b]) >= s:
+            if len(edges[a] & edges[b]) >= s:
                 adj[a].add(b)
                 adj[b].add(a)
     return adj
@@ -25,7 +26,7 @@ def oracle_adjacency(h: Hypergraph, s: int) -> dict[str, set[str]]:
 
 def oracle_components(h: Hypergraph, s: int) -> list[set[str]]:
     """Components via transitive closure of the boolean adjacency matrix."""
-    names = list(h.edges)
+    names = list(h.names)
     n = len(names)
     adj = oracle_adjacency(h, s)
     reach = [[i == j for j in range(n)] for i in range(n)]
@@ -76,7 +77,7 @@ def oracle_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
                 return None
             break
     adj = oracle_adjacency(h, s)
-    for length in range(1, len(h.edges)):
+    for length in range(1, len(h)):
         if _sequence_exists(adj, e, f, length, {e}):
             return length
     return None

@@ -190,10 +190,8 @@ def cmd_hypergraph(args, cfg, manifest: Manifest) -> list[Path]:
             writer = csv.writer(fh, lineterminator="\n")
             header = [f"scc_s{s}" for s in centrality_schedule(k)]
             writer.writerow(["edge", "role", "size"] + header + ["scc_sum"])
-            for (ip, members), row in zip(h.edges.items(), table.tolist()):
-                writer.writerow(
-                    [ip, h.roles[ip].value, len(members)] + [repr(v) for v in row] + [repr(sum(row))]
-                )
+            for ip, role, size, row in zip(h.names, h.roles, h.sizes.tolist(), table.tolist()):
+                writer.writerow([ip, role.value, size] + [repr(v) for v in row] + [repr(sum(row))])
     with open(out / "incidence.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["edge", "role", "port"])
@@ -241,6 +239,8 @@ def cmd_train(args, cfg, manifest: Manifest) -> list[Path]:
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
     rows = build_matrix(dataset, h, mode)
     train_rows, test_rows = train_test_split(rows, 0.8, args.seed)
+    if not test_rows:
+        raise DataFormatError(f"{args.input}: the 80/20 split leaves no holdout row")
     kind = ModelKind.RANDOM_FOREST if args.kind == "rf" else ModelKind.GRADIENT_BOOSTED
     model = train(train_rows, kind, _hyperparams_from_args(args, kind))
     report = evaluate(model, *rows_to_arrays(test_rows))

@@ -125,7 +125,7 @@ def encode(
     total = c[:, 0].copy()
     for j in range(1, SCHEDULE_STEPS):
         total += c[:, j]
-    size = np.array([len(m) for m in hypergraph.edges.values()] + [0], np.float64)
+    size = np.append(hypergraph.sizes, 0).astype(np.float64)
     src_size, dst_size = size[src], size[dst]
     X = np.column_stack([data.nrf, c, total, src_size, dst_size, src_size + dst_size])
     return (X if mode is None else X[:, LAYOUT_COLUMNS[mode]]), y

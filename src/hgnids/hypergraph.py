@@ -13,22 +13,23 @@ all derive from that relation. A scanning source/target pair shows up as
 two near-identical large hyperedges whose tail centralities (large s)
 lock to 1, which is the signature the rest of the package exploits.
 
-All metrics come from one kernel over integer edge ids: an edge's id is
-its insertion index, read through `Hypergraph.edge_ids`, and it is the row
-of that edge in every per-edge array, `edge_profiles` included.
-`build_hypergraph` reads a dataset's address and port columns and inserts
-its addresses in the order of their ids, so a dataset's address ids are
-its hypergraph's edge ids. The overlap relation is one int32 table of
-(a, b, shared) rows, built once per hypergraph by counting, for each
-edge, the edges incident to its ports, in O(pairs + edges) memory. For each s, the rows with shared >= s form the
-s-line graph, and a level-synchronous BFS from a chunk of sources at once
-takes one product per level with the dense adjacency of the n_s edges
-that have an s-neighbour. Per s, memory is that [n_s, n_s] adjacency and
-the cached int32 distances, plus BFS blocks of chunk * n_s <= _CHUNK_CELLS
-cells. `edge_profiles` stacks the cached closeness arrays of the 11
-scheduled s into one [n_edges, 11] table, the only form in which the
-feature encoder and the detector read centralities; `centrality_profile`
-is the one-edge view.
+All metrics come from one kernel over integer edge ids. A hypergraph's
+state is its sorted incidence arrays: edge names in id order, a CSR
+`ptr`/`ports` pair with each edge's ports ascending, and one role per
+edge; `edges` is a name -> port set view built on read. An edge's id is
+its row in every per-edge array, `edge_profiles` included, and
+`build_hypergraph` takes a dataset's address ids as edge ids. The
+overlap relation is one int32 table of (a, b, shared) rows, built once
+per hypergraph by counting, for each edge, the edges at each of its
+ports, in O(pairs + incidences) memory. For each s, the rows with shared
+>= s form the s-line graph, and a level-synchronous BFS from a chunk of
+sources at once takes one product per level with the dense adjacency of
+the n_s edges that have an s-neighbour. Per s, memory is that [n_s, n_s]
+adjacency and the cached int32 distances, plus BFS blocks of chunk * n_s
+<= _CHUNK_CELLS cells. `edge_profiles` stacks the cached closeness
+arrays of the 11 scheduled s into one [n_edges, 11] table, the only form
+in which the feature encoder and the detector read centralities;
+`centrality_profile` is the one-edge view.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,73 +59,77 @@ class EdgeRole(Enum):
 
 
 class Hypergraph:
-    """Immutable-after-build incidence structure: `edges` maps each IP to
-    its port set in insertion order, which fixes the integer edge ids that
-    the cached overlap table and s-line graphs are indexed by."""
+    """Immutable incidence arrays over integer edge ids, and nothing else:
+    edge i is the IP names[i] with role roles[i] and the ascending ports
+    ports[ptr[i]:ptr[i + 1]]. The constructor takes the (edge[j], port[j])
+    incidences in any order, with repeats."""
 
-    def __init__(self):
-        self.edges: dict[str, set[int]] = {}
-        self.roles: dict[str, EdgeRole] = {}
+    def __init__(self, names: Sequence[str], edge, port, roles: Sequence[EdgeRole]):
+        key = np.sort(np.asarray(edge, np.int64) * _PORT_SPAN + np.asarray(port, np.int64))
+        key = key[np.diff(key, prepend=-1) > 0]  # each (edge, port) incidence once
+        edge_of, self.ports = np.divmod(key, _PORT_SPAN)
+        self.ptr = np.searchsorted(edge_of, np.arange(len(names) + 1))
+        self.ports.flags.writeable = self.ptr.flags.writeable = False
+        self.names = tuple(names)
+        self.roles = tuple(roles)
         self._table: np.ndarray | None = None
         self._ids: dict[str, int] | None = None
         self._lines: dict[int, _SLineGraph] = {}
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.names)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.ptr)
 
     @property
     def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for members in self.edges.values():
-            out |= members
-        return out
+        return set(self.ports.tolist())
+
+    @property
+    def edges(self) -> Mapping[str, frozenset[int]]:
+        """Each IP's port set, as a read-only view built on every read."""
+        ports, ptr = self.ports.tolist(), self.ptr.tolist()
+        return MappingProxyType({ip: frozenset(ports[lo:hi]) for ip, lo, hi in zip(self.names, ptr, ptr[1:])})
 
     def edge_ids(self) -> dict[str, int]:
-        """Each IP's integer edge id: its index in insertion order."""
+        """Each IP's integer edge id: its index in `names`."""
         if self._ids is None:
-            self._ids = {ip: i for i, ip in enumerate(self.edges)}
+            self._ids = {ip: i for i, ip in enumerate(self.names)}
         return self._ids
 
-    def edge_size(self, ip: str) -> int:
-        members = self.edges.get(ip)
-        return 0 if members is None else len(members)
-
     def max_edge_size(self) -> int:
-        if not self.edges:
-            return 0
-        return max(len(m) for m in self.edges.values())
-
-    def _add(self, ip: str, port: int, role: EdgeRole) -> None:
-        members = self.edges.get(ip)
-        if members is None:
-            self.edges[ip] = {port}
-            self.roles[ip] = role
-        else:
-            members.add(port)
-            if self.roles[ip] is not role:
-                self.roles[ip] = EdgeRole.BOTH
+        return int(self.sizes.max()) if len(self) else 0
 
     def overlaps(self) -> np.ndarray:
         """Every pair of edges sharing >= 1 port, as a cached read-only
         [n_pairs, 3] int32 table of (a, b, shared) rows sorted by (a, b):
-        a < b are insertion-order edge ids and shared is the number of
-        ports the two edges have in common."""
+        a < b are edge ids and shared is the number of ports the two edges
+        have in common."""
         if self._table is None:
-            by_port: dict[int, list[int]] = {}
-            for a, members in enumerate(self.edges.values()):
-                for port in members:
-                    by_port.setdefault(port, []).append(a)
-            incident = {port: np.array(ids, np.int32) for port, ids in by_port.items()}
+            n = len(self)
+            # incidences by port, then edge id; each spans its port's group
+            by_port = np.argsort(self.ports, kind="stable")
+            incident = np.repeat(np.arange(n), self.sizes)[by_port]
+            start, end = (np.searchsorted(self.ports[by_port], self.ports, side) for side in ("left", "right"))
             rows = [np.empty((0, 3), np.int32)]
-            for a, members in enumerate(self.edges.values()):
+            for a, (lo, hi) in enumerate(zip(self.ptr.tolist(), self.ptr[1:].tolist())):
                 # shared[b]: the number of ports edge a shares with edge a + 1 + b
-                neighbours = np.concatenate([incident[p] for p in members])
-                shared = np.bincount(neighbours, minlength=len(self))[a + 1:]
+                neighbours = incident[_ranges(start[lo:hi], end[lo:hi])]
+                shared = np.bincount(neighbours, minlength=n)[a + 1:]
                 b = np.flatnonzero(shared)
-                rows.append(np.column_stack((np.full(len(b), a), a + 1 + b, shared[b])).astype(np.int32))
+                if len(b):
+                    rows.append(np.column_stack((np.full(len(b), a), a + 1 + b, shared[b])).astype(np.int32))
             self._table = np.concatenate(rows)
             self._table.flags.writeable = False
         return self._table
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenation of arange(lo[i], hi[i]) over i."""
+    n = hi - lo
+    return np.repeat(lo + n - np.cumsum(n), n) + np.arange(n.sum())
 
 
 @dataclass
@@ -155,29 +162,21 @@ class _SLineGraph:
     row: np.ndarray  # per edge: its row in `distances`, -1 for a singleton
     distances: np.ndarray  # int32 [n_s, n_s] hop counts, -1 when unreachable
     closeness: np.ndarray  # per edge: C_s, 0 for a singleton
-    component: np.ndarray  # per edge: s-component id, numbered in insertion order
+    component: np.ndarray  # per edge: s-component id, numbered in edge id order
 
 
 def build_hypergraph(data: Dataset) -> Hypergraph:
     """Build the port hypergraph: each record adds its destination port to
-    both its source-IP edge and its destination-IP edge. Edges are
-    inserted in the dataset's address order, so each edge id is the
-    address's id in the dataset."""
-    ends = np.concatenate([data.src, data.dst])
-    key = np.sort(ends * _PORT_SPAN + np.concatenate([data.dst_port, data.dst_port]))
-    key = key[np.diff(key, prepend=-1) > 0]  # each (edge, port) incidence once, by edge id
-    edge, port = np.divmod(key, _PORT_SPAN)
-    members = np.split(port, np.flatnonzero(np.diff(edge)) + 1) if len(key) else []
+    both its source-IP edge and its destination-IP edge. Each edge id is
+    the address's id in the dataset."""
     source = np.zeros(len(data.ips), bool)
     dest = np.zeros(len(data.ips), bool)
     source[data.src] = dest[data.dst] = True
-    h = Hypergraph()
-    h.edges = {ip: set(ports.tolist()) for ip, ports in zip(data.ips, members)}
-    h.roles = {
-        ip: EdgeRole.BOTH if s and d else EdgeRole.SOURCE if s else EdgeRole.DEST
-        for ip, s, d in zip(data.ips, source.tolist(), dest.tolist())
-    }
-    return h
+    roles = [
+        EdgeRole.BOTH if s and d else EdgeRole.SOURCE if s else EdgeRole.DEST
+        for s, d in zip(source.tolist(), dest.tolist())
+    ]
+    return Hypergraph(data.ips, np.concatenate([data.src, data.dst]), np.tile(data.dst_port, 2), roles)
 
 
 def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
@@ -207,7 +206,7 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
     ia, ib, count = h.overlaps().T
     keep = count >= s
     ia, ib = ia[keep], ib[keep]
-    row = np.full(len(h.edges), -1, np.int32)  # stays -1 for an edge with no s-neighbour
+    row = np.full(len(h), -1, np.int32)  # stays -1 for an edge with no s-neighbour
     row[ia] = row[ib] = 0
     nodes = np.flatnonzero(row == 0)
     n = len(nodes)
@@ -215,8 +214,8 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
     adjacency = np.zeros((n, n), np.float32)
     adjacency[row[ia], row[ib]] = adjacency[row[ib], row[ia]] = 1.0
     distances = np.empty((n, n), np.int32)
-    closeness = np.zeros(len(h.edges))
-    root = np.arange(len(h.edges))  # smallest edge id in each edge's component
+    closeness = np.zeros(len(h))
+    root = np.arange(len(h))  # smallest edge id in each edge's component
     chunk = max(1, _CHUNK_CELLS // max(n, 1))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
@@ -224,7 +223,7 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
         reached = block >= 0
         closeness[nodes[rows]] = (reached.sum(1) - 1) / block.sum(1, where=reached)
         root[nodes[rows]] = nodes[reached.argmax(1)]
-    component = np.cumsum(root == np.arange(len(h.edges)))[root] - 1
+    component = np.cumsum(root == np.arange(len(h)))[root] - 1
     line = h._lines[s] = _SLineGraph(row, distances, closeness, component)
     return line
 
@@ -244,9 +243,9 @@ def s_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
 
 def s_components(h: Hypergraph, s: int) -> SComponentMap:
     """Connected components of the s-adjacency relation, ids assigned in
-    edge insertion order."""
+    edge id order."""
     line = _s_line_graph(h, s)
-    return SComponentMap(s, dict(zip(h.edges, line.component.tolist())))
+    return SComponentMap(s, dict(zip(h.names, line.component.tolist())))
 
 
 def s_closeness_centrality(h: Hypergraph, e: str, s: int) -> float:
@@ -296,10 +295,6 @@ def detector_skip_interval(max_size: int) -> int:
 
 
 def incidence_rows(h: Hypergraph) -> list[tuple[str, str, int]]:
-    """(edge, role, port) rows for CSV export."""
-    out = []
-    for ip, members in h.edges.items():
-        role = h.roles[ip].value
-        for port in sorted(members):
-            out.append((ip, role, port))
-    return out
+    """(edge, role, port) rows for CSV export, by edge id, then port."""
+    edge = np.repeat(np.arange(len(h)), h.sizes).tolist()
+    return [(h.names[e], h.roles[e].value, port) for e, port in zip(edge, h.ports.tolist())]

@@ -88,7 +88,7 @@ def encode_record(
     if mode is FeatureMode.HGI:
         return FeatureVector(mode, nrf + centralities + (total,), label, rec)
 
-    src_size = float(hypergraph.edge_size(rec.src_ip))
-    dst_size = float(hypergraph.edge_size(rec.dst_ip))
+    src_size = float(len(hypergraph.edges.get(rec.src_ip, ())))
+    dst_size = float(len(hypergraph.edges.get(rec.dst_ip, ())))
     values = nrf + (centralities[-1], total, src_size, dst_size, src_size + dst_size)
     return FeatureVector(FeatureMode.HGA, values, label, rec)

@@ -668,3 +668,33 @@ def test_malformed_model_is_data_error(tmp_path, capsys, blob, expected):
     assert main(["eval", "--model", str(model), "--input", str(_benign_csv(tmp_path)),
                  "--out-dir", str(tmp_path / "eval")]) == EXIT_DATA
     assert expected in capsys.readouterr().err
+
+
+def _scan_then_benign_csv(tmp_path, n_benign: int) -> Path:
+    """One port-scan row, then n_benign benign rows."""
+    scan = tmp_path / "scan"
+    assert main(["synth", "--profile", "scan", "--count", "1", "--pairs", "9.9.9.9>8.8.8.8",
+                 "--out-dir", str(scan)]) == EXIT_OK
+    rows = (scan / "traffic.csv").read_text().splitlines()
+    rows += _benign_csv(tmp_path).read_text().splitlines()[1:1 + n_benign]
+    path = tmp_path / f"scan_then_{n_benign}_benign.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def test_train_with_no_holdout_row_is_data_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--input", str(_scan_then_benign_csv(tmp_path, 1)), "--mode", "nrf",
+                 "--kind", "rf", "--out-dir", str(out)]) == EXIT_DATA
+    assert "the 80/20 split leaves no holdout row" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+@pytest.mark.parametrize("n_benign", [1, 20])
+@pytest.mark.parametrize("command", [
+    ["advgen", "--input"], *(["simulate", "--case", case, "--data"] for case in "456"),
+], ids=["advgen", "case4", "case5", "case6"])
+def test_split_with_no_scan_row_to_attack_is_data_error(tmp_path, capsys, command, n_benign):
+    data = _scan_then_benign_csv(tmp_path, n_benign)
+    assert main([*command, str(data), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    assert "data error: the 85/15 split leaves no port-scan row to attack" in capsys.readouterr().err

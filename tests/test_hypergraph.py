@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hgnids import bruteforce as bf
 from hgnids import hypergraph as hg
@@ -10,11 +14,13 @@ from hgnids.hypergraph import (
     detector_skip_interval,
     edge_profiles,
     feature_skip_interval,
+    incidence_rows,
     s_closeness_centrality,
     s_components,
     s_distance,
 )
 
+import hypergraph_reference as ref
 from helpers import (
     hypergraph_from_edges,
     make_record,
@@ -41,17 +47,15 @@ def test_build_collapses_duplicates():
 def test_build_roles():
     d = Dataset((make_record("a", "b", 80), make_record("b", "c", 81)))
     h = build_hypergraph(d)
-    assert h.roles["a"] is hg.EdgeRole.SOURCE
-    assert h.roles["b"] is hg.EdgeRole.BOTH
-    assert h.roles["c"] is hg.EdgeRole.DEST
+    assert h.names == ("a", "b", "c")
+    assert h.roles == (hg.EdgeRole.SOURCE, hg.EdgeRole.BOTH, hg.EdgeRole.DEST)
 
 
 def test_build_scan_sweep():
     records = tuple(make_record("s", "d", 1 + i) for i in range(100))
     h = build_hypergraph(Dataset(records))
     assert len(h) == 2
-    assert h.edge_size("s") == 100
-    assert h.edge_size("d") == 100
+    assert h.sizes.tolist() == [100, 100]
     assert len(h.vertices) == 100
 
 
@@ -134,11 +138,11 @@ def test_profile_matches_pointwise():
     table = edge_profiles(h, k)
     assert table.shape == (len(h), 11) and table.dtype == np.float64
     assert list(h.edge_ids().items()) == [(ip, i) for i, ip in enumerate(h.edges)]
-    for ip, row in zip(h.edges, table.tolist()):
+    for (ip, members), row in zip(h.edges.items(), table.tolist()):
         profile = centrality_profile(h, ip, k)
         assert tuple(row) == profile.values
         expected = tuple(
-            0.0 if s > h.edge_size(ip) else s_closeness_centrality(h, ip, s)
+            0.0 if s > len(members) else s_closeness_centrality(h, ip, s)
             for s in profile.schedule
         )
         assert profile.values == expected
@@ -162,7 +166,7 @@ def test_feature_skip_interval():
 
 def test_feature_skip_interval_empty():
     with pytest.raises(ValueError):
-        feature_skip_interval(hg.Hypergraph())
+        feature_skip_interval(hypergraph_from_edges({}))
 
 
 def test_detector_skip_interval():
@@ -219,3 +223,56 @@ def test_empty_dataset_builds_empty_hypergraph():
     h = build_hypergraph(Dataset(()))
     assert len(h) == 0
     assert s_components(h, 1).assignment == {}
+
+
+# Few hosts, so some address is both a source and a destination and
+# (address, port) incidences repeat; the port range's ends are drawn often.
+_HOSTS = [f"10.0.1.{i}" for i in range(1, 7)]
+_flows = st.lists(
+    st.tuples(
+        st.sampled_from(_HOSTS),
+        st.sampled_from(_HOSTS),
+        st.one_of(st.sampled_from([0, 1, 80, 65535]), st.integers(0, 65535)),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(flows=_flows)
+@example(flows=[])
+@example(flows=[("a", "b", 0), ("b", "c", 65535), ("a", "b", 0), ("c", "a", 65535), ("c", "c", 0)])
+def test_build_matches_per_record_reference(flows):
+    data = Dataset(tuple(make_record(src, dst, port) for src, dst, port in flows))
+    h = build_hypergraph(data)
+    edges, roles = ref.build(data)
+    assert h.names == tuple(edges) == data.ips
+    assert dict(h.edges) == edges
+    assert h.roles == tuple(roles.values())
+    assert h.sizes.tolist() == [len(m) for m in edges.values()]
+    assert h.vertices == set().union(*edges.values())
+    assert incidence_rows(h) == [
+        (ip, roles[ip].value, port) for ip, members in edges.items() for port in sorted(members)
+    ]
+    assert list(map(tuple, h.overlaps().tolist())) == ref.overlap_rows(edges)
+    if len(h):
+        from_sets = hypergraph_from_edges(edges)
+        for k in {1, feature_skip_interval(h)}:
+            assert np.array_equal(edge_profiles(h, k), edge_profiles(from_sets, k))
+
+
+def test_overlaps_memory_stays_far_below_dense():
+    """~3,800 edges of 1-6 ports each over 30,000 ports: the overlap table
+    is a few thousand rows, and building it must not touch an [E, E]
+    array (E * E bytes is ~14 MB here)."""
+    rng = np.random.default_rng(0)
+    edges = {f"e{i}": set(rng.integers(0, 30_000, rng.integers(1, 7)).tolist()) for i in range(3_800)}
+    h = hypergraph_from_edges(edges)
+    tracemalloc.start()
+    try:
+        table = h.overlaps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(table) < 10_000
+    assert peak < len(h) ** 2 // 8, peak
