@@ -9,7 +9,8 @@ differences on the substitute's attack score and the update steps descend
 that score inside the unit box; the categorical protocol coordinate is
 never touched. Perturbed rows are rescaled to the original feature ranges,
 re-scored, and kept only while the substitute still rates them at or
-above the keep threshold, labelled as attacks.
+above the keep threshold, labelled as attacks. to_dataset turns the kept
+examples into a columnar Dataset of scan flows without building a record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flows import DataFormatError, Dataset, FlowRecord, LabelKind, SCAN_LABEL
+from .flows import DataFormatError, Dataset, LabelKind, SCAN_LABEL, _columns
 from .features import (
     ATTACK, NRF_WIDTH, FeatureMode, FeatureVector, build_matrix, rows_to_arrays, train_test_split,
 )
@@ -233,32 +234,22 @@ _ADV_SRC_POOL = tuple(f"203.0.113.{i}" for i in range(1, 17))
 _ADV_DST_POOL = tuple(f"198.51.100.{i}" for i in range(1, 17))
 
 
-def to_flow_records(examples: Sequence[AdversarialExample], seed: int = 0) -> list[FlowRecord]:
-    """Materialise kept examples as scan-labelled flow records carrying
-    fresh endpoint pairs unseen in the base traffic."""
+def to_dataset(examples: Sequence[AdversarialExample], seed: int = 0) -> Dataset:
+    """Kept examples as scan-labelled flows carrying fresh endpoint pairs
+    unseen in the base traffic, built as columns: example i takes pair
+    i mod 16 of the pools, a random source port and its origin's
+    destination port (80 without one)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xADE]))
-    out = []
-    for i, ex in enumerate(examples):
-        v = ex.vector.values
-        pool_idx = i % len(_ADV_SRC_POOL)
-        parent = ex.vector.origin
-        dst_port = parent.dst_port if parent is not None else 80
-        out.append(
-            FlowRecord(
-                src_ip=_ADV_SRC_POOL[pool_idx],
-                dst_ip=_ADV_DST_POOL[pool_idx],
-                src_port=int(rng.integers(1024, 65536)),
-                dst_port=dst_port,
-                protocol=int(v[0]),
-                flow_duration=float(v[1]),
-                tot_fwd_pkts=float(v[2]),
-                tot_bwd_pkts=float(v[3]),
-                tot_fwd_bytes=float(v[4]),
-                tot_bwd_bytes=float(v[5]),
-                flow_bytes_per_s=float(v[6]),
-                flow_pkts_per_s=float(v[7]),
-                down_up_ratio=float(v[8]),
-                label=SCAN_LABEL,
-            )
-        )
-    return out
+    n = len(examples)
+    pool = [i % len(_ADV_SRC_POOL) for i in range(n)]
+    nrf = np.array([ex.vector.values for ex in examples], np.float64).reshape(n, NRF_WIDTH)
+    nrf[:, PROTOCOL_SLOT] = np.trunc(nrf[:, PROTOCOL_SLOT])  # an integer protocol
+    fields = [
+        map(_ADV_SRC_POOL.__getitem__, pool),
+        map(_ADV_DST_POOL.__getitem__, pool),
+        rng.integers(1024, 65536, size=n),
+        [80 if ex.vector.origin is None else ex.vector.origin.dst_port for ex in examples],
+        *nrf.T,
+        [SCAN_LABEL] * n,
+    ]
+    return Dataset._from_columns(*_columns(fields, n), provenance="SYNTHETIC", seed=seed)

@@ -3,13 +3,34 @@
 Independent of the BFS/overlap-cache code paths: adjacency is recomputed
 from raw set intersections, components come from a transitive closure of
 the adjacency matrix, and distances from exhaustive enumeration of simple
-hyperedge sequences by increasing length. Only suitable for small
-hypergraphs; used to verify the fast implementations.
+hyperedge sequences by increasing length. A hypergraph is immutable, so
+the adjacency and components of each (hypergraph, s) are computed once
+and kept here, apart from the fast kernel's own caches, for as long as
+the hypergraph lives. Only suitable for small hypergraphs; used to verify
+the fast implementations.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from .hypergraph import Hypergraph
+
+# hypergraph -> s -> (its s-adjacency, its s-components)
+_GRAPHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _graph(h: Hypergraph, s: int) -> tuple[dict[str, set[str]], list[set[str]]]:
+    per_s = _GRAPHS.setdefault(h, {})
+    if s not in per_s:
+        adj = oracle_adjacency(h, s)
+        per_s[s] = (adj, _components(h, adj))
+    return per_s[s]
+
+
+def oracle_components(h: Hypergraph, s: int) -> list[set[str]]:
+    """Components via transitive closure of the boolean adjacency matrix."""
+    return [set(group) for group in _graph(h, s)[1]]
 
 
 def oracle_adjacency(h: Hypergraph, s: int) -> dict[str, set[str]]:
@@ -24,11 +45,9 @@ def oracle_adjacency(h: Hypergraph, s: int) -> dict[str, set[str]]:
     return adj
 
 
-def oracle_components(h: Hypergraph, s: int) -> list[set[str]]:
-    """Components via transitive closure of the boolean adjacency matrix."""
+def _components(h: Hypergraph, adj: dict[str, set[str]]) -> list[set[str]]:
     names = list(h.names)
     n = len(names)
-    adj = oracle_adjacency(h, s)
     reach = [[i == j for j in range(n)] for i in range(n)]
     for i, a in enumerate(names):
         for j, b in enumerate(names):
@@ -71,12 +90,12 @@ def oracle_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
     increasing length; None when e and f share no component."""
     if e == f:
         return 0
-    for group in oracle_components(h, s):
+    adj, groups = _graph(h, s)
+    for group in groups:
         if e in group:
             if f not in group:
                 return None
             break
-    adj = oracle_adjacency(h, s)
     for length in range(1, len(h)):
         if _sequence_exists(adj, e, f, length, {e}):
             return length
@@ -85,7 +104,7 @@ def oracle_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
 
 def oracle_centrality(h: Hypergraph, e: str, s: int) -> float:
     component = None
-    for group in oracle_components(h, s):
+    for group in _graph(h, s)[1]:
         if e in group:
             component = group
             break

@@ -3,14 +3,16 @@
 Every command keeps one run record, manifest.json in its output directory
 (command, config snapshot, seed, input digests, outputs, tool version).
 Manifest.start writes it once the command's inputs are digested, and main()
-writes it again with every file the command returns as written. Exit codes:
-0 success, 1 usage error, 2 data error, 3 internal error.
+writes it again with every file the command returns as written. Only
+simulate and sweep take --config and read HGNIDS_* overrides; every other
+command's config snapshot is empty. Every CSV is written by
+flows.write_table. Exit codes: 0 success, 1 usage error, 2 data error
+(input that is not UTF-8 text among them), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversarial import ZooBudget, attack_pipeline, to_flow_records
+from .adversarial import ZooBudget, attack_pipeline, to_dataset
 from .config import KEYS, ConfigError, load_config
 from .detector import detect_window, write_flags_csv
 from .features import (
@@ -33,7 +35,9 @@ from .features import (
     train_test_split,
     write_matrix_csv,
 )
-from .flows import Dataset, DataFormatError, class_balance, ingest_csv, synth_traffic, write_csv
+from .flows import (
+    Dataset, DataFormatError, class_balance, ingest_csv, synth_traffic, write_csv, write_table,
+)
 from .hypergraph import (
     build_hypergraph,
     centrality_schedule,
@@ -42,6 +46,7 @@ from .hypergraph import (
     incidence_rows,
 )
 from .simulate import (
+    EpochSummary,
     Scorecard,
     SimConfig,
     desk_case_config,
@@ -142,9 +147,11 @@ def _parse_pairs(spec: str) -> list[tuple[str, str]]:
 
 def cmd_ingest(args, cfg, manifest: Manifest) -> list[Path]:
     try:
-        column_map = json.loads(Path(args.column_map).read_text()) if args.column_map else None
+        column_map = json.loads(Path(args.column_map).read_text("utf-8")) if args.column_map else None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{args.column_map}: column map is not JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{args.column_map}: not UTF-8 text ({exc.reason})") from None
     manifest.start(args.column_map, args.input)
     dataset, report = ingest_csv(args.input, column_map)
     out = Path(args.out_dir)
@@ -186,17 +193,12 @@ def cmd_hypergraph(args, cfg, manifest: Manifest) -> list[Path]:
         stats["skip_interval"] = k
         table = edge_profiles(h, k)
         written.append(out / "profiles.csv")
-        with open(written[-1], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            header = [f"scc_s{s}" for s in centrality_schedule(k)]
-            writer.writerow(["edge", "role", "size"] + header + ["scc_sum"])
-            for ip, role, size, row in zip(h.names, h.roles, h.sizes.tolist(), table.tolist()):
-                writer.writerow([ip, role.value, size] + [repr(v) for v in row] + [repr(sum(row))])
-    with open(out / "incidence.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["edge", "role", "port"])
-        for row in incidence_rows(h):
-            writer.writerow(row)
+        header = ["edge", "role", "size"] + [f"scc_s{s}" for s in centrality_schedule(k)] + ["scc_sum"]
+        write_table(written[-1], header, (
+            [ip, role.value, size, *row, sum(row)]
+            for ip, role, size, row in zip(h.names, h.roles, h.sizes.tolist(), table.tolist())
+        ))
+    write_table(out / "incidence.csv", ["edge", "role", "port"], incidence_rows(h))
     (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True))
     print(json.dumps(stats))
     return written + [out / "incidence.csv", out / "stats.json"]
@@ -274,8 +276,7 @@ def cmd_advgen(args, cfg, manifest: Manifest) -> list[Path]:
         dataset, seed=args.seed, budget=budget, keep_threshold=args.keep_threshold
     )
     out = Path(args.out_dir)
-    records = to_flow_records(examples, seed=args.seed)
-    write_csv(Dataset(tuple(records), provenance="SYNTHETIC", seed=args.seed), out / "adversarial.csv")
+    write_csv(to_dataset(examples, seed=args.seed), out / "adversarial.csv")
     stats = {
         "kept": len(examples),
         "keep_threshold": args.keep_threshold,
@@ -361,24 +362,13 @@ def cmd_report(args, cfg, manifest: Manifest) -> list[Path]:
     scorecard = Scorecard.read(scorecard_path)
     out = Path(args.out_dir)
     written = []
+    preamble = f"# schema: {REPORT_SCHEMA}\n"
     for metric in ("fnp", "f1"):
         written.append(out / f"{metric}_series.csv")
-        with open(written[-1], "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# schema: {REPORT_SCHEMA}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "computer", metric])
-            for r in scorecard.rows:
-                writer.writerow([r.epoch, r.computer, repr(getattr(r, metric))])
+        write_table(written[-1], ["epoch", "computer", metric],
+                    ((r.epoch, r.computer, getattr(r, metric)) for r in scorecard.rows), preamble)
     written.append(out / "summary.csv")
-    with open(written[-1], "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# schema: {REPORT_SCHEMA}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "mean_f1", "min_f1", "mean_fnp", "max_fnp", "retrain_events"])
-        for e in scorecard.epoch_summaries():
-            writer.writerow([
-                e.epoch, repr(e.mean_f1), repr(e.min_f1), repr(e.mean_fnp), repr(e.max_fnp),
-                e.retrain_events,
-            ])
+    write_table(written[-1], EpochSummary._fields, scorecard.epoch_summaries(), preamble)
     print(f"report written to {out}")
     return written
 
@@ -422,7 +412,6 @@ def build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None, help="flat KEY=VALUE config file")
         p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("ingest", help="read and clean a flow CSV")
@@ -493,6 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", default=None, help="base dataset CSV (default: synthetic)")
     p.add_argument("--baseline", action="store_true", help="all-NRF member slots")
     p.add_argument("--full", action="store_true", help="10x30x8900 scale")
+    p.add_argument("--config", default=None, help="flat KEY=VALUE config file")
     common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -502,6 +492,7 @@ def build_parser() -> _Parser:
                    help="comma-separated positive counts")
     p.add_argument("--data", default=None)
     p.add_argument("--full", action="store_true")
+    p.add_argument("--config", default=None, help="flat KEY=VALUE config file")
     common(p)
     p.set_defaults(func=cmd_sweep)
 
@@ -517,7 +508,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = load_config(args.config)
+        # Only simulate and sweep take --config and read HGNIDS_* overrides.
+        cfg = load_config(args.config) if "config" in args else {}
         manifest = Manifest(Path(args.out_dir), args.command, args, cfg)
         manifest.finish(args.func(args, cfg, manifest))
         return EXIT_OK

@@ -6,7 +6,9 @@ unknown key in a file is an error, and each key can be overridden by an
 environment variable named HGNIDS_<KEY> (upper-cased). No other
 environment variable is read. A value that does not parse as its key's
 type is an error naming the key and where the value was set, from
-either source. Every such error is a ConfigError.
+either source, and a file that is not UTF-8 text is an error naming the
+file. Every such error is a ConfigError. Only the simulate and sweep
+commands load a config.
 """
 
 from __future__ import annotations
@@ -57,19 +59,23 @@ def _checked(key: str, value: str, where: str) -> str:
 def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
     values: dict[str, str] = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip().lower()
-                if key not in KEYS:
-                    known = ", ".join(KEYS)
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
-                values[key] = _checked(key, value.strip(), f"{path}:{lineno}")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip().lower()
+            if key not in KEYS:
+                known = ", ".join(KEYS)
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known keys: {known}")
+            values[key] = _checked(key, value.strip(), f"{path}:{lineno}")
     source = os.environ if env is None else env
     for key in KEYS:
         name = ENV_PREFIX + key.upper()

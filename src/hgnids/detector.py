@@ -12,13 +12,12 @@ address columns. A pair is flagged at most once per flag memory lifetime.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .flows import Dataset
+from .flows import Dataset, write_table
 from .hypergraph import build_hypergraph, detector_skip_interval, edge_profiles
 
 BINARIZE_THRESHOLD = 0.95
@@ -63,8 +62,5 @@ def detect_window(
 
 def write_flags_csv(flags: Iterable[ScanFlag], path) -> None:
     """One `window_id,src_ip,dst_ip,tail_sum` row per flag."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["window_id", "src_ip", "dst_ip", "tail_sum"])
-        for f in flags:
-            writer.writerow([f.window_id, f.pair[0], f.pair[1], f.tail_sum])
+    write_table(path, ["window_id", "src_ip", "dst_ip", "tail_sum"],
+                ((f.window_id, *f.pair, f.tail_sum) for f in flags))

@@ -27,7 +27,6 @@ attacked rows).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flows import NRF_FIELDS, DataFormatError, Dataset, FlowRecord
+from .flows import NRF_FIELDS, DataFormatError, Dataset, FlowRecord, write_table
 from .hypergraph import Hypergraph, SCHEDULE_STEPS, edge_profiles, feature_skip_interval
 
 ATTACK = 1
@@ -220,8 +219,5 @@ def matrix_header(mode: FeatureMode) -> list[str]:
 def write_matrix_csv(X: np.ndarray, y: np.ndarray, mode: FeatureMode, path) -> None:
     if len(y) == 0:
         raise ValueError("no rows to write")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(matrix_header(mode))
-        for values, label in zip(X.tolist(), y.tolist()):
-            writer.writerow([repr(v) for v in values] + [label])
+    rows = (values + [label] for values, label in zip(X.tolist(), y.tolist()))
+    write_table(path, matrix_header(mode), rows, lineterminator="\r\n")

@@ -11,7 +11,9 @@ float() in one pass, and gives each row its drop reason from whole-column
 masks that apply FlowRecord's value rules in its order. The synthetic
 generator produces statistics-matched scan and benign traffic for
 desk-scale experiments, deterministic under a seed. Ingestion, synthesis
-and write_csv build no record.
+and write_csv build no record. write_table is the package's one CSV
+writer: every table it writes, here and in the other modules, goes
+through it.
 """
 
 from __future__ import annotations
@@ -392,7 +394,8 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
     Returns the dataset and a report of drop tallies. A column_map maps
     the fields of DEFAULT_COLUMN_MAP to distinct headers, and the file's
     header must name each of them once. A malformed file is a
-    DataFormatError naming its line.
+    DataFormatError naming its line, and a file that is not UTF-8 text one
+    naming the file.
     """
     if column_map is not None:
         _check_column_map(column_map)
@@ -419,6 +422,8 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
                 chunks.append(_clean_chunk(rows, index, ip_ids, label_ids, report))
         except csv.Error as exc:
             raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     # Distinct label texts may parse to one label ("PortScan", "Port Scan").
     labels = _numbering()
     label_of_text = _ids(labels, [ActivityLabel.parse(text) for text in label_ids])
@@ -527,13 +532,23 @@ def _check_column_map(column_map) -> None:
             raise DataFormatError(f"column map: header {header!r} is named by fields {named_by}")
 
 
+def write_table(path, header: Iterable, rows: Iterable[Iterable], preamble: str = "",
+                lineterminator: str = "\n") -> None:
+    """Write a UTF-8 CSV: the preamble text as is, then the header row,
+    then every row. The csv module writes a float cell as its repr, so a
+    caller passes Python floats (`.tolist()` values) and formats nothing."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Persist a dataset in the same schema accepted by ingest_csv: ports
     and protocol as integers, the other raw features as float reprs."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DEFAULT_COLUMN_MAP.values())
-        writer.writerows(dataset._rows([label.text for label in dataset.labels]))
+    write_table(path, DEFAULT_COLUMN_MAP.values(),
+                dataset._rows([label.text for label in dataset.labels]), lineterminator="\r\n")
 
 
 def class_balance(dataset: Dataset) -> dict[str, float]:

@@ -31,7 +31,6 @@ sweep_thresholds repeats one config across a list of thresholds.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections import Counter
@@ -41,7 +40,7 @@ from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .adversarial import AdversarialExample, to_flow_records
+from .adversarial import AdversarialExample, to_dataset
 from .config import ConfigError
 from .detector import ScanFlag, detect_window, write_flags_csv
 from .ensemble import (
@@ -55,7 +54,9 @@ from .ensemble import (
     save_state,
 )
 from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair, encode
-from .flows import DataFormatError, Dataset, LabelKind, concat, remap_ip_pairs, synth_traffic
+from .flows import (
+    DataFormatError, Dataset, LabelKind, concat, remap_ip_pairs, synth_traffic, write_table,
+)
 from .hypergraph import build_hypergraph
 from .trees import EvalReport, Hyperparams
 
@@ -189,17 +190,9 @@ class EpochSummary(NamedTuple):
 class Scorecard:
     rows: list[ScoreRow] = field(default_factory=list)
 
-    def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SCORECARD_COLUMNS)
-        for r in self.rows:
-            cells = (getattr(r, name) for name in SCORECARD_COLUMNS)
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in cells])
-        return buf.getvalue().encode("utf-8")
-
     def write(self, path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
+        rows = ([getattr(r, name) for name in SCORECARD_COLUMNS] for r in self.rows)
+        write_table(path, SCORECARD_COLUMNS, rows)
 
     def final_epoch_rows(self) -> list[ScoreRow]:
         if not self.rows:
@@ -226,7 +219,8 @@ class Scorecard:
     @staticmethod
     def read(path) -> "Scorecard":
         """Parse a scorecard.csv; a missing column, a short row, a cell of
-        the wrong type or a malformed line is a DataFormatError naming the file."""
+        the wrong type, a malformed line or text that is not UTF-8 is a
+        DataFormatError naming the file."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             try:
@@ -247,6 +241,8 @@ class Scorecard:
                     rows.append(ScoreRow(**cells))
             except csv.Error as exc:
                 raise DataFormatError(f"{path}:{reader.reader.line_num}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         return Scorecard(rows)
 
 
@@ -386,8 +382,7 @@ def run_simulation(
     # One table per run: the base data, the stream source and the
     # adversarial records, in that order; every record set is an id array.
     stream = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5) if cfg.ip_pairs > 1 else data
-    adv_records = to_flow_records(list(adv), seed=cfg.seed * 3 + 2) if cfg.include_adv else []
-    table = concat(data, stream, Dataset(adv_records))
+    table = concat(data, stream, to_dataset(adv if cfg.include_adv else (), seed=cfg.seed * 3 + 2))
     is_attack = table.is_attack
     base_ids = np.arange(len(data))
     next_batch = _build_batches_plan(
@@ -529,11 +524,8 @@ def sweep_summary_rows(results: dict[int, Scorecard]) -> list[tuple]:
 
 def _write_sweep_summary(path: Path, results: dict[int, tuple[Scorecard, RunArtifacts]]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["threshold", "final_epoch_mean_f1", "final_epoch_mean_fnp", "retrain_events"])
-        for th, f1, fnp, retrains in sweep_summary_rows({th: sc for th, (sc, _) in results.items()}):
-            writer.writerow([th, repr(f1), repr(fnp), retrains])
+    write_table(path, ["threshold", "final_epoch_mean_f1", "final_epoch_mean_fnp", "retrain_events"],
+                sweep_summary_rows({th: sc for th, (sc, _) in results.items()}))
 
 
 def _write_artifacts(out_dir, scorecard, artifacts) -> list[Path]:
@@ -560,19 +552,15 @@ def _write_artifacts(out_dir, scorecard, artifacts) -> list[Path]:
     }
     (path / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True))
 
-    with open(path / "retrain_log.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["event", "epoch", "computer", "threshold", "evaded_total", "rule",
-             "deferred", "reason", "replaced_slots", "versions_after"]
-        )
-        for ev in artifacts.retrain_events:
-            writer.writerow(
-                [ev.index, ev.epoch, ev.computer, ev.threshold, ev.evaded_total,
-                 ev.log.rule.value, ev.log.deferred, ev.log.reason,
-                 "|".join(str(s) for s in ev.log.replaced_slots),
-                 "|".join(str(v) for v in ev.versions_after)]
-            )
+    write_table(
+        path / "retrain_log.csv",
+        ["event", "epoch", "computer", "threshold", "evaded_total", "rule",
+         "deferred", "reason", "replaced_slots", "versions_after"],
+        ([ev.index, ev.epoch, ev.computer, ev.threshold, ev.evaded_total,
+          ev.log.rule.value, ev.log.deferred, ev.log.reason,
+          "|".join(str(s) for s in ev.log.replaced_slots),
+          "|".join(str(v) for v in ev.versions_after)] for ev in artifacts.retrain_events),
+    )
 
     write_flags_csv(artifacts.flag_log, path / "flag_log.csv")
     return [

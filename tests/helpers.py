@@ -44,6 +44,19 @@ def make_record(
     )
 
 
+_COLUMN_NAMES = ("nrf", "src_port", "dst_port", "label_code", "src", "dst")
+
+
+def same_columns(a: Dataset, b: Dataset) -> bool:
+    """Bit-equal columns of one dtype, the same labels and addresses in the
+    same order, and the same provenance and seed."""
+    return all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in _COLUMN_NAMES
+    ) and (a.labels, a.ips, a.provenance, a.seed) == (b.labels, b.ips, b.provenance, b.seed)
+
+
 def hypergraph_from_edges(edges: dict[str, set[int]]) -> Hypergraph:
     """Edges in the given order, every one a SOURCE edge."""
     sizes = [len(members) for members in edges.values()]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -14,16 +15,17 @@ from hgnids.adversarial import (
     estimate_gradient,
     fit_substitute,
     generate_examples,
-    to_flow_records,
+    to_dataset,
     zoo_attack,
     zoo_attack_batch,
 )
 from hgnids.features import ATTACK, FeatureMode, build_matrix, rows_to_arrays, train_test_split
-from hgnids.flows import LabelKind
+from hgnids.flows import Dataset, FlowRecord, LabelKind
 from hgnids.trees import Hyperparams, predict_proba_batch
 
+import adversarial_reference
 import zoo_reference as ref
-from helpers import separable_rows, single_leaf_model
+from helpers import same_columns, separable_rows, single_leaf_model
 
 
 def _quadratic(X):
@@ -181,13 +183,39 @@ def test_generate_deterministic(desk_data, pipeline42):
         assert ea.query_count == eb.query_count
 
 
-def test_to_flow_records_fresh_pairs(desk_data, desk_adv):
-    records = to_flow_records(desk_adv, seed=1)
-    base_ips = {r.src_ip for r in desk_data} | {r.dst_ip for r in desk_data}
-    for rec in records:
-        assert rec.src_ip not in base_ips
-        assert rec.dst_ip not in base_ips
-        assert rec.label.kind is LabelKind.PORT_SCAN
+def test_to_dataset_fresh_pairs(desk_data, desk_adv):
+    adv = to_dataset(desk_adv, seed=1)
+    assert len(adv) == len(desk_adv)
+    assert not set(adv.ips) & set(desk_data.ips)
+    assert adv.is_kind(LabelKind.PORT_SCAN).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1])
+@pytest.mark.parametrize("count", [0, 1, 17, None])
+def test_to_dataset_matches_record_reference(desk_adv, seed, count):
+    """The same columns, labels and address order as one FlowRecord per
+    example, from the same source-port draws; None takes every example
+    (more than the 16 pool pairs, so pairs repeat). Every third example
+    loses its origin, so its destination port falls back to 80."""
+    examples = [
+        replace(ex, vector=replace(ex.vector, origin=None)) if i % 3 == 0 else ex
+        for i, ex in enumerate(desk_adv[:count])
+    ]
+    records = adversarial_reference.to_flow_records(examples, seed=seed)
+    assert same_columns(to_dataset(examples, seed=seed), Dataset(records, "SYNTHETIC", seed))
+
+
+def test_to_dataset_builds_no_flow_record(monkeypatch, desk_adv):
+    built = []
+    init = FlowRecord.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowRecord, "__init__", counting)
+    to_dataset(desk_adv, seed=3)
+    assert built == []
 
 
 @pytest.fixture(scope="module")

@@ -698,3 +698,58 @@ def test_split_with_no_scan_row_to_attack_is_data_error(tmp_path, capsys, comman
     data = _scan_then_benign_csv(tmp_path, n_benign)
     assert main([*command, str(data), "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
     assert "data error: the 85/15 split leaves no port-scan row to attack" in capsys.readouterr().err
+
+
+def _not_utf8_case(tmp_path, case):
+    """Write one input file that is not UTF-8 text; return it and the argv,
+    up to --out-dir, of the command that reads it."""
+    if case == "ingest-label":
+        # cp1252 0x96 is the en dash of "Web Attack – Brute Force".
+        path = tmp_path / "cp1252.csv"
+        lines = _benign_csv(tmp_path).read_bytes().splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(b"BENIGN", b"Web Attack \x96 Brute Force")
+        path.write_bytes(b"".join(lines))
+        return path, ["ingest", "--input", str(path)]
+    if case == "simulate-config":
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# réglage\nn_epochs=2\n".encode("latin-1"))
+        return path, ["simulate", "--case", "1", "--config", str(path)]
+    if case == "ingest-column-map":
+        path = tmp_path / "cmap.json"
+        path.write_bytes(json.dumps({**DEFAULT_COLUMN_MAP, "label": "Libellé"}, ensure_ascii=False)
+                         .encode("latin-1"))
+        return path, ["ingest", "--input", str(_benign_csv(tmp_path)), "--column-map", str(path)]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    path = run_dir / "scorecard.csv"
+    path.write_bytes((_SCORECARD_HEADER + _SCORECARD_ROW).encode() + _SCORECARD_ROW.encode()[:-1] + b"\xe9\n")
+    return path, ["report", "--run-dir", str(run_dir)]
+
+
+@pytest.mark.parametrize("case", [
+    "ingest-label", "simulate-config", "ingest-column-map", "report-scorecard",
+])
+def test_input_that_is_not_utf8_is_data_error(tmp_path, capsys, case):
+    path, argv = _not_utf8_case(tmp_path, case)
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{path}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command", [
+    "ingest", "synth", "hypergraph", "features", "train", "eval", "advgen", "detect-scan",
+    "simulate", "sweep", "report",
+])
+def test_only_simulate_and_sweep_take_config(capsys, command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    assert ("--config" in capsys.readouterr().out) == (command in ("simulate", "sweep"))
+
+
+def test_ingest_ignores_config_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("HGNIDS_N_EPOCHS", "ten")
+    monkeypatch.setenv("HGNIDS_BATCH_SIZE", "5")
+    out = tmp_path / "ingest"
+    assert main(["ingest", "--input", str(_benign_csv(tmp_path)), "--out-dir", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {} and "config" not in manifest["args"]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import math
 import random
@@ -37,7 +38,7 @@ from hgnids.hypergraph import build_hypergraph
 
 import ingest_reference
 import synth_reference
-from helpers import make_record
+from helpers import make_record, same_columns
 
 HEADER = (
     "Source IP,Destination IP,Source Port,Destination Port,Protocol,"
@@ -445,19 +446,6 @@ def test_write_ingest_roundtrip(records):
     assert (report.total_rows, report.kept, report.dropped) == (len(records), len(records), 0)
 
 
-_COLUMN_NAMES = ("nrf", "src_port", "dst_port", "label_code", "src", "dst")
-
-
-def _same_columns(a: Dataset, b: Dataset) -> bool:
-    """Bit-equal columns of one dtype, the same labels and addresses in the
-    same order, and the same provenance and seed."""
-    return all(
-        getattr(a, name).dtype == getattr(b, name).dtype
-        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        for name in _COLUMN_NAMES
-    ) and (a.labels, a.ips, a.provenance, a.seed) == (b.labels, b.ips, b.provenance, b.seed)
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     profile=st.sampled_from(["PORT_SCAN", "BENIGN", "MIXED"]),
@@ -469,7 +457,7 @@ def _same_columns(a: Dataset, b: Dataset) -> bool:
 def test_synth_matches_record_by_record_reference(profile, count, pairs, attack_frac, seed):
     data = synth_traffic(profile, count, pairs, seed, attack_frac)
     records = synth_reference.synth_records(profile, count, pairs, seed, attack_frac)
-    assert _same_columns(data, Dataset(tuple(records), "SYNTHETIC", seed))
+    assert same_columns(data, Dataset(tuple(records), "SYNTHETIC", seed))
 
 
 def test_synth_builds_no_flow_record(monkeypatch):
@@ -529,7 +517,7 @@ def test_take_and_concat_give_back_the_dataset(tmp_path):
         assert concat(d.take(head), d.take(tail), provenance=d.provenance, seed=d.seed) == d, name
         # A take lists labels and addresses in first-seen order, as a
         # Dataset made from the same rows does.
-        assert _same_columns(d.take(p), Dataset(d.take(p).records, d.provenance, d.seed)), name
+        assert same_columns(d.take(p), Dataset(d.take(p).records, d.provenance, d.seed)), name
         swapped = concat(d.take(tail), d.take(head), provenance=d.provenance, seed=d.seed)
         assert swapped == Dataset(d.take(np.r_[tail, head]).records, d.provenance, d.seed), name
         assert class_balance(d.take(p)) == class_balance(d), name
@@ -556,3 +544,33 @@ def test_write_csv_writes_numerics_as_floats(tmp_path):
     write_csv(Dataset((make_record(duration=1000),)), tmp_path / "one.csv")
     row = (tmp_path / "one.csv").read_text().splitlines()[1]
     assert row.split(",")[4:6] == ["6", "1000.0"]
+
+
+def _csv_writer_lines(path: Path) -> list[int]:
+    """The lines of a module that call csv.writer."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "writer" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "csv"
+    ]
+
+
+def test_only_write_table_builds_a_csv_writer():
+    """Every CSV the package writes goes through flows.write_table."""
+    package = Path(flows.__file__).parent
+    calls = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := _csv_writer_lines(path))}
+    write_table = next(
+        node for node in ast.walk(ast.parse(Path(flows.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "write_table"
+    )
+    assert list(calls) == ["flows.py"]
+    assert all(write_table.lineno <= line <= write_table.end_lineno for line in calls["flows.py"])
+
+
+def test_write_table_preamble_header_rows_and_line_ending(tmp_path):
+    flows.write_table(tmp_path / "t.csv", ["a", "b"], [(1, 0.1 + 0.2), ("x,y", 1e-20)], "# note\n")
+    assert (tmp_path / "t.csv").read_bytes() == b'# note\na,b\n1,0.30000000000000004\n"x,y",1e-20\n'
+    flows.write_table(tmp_path / "crlf.csv", ["a"], [["é"]], lineterminator="\r\n")
+    assert (tmp_path / "crlf.csv").read_bytes() == "a\r\né\r\n".encode("utf-8")

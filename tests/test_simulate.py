@@ -98,11 +98,13 @@ def test_conservation_and_row_count(tiny_data):
         assert row.tp + row.fp + row.tn + row.fn == cfg.batch_size
 
 
-def test_determinism_byte_identical(tiny_data):
+def test_determinism_byte_identical(tmp_path, tiny_data):
     cfg = tiny_config(1, seed=9)
     a, _ = run_simulation(cfg, tiny_data)
     b, _ = run_simulation(cfg, tiny_data)
-    assert a.to_csv_bytes() == b.to_csv_bytes()
+    a.write(tmp_path / "a.csv")
+    b.write(tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_static_rule_keeps_versions(tiny_data):
@@ -237,7 +239,8 @@ def test_scorecard_roundtrip(tmp_path, tiny_data):
     cfg = tiny_config(1, seed=21)
     scorecard, _ = run_simulation(cfg, tiny_data, out_dir=tmp_path / "run")
     loaded = Scorecard.read(tmp_path / "run" / "scorecard.csv")
-    assert loaded.to_csv_bytes() == scorecard.to_csv_bytes()
+    loaded.write(tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "run" / "scorecard.csv").read_bytes()
     assert (tmp_path / "run" / "config.json").exists()
     assert (tmp_path / "run" / "retrain_log.csv").exists()
     assert (tmp_path / "run" / "models" / "final" / "ensemble.json").exists()
