@@ -233,17 +233,24 @@ def save_state(state: EnsembleState, directory) -> list[Path]:
 
 
 def load_state(directory) -> EnsembleState:
-    """Read save_state's directory; a member whose model layout is not the
-    role ensemble.json gives it is a DataFormatError."""
+    """Read save_state's directory. An ensemble.json that is not UTF-8
+    JSON, or lacks a members list of file, role and version entries, is a
+    DataFormatError naming it, and so is a member whose model layout is
+    not the role ensemble.json gives it."""
     path = Path(directory)
-    manifest = json.loads((path / "ensemble.json").read_text())
+    manifest = path / "ensemble.json"
+    try:
+        entries = [(e["file"], e["role"], e["version"])
+                   for e in json.loads(manifest.read_text(encoding="utf-8"))["members"]]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8 JSON, or a key missing
+        raise DataFormatError(f"{manifest}: not an ensemble manifest ({type(exc).__name__}: {exc})") from None
     members = []
-    for entry in manifest["members"]:
-        model = deserialize_model((path / entry["file"]).read_bytes())
-        if entry["role"] != model.feature_mode.value:
+    for file, role, version in entries:
+        model = deserialize_model((path / file).read_bytes())
+        if role != model.feature_mode.value:
             raise DataFormatError(
-                f"{path / entry['file']}: role {entry['role']!r} in ensemble.json, "
+                f"{path / file}: role {role!r} in ensemble.json, "
                 f"but the model reads the {model.feature_mode.value} layout"
             )
-        members.append(MemberSlot(model, version=entry["version"]))
+        members.append(MemberSlot(model, version=version))
     return EnsembleState(members)

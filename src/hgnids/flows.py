@@ -2,18 +2,18 @@
 
 A flow record carries the nine raw features used for classification
 (transport protocol plus eight numeric flow measurements), the endpoint
-addresses and ports, and an activity label; a record built by hand
-checks its own values. A Dataset holds flows only as columns: the [n, 9]
-raw features, the ports, label codes and integer address ids, with
-records as a row view built only when a caller iterates. Ingestion reads
-a CSV in chunks of CHUNK_ROWS rows, converts each mapped column with
-float() in one pass, and gives each row its drop reason from whole-column
-masks that apply FlowRecord's value rules in its order. The synthetic
-generator produces statistics-matched scan and benign traffic for
-desk-scale experiments, deterministic under a seed. Ingestion, synthesis
-and write_csv build no record. write_table is the package's one CSV
-writer: every table it writes, here and in the other modules, goes
-through it.
+addresses and ports, and an activity label, as plain data. A Dataset
+holds flows only as columns: the [n, 9] raw features, the ports, label
+codes and integer address ids, with records as a row view built only
+when a caller iterates. The flow value rules are one set of whole-column
+masks (_reasons): ingestion drops and counts the rows that break them,
+and a Dataset built from values raises InvalidFlow for the first such
+row. Ingestion reads a CSV in chunks of CHUNK_ROWS rows, converting each
+mapped column with float() in one pass. The synthetic generator produces
+statistics-matched scan and benign traffic for desk-scale experiments,
+deterministic under a seed. Ingestion, synthesis and write_csv build no
+record. write_table is the package's one CSV writer: every table it
+writes, here and in the other modules, goes through it.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class DataFormatError(ValueError):
 
 
 class InvalidFlow(ValueError):
-    """A FlowRecord value that breaks a cleaning rule; `reason` is the
+    """A flow value that breaks a cleaning rule; `reason` is the
     CleaningReport drop reason."""
 
     def __init__(self, reason: str, detail: str):
@@ -103,9 +103,8 @@ class InvalidFlow(ValueError):
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """One flow. Construction raises InvalidFlow for the first value rule
-    it breaks: raw features finite, flow_duration >= 0, protocol in
-    PROTOCOLS and ports in 0..65535, raw features >= 0."""
+    """One flow, as plain data: its values are checked when it enters a
+    Dataset, by the rules ingestion applies (see _reasons)."""
 
     src_ip: str
     dst_ip: str
@@ -121,17 +120,6 @@ class FlowRecord:
     flow_pkts_per_s: float
     down_up_ratio: float
     label: ActivityLabel
-
-    def __post_init__(self):
-        numerics = self.numeric_features()
-        if not (math.isfinite(self.protocol) and all(map(math.isfinite, numerics))):
-            raise InvalidFlow("non_finite", f"raw features {self.nrf()}")
-        if self.flow_duration < 0:
-            raise InvalidFlow("negative_duration", f"flow_duration {self.flow_duration}")
-        if self.protocol not in PROTOCOLS or not (0 <= self.src_port <= 65535 and 0 <= self.dst_port <= 65535):
-            raise InvalidFlow("unparseable", f"protocol {self.protocol}, ports {self.src_port} -> {self.dst_port}")
-        if min(numerics) < 0:
-            raise InvalidFlow("negative_value", f"raw features {self.nrf()}")
 
     def numeric_features(self) -> tuple[float, ...]:
         return (
@@ -166,7 +154,7 @@ class Dataset:
     edge id in the dataset's hypergraph. `labels` lists each label once,
     in the order rows first use it. The columns are read-only, and they
     are a Dataset's only state: one made from records derives them at
-    once and keeps no record.
+    once, checks them (InvalidFlow) and keeps no record.
 
     Iterating yields FlowRecords, built from the columns CHUNK_ROWS rows
     at a time and not kept.
@@ -268,16 +256,23 @@ class Dataset:
 
 def _columns(fields: Sequence[Iterable], n: int) -> tuple:
     """The columns of Dataset, in _from_columns order, of n rows given as
-    one iterable per FlowRecord field, in field order."""
+    one iterable per FlowRecord field, in field order. InvalidFlow names
+    the first row that breaks a rule of _reasons, and that rule."""
     src_ip, dst_ip, src_port, dst_port, *nrf_fields, label = fields
     nrf = np.empty((n, len(NRF_FIELDS)))
     for j, values in enumerate(nrf_fields):
         nrf[:, j] = np.fromiter(values, np.float64, n)
+    ports = np.array([np.fromiter(src_port, np.float64, n), np.fromiter(dst_port, np.float64, n)])
+    src_ip, dst_ip = list(src_ip), list(dst_ip)
+    reason = _reasons(False, _is_blank(src_ip) | _is_blank(dst_ip), nrf, ports)
+    if reason.any():
+        row = int(np.flatnonzero(reason)[0])
+        raise InvalidFlow(_REASONS[reason[row]], f"row {row}: {src_ip[row]!r} -> {dst_ip[row]!r}, "
+                          f"ports {ports[:, row].tolist()}, raw features {nrf[row].tolist()}")
     labels, ips = _numbering(), _numbering()
     label_code = np.fromiter(map(labels.__getitem__, label), np.intp, n)
-    src, dst = _end_ids(ips, list(src_ip), list(dst_ip))
-    return (nrf, np.fromiter(src_port, np.int64, n), np.fromiter(dst_port, np.int64, n),
-            label_code, tuple(labels), src, dst, tuple(ips))
+    src, dst = _end_ids(ips, src_ip, dst_ip)
+    return (nrf, *ports.astype(np.int64), label_code, tuple(labels), src, dst, tuple(ips))
 
 
 def _numbering() -> defaultdict:
@@ -390,7 +385,7 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
 
     A row is `unparseable` (short, a number or port that does not parse,
     a blank label), then `missing_value` (a blank IP, a blank or NaN raw
-    feature), then dropped by the first FlowRecord value rule it breaks.
+    feature), then dropped by the first flow value rule it breaks.
     Returns the dataset and a report of drop tallies. A column_map maps
     the fields of DEFAULT_COLUMN_MAP to distinct headers, and the file's
     header must name each of them once. A malformed file is a
@@ -441,9 +436,6 @@ def _clean_chunk(rows: list[list[str]], index: tuple[int, ...], ip_ids: defaultd
     reason in the report, and return the kept rows' NRF matrix, ports,
     label-text ids and source and destination ids, numbered by ip_ids and
     label_ids.
-
-    The masks are FlowRecord's value rules, in its order, after the two
-    parse reasons.
     """
     n = len(rows)
     width = max(index) + 1
@@ -458,22 +450,9 @@ def _clean_chunk(rows: list[list[str]], index: tuple[int, ...], ip_ids: defaultd
     for j, cells in enumerate(nrf_cells):
         nrf[:, j], not_number = _floats(cells)
         unparseable |= not_number
-    # [2, n]: a blank port is NaN, and a port of 80.5 is not truncated to
-    # 80; both are unparseable.
-    ports = np.array([_floats(cells)[0] for cells in (src_cells, dst_cells)])
-    unparseable |= ~(np.isfinite(ports) & (np.floor(ports) == ports)).all(axis=0)
-    numerics = nrf[:, 1:]
-    reason = np.select(  # the first that holds, in _REASONS order
-        [
-            unparseable,  # unparseable
-            _is_blank(src_ip) | _is_blank(dst_ip) | np.isnan(nrf).any(axis=1),  # missing_value
-            np.isinf(nrf).any(axis=1),  # non_finite
-            numerics[:, 0] < 0,  # negative_duration
-            ~np.isin(nrf[:, 0], PROTOCOLS) | ((ports < 0) | (ports > 65535)).any(axis=0),  # unparseable
-            (numerics < 0).any(axis=1),  # negative_value
-        ],
-        list(range(1, len(_REASONS))),
-    )
+    ports = np.array([_floats(cells)[0] for cells in (src_cells, dst_cells)])  # a blank port is NaN
+    missing = _is_blank(src_ip) | _is_blank(dst_ip) | np.isnan(nrf).any(axis=1)
+    reason = _reasons(unparseable, missing, nrf, ports)
     counts = np.bincount(reason, minlength=len(_REASONS)).tolist()
     report.total_rows += n
     report.kept += counts[0]
@@ -488,6 +467,26 @@ def _clean_chunk(rows: list[list[str]], index: tuple[int, ...], ip_ids: defaultd
     nrf[:, 0] = np.abs(nrf[:, 0])  # a protocol cell of -0.0 is protocol 0
     src_port, dst_port = ports.astype(np.int64)
     return nrf, src_port, dst_port, _ids(label_ids, label), *_end_ids(ip_ids, src_ip, dst_ip)
+
+
+def _reasons(unparseable, missing, nrf: np.ndarray, ports: np.ndarray) -> np.ndarray:
+    """Each row's drop-reason code: the first flow value rule it breaks,
+    in _REASONS order after the caller's parse-stage `unparseable` and
+    `missing` masks (or False); 0 keeps the row. A port that is not a
+    whole number joins `unparseable`, so 80.5 is never truncated to 80.
+    nrf is [n, 9] and ports [2, n], both float."""
+    numerics = nrf[:, 1:]
+    return np.select(
+        [
+            unparseable | ~(np.isfinite(ports) & (np.floor(ports) == ports)).all(axis=0),  # unparseable
+            missing,  # missing_value
+            ~np.isfinite(nrf).all(axis=1),  # non_finite
+            numerics[:, 0] < 0,  # negative_duration
+            ~np.isin(nrf[:, 0], PROTOCOLS) | ((ports < 0) | (ports > 65535)).any(axis=0),  # unparseable
+            (numerics < 0).any(axis=1),  # negative_value
+        ],
+        list(range(1, len(_REASONS))),
+    )
 
 
 def _is_blank(cells: list[str]) -> np.ndarray:

@@ -26,7 +26,9 @@ ports, in O(pairs + incidences) memory. For each s, the rows with shared
 sources at once takes one product per level with the dense adjacency of
 the n_s edges that have an s-neighbour. Per s, memory is that [n_s, n_s]
 adjacency and the cached int32 distances, plus BFS blocks of chunk * n_s
-<= _CHUNK_CELLS cells. `edge_profiles` stacks the cached closeness
+cells: chunk is _CHUNK_CELLS // n_s sources, or n_s // 16 when that is
+more, so a sweep of a large graph reads the adjacency at most 17 times
+per BFS level. `edge_profiles` stacks the cached closeness
 arrays of the 11 scheduled s into one [n_edges, 11] table, the only form
 in which the feature encoder and the detector read centralities;
 `centrality_profile` is the one-edge view.
@@ -46,7 +48,8 @@ from .flows import Dataset
 
 SCHEDULE_BASE = 3
 SCHEDULE_STEPS = 11
-# Bound on the cells of one source chunk's frontier and distance blocks.
+# Bound on the cells of one source chunk's frontier and distance blocks,
+# for graphs of up to 512 edges; a larger graph sweeps in about 16 chunks.
 _CHUNK_CELLS = 1 << 14
 # Ports lie in 0..65535, so edge * _PORT_SPAN + port packs an incidence.
 _PORT_SPAN = 1 << 16
@@ -216,7 +219,7 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
     distances = np.empty((n, n), np.int32)
     closeness = np.zeros(len(h))
     root = np.arange(len(h))  # smallest edge id in each edge's component
-    chunk = max(1, _CHUNK_CELLS // max(n, 1))
+    chunk = max(1, _CHUNK_CELLS // max(n, 1), n // 16)
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         distances[rows] = block = _bfs(adjacency, np.arange(n)[rows])

@@ -1,9 +1,9 @@
 """The row-by-row ingest that the columnar `flows.ingest_csv` replaced: each
-row's mapped cells are read by position and parsed, and one FlowRecord is
-built per row, whose constructor applies the value rules. Kept as the
-reference for differential tests: the columnar ingest must keep and drop
-the same rows, for the same reasons, and its row view must give records
-with the same field values and types.
+row's mapped cells are read by position and parsed, one FlowRecord is
+built per row, and `value_rule_broken` applies the flow value rules to it
+one record at a time. Kept as the reference for differential tests: the
+columnar ingest must keep and drop the same rows, for the same reasons,
+and its row view must give records with the same field values and types.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 
-from hgnids.flows import DEFAULT_COLUMN_MAP, ActivityLabel, CleaningReport, FlowRecord, InvalidFlow
+from hgnids.flows import DEFAULT_COLUMN_MAP, PROTOCOLS, ActivityLabel, CleaningReport, FlowRecord
 
 
 def ingest_rows(path) -> tuple[list[FlowRecord], CleaningReport]:
@@ -47,11 +47,25 @@ def _parse_row(row: list[str], index: tuple[int, ...]) -> tuple[FlowRecord | Non
         return None, "unparseable"
     if not (src_ip and dst_ip) or any(map(math.isnan, nrf)):
         return None, "missing_value"
-    protocol = nrf[0]  # stored as an int when whole; FlowRecord rejects any other value
-    try:
-        rec = FlowRecord(src_ip, dst_ip, int(ports[0]), int(ports[1]),
-                         int(protocol) if protocol.is_integer() else protocol,
-                         *nrf[1:], ActivityLabel.parse(label))
-    except InvalidFlow as exc:
-        return None, exc.reason
-    return rec, ""
+    protocol = nrf[0]  # stored as an int when whole; the rules reject any other value
+    rec = FlowRecord(src_ip, dst_ip, int(ports[0]), int(ports[1]),
+                     int(protocol) if protocol.is_integer() else protocol,
+                     *nrf[1:], ActivityLabel.parse(label))
+    reason = value_rule_broken(rec)
+    return (None, reason) if reason else (rec, "")
+
+
+def value_rule_broken(rec: FlowRecord) -> str:
+    """The drop reason of the first value rule the record breaks, or "":
+    raw features finite, flow_duration >= 0, protocol in PROTOCOLS and
+    ports in 0..65535, raw features >= 0."""
+    numerics = rec.numeric_features()
+    if not (math.isfinite(rec.protocol) and all(map(math.isfinite, numerics))):
+        return "non_finite"
+    if rec.flow_duration < 0:
+        return "negative_duration"
+    if rec.protocol not in PROTOCOLS or not (0 <= rec.src_port <= 65535 and 0 <= rec.dst_port <= 65535):
+        return "unparseable"
+    if min(numerics) < 0:
+        return "negative_value"
+    return ""

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -331,6 +332,25 @@ def test_load_state_rejects_role_that_is_not_the_model_layout(tmp_path):
     manifest["members"][1]["role"] = "HGA"
     (tmp_path / "ensemble.json").write_text(json.dumps(manifest))
     with pytest.raises(DataFormatError, match="role 'HGA'.*NRF layout"):
+        load_state(tmp_path)
+
+
+def _manifest_without_file(tmp_path) -> bytes:
+    save_state(_stump_state(0.1, 0.2), tmp_path)
+    manifest = json.loads((tmp_path / "ensemble.json").read_text())
+    del manifest["members"][0]["file"]
+    return json.dumps(manifest).encode()
+
+
+@pytest.mark.parametrize("manifest", [
+    lambda tmp_path: b"members: none",  # not JSON
+    lambda tmp_path: b"{}",
+    _manifest_without_file,
+    lambda tmp_path: b'{"members": [{"file": "caf\xe9.json"}]}',  # the cp1252 byte 0xE9
+], ids=["not-json", "empty-object", "member-without-file", "not-utf8"])
+def test_load_state_rejects_a_malformed_manifest(tmp_path, manifest):
+    (tmp_path / "ensemble.json").write_bytes(manifest(tmp_path))
+    with pytest.raises(DataFormatError, match=re.escape(str(tmp_path / "ensemble.json"))):
         load_state(tmp_path)
 
 

@@ -163,10 +163,55 @@ def test_ingest_missing_columns_listed_in_map_order(tmp_path):
     ({"fwd_bytes": -0.5}, "negative_value"),
 ])
 def test_flow_record_value_rules(fields, reason):
+    """A record is plain data; the Dataset it enters names the first record
+    that breaks a value rule, and the first rule it breaks, as the
+    one-record reference rules do."""
     with pytest.raises(InvalidFlow) as info:
-        make_record(**fields)
+        Dataset((make_record(), make_record(**fields)))
     assert info.value.reason == reason
-    assert isinstance(info.value, ValueError) and str(info.value).startswith(reason + ": ")
+    assert isinstance(info.value, ValueError) and str(info.value).startswith(reason + ": row 1: ")
+    assert ingest_reference.value_rule_broken(make_record(**fields)) == reason
+
+
+@pytest.mark.parametrize("fields,reason", [
+    ({"src_port": 1024.75, "dst_port": 80.5}, "unparseable"),
+    ({"dst_port": 80.5, "duration": -1.0}, "unparseable"),
+    ({"src": ""}, "missing_value"),
+    ({"dst": "", "bytes_s": math.inf}, "missing_value"),
+])
+def test_dataset_rejects_fractional_ports_and_blank_addresses(fields, reason):
+    """Ingest drops these rows, and so does a Dataset built from the same
+    values: no port is truncated to a whole number, and no hypergraph edge
+    is named ""."""
+    with pytest.raises(InvalidFlow) as info:
+        Dataset((make_record(**fields),))
+    assert info.value.reason == reason
+
+
+# Typed field values at and past the edges of the value rules; a blank is
+# only an address here, since a blank or NaN number is a rule of parsing
+# text.
+_ODD_VALUES = (6.5, 80.25, 70000, 65536, -0.0, -1, -3.5, math.inf, -math.inf, 0, 17)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dataset_rejects_a_record_exactly_when_ingest_drops_its_row(data):
+    """A record breaks a rule R in a Dataset exactly when ingest drops the
+    same values, written as CSV text, with R."""
+    values = list(vars(make_record()).values())
+    for field in data.draw(st.lists(st.sampled_from(range(len(values) - 1)), max_size=3)):
+        values[field] = "" if field < 2 else data.draw(st.sampled_from(_ODD_VALUES))
+    try:
+        Dataset((FlowRecord(*values),))
+        reason = ""
+    except InvalidFlow as exc:
+        reason = exc.reason
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "row.csv"
+        path.write_text(HEADER + "\n" + ",".join(map(str, values[:-1])) + f",{values[-1].text}\n")
+        _, report = ingest_csv(path)
+    assert report.reasons == ({reason: 1} if reason else {})
 
 
 # Ordinary cells per column (DEFAULT_COLUMN_MAP order), and odd cells that
@@ -567,6 +612,29 @@ def test_only_write_table_builds_a_csv_writer():
     )
     assert list(calls) == ["flows.py"]
     assert all(write_table.lineno <= line <= write_table.end_lineno for line in calls["flows.py"])
+
+
+def test_value_rules_are_written_once():
+    """Only flows._reasons reads PROTOCOLS, and only flows._columns raises
+    InvalidFlow: ingest and every Dataset built from values share one set
+    of rules."""
+    package = Path(flows.__file__).parent
+    reads, raises = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def owner(node) -> tuple[str, str]:
+            around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            return path.name, max(around, key=lambda f: f.lineno).name if around else ""
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "PROTOCOLS" and isinstance(node.ctx, ast.Load):
+                reads.add(owner(node))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "InvalidFlow":
+                raises.add(owner(node))
+    assert reads == {("flows.py", "_reasons")}
+    assert raises == {("flows.py", "_columns")}
 
 
 def test_write_table_preamble_header_rows_and_line_ending(tmp_path):
