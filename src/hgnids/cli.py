@@ -46,6 +46,7 @@ from .hypergraph import (
     incidence_rows,
 )
 from .simulate import (
+    _CASES,
     EpochSummary,
     Scorecard,
     SimConfig,
@@ -136,7 +137,7 @@ def _parse_pairs(spec: str) -> list[tuple[str, str]]:
         part = part.strip()
         if not part:
             continue
-        if ">" not in part:
+        if part.count(">") != 1:
             raise UsageError(f"pair must look like src>dst, got {part!r}")
         src, _, dst = (end.strip() for end in part.partition(">"))
         if not (src and dst):
@@ -476,7 +477,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_detect_scan)
 
     p = sub.add_parser("simulate", help="run one evaluation case")
-    p.add_argument("--case", type=int, required=True)
+    p.add_argument("--case", type=int, choices=sorted(_CASES), required=True)
     p.add_argument("--threshold", "--thresholds", type=_positive_int, default=2,
                    help="missed attacks that trigger a retrain (one count; sweep takes a list)")
     p.add_argument("--data", default=None, help="base dataset CSV (default: synthetic)")
@@ -487,7 +488,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run one case across several thresholds")
-    p.add_argument("--case", type=int, required=True)
+    p.add_argument("--case", type=int, choices=sorted(_CASES), required=True)
     p.add_argument("--thresholds", type=_positive_int_list, required=True,
                    help="comma-separated positive counts")
     p.add_argument("--data", default=None)

@@ -25,7 +25,9 @@ slot or the table is encoded again. One scorecard row is written per
 A run is described by one SimConfig. Its case id fixes the case's policy
 (scan pairs, update rule, adversarial injection, production mode); every
 other field, the threshold included, is a value the run may vary.
-sweep_thresholds repeats one config across a list of thresholds.
+A run is its pre-training (table, batch plan, split, hypergraph, encoding,
+first ensemble), which reads no threshold, then its stream of batches;
+sweep_thresholds pre-trains once and streams each threshold.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import NamedTuple, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair, encode
 from .flows import (
     DataFormatError, Dataset, LabelKind, concat, remap_ip_pairs, synth_traffic, write_table,
 )
-from .hypergraph import build_hypergraph
+from .hypergraph import Hypergraph, build_hypergraph
 from .trees import EvalReport, Hyperparams
 
 HACKER_PAIR: IPPair = ("172.16.0.1", "192.168.10.50")
@@ -365,6 +367,21 @@ def _build_batches_plan(
     return batch
 
 
+class _Pretrained(NamedTuple):
+    """What a run computes before its stream. None of it reads the
+    threshold, so a sweep streams every threshold from one of these."""
+
+    table: Dataset
+    is_attack: np.ndarray
+    next_batch: Callable[[int], np.ndarray]
+    pretrain: np.ndarray
+    h: Hypergraph
+    hackers: frozenset[IPPair]
+    X: np.ndarray
+    y: np.ndarray
+    state: EnsembleState
+
+
 def run_simulation(
     cfg: SimConfig,
     data: Dataset,
@@ -376,6 +393,10 @@ def run_simulation(
 
     With baseline=True all three slots hold NRF-layout models.
     """
+    return _stream(cfg, _pretrain(cfg, data, adv, baseline), out_dir, baseline)
+
+
+def _pretrain(cfg: SimConfig, data: Dataset, adv, baseline: bool) -> _Pretrained:
     if cfg.include_adv and not adv:
         raise ConfigError(f"case {cfg.case_id} expects adversarial examples")
 
@@ -393,8 +414,7 @@ def run_simulation(
     h = build_hypergraph(table.take(pretrain))
     scans = table.take(pretrain[table.is_kind(LabelKind.PORT_SCAN)[pretrain]])
     hackers = frozenset((scans.ips[a], scans.ips[b]) for a, b in zip(*scans.pair_ids()))
-    weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
-    X, y = encode(table, None, h, hackers, weights)
+    X, y = encode(table, None, h, hackers, NON_HACKER_WEIGHTS if cfg.use_weights else None)
 
     roles = (
         (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)
@@ -405,6 +425,16 @@ def run_simulation(
         X[pretrain], y[pretrain], seed=cfg.seed, holdout=(X[pretest], y[pretest]),
         roles=roles, hyperparams=cfg.hyperparams_map(),
     )
+    return _Pretrained(table, is_attack, next_batch, pretrain, h, hackers, X, y, state)
+
+
+def _stream(
+    cfg: SimConfig, pretrained: _Pretrained, out_dir, baseline: bool
+) -> tuple[Scorecard, RunArtifacts]:
+    """Stream cfg's batches and write the run's files. A stream keeps its own
+    scores, evaded ids and hackers, and rebinds, never writes into, X and state."""
+    table, is_attack, next_batch, pretrain, h, hackers, X, y, state = pretrained
+    weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
 
     artifacts = RunArtifacts(cfg, baseline)
     scorecard = Scorecard()
@@ -491,21 +521,23 @@ def sweep_thresholds(
     adv: Sequence[AdversarialExample] = (),
     out_dir=None,
 ) -> dict[int, tuple[Scorecard, RunArtifacts]]:
-    """Independent run of cfg per threshold, identical stream: threshold ->
-    run_simulation's (Scorecard, RunArtifacts). With out_dir, each run
-    writes to out_dir/threshold_<th>, then sweep_summary.csv is written.
-    An empty list or a repeated threshold is a ConfigError before any run."""
+    """One pre-training, then one stream of cfg per threshold: threshold ->
+    the (Scorecard, RunArtifacts) that run_simulation gives at that
+    threshold. With out_dir, each run writes to out_dir/threshold_<th>,
+    then sweep_summary.csv is written. An empty list or a repeated
+    threshold is a ConfigError before any run."""
     if not thresholds:
         raise ConfigError("no thresholds to sweep")
     repeated = sorted(th for th, n in Counter(thresholds).items() if n > 1)
     if repeated:
         raise ConfigError(f"threshold(s) {repeated} repeated: each names one threshold_<th> run")
     configs = [replace(cfg, threshold=th) for th in thresholds]  # all checked before any run
+    pretrained = _pretrain(cfg, data, adv, False)
     results: dict[int, tuple[Scorecard, RunArtifacts]] = {}
     for run_cfg in configs:
         th = run_cfg.threshold
         sub_dir = Path(out_dir) / f"threshold_{th}" if out_dir is not None else None
-        results[th] = run_simulation(run_cfg, data, adv, out_dir=sub_dir)
+        results[th] = _stream(run_cfg, pretrained, sub_dir, False)
     if out_dir is not None:
         _write_sweep_summary(Path(out_dir) / "sweep_summary.csv", results)
     return results

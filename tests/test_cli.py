@@ -179,8 +179,13 @@ def test_simulate_case1_zero_fnp(tmp_path, tiny_cfg_file):
     assert manifest["seed"] == 42
 
 
-def test_simulate_rejects_bad_case(tmp_path):
-    assert main(["simulate", "--case", "7", "--out-dir", str(tmp_path)]) == EXIT_DATA
+def test_simulate_rejects_bad_case(tmp_path, capsys):
+    out = tmp_path / "run"
+    for argv in (["simulate", "--case", "7"], ["simulate", "--case", "0"],
+                 ["sweep", "--case", "9", "--thresholds", "2"]):
+        assert main(argv + ["--out-dir", str(out)]) == EXIT_USAGE
+        assert "usage error: argument --case: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_two_thresholds(tmp_path, tiny_cfg_file):
@@ -375,15 +380,19 @@ def test_synth_scan_profiles_need_pairs(tmp_path, profile):
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("spec", ["a>", ">b", " > ", "1.2.3.4>5.6.7.8;a> "])
-def test_synth_pairs_need_both_endpoints(tmp_path, spec):
+@pytest.mark.parametrize("spec", [
+    "a>", ">b", " > ", "1.2.3.4>5.6.7.8;a> ", "a>b>c", "1.2.3.4>5.6.7.8;a>>b",
+])
+def test_synth_pairs_need_both_endpoints(tmp_path, capsys, spec):
+    """A pair is one src>dst with both ends named; the error names the pair."""
     out = tmp_path / "synth"
     assert main(["synth", "--profile", "scan", "--count", "5", "--pairs", spec,
                  "--out-dir", str(out)]) == EXIT_USAGE
+    assert f"got {spec.split(';')[-1].strip()!r}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("spec", ["x>", ">y"])
+@pytest.mark.parametrize("spec", ["x>", ">y", "x>y>z"])
 def test_features_hackers_need_both_endpoints(tmp_path, spec):
     traffic = tmp_path / "synth" / "traffic.csv"
     main(["synth", "--profile", "scan", "--count", "20", "--pairs", "7.7.7.7>6.6.6.6",

@@ -219,6 +219,35 @@ def test_sweep_rejects_repeated_thresholds(tmp_path, tiny_data):
     assert not (tmp_path / "sweep").exists()
 
 
+def _file_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("case_id,seed,use_weights", [(4, 39, False), (6, 13, True)])
+def test_sweep_pretrains_once_and_streams_each_threshold(
+    monkeypatch, tmp_path, tiny_data, tiny_adv, case_id, seed, use_weights
+):
+    """No pre-training step reads the threshold, so a sweep builds one
+    ensemble and streams every threshold from it. The low threshold
+    streams first and retrains: a score cache, ensemble state or hacker
+    set it left behind would show in the high threshold's files. Case 6
+    with the weights on also encodes the table again and replaces the
+    hacker pairs mid-stream."""
+    cfg = dataclasses.replace(tiny_config(case_id, seed=seed, use_weights=use_weights), n_epochs=3)
+    builds = []
+    real = simulate.build_ensemble
+    monkeypatch.setattr(simulate, "build_ensemble", lambda *a, **kw: builds.append(1) or real(*a, **kw))
+    results = sweep_thresholds(cfg, (2, 20), tiny_data, tiny_adv, out_dir=tmp_path / "sweep")
+    assert len(builds) == 1
+    assert results[2][1].retrain_events
+    if case_id == 6:
+        assert results[2][1].flag_log
+    for th in (2, 20):
+        run_dir = tmp_path / f"run_{th}"
+        run_simulation(dataclasses.replace(cfg, threshold=th), tiny_data, tiny_adv, out_dir=run_dir)
+        assert _file_bytes(tmp_path / "sweep" / f"threshold_{th}") == _file_bytes(run_dir)
+
+
 def test_desk_sweep_stabilisation(desk_data, desk_adv):
     cfg = desk_case_config(5, seed=42)
     results = sweep_thresholds(cfg, (2, 20), desk_data, desk_adv)
