@@ -17,7 +17,14 @@ gradient/hessian gains with shrinkage, starting from a zero base score
 so an empty model predicts 0.5. Ties in the split search break toward
 the lower feature index and then the lower threshold, which together
 with per-tree seeded streams makes training bit-reproducible. Scoring
-walks all of a model's trees at once through one packed node table."""
+walks all of a model's trees at once through one packed node table.
+
+Growth skips work whose result is already fixed, each skip exact: a
+boosted node of one gradient and one hessian is a leaf, as a forest node
+of one label is (x**2 / (x*h + λ) is convex and 0 at 0, so no cut
+gains); boosted columns with equal root orders share one order row
+(equal sequences give equal prefix sums); and only a child that will be
+searched has its orders partitioned."""
 
 from __future__ import annotations
 
@@ -50,6 +57,22 @@ class Hyperparams:
     learning_rate: float | None
     feature_subsample: int | None
     seed: int
+
+    def __post_init__(self):
+        """Reject what no fit can use: min_leaf 0 grows a degenerate stump,
+        feature_subsample 0 would silently mean sqrt(d), and a NaN
+        learning rate gives NaN scores."""
+        lr, sub = self.learning_rate, self.feature_subsample
+        rules = {
+            "n_trees >= 0": self.n_trees >= 0,
+            "max_depth >= 0": self.max_depth >= 0,
+            "min_leaf >= 1": self.min_leaf >= 1,
+            "feature_subsample None or >= 1": sub is None or sub >= 1,
+            "learning_rate None, or finite and > 0": lr is None or (math.isfinite(lr) and lr > 0),
+        }
+        broken = [rule for rule, ok in rules.items() if not ok]
+        if broken:
+            raise ValueError(f"hyperparams need {'; '.join(broken)}: {self}")
 
 
 def default_hyperparams(kind: ModelKind, seed: int = 0) -> Hyperparams:
@@ -115,14 +138,15 @@ class TrainingError(ValueError):
     pass
 
 
-def _valid_cuts(sv: np.ndarray, min_leaf: int):
+def _valid_cuts(sv: np.ndarray, min_leaf: int, group: np.ndarray | None = None):
     """(col, cut, flat) of every valid cut of sv, in (column, position)
     order, or None if there is none.
 
     Row j of sv holds one column's values in stable ascending order. The
     cut after sorted position i of column j must fall between two
     distinct values and leave min_leaf rows on each side; its flat index
-    is j * n + i, into a row-major [d, n] array.
+    is j * n + i into a row-major [d, n] array, or group[j] * n + i when
+    column j's rows are ordered by row group[j] of a shared array.
     """
     n = sv.shape[1]
     if n < 2 * min_leaf:
@@ -132,20 +156,22 @@ def _valid_cuts(sv: np.ndarray, min_leaf: int):
     if col.size == 0:
         return None
     cut += lo
-    return col, cut, col * n + cut
+    return col, cut, (col if group is None else group[col]) * n + cut
 
 
 def _best_split(sv: np.ndarray, cuts, stats: np.ndarray, score):
     """Best (column, threshold, score) among the valid cuts of sv, or None.
 
-    cuts is _valid_cuts(sv, min_leaf), not None. stats[k, j] holds
-    statistic k of the rows of sv[j] in the same order; score(n, nl,
-    *sums) rates the cuts from their left-child row counts nl and, per
-    statistic, the (left prefix sums, total) pair.
+    cuts is _valid_cuts(sv, min_leaf[, group]), not None. stats[k, r]
+    holds statistic k of the rows in order row r (the order of sv[j] is
+    row j, or group[j]), and is overwritten by its prefix sums; the
+    totals come from row 0. score(n, nl, *sums) rates the cuts from their
+    left-child row counts nl and, per statistic, the (left prefix sums,
+    total) pair.
     """
     col, cut, flat = cuts
     n = sv.shape[1]
-    sums = np.cumsum(stats, axis=2)
+    sums = np.cumsum(stats, axis=2, out=stats)
     rated = score(n, cut + 1.0, *[(c.take(flat), c[0, -1]) for c in sums])
     # the first best cut in (column, position) order: ties break toward
     # the lower feature index, then the lower threshold
@@ -168,10 +194,16 @@ def _gini_decrease(n, nl, pos):
 
 
 def _gain(n, nl, g, h):
-    """Boosted-tree score: the regularised gradient/hessian gain."""
+    """Boosted-tree score: the regularised gradient/hessian gain
+    GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ), built in place where it can be:
+    fewer cut-sized temporaries to give back to the OS and fault in again."""
     (GL, G), (HL, H) = g, h
     GR, HR = G - GL, H - HL
-    return GL * GL / (HL + _GB_LAMBDA) + GR * GR / (HR + _GB_LAMBDA) - G * G / (H + _GB_LAMBDA)
+    gain = GL * GL
+    gain /= HL + _GB_LAMBDA
+    gain += np.divide(np.multiply(GR, GR, out=GR), np.add(HR, _GB_LAMBDA, out=HR), out=GR)
+    gain -= G * G / (H + _GB_LAMBDA)
+    return gain
 
 
 class _TreeBuilder:
@@ -200,32 +232,38 @@ class _TreeBuilder:
         )
 
 
-def _grow_tree(XT, order, params, rng, kind, stats, lr=1.0, F=None, root=None):
+def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=None, group=None):
     """Grow one tree on its root rows, the columns 0..N-1 of XT (one row
     per feature). order[j] lists those positions stably sorted by XT[j],
     and stats[k] holds split statistic k of each position: the labels of
-    a forest tree, or a boosting round's gradients and hessians. root,
+    a forest tree, or a boosting round's gradients and hessians; buf
+    holds a node's gathered statistics (len(stats) * order.size). root,
     when given, is the root's sorted values and _valid_cuts, which every
-    boosting round shares. A split stable-partitions every row of the
-    node's order, so a child's order equals a fresh stable argsort of its
-    rows, ties included. Given the boosting margins F, each leaf adds its
-    value to its rows' margins."""
+    boosting round shares. group, when given, maps each feature to its
+    row of order, which columns of one stable order share. A split
+    stable-partitions every row of the node's order, so a child's order
+    equals a fresh stable argsort of its rows, ties included; only a
+    child that is searched is partitioned. Given the boosting margins F,
+    each leaf adds its value to its rows' margins."""
     d, N = XT.shape
     forest = kind is ModelKind.RANDOM_FOREST
     builder = _TreeBuilder()
-    stack = [(builder.add(), np.arange(N), order, 0)]
+
+    def searched(rows, depth):
+        """Whether a node is split-searched: not too deep or small, and not
+        pure. A forest tests every node, so an empty child still raises."""
+        if forest and (yn := stats[0][rows]).min() == yn.max():
+            return False
+        if depth >= params.max_depth or rows.size < 2 * params.min_leaf:
+            return False
+        return forest or any(np.count_nonzero(s[rows] != s[rows[0]]) for s in stats)
+
+    rows = np.arange(N)
+    stack = [(builder.add(), rows, order if searched(rows, 0) else None, 0)]
     while stack:
         node, rows, order, depth = stack.pop()
-        if forest:
-            yn = stats[0][rows]
-            leaf_value = float(yn.mean())
-            pure = yn.min() == yn.max()
-        else:
-            leaf_value = lr * float(-stats[0][rows].sum() / (stats[1][rows].sum() + _GB_LAMBDA))
-            pure = False
-
         found = None
-        if depth < params.max_depth and not pure and rows.size >= 2 * params.min_leaf:
+        if order is not None:
             if forest:
                 m = params.feature_subsample or max(1, int(math.sqrt(d)))
                 feats = np.sort(rng.choice(d, size=min(m, d), replace=False))
@@ -235,28 +273,45 @@ def _grow_tree(XT, order, params, rng, kind, stats, lr=1.0, F=None, root=None):
             if depth == 0 and root is not None:
                 sv, cuts = root
             else:
-                sv = XT.take(sub + N * feats[:, None])
-                cuts = _valid_cuts(sv, params.min_leaf)
+                sv = XT.take((sub if group is None else sub[group]) + N * feats[:, None])
+                cuts = _valid_cuts(sv, params.min_leaf, group)
             if cuts is not None:
-                found = _best_split(sv, cuts, stats.take(sub, axis=1), score)
+                # one buffer per fit, not a fresh array per node that is freed
+                # and faulted in again; "clip" (no index is out of range) is unbuffered
+                held = buf[: len(stats) * sub.size].reshape(len(stats), *sub.shape)
+                stats.take(sub, axis=1, out=held, mode="clip")
+                found = _best_split(sv, cuts, held, score)
 
         if found is None:
+            if forest:
+                leaf_value = float(stats[0][rows].mean())
+            else:
+                leaf_value = lr * float(-stats[0][rows].sum() / (stats[1][rows].sum() + _GB_LAMBDA))
             builder.value[node] = leaf_value
             if F is not None:
                 F[rows] += leaf_value
             continue
         feat, thr = int(feats[found[0]]), found[1]
         goes_left = XT[feat] <= thr
-        mask, sides = goes_left.take(rows), goes_left.take(order).ravel()
+        mask = goes_left.take(rows)
         builder.feature[node] = feat
         builder.threshold[node] = thr
         left = builder.add()
         right = builder.add()
         builder.left[node] = left
         builder.right[node] = right
-        stack.append((right, rows[~mask], order.compress(~sides).reshape(d, -1), depth + 1))
-        stack.append((left, rows[mask], order.compress(sides).reshape(d, -1), depth + 1))
+        right_rows, left_rows = rows[~mask], rows[mask]
+        search_right, search_left = searched(right_rows, depth + 1), searched(left_rows, depth + 1)
+        if search_right or search_left:
+            sides = goes_left.take(order).ravel()
+        stack.append((right, right_rows, _partition(order, ~sides) if search_right else None, depth + 1))
+        stack.append((left, left_rows, _partition(order, sides) if search_left else None, depth + 1))
     return builder.done()
+
+
+def _partition(order: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row of order, stably cut down to the positions keep marks."""
+    return order.compress(keep).reshape(len(order), -1)
 
 
 def _dense_ranks(X: np.ndarray) -> np.ndarray:
@@ -293,13 +348,13 @@ def fit(
     yf = y.astype(np.float64)
     if kind is ModelKind.RANDOM_FOREST:
         children = np.random.SeedSequence([params.seed, 0x8F]).spawn(params.n_trees)
-        ranks = _dense_ranks(X)
+        ranks, buf = _dense_ranks(X), np.empty(d * n)
         for child in children:
             rng = np.random.default_rng(child)
             boot = rng.integers(0, n, size=n)
             XT = np.ascontiguousarray(X[boot].T)
             order = np.argsort(ranks[:, boot], axis=1, kind="stable")
-            trees.append(_grow_tree(XT, order, params, rng, kind, yf[None, boot]))
+            trees.append(_grow_tree(XT, order, params, rng, kind, yf[None, boot], buf))
     else:
         rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0x6B]))
         lr = params.learning_rate if params.learning_rate is not None else 0.1
@@ -309,11 +364,18 @@ def fit(
         # and valid cuts are the same in each
         order = np.argsort(XT, axis=1, kind="stable")
         sv = np.take_along_axis(XT, order, axis=1)
-        root = (sv, _valid_cuts(sv, params.min_leaf))
+        # group[j]: column j's row of order, one row per distinct order
+        ids: dict[bytes, int] = {}
+        group = np.array([ids.setdefault(row.tobytes(), len(ids)) for row in order])
+        if len(ids) < d:
+            order = order[np.unique(group, return_index=True)[1]]
+        else:
+            group = None
+        root, buf = (sv, _valid_cuts(sv, params.min_leaf, group)), np.empty(2 * order.size)
         for _ in range(params.n_trees):
             p = 1.0 / (1.0 + np.exp(-F))
             gh = np.stack([p - yf, p * (1.0 - p)])  # gradients, hessians
-            trees.append(_grow_tree(XT, order, params, rng, kind, gh, lr=lr, F=F, root=root))
+            trees.append(_grow_tree(XT, order, params, rng, kind, gh, buf, lr, F, root, group))
 
     return TreeModel(kind, mode, params, d, trees)
 
@@ -433,6 +495,7 @@ def deserialize_model(blob: bytes) -> TreeModel:
     try:
         kind, mode = ModelKind(payload["kind"]), FeatureMode(payload["feature_mode"])
         n_features = int(payload["n_features"])
+        params = Hyperparams(**hp)
         trees = [
             _Tree(**{key: np.asarray(t[key], dtype=dtype) for key, dtype in _TREE_ARRAYS})
             for t in payload["trees"]
@@ -445,7 +508,7 @@ def deserialize_model(blob: bytes) -> TreeModel:
         )
     for i, tree in enumerate(trees):
         _check_tree(tree, i, n_features)
-    return TreeModel(kind, mode, Hyperparams(**hp), n_features, trees)
+    return TreeModel(kind, mode, params, n_features, trees)
 
 
 def _check_tree(tree: _Tree, i: int, n_features: int) -> None:

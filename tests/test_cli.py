@@ -679,6 +679,16 @@ def test_malformed_model_is_data_error(tmp_path, capsys, blob, expected):
     assert expected in capsys.readouterr().err
 
 
+def test_model_with_out_of_range_hyperparams_is_data_error(tmp_path, capsys):
+    payload = json.loads(serialize_model(single_leaf_model(0.5)))
+    payload["hyperparams"]["min_leaf"] = 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    assert main(["eval", "--model", str(model), "--input", str(_benign_csv(tmp_path)),
+                 "--out-dir", str(tmp_path / "eval")]) == EXIT_DATA
+    assert "hyperparams need min_leaf >= 1" in capsys.readouterr().err
+
+
 def _scan_then_benign_csv(tmp_path, n_benign: int) -> Path:
     """One port-scan row, then n_benign benign rows."""
     scan = tmp_path / "scan"

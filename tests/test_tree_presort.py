@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from hgnids import trees
@@ -21,22 +21,40 @@ from hgnids.trees import (
     serialize_model,
 )
 
+import split_reference
 import tree_reference as ref
 
 _BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_TIES = [-3.0, 0.0, -0.0, 0.5, 1.0, 2.0, 100.0]
 # How a column draws its values: few tied values, one constant value,
-# two floats one ulp apart, or values that rarely repeat.
-_COLUMN_KINDS = ("ties", "ties", "constant", "adjacent", "spread", "spread")
+# two floats one ulp apart, values that rarely repeat, tied values in
+# ascending row order (the stable order of a constant column), or an
+# earlier column copied or scaled by 8 (its order, with other values).
+_COLUMN_KINDS = (
+    "ties", "ties", "constant", "adjacent", "spread", "spread", "ascending", "copy", "scaled",
+)
 
 
-def _column(kind, rng, n):
+def _column(kind, rng, n, earlier):
+    if kind in ("copy", "scaled") and earlier:
+        source = earlier[rng.integers(len(earlier))]
+        return source.copy() if kind == "copy" else source * 8.0
     if kind == "ties":
-        return rng.choice([-3.0, 0.0, -0.0, 0.5, 1.0, 2.0, 100.0], size=n)
+        return rng.choice(_TIES, size=n)
     if kind == "constant":
         return np.full(n, rng.choice([0.0, 1.0, 7.5]))
     if kind == "adjacent":
         return rng.choice([_BELOW_ONE, 1.0], size=n)
+    if kind == "ascending":
+        return np.sort(rng.choice(_TIES, size=n))
     return rng.normal(size=n) * 10
+
+
+def _matrix(columns, rng, n):
+    earlier = []
+    for kind in columns:
+        earlier.append(_column(kind, rng, n, earlier))
+    return np.stack(earlier, axis=1)
 
 
 @st.composite
@@ -46,7 +64,7 @@ def _problems(draw):
     n = draw(st.integers(2, 60))
     columns = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=width, max_size=width))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.stack([_column(c, rng, n) for c in columns], axis=1)
+    X = _matrix(columns, rng, n)
     if draw(st.booleans()):
         X = X[rng.integers(0, n, size=n)]  # duplicate rows
     y = rng.integers(0, 2, size=n)
@@ -181,6 +199,106 @@ def test_adjacent_float_forest_still_raises():
     with pytest.raises(ValueError), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fit(X, y, ModelKind.RANDOM_FOREST, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(12, 300), rounds=st.integers(20, 80), min_leaf=st.integers(1, 5),
+    data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16),
+)
+def test_boosted_fit_on_separable_labels_matches_reference(n, rounds, min_leaf, data_seed, seed):
+    """One column separates the labels, so after the first split every
+    child holds one label and one margin: one gradient and one hessian.
+    Such a child becomes a leaf without a search, as the reference's
+    search finds no cut there. Copied and scaled columns share orders."""
+    rng = np.random.default_rng(data_seed)
+    y = rng.integers(0, 2, size=n)
+    y[:2] = (0, 1)
+    kinds = ["spread", "ties", "copy", "scaled", "constant", "ascending", "ties", "copy", "spread"]
+    X = np.concatenate([_matrix(kinds, rng, n)[:, :8], (y + rng.random(n))[:, None]], axis=1)
+    _assert_fit_matches_reference(
+        X, y, ModelKind.GRADIENT_BOOSTED, Hyperparams(rounds, 4, min_leaf, 0.3, None, seed)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(n=100_000, p=0.5, label=1, min_leaf=1, data_seed=0)
+@example(n=100_000, p=1e-9, label=1, min_leaf=5, data_seed=1)
+@example(n=4_000, p=0.999, label=0, min_leaf=1, data_seed=2)
+@given(
+    n=st.integers(2, 100_000), p=st.floats(0.0, 1.0), label=st.integers(0, 1),
+    min_leaf=st.integers(1, 5), data_seed=st.integers(0, 2**32 - 1),
+)
+def test_no_cut_of_a_constant_gradient_node_gains(n, p, label, min_leaf, data_seed):
+    """The reference search rates no cut of a node whose rows share one
+    gradient and one hessian above _MIN_GAIN: x**2 / (x*h + 1) is convex
+    and 0 at 0, so splitting never gains. trees skips such nodes."""
+    rng = np.random.default_rng(data_seed)
+    Xs = np.stack([rng.normal(size=n), rng.choice(_TIES, size=n)], axis=1)
+    g, h = np.full(n, p - label), np.full(n, p * (1.0 - p))
+    assert split_reference.best_split_gain(Xs, g, h, min_leaf) is None
+
+
+def test_boosted_empty_child_matches_reference():
+    """A cut between two floats one ulp apart sends every row left; a
+    boosted tree keeps the empty right child as a leaf, as the reference
+    does, and never tests its (absent) gradients."""
+    width = MODE_WIDTH[FeatureMode.NRF]
+    X = np.zeros((40, width))
+    X[:, 0] = [_BELOW_ONE, 1.0] * 20
+    y = np.arange(40) % 2
+    params = Hyperparams(3, 3, 1, 0.3, None, 0)
+    model = fit(X, y, ModelKind.GRADIENT_BOOSTED, params)
+    assert model.trees[0].threshold[0] == 1.0  # the degenerate cut
+    assert serialize_model(model) == serialize_model(ref.fit(X, y, ModelKind.GRADIENT_BOOSTED, params))
+
+
+def _count_calls(monkeypatch, name):
+    """A list that gains one entry per call of trees.<name>."""
+    calls = []
+    real = getattr(trees, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(trees, name, counted)
+    return calls
+
+
+def test_separable_boosted_fit_searches_only_its_roots(monkeypatch):
+    """Every child of a separable boosted root holds one gradient and one
+    hessian, so a fit of R rounds makes R split searches and partitions
+    no child's orders."""
+    rng = np.random.default_rng(5)
+    y = np.arange(200) % 2
+    X = rng.normal(size=(200, MODE_WIDTH[FeatureMode.HGI]))
+    X[:, 4] = y + rng.random(200)
+    searches = _count_calls(monkeypatch, "_best_split")
+    partitions = _count_calls(monkeypatch, "_partition")
+    model = fit(X, y, ModelKind.GRADIENT_BOOSTED, Hyperparams(12, 6, 2, 0.3, None, 0))
+    assert len(searches) == 12 and not partitions
+    assert all(t.feature.size == 3 for t in model.trees)
+
+
+@pytest.mark.parametrize("kind,depth", [
+    (ModelKind.GRADIENT_BOOSTED, 4), (ModelKind.RANDOM_FOREST, 5), (ModelKind.RANDOM_FOREST, 1),
+])
+def test_only_searched_children_are_partitioned(monkeypatch, kind, depth):
+    """Each partition of a node's orders feeds one child's search: a child
+    that ends as a leaf (at max_depth, too small or pure) keeps none."""
+    rng = np.random.default_rng(8)
+    X = rng.choice([0.0, 0.5, 1.0, 2.0], size=(300, MODE_WIDTH[FeatureMode.NRF]))
+    X[:, 1] = rng.normal(size=300)
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=300) > 1).astype(int)
+    lr = 0.3 if kind is ModelKind.GRADIENT_BOOSTED else None
+    searched = _count_calls(monkeypatch, "_valid_cuts")
+    partitions = _count_calls(monkeypatch, "_partition")
+    model = fit(X, y, kind, Hyperparams(6, depth, 3, lr, None, 1))
+    # the root's cuts: once per boosted fit, once per forest tree
+    roots = 1 if kind is ModelKind.GRADIENT_BOOSTED else len(model.trees)
+    assert len(partitions) == len(searched) - roots
+    assert (len(partitions) == 0) == (depth == 1)
 
 
 @pytest.mark.parametrize("cells", [1, 50, 1 << 16])

@@ -275,6 +275,44 @@ def test_fit_reads_layout_from_width():
             fit(bad, y, ModelKind.RANDOM_FOREST)
 
 
+_OUT_OF_RANGE = [
+    ("min_leaf", 0, "min_leaf >= 1"),
+    ("min_leaf", -3, "min_leaf >= 1"),
+    ("max_depth", -1, "max_depth >= 0"),
+    ("n_trees", -1, "n_trees >= 0"),
+    ("feature_subsample", 0, "feature_subsample None or >= 1"),
+    ("learning_rate", float("nan"), "learning_rate None, or finite and > 0"),
+    ("learning_rate", float("inf"), "learning_rate None, or finite and > 0"),
+    ("learning_rate", 0.0, "learning_rate None, or finite and > 0"),
+    ("learning_rate", -0.1, "learning_rate None, or finite and > 0"),
+]
+_OUT_OF_RANGE_IDS = [f"{name}={value}" for name, value, _ in _OUT_OF_RANGE]
+
+
+@pytest.mark.parametrize("name,value,rule", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)
+def test_hyperparams_reject_out_of_range_values(name, value, rule):
+    fields = dict(n_trees=3, max_depth=2, min_leaf=1, learning_rate=0.1, feature_subsample=None, seed=0)
+    with pytest.raises(ValueError, match=rule):
+        Hyperparams(**{**fields, name: value})
+
+
+def test_hyperparams_accept_the_smallest_usable_values():
+    """No trees, a depth-0 stump, one row per leaf and one feature per
+    split are all usable; n_trees 0 gives a model that predicts 0.5."""
+    X, y = rows_to_arrays(separable_rows(20, seed=3))
+    for kind, lr in ((ModelKind.RANDOM_FOREST, None), (ModelKind.GRADIENT_BOOSTED, 1e-3)):
+        assert fit(X, y, kind, Hyperparams(2, 0, 1, lr, 1, 0)).trees[0].feature.size == 1
+        assert np.all(predict_proba_batch(fit(X, y, kind, Hyperparams(0, 3, 1, lr, 1, 0)), X) == 0.5)
+
+
+@pytest.mark.parametrize("name,value,rule", _OUT_OF_RANGE, ids=_OUT_OF_RANGE_IDS)
+def test_deserialize_rejects_out_of_range_hyperparams(name, value, rule):
+    payload = _split_payload()
+    payload["hyperparams"][name] = value
+    with pytest.raises(DataFormatError, match=f"malformed model payload.*{rule}"):
+        deserialize_model(json.dumps(payload).encode())
+
+
 def test_deserialize_rejects_garbage():
     with pytest.raises(ValueError):
         deserialize_model(b'{"format": "something-else"}')
