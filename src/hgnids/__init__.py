@@ -42,8 +42,8 @@ from .features import (
     FeatureVector,
     NON_HACKER_WEIGHTS,
     NORMAL,
-    build_matrix,
-    train_test_split,
+    encode,
+    stratified_split,
 )
 from .trees import (
     EvalReport,
@@ -54,9 +54,7 @@ from .trees import (
     deserialize_model,
     evaluate,
     fit,
-    predict_proba,
     serialize_model,
-    train,
 )
 from .adversarial import (
     AdversarialExample,

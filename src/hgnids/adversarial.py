@@ -1,16 +1,21 @@
 """Black-box adversarial example generation against a substitute model.
 
-The attacker sees only the nine raw flow features: a gradient-boosted
-substitute is fitted on min-max normalised features, then each scan row
-is perturbed by zeroth-order coordinate descent. The rows descend in
+The attacker sees only the nine raw flow features. attack_pipeline
+splits a dataset's rows by label into index arrays
+(`features.stratified_split`), fits a gradient-boosted substitute on the
+min-max normalised features of the train side, and hands the test side's
+scan rows to generate_examples as one Dataset (`data.take(ids)`). Each
+row is perturbed by zeroth-order coordinate descent. The rows descend in
 lockstep, one scorer call per step for all of them, and each row's query
 count counts its own probes. Gradients are estimated with symmetric
 differences on the substitute's attack score and the update steps descend
 that score inside the unit box; the categorical protocol coordinate is
 never touched. Perturbed rows are rescaled to the original feature ranges,
 re-scored, and kept only while the substitute still rates them at or
-above the keep threshold, labelled as attacks. to_dataset turns the kept
-examples into a columnar Dataset of scan flows without building a record.
+above the keep threshold, labelled as attacks; a kept example holds its
+values and origin record as an NRF FeatureVector. to_dataset turns the
+kept examples into a columnar Dataset of scan flows without building a
+record.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .flows import DataFormatError, Dataset, LabelKind, SCAN_LABEL, _columns
-from .features import (
-    ATTACK, NRF_WIDTH, FeatureMode, FeatureVector, build_matrix, rows_to_arrays, train_test_split,
-)
+from .features import ATTACK, NRF_WIDTH, FeatureMode, FeatureVector, encode, stratified_split
 from .trees import ModelKind, TreeModel, default_hyperparams, fit, predict_proba_batch
 
 PROTOCOL_SLOT = 0
@@ -176,29 +179,29 @@ def zoo_attack(
 
 
 def generate_examples(
-    scan_test_rows: Sequence[FeatureVector],
+    scans: Dataset,
     substitute: TreeModel,
     params: NormalizationParams,
     keep_threshold: float = 0.55,
     budget: ZooBudget | None = None,
     seed: int = 0,
 ) -> list[AdversarialExample]:
-    """Attack all rows in lockstep, rescale to the original ranges, and
-    keep the results the substitute still scores at or above
-    keep_threshold."""
-    if not scan_test_rows:
+    """Attack the raw features of every row of scans in lockstep, rescale
+    to the original ranges, and keep the results the substitute still
+    scores at or above keep_threshold."""
+    if not len(scans):
         raise ValueError("no rows to attack")
     score = partial(predict_proba_batch, substitute)
-    X = np.asarray([row.values for row in scan_test_rows], dtype=np.float64)
+    X = scans.nrf
     results = zoo_attack_batch(score, params.forward(X), budget,
                                [seed * 100003 + i for i in range(len(X))])
     raw = np.maximum(params.inverse(np.stack([r.x for r in results])), 0.0)
     raw[:, PROTOCOL_SLOT] = X[:, PROTOCOL_SLOT]
     rescores = score(params.forward(raw))
     return [
-        AdversarialExample(FeatureVector(FeatureMode.NRF, tuple(v.tolist()), ATTACK, row.origin),
+        AdversarialExample(FeatureVector(FeatureMode.NRF, tuple(v.tolist()), ATTACK, origin),
                            float(s), result.query_count)
-        for row, result, v, s in zip(scan_test_rows, results, raw, rescores)
+        for origin, result, v, s in zip(scans, results, raw, rescores)
         if s >= keep_threshold
     ]
 
@@ -215,18 +218,14 @@ def attack_pipeline(
     Normalises the raw features, splits 85/15, fits the substitute on the
     train side, and attacks the scan rows of the test side.
     """
-    rows = build_matrix(data, None, FeatureMode.NRF)
-    params = NormalizationParams.fit(rows_to_arrays(rows)[0])
-    train_rows, test_rows = train_test_split(rows, 0.85, seed)
-    scan_rows = [
-        r for r in test_rows
-        if r.origin is not None and r.origin.label.kind is LabelKind.PORT_SCAN
-    ]
-    if not scan_rows:
+    X, y = encode(data, FeatureMode.NRF)
+    params = NormalizationParams.fit(X)
+    train, test = stratified_split(y, 0.85, seed)
+    scans = test[data.is_kind(LabelKind.PORT_SCAN)[test]]
+    if not scans.size:
         raise DataFormatError("the 85/15 split leaves no port-scan row to attack")
-    X, y = rows_to_arrays(train_rows)
-    substitute = fit_substitute(params.forward(X), y, seed, substitute_hyperparams)
-    examples = generate_examples(scan_rows, substitute, params, keep_threshold, budget, seed)
+    substitute = fit_substitute(params.forward(X[train]), y[train], seed, substitute_hyperparams)
+    examples = generate_examples(data.take(scans), substitute, params, keep_threshold, budget, seed)
     return examples, substitute, params
 
 

@@ -28,11 +28,8 @@ from .config import KEYS, ConfigError, load_config
 from .detector import detect_window, write_flags_csv
 from .features import (
     FeatureMode,
-    NON_HACKER_WEIGHTS,
-    build_matrix,
     encode,
-    rows_to_arrays,
-    train_test_split,
+    stratified_split,
     write_matrix_csv,
 )
 from .flows import (
@@ -64,8 +61,8 @@ from .trees import (
     default_hyperparams,
     deserialize_model,
     evaluate,
+    fit,
     serialize_model,
-    train,
 )
 
 EXIT_OK = 0
@@ -215,8 +212,7 @@ def cmd_features(args, cfg, manifest: Manifest) -> list[Path]:
     dataset = _load_dataset(args.input)
     mode = _mode(args.mode)
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
-    weights = NON_HACKER_WEIGHTS if args.weights else None
-    X, y = encode(dataset, mode, h, hackers, weights)
+    X, y = encode(dataset, mode, h, hackers, args.weights)
     path = Path(args.out_dir) / f"matrix_{mode.value.lower()}.csv"
     write_matrix_csv(X, y, mode, path)
     print(f"wrote {len(y)} rows of {mode.value}")
@@ -240,13 +236,13 @@ def cmd_train(args, cfg, manifest: Manifest) -> list[Path]:
     dataset = _load_dataset(args.input)
     mode = _mode(args.mode)
     h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
-    rows = build_matrix(dataset, h, mode)
-    train_rows, test_rows = train_test_split(rows, 0.8, args.seed)
-    if not test_rows:
+    X, y = encode(dataset, mode, h)
+    train, test = stratified_split(y, 0.8, args.seed)
+    if not test.size:
         raise DataFormatError(f"{args.input}: the 80/20 split leaves no holdout row")
     kind = ModelKind.RANDOM_FOREST if args.kind == "rf" else ModelKind.GRADIENT_BOOSTED
-    model = train(train_rows, kind, _hyperparams_from_args(args, kind))
-    report = evaluate(model, *rows_to_arrays(test_rows))
+    model = fit(X[train], y[train], kind, _hyperparams_from_args(args, kind))
+    report = evaluate(model, X[test], y[test])
     out = Path(args.out_dir)
     (out / "model.json").write_bytes(serialize_model(model))
     (out / "eval.json").write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))

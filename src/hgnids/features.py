@@ -18,11 +18,14 @@ profile table (`edge_profiles`) through the dataset's integer address
 ids, with a zero row appended for an IP the hypergraph has not seen; a
 record's centralities are the element-wise maximum of the two rows, for
 the whole batch at once. Edge sizes are gathered with the same ids. In
-full-dataset mode, records whose endpoint pair is not in the known-hacker
-set take a fixed weight vector in the centrality slots instead. Models are trained, evaluated and attacked on the `(X, y)`
-arrays. `build_matrix` and `encode_record` wrap them as FeatureVector
-rows for callers that need each row's origin record (stratified splits,
-attacked rows).
+full-dataset mode with the weights on, records whose endpoint pair is not
+in the known-hacker set take NON_HACKER_WEIGHTS in the centrality slots
+instead. Models are trained, evaluated and attacked on the `(X, y)`
+arrays, and `stratified_split` splits them by label into index arrays,
+so a caller that needs a row's origin record takes it from its Dataset.
+`build_matrix`, `encode_record`, `rows_to_arrays` and `train_test_split`
+are adapters over these for FeatureVector rows; no pipeline of the
+package calls them.
 """
 
 from __future__ import annotations
@@ -90,15 +93,15 @@ def encode(
     mode: FeatureMode | None,
     hypergraph: Hypergraph | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
-    weights: Sequence[float] | None = None,
+    use_weights: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Encode records in the requested layout: (X [n, width], y [n]);
     mode=None gives the full 24-column table that every layout's
     LAYOUT_COLUMNS index.
 
     Centrality slots are the endpoints' rows of the hypergraph's profile
-    table, except that a record whose pair is outside the hacker set takes
-    the weight vector when one is supplied. Edge-size aggregates are
+    table, except that with use_weights a record whose pair is outside the
+    hacker set takes NON_HACKER_WEIGHTS. Edge-size aggregates are
     structural lookups in the hypergraph regardless of the weight rule.
     """
     y = data.is_attack.astype(np.int64)  # ATTACK is 1, NORMAL 0
@@ -108,8 +111,6 @@ def encode(
     if hypergraph is None or len(hypergraph) == 0:
         layout = "full" if mode is None else mode.value
         raise ValueError(f"{layout} encoding needs a non-empty hypergraph")
-    if weights is not None and len(weights) != SCHEDULE_STEPS:
-        raise ValueError("weight vector must have 11 entries")
 
     ids = hypergraph.edge_ids()
     unseen = len(ids)  # the appended zero row
@@ -118,8 +119,8 @@ def encode(
     table = edge_profiles(hypergraph, feature_skip_interval(hypergraph))
     table = np.vstack([table, np.zeros(SCHEDULE_STEPS)])
     c = np.maximum(table[src], table[dst])
-    if weights is not None:
-        c[~data.pair_mask(hackers)] = weights
+    if use_weights:
+        c[~data.pair_mask(hackers)] = NON_HACKER_WEIGHTS
     # left-to-right column sum, bit-equal to sum() over each row
     total = c[:, 0].copy()
     for j in range(1, SCHEDULE_STEPS):
@@ -135,10 +136,10 @@ def build_matrix(
     hypergraph: Hypergraph | None,
     mode: FeatureMode,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
-    weights: Sequence[float] | None = None,
+    use_weights: bool = False,
 ) -> list[FeatureVector]:
     """Encode every record of the dataset as a FeatureVector; see encode."""
-    X, y = encode(data, mode, hypergraph, hackers, weights)
+    X, y = encode(data, mode, hypergraph, hackers, use_weights)
     return [
         FeatureVector(mode, tuple(values), label, rec)
         for values, label, rec in zip(X.tolist(), y.tolist(), data)
@@ -150,10 +151,10 @@ def encode_record(
     mode: FeatureMode,
     hypergraph: Hypergraph | None = None,
     hackers: frozenset[IPPair] | set[IPPair] = frozenset(),
-    weights: Sequence[float] | None = None,
+    use_weights: bool = False,
 ) -> FeatureVector:
     """Encode one record in the requested layout; see encode."""
-    return build_matrix(Dataset((rec,)), hypergraph, mode, hackers, weights)[0]
+    return build_matrix(Dataset((rec,)), hypergraph, mode, hackers, use_weights)[0]
 
 
 def rows_to_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
@@ -162,49 +163,42 @@ def rows_to_arrays(rows: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarra
     return X, y
 
 
+def stratified_split(labels: np.ndarray, frac: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic stratified split of rows by label, as (train, test)
+    index arrays: the train side gets round(frac * n) rows overall,
+    allocated per label by largest remainder. Each label's rows are
+    shuffled in sorted label order, then each side is shuffled."""
+    if not (0.0 < frac < 1.0):
+        raise ValueError("frac must be in (0, 1)")
+    if len(labels) < 2:
+        raise DataFormatError("need at least 2 rows to split")
+
+    _, label_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    exact = frac * sizes
+    quotas = np.floor(exact).astype(np.intp)
+    # the rows still short go one each to the labels of largest remainder;
+    # ties go to the label with more rows, then to the smaller label
+    short = int(math.floor(frac * len(labels) + 0.5)) - int(quotas.sum())
+    order = np.lexsort((np.arange(len(sizes)), -sizes, -(exact - quotas)))
+    quotas[order[quotas[order] < sizes[order]][: max(short, 0)]] += 1
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5117]))
+    train, test = [], []
+    for k, quota in enumerate(quotas):
+        rows = np.flatnonzero(label_of == k)
+        rows = rows[rng.permutation(rows.size)]
+        train.append(rows[:quota])
+        test.append(rows[quota:])
+    train, test = np.concatenate(train), np.concatenate(test)
+    return train[rng.permutation(train.size)], test[rng.permutation(test.size)]
+
+
 def train_test_split(
     rows: Sequence[FeatureVector], frac: float, seed: int
 ) -> tuple[list[FeatureVector], list[FeatureVector]]:
-    """Deterministic stratified split; the train side gets round(frac * n)
-    rows overall, allocated per label by largest remainder."""
-    if not (0.0 < frac < 1.0):
-        raise ValueError("frac must be in (0, 1)")
-    if len(rows) < 2:
-        raise DataFormatError("need at least 2 rows to split")
-
-    groups: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(row.label, []).append(i)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5117]))
-
-    target_train = int(math.floor(frac * len(rows) + 0.5))
-    labels = sorted(groups)
-    quotas = {}
-    fractional = []
-    for label in labels:
-        exact = frac * len(groups[label])
-        quotas[label] = int(math.floor(exact))
-        fractional.append((exact - math.floor(exact), len(groups[label]), label))
-    short = target_train - sum(quotas.values())
-    for _, _, label in sorted(fractional, key=lambda t: (-t[0], -t[1], t[2])):
-        if short <= 0:
-            break
-        if quotas[label] < len(groups[label]):
-            quotas[label] += 1
-            short -= 1
-
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in labels:
-        order = rng.permutation(len(groups[label]))
-        shuffled = [groups[label][j] for j in order]
-        train_idx.extend(shuffled[: quotas[label]])
-        test_idx.extend(shuffled[quotas[label] :])
-    train_order = rng.permutation(len(train_idx))
-    test_order = rng.permutation(len(test_idx))
-    train = [rows[train_idx[j]] for j in train_order]
-    test = [rows[test_idx[j]] for j in test_order]
-    return train, test
+    """`stratified_split` over the rows' labels, as row lists."""
+    train, test = stratified_split(np.array([row.label for row in rows]), frac, seed)
+    return [rows[i] for i in train], [rows[i] for i in test]
 
 
 def matrix_header(mode: FeatureMode) -> list[str]:

@@ -55,7 +55,7 @@ from .ensemble import (
     retrain_request,
     save_state,
 )
-from .features import NON_HACKER_WEIGHTS, FeatureMode, IPPair, encode
+from .features import FeatureMode, IPPair, encode
 from .flows import (
     DataFormatError, Dataset, LabelKind, concat, remap_ip_pairs, synth_traffic, write_table,
 )
@@ -414,7 +414,7 @@ def _pretrain(cfg: SimConfig, data: Dataset, adv, baseline: bool) -> _Pretrained
     h = build_hypergraph(table.take(pretrain))
     scans = table.take(pretrain[table.is_kind(LabelKind.PORT_SCAN)[pretrain]])
     hackers = frozenset((scans.ips[a], scans.ips[b]) for a, b in zip(*scans.pair_ids()))
-    X, y = encode(table, None, h, hackers, NON_HACKER_WEIGHTS if cfg.use_weights else None)
+    X, y = encode(table, None, h, hackers, cfg.use_weights)
 
     roles = (
         (FeatureMode.NRF, FeatureMode.NRF, FeatureMode.NRF)
@@ -434,7 +434,6 @@ def _stream(
     """Stream cfg's batches and write the run's files. A stream keeps its own
     scores, evaded ids and hackers, and rebinds, never writes into, X and state."""
     table, is_attack, next_batch, pretrain, h, hackers, X, y, state = pretrained
-    weights = NON_HACKER_WEIGHTS if cfg.use_weights else None
 
     artifacts = RunArtifacts(cfg, baseline)
     scorecard = Scorecard()
@@ -456,9 +455,9 @@ def _stream(
                 flags, flagged = detect_window(table.take(ids), flagged, window_id=b)
                 artifacts.flag_log.extend(flags)
                 # Only the weight rule reads the hacker pairs.
-                if weights is not None and flagged != hackers:
+                if cfg.use_weights and flagged != hackers:
                     hackers = frozenset(flagged)
-                    X, y = encode(table, None, h, hackers, weights)
+                    X, y = encode(table, None, h, hackers, cfg.use_weights)
                     known[:] = False
 
             fresh = np.sort(ids[~known[ids]])

@@ -2,7 +2,8 @@
 
 Models learn from matrices: `fit(X, y, kind)` takes the arrays of
 `features.encode` and reads the feature layout from the width of X;
-`train` is its form for FeatureVector rows. Both learners grow exact
+`train` is its form for FeatureVector rows, an adapter that no pipeline
+of the package calls. Both learners grow exact
 greedy binary trees with one vectorised split search: columns are
 sorted once per fit or tree and partitioned at each split, and the
 split statistics (labels, or gradients and hessians) are gathered and
@@ -36,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import MODE_WIDTH, FeatureMode, FeatureVector, rows_to_arrays
+from .features import MODE_WIDTH, FeatureMode, FeatureVector
 from .flows import DataFormatError
 
 _GB_LAMBDA = 1.0  # L2 stabiliser on leaf scores
@@ -386,7 +387,8 @@ def train(
     hyperparams: Hyperparams | None = None,
 ) -> TreeModel:
     """`fit` on FeatureVector rows."""
-    return fit(*rows_to_arrays(rows), kind, hyperparams)
+    X = np.array([r.values for r in rows], dtype=np.float64)
+    return fit(X, np.array([r.label for r in rows], dtype=np.int64), kind, hyperparams)
 
 
 _WALK_CELLS = 1 << 16  # (row, tree) cells walked at a time
@@ -430,11 +432,6 @@ def predict_proba_batch(model: TreeModel, X: np.ndarray) -> np.ndarray:
     if model.kind is ModelKind.RANDOM_FOREST:
         return acc / len(model.trees)
     return 1.0 / (1.0 + np.exp(-acc))
-
-
-def predict_proba(model: TreeModel, values: Sequence[float]) -> float:
-    X = np.asarray([values], dtype=np.float64)
-    return float(predict_proba_batch(model, X)[0])
 
 
 def evaluate(model: TreeModel, X: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> EvalReport:

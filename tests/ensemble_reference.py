@@ -25,7 +25,7 @@ from hgnids.trees import EvalReport, Hyperparams, TreeModel, default_hyperparams
 class EncodingContext:
     hypergraph: Hypergraph | None
     hackers: frozenset[IPPair] = frozenset()
-    weights: tuple[float, ...] | None = None
+    use_weights: bool = False
 
 
 def train_member(
@@ -37,7 +37,7 @@ def train_member(
 ) -> TreeModel:
     kind = ROLE_KIND[role]
     params = replace(hyperparams or default_hyperparams(kind), seed=seed)
-    X, y = encode(train_set, role, ctx.hypergraph, ctx.hackers, ctx.weights)
+    X, y = encode(train_set, role, ctx.hypergraph, ctx.hackers, ctx.use_weights)
     return fit(X, y, kind, params)
 
 
@@ -62,7 +62,7 @@ def build_ensemble(
 
 
 def _holdout_f1(model: TreeModel, holdout: Dataset, ctx: EncodingContext) -> tuple[float, EvalReport]:
-    X, y = encode(holdout, model.feature_mode, ctx.hypergraph, ctx.hackers, ctx.weights)
+    X, y = encode(holdout, model.feature_mode, ctx.hypergraph, ctx.hackers, ctx.use_weights)
     report = evaluate(model, X, y)
     return report.f1, report
 

@@ -19,13 +19,15 @@ from hgnids.adversarial import (
     zoo_attack,
     zoo_attack_batch,
 )
-from hgnids.features import ATTACK, FeatureMode, build_matrix, rows_to_arrays, train_test_split
-from hgnids.flows import Dataset, FlowRecord, LabelKind
+from hgnids.features import (
+    ATTACK, FeatureMode, build_matrix, encode, rows_to_arrays, stratified_split,
+)
+from hgnids.flows import SCAN_LABEL, Dataset, FlowRecord, LabelKind
 from hgnids.trees import Hyperparams, predict_proba_batch
 
 import adversarial_reference
 import zoo_reference as ref
-from helpers import same_columns, separable_rows, single_leaf_model
+from helpers import make_record, same_columns, separable_rows, single_leaf_model
 
 
 def _quadratic(X):
@@ -152,11 +154,16 @@ def test_generate_keeps_only_high_scores(pipeline42):
         assert all(v >= 0 for v in ex.vector.values)
 
 
+def _desk_scans(desk_data):
+    """The scan rows of the desk data's 85/15 test side, as attack_pipeline
+    takes them at seed 42."""
+    _, test = stratified_split(desk_data.is_attack, 0.85, 42)
+    return test[desk_data.is_kind(LabelKind.PORT_SCAN)[test]]
+
+
 def test_generate_impossible_threshold(desk_data, pipeline42):
     _, substitute, params = pipeline42
-    rows = build_matrix(desk_data, None, FeatureMode.NRF)
-    _, test_rows = train_test_split(rows, 0.85, 42)
-    scans = [r for r in test_rows if r.origin.label.kind is LabelKind.PORT_SCAN][:10]
+    scans = desk_data.take(_desk_scans(desk_data)[:10])
     kept = generate_examples(scans, substitute, params, keep_threshold=1.01,
                              budget=ZooBudget(max_iters=2), seed=1)
     assert kept == []
@@ -166,14 +173,12 @@ def test_generate_empty_input_errors():
     model = single_leaf_model(0.9)
     params = NormalizationParams((0.0,) * 9, (1.0,) * 9)
     with pytest.raises(ValueError):
-        generate_examples([], model, params)
+        generate_examples(Dataset(), model, params)
 
 
 def test_generate_deterministic(desk_data, pipeline42):
     _, substitute, params = pipeline42
-    rows = build_matrix(desk_data, None, FeatureMode.NRF)
-    _, test_rows = train_test_split(rows, 0.85, 42)
-    scans = [r for r in test_rows if r.origin.label.kind is LabelKind.PORT_SCAN][:25]
+    scans = desk_data.take(_desk_scans(desk_data)[:25])
     budget = ZooBudget(max_iters=3, step=0.02, per_coord_batch=1)
     a = generate_examples(scans, substitute, params, budget=budget, seed=11)
     b = generate_examples(scans, substitute, params, budget=budget, seed=11)
@@ -216,6 +221,16 @@ def test_to_dataset_builds_no_flow_record(monkeypatch, desk_adv):
     monkeypatch.setattr(FlowRecord, "__init__", counting)
     to_dataset(desk_adv, seed=3)
     assert built == []
+
+
+def _as_scans(rows):
+    """NRF rows as a Dataset of scan flows with those raw features."""
+    names = ("duration", "fwd_pkts", "bwd_pkts", "fwd_bytes", "bwd_bytes", "bytes_s", "pkts_s",
+             "ratio")
+    return Dataset([
+        make_record(label=SCAN_LABEL, protocol=int(r.values[0]), **dict(zip(names, r.values[1:])))
+        for r in rows
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -263,13 +278,12 @@ def _example_bytes(examples):
 @pytest.fixture(scope="module")
 def desk_scan_attack(desk_data):
     """The desk substitute and scan rows that make_desk_adversarial attacks."""
-    rows = build_matrix(desk_data, None, FeatureMode.NRF)
-    params = NormalizationParams.fit(rows_to_arrays(rows)[0])
-    train_rows, test_rows = train_test_split(rows, 0.85, 42)
-    X, y = rows_to_arrays(train_rows)
-    substitute = fit_substitute(params.forward(X), y, 42, Hyperparams(80, 6, 5, 0.15, None, 0))
-    scans = [r for r in test_rows if r.origin.label.kind is LabelKind.PORT_SCAN]
-    return scans, substitute, params
+    X, y = encode(desk_data, FeatureMode.NRF)
+    params = NormalizationParams.fit(X)
+    train, _ = stratified_split(y, 0.85, 42)
+    substitute = fit_substitute(params.forward(X[train]), y[train], 42,
+                                Hyperparams(80, 6, 5, 0.15, None, 0))
+    return desk_data.take(_desk_scans(desk_data)), substitute, params
 
 
 @pytest.mark.parametrize("seed", [42, 1042])
@@ -277,7 +291,8 @@ def test_generate_matches_per_row_reference_on_desk_rows(desk_scan_attack, seed)
     scans, substitute, params = desk_scan_attack
     budget = ZooBudget(max_iters=4, step=0.02, h=1e-3, per_coord_batch=1)
     kept = generate_examples(scans, substitute, params, budget=budget, seed=seed)
-    expected = ref.generate_examples(scans, substitute, params, budget=budget, seed=seed)
+    rows = build_matrix(scans, None, FeatureMode.NRF)
+    expected = ref.generate_examples(rows, substitute, params, budget=budget, seed=seed)
     assert kept
     assert _example_bytes(kept) == _example_bytes(expected)
 
@@ -294,7 +309,7 @@ def test_generate_scores_all_rows_in_lockstep(toy, n, budget, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adversarial, "predict_proba_batch", counting)
-        generate_examples([r for r in rows if r.label == ATTACK][:n], model, params,
+        generate_examples(_as_scans([r for r in rows if r.label == ATTACK][:n]), model, params,
                           budget=budget, seed=seed)
     assert len(calls) <= 2 + budget.max_iters * (budget.per_coord_batch + 1)
 

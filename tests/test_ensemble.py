@@ -63,7 +63,7 @@ def _nrf(records):
 
 def _table(records, ctx):
     """encode's full table and labels: what the ensemble scores and trains on."""
-    return encode(Dataset(records), None, ctx.hypergraph, ctx.hackers, ctx.weights)
+    return encode(Dataset(records), None, ctx.hypergraph, ctx.hackers, ctx.use_weights)
 
 
 def test_classify_or_aggregation_attack():
@@ -117,14 +117,14 @@ def test_train_member_matches_row_training(role, weights):
     """A member trained on its layout's columns of the full table is
     byte-identical to one trained on that layout's FeatureVector rows."""
     data, ctx = _training_world(seed=5)
-    ctx = replace(ctx, weights=weights)
+    ctx = replace(ctx, use_weights=weights is not None)
     hp = replace(FAST_HP[role], n_trees=8)
-    rows = build_matrix(data, ctx.hypergraph, role, ctx.hackers, weights)
+    rows = build_matrix(data, ctx.hypergraph, role, ctx.hackers, ctx.use_weights)
     expected = train(rows, ROLE_KIND[role], replace(hp, seed=31))  # member 0 of seed 1
     state = build_ensemble(*_table(data, ctx), seed=1, roles=(role,), hyperparams={role: hp})
     assert serialize_model(state.members[0].model) == serialize_model(expected)
     holdout, _ = _training_world(seed=9)
-    rows = build_matrix(holdout, ctx.hypergraph, role, ctx.hackers, weights)
+    rows = build_matrix(holdout, ctx.hypergraph, role, ctx.hackers, ctx.use_weights)
     Xh, yh = _table(holdout, ctx)
     [report] = member_reports(member_scores(state, Xh), yh == 1)
     assert report == evaluate(expected, *rows_to_arrays(rows))

@@ -1,6 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hgnids import features
 from hgnids.features import (
     ATTACK,
     FeatureMode,
@@ -9,11 +15,13 @@ from hgnids.features import (
     NORMAL,
     build_matrix,
     encode_record,
+    stratified_split,
     train_test_split,
 )
-from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL
+from hgnids.flows import BENIGN_LABEL, DataFormatError, Dataset, SCAN_LABEL
 from hgnids.hypergraph import CentralityProfile, build_hypergraph, centrality_schedule
 
+import row_split_reference
 from encode_reference import record_profile
 from helpers import make_record, separable_rows
 
@@ -103,7 +111,7 @@ def test_weight_encoding_for_non_hackers():
     d = _scan_dataset()
     h = build_hypergraph(d)
     hackers = frozenset({("172.16.0.1", "192.168.10.50")})
-    rows = build_matrix(d, h, FeatureMode.HGI, hackers, NON_HACKER_WEIGHTS)
+    rows = build_matrix(d, h, FeatureMode.HGI, hackers, use_weights=True)
     benign_row = next(r for r in rows if r.label == NORMAL)
     assert benign_row.values[9:20] == NON_HACKER_WEIGHTS
     assert benign_row.values[20] == pytest.approx(0.619, abs=1e-12)
@@ -115,8 +123,8 @@ def test_weight_encoding_never_applies_to_hackers():
     d = _scan_dataset()
     h = build_hypergraph(d)
     hackers = frozenset({("172.16.0.1", "192.168.10.50")})
-    with_weights = build_matrix(d, h, FeatureMode.HGI, hackers, NON_HACKER_WEIGHTS)
-    without = build_matrix(d, h, FeatureMode.HGI, hackers, None)
+    with_weights = build_matrix(d, h, FeatureMode.HGI, hackers, use_weights=True)
+    without = build_matrix(d, h, FeatureMode.HGI, hackers)
     for a, b in zip(with_weights, without):
         if a.origin.pair in hackers:
             assert a.values == b.values
@@ -193,3 +201,67 @@ def test_split_errors():
         train_test_split(rows, 0.0, seed=1)
     with pytest.raises(ValueError):
         train_test_split(rows[:1], 0.5, seed=1)
+
+
+def _row_split(labels, frac, seed):
+    """The reference split of rows carrying these labels, as row ids."""
+    rows = [FeatureVector(FeatureMode.NRF, (float(i),) + (0.0,) * 8, label)
+            for i, label in enumerate(labels)]
+    train, test = row_split_reference.train_test_split(rows, frac, seed)
+    return [int(r.values[0]) for r in train], [int(r.values[0]) for r in test]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.sets(st.integers(-3, 3), min_size=1, max_size=3).flatmap(
+        lambda values: st.lists(st.sampled_from(sorted(values)), min_size=2, max_size=300)),
+    frac=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                   st.sampled_from([0.8, 0.85])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stratified_split_matches_row_reference(labels, frac, seed):
+    """The same ids in the same order as the row split it replaced: the
+    same quotas and the same draws from the same generator."""
+    train, test = stratified_split(np.array(labels), frac, seed)
+    assert train.dtype == test.dtype == np.intp
+    assert (train.tolist(), test.tolist()) == _row_split(labels, frac, seed)
+
+
+@pytest.mark.parametrize("labels,frac", [
+    ([0, 1], 0.0), ([0, 1], 1.0), ([0, 1], -0.5), ([0, 1], float("nan")),
+    ([], 0.5), ([1], 0.8), ([], 0.0),
+])
+def test_stratified_split_errors_match_row_reference(labels, frac):
+    with pytest.raises((ValueError, DataFormatError)) as want:
+        _row_split(labels, frac, 1)
+    with pytest.raises((ValueError, DataFormatError)) as got:
+        stratified_split(np.array(labels, np.int64), frac, 1)
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+_ROW_ADAPTERS = {"build_matrix", "train_test_split", "rows_to_arrays", "encode_record"}
+
+
+def test_no_pipeline_uses_a_row_adapter():
+    """Outside features.py no module of the package names a FeatureVector
+    row adapter, and outside trees.py none names trees.train: every
+    pipeline encodes, splits, fits and attacks arrays."""
+    package = Path(features.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                trees = (node.module or "").split(".")[-1] == "trees" and "train" in names
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+                trees = node.attr == "train" and getattr(node.value, "id", None) == "trees"
+            elif isinstance(node, ast.Name):
+                names, trees = {node.id}, False
+            else:
+                continue
+            if path.name != "features.py" and names & _ROW_ADAPTERS:
+                found.append((path.name, node.lineno, sorted(names & _ROW_ADAPTERS)))
+            if path.name != "trees.py" and trees:
+                found.append((path.name, node.lineno, ["trees.train"]))
+    assert found == []

@@ -17,7 +17,6 @@ from hgnids.trees import (
     deserialize_model,
     evaluate,
     fit,
-    predict_proba,
     predict_proba_batch,
     serialize_model,
     train,
@@ -69,8 +68,7 @@ def test_training_deterministic(kind):
 
 def test_single_leaf_stump():
     model = single_leaf_model(0.5)
-    assert predict_proba(model, (0.0,) * 9) == 0.5
-    assert predict_proba(model, (1e9,) * 9) == 0.5
+    assert predict_proba_batch(model, np.array([(0.0,) * 9, (1e9,) * 9])).tolist() == [0.5, 0.5]
 
 
 def test_gb_zero_trees_predicts_half():
@@ -78,7 +76,7 @@ def test_gb_zero_trees_predicts_half():
         ModelKind.GRADIENT_BOOSTED, FeatureMode.NRF,
         default_hyperparams(ModelKind.GRADIENT_BOOSTED), 9, [],
     )
-    assert predict_proba(model, (3.0,) * 9) == 0.5
+    assert predict_proba_batch(model, np.full((1, 9), 3.0)).tolist() == [0.5]
 
 
 @pytest.mark.parametrize("kind", [ModelKind.RANDOM_FOREST, ModelKind.GRADIENT_BOOSTED])
