@@ -408,7 +408,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("ingest", help="read and clean a flow CSV")

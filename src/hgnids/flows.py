@@ -11,9 +11,11 @@ and a Dataset built from values raises InvalidFlow for the first such
 row. Ingestion reads a CSV in chunks of CHUNK_ROWS rows, converting each
 mapped column with float() in one pass. The synthetic generator produces
 statistics-matched scan and benign traffic for desk-scale experiments,
-deterministic under a seed. Ingestion, synthesis and write_csv build no
-record. write_table is the package's one CSV writer: every table it
-writes, here and in the other modules, goes through it.
+deterministic under a seed: it makes each row's random draws in turn, and
+turns the draws of a whole block of rows into feature columns at once.
+Ingestion, synthesis and write_csv build no record. write_table is the
+package's one CSV writer: every table it writes, here and in the other
+modules, goes through it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, islice, starmap
+from itertools import chain, compress, cycle, islice, repeat, starmap
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -587,13 +589,11 @@ BENIGN_FEATURE_STATS: dict[str, tuple[float, float, float, float]] = {
     "down_up_ratio": (1, 124, 0.67, 0.62),
 }
 
-_INT_FEATURES = {
-    "flow_duration",
-    "tot_fwd_pkts",
-    "tot_bwd_pkts",
-    "tot_fwd_bytes",
-    "tot_bwd_bytes",
-}
+# Per numeric feature, in FlowRecord field order: whether it is a whole number.
+_IS_INT_FEATURE = np.array([
+    name in ("flow_duration", "tot_fwd_pkts", "tot_bwd_pkts", "tot_fwd_bytes", "tot_bwd_bytes")
+    for name in SCAN_FEATURE_STATS
+])
 
 _DEFAULT_CLIENTS = tuple(f"192.168.10.{i}" for i in range(5, 29))
 _DEFAULT_SERVERS = (
@@ -606,62 +606,112 @@ _DEFAULT_SERVERS = (
 )
 
 
-def _lognormal_draw(rng: np.random.Generator, stats: tuple[float, float, float, float]) -> float:
-    _, upper, mean, std = stats
-    if mean <= 0:
-        return 0.0
-    sigma2 = math.log(1.0 + (std / mean) ** 2)
-    mu = math.log(mean) - sigma2 / 2.0
-    value = float(rng.lognormal(mu, math.sqrt(sigma2)))
-    return min(max(value, 0.0), float(upper))
+def _feature_params(stats: dict, scale: dict | None = None) -> np.ndarray:
+    """(mu, sigma, upper) [3, 8] of the eight numeric features, in
+    FlowRecord field order: the log-normal fitted to each feature's mean
+    and std (both times its scale, if it has one), clipped to [0, upper].
 
-
-def _draw_features(rng: np.random.Generator, stats: dict, scale: dict | None = None) -> list[float]:
-    """The eight numeric features, in FlowRecord field order."""
-    out = []
+    Every feature takes exactly one normal draw per row, so a table this
+    cannot fit is a ValueError (a mean that is not finite and > 0, a scale
+    that is not > 0) rather than a shift of the random stream.
+    """
+    params = []
     for name in SCAN_FEATURE_STATS:
-        mode, upper, mean, std = stats[name]
+        _, upper, mean, std = stats[name]
         if scale and name in scale:
+            if not scale[name] > 0:
+                raise ValueError(f"{name}: scale must be > 0, got {scale[name]}")
             mean = mean * scale[name]
             std = std * scale[name]
-        value = _lognormal_draw(rng, (mode, upper, mean, std))
-        if name in _INT_FEATURES:
-            value = float(round(value))
-        out.append(value)
-    return out
+        if not (math.isfinite(mean) and mean > 0):
+            raise ValueError(f"{name}: mean must be finite and > 0, got {mean}")
+        sigma2 = math.log(1.0 + (std / mean) ** 2)
+        params.append((math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2), float(upper)))
+    return np.array(params).T
 
 
-# Each row builder returns one flow as a tuple in FlowRecord field order;
-# every value it draws passes FlowRecord's value rules.
-def _scan_row(rng, pair, port) -> tuple:
-    feats = _draw_features(rng, SCAN_FEATURE_STATS)
-    src_port = int(rng.integers(1024, 65536))
-    return (pair[0], pair[1], src_port, port, 6, *feats, SCAN_LABEL)
+def _features(z: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """The [n, 8] numeric features of rows whose standard normals are z:
+    exp(mu + sigma * z), numpy's lognormal(mu, sigma) of the same draw,
+    clipped to [0, upper], with whole-number features rounded half to
+    even. params is _feature_params' [3, 8], or [n, 3, 8] with one table
+    per row. exp is math.exp of each value, the libm call numpy's sampler
+    makes: numpy's vector exp may differ from it in the last bit."""
+    mu, sigma, upper = np.moveaxis(params, -2, 0)
+    x = (mu + sigma * z).ravel().tolist()
+    values = np.fromiter(map(math.exp, x), np.float64, len(x)).reshape(z.shape)
+    values = np.minimum(np.maximum(values, 0.0), upper)
+    return np.where(_IS_INT_FEATURE, np.round(values), values)
 
 
-def _benign_row(rng) -> tuple:
-    feats = _draw_features(rng, BENIGN_FEATURE_STATS)
-    proto = int(rng.choice(np.array([6, 17, 0]), p=[0.53, 0.45, 0.02]))
-    src = _DEFAULT_CLIENTS[int(rng.integers(0, len(_DEFAULT_CLIENTS)))]
-    dst = _DEFAULT_SERVERS[int(rng.integers(0, len(_DEFAULT_SERVERS)))]
-    port = int(POPULAR_PORTS[int(rng.integers(0, len(POPULAR_PORTS)))])
-    return (src, dst, int(rng.integers(1024, 65536)), port, proto, *feats, BENIGN_LABEL)
+# Each block builder draws its rows in the generator's order: per row, the
+# eight standard normals of its features, then its own draws. It returns
+# the rows' columns, one per FlowRecord field in field order, and every
+# value it gives passes the flow value rules.
+def _scan_block(rng, count: int, ip_pairs) -> list:
+    """Port-scan rows on the pairs in turn; each pair sweeps a contiguous
+    destination-port range from its own base port."""
+    z, src_port = _attack_draws(rng, count)
+    step, pair = np.divmod(np.arange(count), len(ip_pairs))
+    port = 1 + (997 * pair) % 50000 + step
+    return [*_on_pairs(ip_pairs, count), src_port, (port - 1) % 65535 + 1, repeat(6, count),
+            *_features(z, _feature_params(SCAN_FEATURE_STATS)).T, repeat(SCAN_LABEL, count)]
 
 
-def _other_attack_row(rng, pair, name_idx: int) -> tuple:
-    # Scan-like base statistics with a per-type deterministic shift so the
-    # thirteen attack families stay mutually distinguishable and non-benign.
-    name = OTHER_ATTACK_NAMES[name_idx]
-    scale = {
-        "flow_duration": 5.0 + 2.0 * name_idx,
-        "tot_fwd_pkts": 3.0 + name_idx,
-        "tot_bwd_pkts": 3.0 + name_idx,
-        "tot_fwd_bytes": 4.0 + name_idx,
-    }
-    feats = _draw_features(rng, SCAN_FEATURE_STATS, scale)
-    port = int(POPULAR_PORTS[name_idx % len(POPULAR_PORTS)])
-    return (pair[0], pair[1], int(rng.integers(1024, 65536)), port, 6, *feats,
-            ActivityLabel(LabelKind.OTHER_ATTACK, name))
+def _other_attack_block(rng, count: int, ip_pairs) -> list:
+    """Rows of the thirteen other attack families in turn, on the pairs in
+    turn. They keep the scan statistics, with a per-family shift so the
+    families stay mutually distinguishable and non-benign."""
+    z, src_port = _attack_draws(rng, count)
+    families = range(len(OTHER_ATTACK_NAMES))
+    params = np.array([_feature_params(SCAN_FEATURE_STATS, {
+        "flow_duration": 5.0 + 2.0 * f,
+        "tot_fwd_pkts": 3.0 + f,
+        "tot_bwd_pkts": 3.0 + f,
+        "tot_fwd_bytes": 4.0 + f,
+    }) for f in families])
+    labels = [ActivityLabel(LabelKind.OTHER_ATTACK, name) for name in OTHER_ATTACK_NAMES]
+    family = np.arange(count) % len(families)
+    return [*_on_pairs(ip_pairs, count), src_port,
+            np.array(POPULAR_PORTS)[family % len(POPULAR_PORTS)], repeat(6, count),
+            *_features(z, params[family]).T, map(labels.__getitem__, family.tolist())]
+
+
+def _benign_block(rng, count: int) -> list:
+    """Benign rows from the default clients to the default servers on a
+    popular port, with protocol 6, 17 or 0 drawn as rng.choice would."""
+    z = np.empty((count, len(SCAN_FEATURE_STATS)))
+    u, client, server, service, src_port = [], [], [], [], []
+    for row in z:
+        rng.standard_normal(out=row)
+        u.append(rng.random())
+        client.append(rng.integers(0, len(_DEFAULT_CLIENTS)))
+        server.append(rng.integers(0, len(_DEFAULT_SERVERS)))
+        service.append(rng.integers(0, len(POPULAR_PORTS)))
+        src_port.append(rng.integers(1024, 65536))
+    # rng.choice([6, 17, 0], p=p) looks one rng.random() up in this cdf.
+    cdf = np.array([0.53, 0.45, 0.02]).cumsum()
+    cdf /= cdf[-1]
+    return [map(_DEFAULT_CLIENTS.__getitem__, client), map(_DEFAULT_SERVERS.__getitem__, server),
+            src_port, np.array(POPULAR_PORTS)[np.array(service, np.intp)],
+            np.array([6, 17, 0])[cdf.searchsorted(u, side="right")],
+            *_features(z, _feature_params(BENIGN_FEATURE_STATS)).T, repeat(BENIGN_LABEL, count)]
+
+
+def _attack_draws(rng, count: int) -> tuple[np.ndarray, list]:
+    """The draws of count attack rows: per row, the eight normals, then a
+    source port."""
+    z, src_port = np.empty((count, len(SCAN_FEATURE_STATS))), []
+    for row in z:
+        rng.standard_normal(out=row)
+        src_port.append(rng.integers(1024, 65536))
+    return z, src_port
+
+
+def _on_pairs(ip_pairs, count: int) -> tuple[list[str], list[str]]:
+    """The src and dst addresses of count rows that take the pairs in turn."""
+    return ([a for a, _ in islice(cycle(ip_pairs), count)],
+            [b for _, b in islice(cycle(ip_pairs), count)])
 
 
 def synth_traffic(
@@ -676,7 +726,10 @@ def synth_traffic(
     profile is one of "PORT_SCAN", "BENIGN", "MIXED". Scan records sweep a
     contiguous destination-port range per IP pair; benign records use a
     small popular-port set. MIXED produces attack_frac attacks (a blend of
-    port scans and the thirteen other attack families) and the rest benign.
+    port scans and the thirteen other attack families) and the rest benign,
+    in a random order. Rows are drawn block by block (scans, other attacks,
+    benign), each row's draws in turn; only the arithmetic on the draws
+    runs on whole columns.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -688,33 +741,19 @@ def synth_traffic(
         raise ValueError("scan profiles need at least one ip pair")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xF10]))
-    if profile == "PORT_SCAN":
-        rows = _scan_batch(rng, count, ip_pairs)
-    elif profile == "BENIGN":
-        rows = [_benign_row(rng) for _ in range(count)]
-    else:
+    if profile == "MIXED":
         n_attack = int(math.floor(count * attack_frac + 0.5))
         n_scan = int(math.floor(n_attack * 0.4 + 0.5))
-        rows = _scan_batch(rng, n_scan, ip_pairs)
-        for i in range(n_attack - n_scan):
-            pair = ip_pairs[i % len(ip_pairs)]
-            rows.append(_other_attack_row(rng, pair, i % len(OTHER_ATTACK_NAMES)))
-        rows.extend(_benign_row(rng) for _ in range(count - n_attack))
-    fields = list(zip(*rows)) or [()] * len(DEFAULT_COLUMN_MAP)
-    data = Dataset._from_columns(*_columns(fields, len(rows)), provenance="SYNTHETIC", seed=seed)
-    return data.take(rng.permutation(len(rows))) if profile == "MIXED" else data
-
-
-def _scan_batch(rng, count: int, ip_pairs) -> list[tuple]:
-    out = []
-    per_pair_pos = [0] * len(ip_pairs)
-    for i in range(count):
-        p = i % len(ip_pairs)
-        base = 1 + (997 * p) % 50000
-        port = base + per_pair_pos[p]
-        per_pair_pos[p] += 1
-        out.append(_scan_row(rng, ip_pairs[p], ((port - 1) % 65535) + 1))
-    return out
+    else:
+        n_attack = n_scan = count if profile == "PORT_SCAN" else 0
+    blocks = (
+        _scan_block(rng, n_scan, ip_pairs),
+        _other_attack_block(rng, n_attack - n_scan, ip_pairs),
+        _benign_block(rng, count - n_attack),
+    )
+    fields = [chain.from_iterable(column) for column in zip(*blocks)]
+    data = Dataset._from_columns(*_columns(fields, count), provenance="SYNTHETIC", seed=seed)
+    return data.take(rng.permutation(count)) if profile == "MIXED" else data
 
 
 def remap_ip_pairs(dataset: Dataset, n_pairs: int, seed: int) -> Dataset:

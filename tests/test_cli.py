@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -455,6 +456,35 @@ def test_simulate_takes_one_threshold(tmp_path):
 def test_non_positive_threshold_is_usage_error_before_any_run(tmp_path, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out-dir", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+# Every subcommand, with its required arguments.
+_SUBCOMMANDS = {
+    "ingest": ["--input", "absent.csv"],
+    "synth": ["--profile", "benign", "--count", "5"],
+    "hypergraph": ["--input", "absent.csv"],
+    "features": ["--input", "absent.csv", "--mode", "nrf"],
+    "train": ["--input", "absent.csv", "--mode", "nrf", "--kind", "rf"],
+    "eval": ["--model", "absent.json", "--input", "absent.csv"],
+    "advgen": ["--input", "absent.csv"],
+    "detect-scan": ["--input", "absent.csv"],
+    "simulate": ["--case", "1"],
+    "sweep": ["--case", "1", "--thresholds", "2"],
+    "report": ["--run-dir", "absent"],
+}
+
+
+def test_every_subcommand_is_listed():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    assert main([command, *_SUBCOMMANDS[command], "--seed", "-1", "--out-dir", str(out)]) == EXIT_USAGE
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 

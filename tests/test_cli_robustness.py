@@ -1,5 +1,6 @@
 """No input reaches an internal error: every command that reads a flow CSV,
-run in process on a small one, exits 0 (done), 1 (usage error) or 2 (data
+run in process on a small one, and `synth` over its profiles, counts,
+seeds and attack fractions, exits 0 (done), 1 (usage error) or 2 (data
 error), never 3 (internal error).
 
 The CSVs hold 0-30 rows drawn with replacement from a synthetic mixed file:
@@ -122,6 +123,20 @@ def test_no_input_reaches_an_internal_error(tmp_path_factory, model, rows, windo
     bad = [(command, code, err) for command, (code, err) in codes
            if code not in (EXIT_OK, EXIT_USAGE, EXIT_DATA)]
     assert not bad, bad
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(profile=st.sampled_from(["scan", "benign", "mixed"]), count=st.integers(0, 30),
+       seed=st.sampled_from([-1, 0, 2**32 - 1, 2**64]), attack_frac=st.sampled_from(["0", "1"]),
+       pairs=st.sampled_from(["", ">".join(PAIRS[0]), ";".join(map(">".join, PAIRS))]))
+@example(profile="mixed", count=30, seed=-1, attack_frac="1", pairs=">".join(PAIRS[0]))
+@example(profile="scan", count=30, seed=2**64, attack_frac="0", pairs=">".join(PAIRS[0]))
+def test_synth_never_reaches_an_internal_error(tmp_path_factory, profile, count, seed, attack_frac,
+                                                pairs):
+    out = tmp_path_factory.mktemp("synth")
+    code, err = _run(["synth", "--profile", profile, "--count", str(count), "--pairs", pairs,
+                      "--attack-frac", attack_frac, "--seed", str(seed), "--out-dir", str(out)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), err
 
 
 def _run(argv) -> tuple[int, str]:

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import math
 import random
 import re
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hgnids import flows
@@ -35,6 +36,7 @@ from hgnids.flows import (
 )
 from hgnids.detector import detect_window
 from hgnids.hypergraph import build_hypergraph
+from hgnids.simulate import make_desk_dataset
 
 import ingest_reference
 import synth_reference
@@ -499,10 +501,57 @@ def test_write_ingest_roundtrip(records):
     attack_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# 2,000 rows take 16,000 normals, so the ziggurat's rare slow path is
+# taken many times per example.
+@example(profile="PORT_SCAN", count=2000, pairs=[("1.1.1.1", "2.2.2.2")], attack_frac=0.25, seed=5)
+@example(profile="BENIGN", count=2000, pairs=[("1.1.1.1", "2.2.2.2")], attack_frac=0.25, seed=6)
+@example(profile="MIXED", count=2000, pairs=[("1.1.1.1", "2.2.2.2"), ("3.3.3.3", "4.4.4.4")],
+         attack_frac=0.6, seed=7)
 def test_synth_matches_record_by_record_reference(profile, count, pairs, attack_frac, seed):
     data = synth_traffic(profile, count, pairs, seed, attack_frac)
     records = synth_reference.synth_records(profile, count, pairs, seed, attack_frac)
     assert same_columns(data, Dataset(tuple(records), "SYNTHETIC", seed))
+
+
+def _column_digest(data: Dataset) -> str:
+    sha = hashlib.sha256()
+    for column in (data.nrf, data.src_port, data.dst_port):
+        sha.update(np.ascontiguousarray(column, "<f8").tobytes())
+    for column in (data.label_code, data.src, data.dst):
+        sha.update(np.ascontiguousarray(column, "<i8").tobytes())
+    sha.update(repr([(label.kind.value, label.name) for label in data.labels]).encode())
+    sha.update(repr(data.ips).encode())
+    return sha.hexdigest()
+
+
+# Recorded from the generator that drew and built one row at a time.
+@pytest.mark.parametrize("make,expected", [
+    (lambda: make_desk_dataset(42), "3c2c61c86321189db2a872d3d2b62dd0bf21c06883c275aea31e0d706f676768"),
+    (lambda: make_desk_dataset(1042), "b23d6736b627716d69d15a3e29a323edef6a3b46c7606a777d35b5577e975459"),
+    (lambda: synth_traffic("MIXED", 3000, [("1.1.1.1", "2.2.2.2"), ("3.3.3.3", "4.4.4.4")], 8),
+     "05960113de2b46dc529da1ab00b7704c640740145bccb3d7c8a386d8b7d8e67d"),
+], ids=["desk-42", "desk-1042", "mixed-3000"])
+def test_synth_columns_are_pinned(make, expected):
+    assert _column_digest(make()) == expected
+
+
+@pytest.mark.parametrize("edit", [
+    {"flow_duration": (0, 10, 0.0, 1.0)},
+    {"tot_fwd_pkts": (0, 10, -2.0, 1.0)},
+    {"down_up_ratio": (0, 10, math.nan, 1.0)},
+    {"tot_bwd_bytes": (0, 10, math.inf, 1.0)},
+])
+def test_feature_params_reject_a_table_they_cannot_fit(edit):
+    """A feature with no fitted log-normal would draw no normal and shift
+    the rest of the stream, so its table is refused."""
+    with pytest.raises(ValueError, match="mean must be finite and > 0"):
+        flows._feature_params({**flows.SCAN_FEATURE_STATS, **edit})
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan])
+def test_feature_params_reject_a_scale_that_is_not_positive(scale):
+    with pytest.raises(ValueError, match="scale must be > 0"):
+        flows._feature_params(flows.SCAN_FEATURE_STATS, {"tot_fwd_pkts": scale})
 
 
 def test_synth_builds_no_flow_record(monkeypatch):
