@@ -27,11 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .flows import DataFormatError, Dataset, LabelKind, SCAN_LABEL, _columns
+from .flows import NRF_FIELDS, DataFormatError, Dataset, LabelKind, SCAN_LABEL, _columns
 from .features import ATTACK, NRF_WIDTH, FeatureMode, FeatureVector, encode, stratified_split
-from .trees import ModelKind, TreeModel, default_hyperparams, fit, predict_proba_batch
+from .trees import DECISION_THRESHOLD, ModelKind, TreeModel, default_hyperparams, fit, predict_proba_batch
 
-PROTOCOL_SLOT = 0
+PROTOCOL_SLOT = NRF_FIELDS.index("protocol")
+KEEP_THRESHOLD = 0.55
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def zoo_attack_batch(
     coords = np.array([i for i in range(cur.shape[1]) if i != PROTOCOL_SLOT], dtype=np.intp)
     scores = np.asarray(score(cur), dtype=np.float64)
     queries = np.zeros(len(cur), dtype=np.int64)
-    active = np.flatnonzero(scores >= 0.5) if coords.size else np.empty(0, dtype=np.intp)
+    active = np.flatnonzero(scores >= DECISION_THRESHOLD) if coords.size else np.empty(0, dtype=np.intp)
     rngs = [np.random.default_rng(np.random.SeedSequence([s, 0x200])) for s in seeds]
     weights = np.ones((len(cur), coords.size), dtype=np.float64)
     batch = min(budget.per_coord_batch, coords.size)
@@ -153,7 +154,7 @@ def zoo_attack_batch(
             stepped = np.clip(cur[active, cols] - budget.step * np.sign(grad), 0.0, 1.0)
             cur[active, cols] = np.where(grad != 0.0, stepped, cur[active, cols])
         scores[active] = score(cur[active])
-        active = active[scores[active] >= 0.5]
+        active = active[scores[active] >= DECISION_THRESHOLD]
     moved = np.any(cur != Z0, axis=1)
     return [ZooResult(cur[i], int(queries[i]), float(scores[i]), bool(moved[i])) for i in range(len(cur))]
 
@@ -182,7 +183,7 @@ def generate_examples(
     scans: Dataset,
     substitute: TreeModel,
     params: NormalizationParams,
-    keep_threshold: float = 0.55,
+    keep_threshold: float = KEEP_THRESHOLD,
     budget: ZooBudget | None = None,
     seed: int = 0,
 ) -> list[AdversarialExample]:
@@ -210,7 +211,7 @@ def attack_pipeline(
     data: Dataset,
     seed: int = 0,
     budget: ZooBudget | None = None,
-    keep_threshold: float = 0.55,
+    keep_threshold: float = KEEP_THRESHOLD,
     substitute_hyperparams=None,
 ) -> tuple[list[AdversarialExample], TreeModel, NormalizationParams]:
     """End-to-end generation from a labeled dataset.

@@ -7,7 +7,8 @@ writes it again with every file the command returns as written. Only
 simulate and sweep take --config and read HGNIDS_* overrides; every other
 command's config snapshot is empty. Every CSV is written by
 flows.write_table. Exit codes: 0 success, 1 usage error, 2 data error
-(input that is not UTF-8 text among them), 3 internal error.
+(input that is not UTF-8 text, or a path that cannot be opened as asked,
+among them), 3 internal error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversarial import ZooBudget, attack_pipeline, to_dataset
+from .adversarial import KEEP_THRESHOLD, ZooBudget, attack_pipeline, to_dataset
 from .config import KEYS, ConfigError, load_config
 from .detector import detect_window, write_flags_csv
 from .features import (
@@ -44,6 +45,7 @@ from .hypergraph import (
 )
 from .simulate import (
     _CASES,
+    DESK_ZOO_BUDGET,
     EpochSummary,
     Scorecard,
     SimConfig,
@@ -55,6 +57,7 @@ from .simulate import (
     sweep_thresholds,
 )
 from .trees import (
+    DECISION_THRESHOLD,
     Hyperparams,
     ModelKind,
     TrainingError,
@@ -206,13 +209,18 @@ def _mode(arg: str) -> FeatureMode:
     return FeatureMode(arg.upper())
 
 
+def _encode_file(path, mode: FeatureMode, hackers=frozenset(), use_weights: bool = False):
+    """A flow CSV's (X, y) in one layout, over the file's own hypergraph."""
+    dataset = _load_dataset(path)
+    h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
+    return encode(dataset, mode, h, hackers, use_weights)
+
+
 def cmd_features(args, cfg, manifest: Manifest) -> list[Path]:
     hackers = frozenset(_parse_pairs(args.hackers)) if args.hackers else frozenset()
     manifest.start(args.input)
-    dataset = _load_dataset(args.input)
     mode = _mode(args.mode)
-    h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
-    X, y = encode(dataset, mode, h, hackers, args.weights)
+    X, y = _encode_file(args.input, mode, hackers, args.weights)
     path = Path(args.out_dir) / f"matrix_{mode.value.lower()}.csv"
     write_matrix_csv(X, y, mode, path)
     print(f"wrote {len(y)} rows of {mode.value}")
@@ -233,10 +241,7 @@ def _hyperparams_from_args(args, kind: ModelKind) -> Hyperparams:
 
 def cmd_train(args, cfg, manifest: Manifest) -> list[Path]:
     manifest.start(args.input)
-    dataset = _load_dataset(args.input)
-    mode = _mode(args.mode)
-    h = build_hypergraph(dataset) if mode is not FeatureMode.NRF else None
-    X, y = encode(dataset, mode, h)
+    X, y = _encode_file(args.input, _mode(args.mode))
     train, test = stratified_split(y, 0.8, args.seed)
     if not test.size:
         raise DataFormatError(f"{args.input}: the 80/20 split leaves no holdout row")
@@ -253,9 +258,7 @@ def cmd_train(args, cfg, manifest: Manifest) -> list[Path]:
 def cmd_eval(args, cfg, manifest: Manifest) -> list[Path]:
     manifest.start(args.model, args.input)
     model = deserialize_model(Path(args.model).read_bytes())
-    dataset = _load_dataset(args.input)
-    h = build_hypergraph(dataset) if model.feature_mode is not FeatureMode.NRF else None
-    X, y = encode(dataset, model.feature_mode, h)
+    X, y = _encode_file(args.input, model.feature_mode)
     report = evaluate(model, X, y, threshold=args.threshold)
     path = Path(args.out_dir) / "eval.json"
     path.write_text(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
@@ -452,17 +455,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=_fraction, default=0.5)
+    p.add_argument("--threshold", type=_fraction, default=DECISION_THRESHOLD)
     common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("advgen", help="generate adversarial examples")
     p.add_argument("--input", required=True)
-    p.add_argument("--iters", type=_non_negative_int, default=4)
-    p.add_argument("--step", type=_positive_float, default=0.02)
-    p.add_argument("--h", type=_positive_float, default=1e-3)
-    p.add_argument("--coord-batch", type=_positive_int, default=1)
-    p.add_argument("--keep-threshold", type=_fraction, default=0.55)
+    p.add_argument("--iters", type=_non_negative_int, default=DESK_ZOO_BUDGET.max_iters)
+    p.add_argument("--step", type=_positive_float, default=DESK_ZOO_BUDGET.step)
+    p.add_argument("--h", type=_positive_float, default=DESK_ZOO_BUDGET.h)
+    p.add_argument("--coord-batch", type=_positive_int, default=DESK_ZOO_BUDGET.per_coord_batch)
+    p.add_argument("--keep-threshold", type=_fraction, default=KEEP_THRESHOLD)
     common(p)
     p.set_defaults(func=cmd_advgen)
 
@@ -513,7 +516,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, ConfigError, TrainingError, FileNotFoundError) as exc:
+    except (DataFormatError, ConfigError, TrainingError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:

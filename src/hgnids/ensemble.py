@@ -31,6 +31,7 @@ import numpy as np
 
 from .features import ATTACK, LAYOUT_COLUMNS, FeatureMode
 from .trees import (
+    DECISION_THRESHOLD,
     DataFormatError,
     EvalReport,
     Hyperparams,
@@ -42,8 +43,6 @@ from .trees import (
     predict_proba_batch,
     serialize_model,
 )
-
-DECISION_THRESHOLD = 0.5
 
 ROLE_KIND = {
     FeatureMode.NRF: ModelKind.RANDOM_FOREST,

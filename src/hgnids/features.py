@@ -43,10 +43,6 @@ from .hypergraph import Hypergraph, SCHEDULE_STEPS, edge_profiles, feature_skip_
 ATTACK = 1
 NORMAL = 0
 
-NRF_WIDTH = 9
-HGI_WIDTH = 21
-HGA_WIDTH = 14
-
 # Fixed encoding for endpoint pairs not attributed to a hacker, shaped
 # like the falling trend of mean benign s-closeness centralities.
 NON_HACKER_WEIGHTS: tuple[float, ...] = (
@@ -62,8 +58,6 @@ class FeatureMode(str, Enum):
     HGA = "HGA"
 
 
-MODE_WIDTH = {FeatureMode.NRF: NRF_WIDTH, FeatureMode.HGI: HGI_WIDTH, FeatureMode.HGA: HGA_WIDTH}
-
 # Each layout's columns of encode's full table: NRF 0:9, centralities
 # 9:20, their sum 20, source, destination and summed edge sizes 21:24.
 # The NRF and HGI layouts are slices, so selecting them copies nothing.
@@ -72,6 +66,9 @@ LAYOUT_COLUMNS = {
     FeatureMode.HGI: slice(0, 21),
     FeatureMode.HGA: np.r_[0:9, 19:24],
 }
+
+MODE_WIDTH = {mode: np.arange(24)[columns].size for mode, columns in LAYOUT_COLUMNS.items()}
+NRF_WIDTH, HGI_WIDTH, HGA_WIDTH = MODE_WIDTH.values()
 
 
 @dataclass(frozen=True)

@@ -124,16 +124,7 @@ class FlowRecord:
     label: ActivityLabel
 
     def numeric_features(self) -> tuple[float, ...]:
-        return (
-            self.flow_duration,
-            self.tot_fwd_pkts,
-            self.tot_bwd_pkts,
-            self.tot_fwd_bytes,
-            self.tot_bwd_bytes,
-            self.flow_bytes_per_s,
-            self.flow_pkts_per_s,
-            self.down_up_ratio,
-        )
+        return tuple(getattr(self, name) for name in NRF_FIELDS[1:])
 
     def nrf(self) -> tuple[float, ...]:
         """The nine raw features: protocol first, then the eight numerics."""
@@ -589,10 +580,10 @@ BENIGN_FEATURE_STATS: dict[str, tuple[float, float, float, float]] = {
     "down_up_ratio": (1, 124, 0.67, 0.62),
 }
 
-# Per numeric feature, in FlowRecord field order: whether it is a whole number.
+# Per numeric feature, in NRF_FIELDS order: whether it is a whole number.
 _IS_INT_FEATURE = np.array([
     name in ("flow_duration", "tot_fwd_pkts", "tot_bwd_pkts", "tot_fwd_bytes", "tot_bwd_bytes")
-    for name in SCAN_FEATURE_STATS
+    for name in NRF_FIELDS[1:]
 ])
 
 _DEFAULT_CLIENTS = tuple(f"192.168.10.{i}" for i in range(5, 29))
@@ -608,7 +599,7 @@ _DEFAULT_SERVERS = (
 
 def _feature_params(stats: dict, scale: dict | None = None) -> np.ndarray:
     """(mu, sigma, upper) [3, 8] of the eight numeric features, in
-    FlowRecord field order: the log-normal fitted to each feature's mean
+    NRF_FIELDS order: the log-normal fitted to each feature's mean
     and std (both times its scale, if it has one), clipped to [0, upper].
 
     Every feature takes exactly one normal draw per row, so a table this
@@ -616,7 +607,7 @@ def _feature_params(stats: dict, scale: dict | None = None) -> np.ndarray:
     that is not > 0) rather than a shift of the random stream.
     """
     params = []
-    for name in SCAN_FEATURE_STATS:
+    for name in NRF_FIELDS[1:]:
         _, upper, mean, std = stats[name]
         if scale and name in scale:
             if not scale[name] > 0:
@@ -781,12 +772,9 @@ def remap_ip_pairs(dataset: Dataset, n_pairs: int, seed: int) -> Dataset:
     while len(pairs) < n_pairs:
         a = f"10.{int(rng.integers(0, 128))}.{int(rng.integers(0, 256))}.{int(rng.integers(1, 255))}"
         b = f"10.{int(rng.integers(128, 256))}.{int(rng.integers(0, 256))}.{int(rng.integers(1, 255))}"
-        if a in used_ips or b in used_ips or a == b:
+        if a in used_ips or b in used_ips:
             continue
-        pair = (a, b)
-        if pair in pairs:
-            continue
-        pairs.append(pair)
+        pairs.append((a, b))
         used_ips.add(a)
         used_ips.add(b)
 

@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .adversarial import AdversarialExample, to_dataset
+from .adversarial import AdversarialExample, ZooBudget, attack_pipeline, to_dataset
 from .config import ConfigError
 from .detector import ScanFlag, detect_window, write_flags_csv
 from .ensemble import (
@@ -323,21 +323,18 @@ def make_desk_dataset(seed: int = 0, n_scan: int = 1200, n_benign: int = 1800) -
     return concat(scans, benign, seed=seed)
 
 
+# The desk runs' attack budget. The tight iteration budget matters: long
+# attacks push every row below the keep line against the sharply separable
+# synthetic classes, so the injectable pool comes from attacks stopped
+# mid-descent.
+DESK_ZOO_BUDGET = ZooBudget(max_iters=4, step=0.02, h=1e-3, per_coord_batch=1)
+
+
 def make_desk_adversarial(data: Dataset, seed: int = 0):
-    """Kept adversarial examples for desk-scale runs.
-
-    The tight iteration budget matters: long attacks push every row below
-    the keep line against the sharply separable synthetic classes, so the
-    injectable pool comes from attacks stopped mid-descent.
-    """
-    from .adversarial import ZooBudget, attack_pipeline
-
-    budget = ZooBudget(max_iters=4, step=0.02, h=1e-3, per_coord_batch=1)
-    gb = Hyperparams(80, 6, 5, 0.15, None, 0)
-    examples, _, _ = attack_pipeline(
-        data, seed=seed, budget=budget, substitute_hyperparams=gb
-    )
-    return examples
+    """Kept adversarial examples for desk-scale runs: DESK_ZOO_BUDGET
+    against a substitute with the desk HGI member's hyperparameters."""
+    hgi = dict(DESK_HYPERPARAMS)["HGI"]
+    return attack_pipeline(data, seed=seed, budget=DESK_ZOO_BUDGET, substitute_hyperparams=hgi)[0]
 
 
 def _build_batches_plan(

@@ -44,6 +44,9 @@ _GB_LAMBDA = 1.0  # L2 stabiliser on leaf scores
 _MIN_GAIN = 1e-12
 _WIDTH_MODE = {width: mode for mode, width in MODE_WIDTH.items()}
 
+# A score at or above this calls a flow an attack.
+DECISION_THRESHOLD = 0.5
+
 
 class ModelKind(str, Enum):
     RANDOM_FOREST = "RANDOM_FOREST"
@@ -60,11 +63,15 @@ class Hyperparams:
     seed: int
 
     def __post_init__(self):
-        """Reject what no fit can use: min_leaf 0 grows a degenerate stump,
-        feature_subsample 0 would silently mean sqrt(d), and a NaN
-        learning rate gives NaN scores."""
+        """Reject what no fit can use: a count or seed that is not an
+        integer, min_leaf 0 grows a degenerate stump, feature_subsample 0
+        would silently mean sqrt(d), and a NaN learning rate gives NaN
+        scores."""
         lr, sub = self.learning_rate, self.feature_subsample
+        whole = [self.n_trees, self.max_depth, self.min_leaf, self.seed] + ([] if sub is None else [sub])
         rules = {
+            "integer n_trees, max_depth, min_leaf, seed and feature_subsample":
+                all(isinstance(v, int) and not isinstance(v, bool) for v in whole),
             "n_trees >= 0": self.n_trees >= 0,
             "max_depth >= 0": self.max_depth >= 0,
             "min_leaf >= 1": self.min_leaf >= 1,
@@ -332,7 +339,8 @@ def fit(
     hyperparams: Hyperparams | None = None,
 ) -> TreeModel:
     """Train a model on an encoded matrix and its 0/1 labels;
-    deterministic under the seed."""
+    deterministic under the seed. Only a forest draws from its seed, so a
+    boosted model's seed changes no tree."""
     if len(y) == 0:
         raise TrainingError("empty training set")
     if len(y) < 2:
@@ -357,8 +365,7 @@ def fit(
             order = np.argsort(ranks[:, boot], axis=1, kind="stable")
             trees.append(_grow_tree(XT, order, params, rng, kind, yf[None, boot], buf))
     else:
-        rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0x6B]))
-        lr = params.learning_rate if params.learning_rate is not None else 0.1
+        lr = params.learning_rate or default_hyperparams(kind).learning_rate
         F = np.zeros(n, dtype=np.float64)
         XT = np.ascontiguousarray(X.T)
         # every round grows on all rows: the root's orders, sorted values
@@ -376,7 +383,7 @@ def fit(
         for _ in range(params.n_trees):
             p = 1.0 / (1.0 + np.exp(-F))
             gh = np.stack([p - yf, p * (1.0 - p)])  # gradients, hessians
-            trees.append(_grow_tree(XT, order, params, rng, kind, gh, buf, lr, F, root, group))
+            trees.append(_grow_tree(XT, order, params, None, kind, gh, buf, lr, F, root, group))
 
     return TreeModel(kind, mode, params, d, trees)
 
@@ -434,7 +441,9 @@ def predict_proba_batch(model: TreeModel, X: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-acc))
 
 
-def evaluate(model: TreeModel, X: np.ndarray, y: np.ndarray, threshold: float = 0.5) -> EvalReport:
+def evaluate(
+    model: TreeModel, X: np.ndarray, y: np.ndarray, threshold: float = DECISION_THRESHOLD
+) -> EvalReport:
     """Score a matrix and report the confusion matrix and derived metrics.
 
     A probability exactly at the threshold counts as an attack.
@@ -470,11 +479,11 @@ def serialize_model(model: TreeModel) -> bytes:
 
 def deserialize_model(blob: bytes) -> TreeModel:
     """Parse serialize_model's bytes. A DataFormatError unless the payload
-    has every key and the six hyperparams, n_features is the width of its
-    feature_mode, each tree's five arrays have one length, a leaf has
-    feature, left and right all -1, and an internal node i splits on a
-    feature below n_features with i < left, right < n_nodes, as _grow_tree
-    builds them, so every walk down a tree ends at a leaf."""
+    has every key and the six hyperparams, n_features is the integer width
+    of its feature_mode, each tree's five arrays have one length and no NaN,
+    a leaf has feature, left and right all -1, and an internal node i
+    splits on a feature below n_features with i < left, right < n_nodes, as
+    _grow_tree builds them, so every walk down a tree ends at a leaf."""
     try:
         payload = json.loads(blob.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -491,7 +500,6 @@ def deserialize_model(blob: bytes) -> TreeModel:
         raise DataFormatError(f"model hyperparams need exactly {list(_HYPERPARAM_FIELDS)}")
     try:
         kind, mode = ModelKind(payload["kind"]), FeatureMode(payload["feature_mode"])
-        n_features = int(payload["n_features"])
         params = Hyperparams(**hp)
         trees = [
             _Tree(**{key: np.asarray(t[key], dtype=dtype) for key, dtype in _TREE_ARRAYS})
@@ -499,6 +507,9 @@ def deserialize_model(blob: bytes) -> TreeModel:
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"malformed model payload: {exc!r}") from None
+    n_features = payload["n_features"]
+    if not isinstance(n_features, int) or isinstance(n_features, bool):
+        raise DataFormatError(f"model n_features must be an integer, got {n_features!r}")
     if n_features != MODE_WIDTH[mode]:
         raise DataFormatError(
             f"model reads {n_features} features, but the {mode.value} layout has {MODE_WIDTH[mode]}"
@@ -513,6 +524,8 @@ def _check_tree(tree: _Tree, i: int, n_features: int) -> None:
     n = tree.feature.size
     if n == 0 or any(getattr(tree, key).shape != (n,) for key, _ in _TREE_ARRAYS):
         raise DataFormatError(f"{where}: its five arrays need one non-zero length")
+    if np.isnan(tree.threshold).any() or np.isnan(tree.value).any():
+        raise DataFormatError(f"{where}: a threshold or leaf value is NaN")
     leaf = tree.feature == -1
     if np.any(leaf & ((tree.left != -1) | (tree.right != -1))):
         raise DataFormatError(f"{where}: a leaf (feature -1) must have left and right -1")

@@ -10,14 +10,15 @@ from pathlib import Path
 import pytest
 
 from hgnids import cli
+from hgnids.adversarial import KEEP_THRESHOLD, ZooBudget
 from hgnids.cli import (
     EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, _hyperparams_from_args, _sim_config,
     build_parser, main,
 )
 from hgnids.config import KEYS, ConfigError, load_config, parse_bool
 from hgnids.flows import DEFAULT_COLUMN_MAP, DataFormatError
-from hgnids.simulate import Scorecard, SimConfig
-from hgnids.trees import ModelKind, default_hyperparams, serialize_model
+from hgnids.simulate import DESK_ZOO_BUDGET, Scorecard, SimConfig
+from hgnids.trees import DECISION_THRESHOLD, ModelKind, default_hyperparams, serialize_model
 
 from helpers import single_leaf_model
 
@@ -431,6 +432,15 @@ def test_advgen_rejects_bad_budget(tmp_path, flag, value):
     assert not (out / "adversarial.csv").exists()
 
 
+def test_advgen_and_eval_defaults_are_the_package_constants():
+    parser = build_parser()
+    advgen = parser.parse_args(["advgen", "--input", "in.csv", "--out-dir", "out"])
+    assert ZooBudget(advgen.iters, advgen.step, advgen.h, advgen.coord_batch) == DESK_ZOO_BUDGET
+    assert advgen.keep_threshold == KEEP_THRESHOLD
+    evaluated = parser.parse_args(["eval", "--model", "m.json", "--input", "in.csv", "--out-dir", "out"])
+    assert evaluated.threshold == DECISION_THRESHOLD
+
+
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
 def test_eval_rejects_threshold_outside_unit_interval(tmp_path, value):
     out = tmp_path / "eval"
@@ -694,13 +704,20 @@ def _cyclic_model() -> bytes:
     return json.dumps(payload).encode()
 
 
+def _fractional_width_model() -> bytes:
+    payload = json.loads(serialize_model(single_leaf_model(0.5)))
+    payload["n_features"] += 0.5
+    return json.dumps(payload).encode()
+
+
 @pytest.mark.parametrize("blob,expected", [
     (b"[]", "model payload is not a JSON object"),
     (b'{"format": "hgnids.tree-model", "version": 1}', "model payload lacks"),
     (_cyclic_model(), "model tree 0: node 0"),
+    (_fractional_width_model(), "model n_features must be an integer, got 9.5"),
     (b"model", "model payload is not JSON"),
     (b"\xff\xfe", "model payload is not JSON"),
-], ids=["list", "no-keys", "self-cycle", "not-json", "not-utf8"])
+], ids=["list", "no-keys", "self-cycle", "fractional-width", "not-json", "not-utf8"])
 def test_malformed_model_is_data_error(tmp_path, capsys, blob, expected):
     model = tmp_path / "model.json"
     model.write_bytes(blob)
@@ -783,6 +800,38 @@ def test_input_that_is_not_utf8_is_data_error(tmp_path, capsys, case):
     assert main([*argv, "--out-dir", str(tmp_path / "out")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and f"{path}: not UTF-8 text" in err
+
+
+def _unopenable_case(tmp_path, case):
+    """A directory where a command reads a file, or a file where it writes
+    a directory; return that path and the command's argv."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = ["--out-dir", str(tmp_path / "out")]
+    if case == "ingest-input":
+        return folder, ["ingest", "--input", str(folder), *out]
+    if case == "ingest-column-map":
+        return folder, ["ingest", "--input", str(_benign_csv(tmp_path)), "--column-map", str(folder), *out]
+    if case == "eval-model":
+        return folder, ["eval", "--model", str(folder), "--input", str(_benign_csv(tmp_path)), *out]
+    if case == "simulate-config":
+        return folder, ["simulate", "--case", "1", "--config", str(folder), *out]
+    if case == "report-scorecard":
+        (folder / "scorecard.csv").mkdir()
+        return folder / "scorecard.csv", ["report", "--run-dir", str(folder), *out]
+    traffic = _benign_csv(tmp_path)
+    return traffic, ["synth", "--profile", "benign", "--count", "5", "--out-dir", str(traffic)]
+
+
+@pytest.mark.parametrize("case", [
+    "ingest-input", "ingest-column-map", "eval-model", "simulate-config", "report-scorecard",
+    "synth-out-dir",
+])
+def test_path_that_cannot_be_opened_is_data_error(tmp_path, capsys, case):
+    path, argv = _unopenable_case(tmp_path, case)
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
 
 
 @pytest.mark.parametrize("command", [

@@ -524,15 +524,26 @@ def _column_digest(data: Dataset) -> str:
     return sha.hexdigest()
 
 
+_DESK_42_DIGEST = "3c2c61c86321189db2a872d3d2b62dd0bf21c06883c275aea31e0d706f676768"
+
+
 # Recorded from the generator that drew and built one row at a time.
 @pytest.mark.parametrize("make,expected", [
-    (lambda: make_desk_dataset(42), "3c2c61c86321189db2a872d3d2b62dd0bf21c06883c275aea31e0d706f676768"),
+    (lambda: make_desk_dataset(42), _DESK_42_DIGEST),
     (lambda: make_desk_dataset(1042), "b23d6736b627716d69d15a3e29a323edef6a3b46c7606a777d35b5577e975459"),
     (lambda: synth_traffic("MIXED", 3000, [("1.1.1.1", "2.2.2.2"), ("3.3.3.3", "4.4.4.4")], 8),
      "05960113de2b46dc529da1ab00b7704c640740145bccb3d7c8a386d8b7d8e67d"),
 ], ids=["desk-42", "desk-1042", "mixed-3000"])
 def test_synth_columns_are_pinned(make, expected):
     assert _column_digest(make()) == expected
+
+
+def test_synth_columns_follow_nrf_fields_not_the_stats_tables(monkeypatch):
+    """The generator takes its column order from NRF_FIELDS; the stats
+    tables are looked up by name, so their key order changes nothing."""
+    for table in ("SCAN_FEATURE_STATS", "BENIGN_FEATURE_STATS"):
+        monkeypatch.setattr(flows, table, dict(reversed(getattr(flows, table).items())))
+    assert _column_digest(make_desk_dataset(42)) == _DESK_42_DIGEST
 
 
 @pytest.mark.parametrize("edit", [

@@ -1,10 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hgnids
 from hgnids.features import MODE_WIDTH, FeatureMode, FeatureVector, rows_to_arrays
 from hgnids.flows import DataFormatError
 from hgnids.trees import (
@@ -129,6 +132,21 @@ def test_threshold_inclusive():
     rows = [FeatureVector(FeatureMode.NRF, (0.0,) * 9, 1)]
     report = evaluate(model, *rows_to_arrays(rows), threshold=0.5)
     assert report.tp == 1  # score exactly at the threshold counts as attack
+
+
+def test_attack_and_keep_lines_are_compared_only_by_name():
+    """No comparison in the package spells out the attack line (0.5) or
+    the keep line (0.55): each reads trees.DECISION_THRESHOLD or
+    adversarial.KEEP_THRESHOLD."""
+    package = Path(hgnids.__file__).parent
+    spelled = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(c, ast.Constant) and c.value in (0.5, 0.55) for c in ast.walk(node))
+    ]
+    assert spelled == []
 
 
 def test_threshold_monotonicity():
@@ -283,6 +301,11 @@ _OUT_OF_RANGE = [
     ("learning_rate", float("inf"), "learning_rate None, or finite and > 0"),
     ("learning_rate", 0.0, "learning_rate None, or finite and > 0"),
     ("learning_rate", -0.1, "learning_rate None, or finite and > 0"),
+    ("n_trees", 2.5, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
+    ("max_depth", True, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
+    ("min_leaf", 2.0, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
+    ("seed", 0.5, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
+    ("feature_subsample", 1.5, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
 ]
 _OUT_OF_RANGE_IDS = [f"{name}={value}" for name, value, _ in _OUT_OF_RANGE]
 
@@ -342,10 +365,15 @@ def _tree_edit(**arrays):
     (_tree_edit(feature=[0], threshold=[0.0], left=[0], right=[0], value=[0.0]), "tree 0: node 0"),
     (lambda p: p.update(kind="RANDOM_JUNGLE"), "malformed"),
     (_tree_edit(left="one"), "malformed"),
+    (lambda p: p.update(n_features=9.5), "n_features must be an integer, got 9.5"),
+    (lambda p: p.update(n_features=9.0), "n_features must be an integer, got 9.0"),
+    (_tree_edit(threshold=[float("nan"), 0.0, 0.0]), "tree 0: a threshold or leaf value is NaN"),
+    (_tree_edit(value=[0.0, float("nan"), 0.9]), "tree 0: a threshold or leaf value is NaN"),
 ], ids=[
     "no-hyperparams", "no-trees", "hyperparam-missing", "hyperparam-extra", "unequal-lengths",
     "no-nodes", "leaf-with-child", "feature-too-high", "feature-negative", "child-not-after-node",
-    "child-past-end", "self-cycle", "unknown-kind", "array-not-a-list",
+    "child-past-end", "self-cycle", "unknown-kind", "array-not-a-list", "fractional-width",
+    "float-width", "nan-threshold", "nan-leaf",
 ])
 def test_deserialize_rejects_malformed_payload(edit, message):
     payload = _split_payload()
