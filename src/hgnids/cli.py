@@ -1,14 +1,18 @@
 """Command-line entry point wiring the package into reproducible pipelines.
 
+It parses and dispatches, and every option changes what its command
+computes: only the commands that draw random numbers take --seed, and a
+flag that another makes moot is a usage error naming both.
+
 Every command keeps one run record, manifest.json in its output directory
-(command, config snapshot, seed, input digests, outputs, tool version).
-Manifest.start writes it once the command's inputs are digested, and main()
-writes it again with every file the command returns as written. Only
-simulate and sweep take --config and read HGNIDS_* overrides; every other
-command's config snapshot is empty. Every CSV is written by
-flows.write_table. Exit codes: 0 success, 1 usage error, 2 data error
-(input that is not UTF-8 text, or a path that cannot be opened as asked,
-among them), 3 internal error.
+(command, config snapshot, seed or null, input digests, outputs, tool
+version). Manifest.start writes it once the command's flags are checked
+and its inputs digested, and main() writes it again with every file the
+command returns as written. Only simulate and sweep take --config and
+read HGNIDS_* overrides; every other command's config snapshot is empty.
+Every CSV is written by flows.write_table. Exit codes: 0 success, 1 usage
+error, 2 data error (input that is not UTF-8 text, or a path that cannot
+be opened as asked, among them), 3 internal error.
 """
 
 from __future__ import annotations
@@ -44,12 +48,13 @@ from .hypergraph import (
     incidence_rows,
 )
 from .simulate import (
-    _CASES,
+    CASES,
     DESK_ZOO_BUDGET,
     EpochSummary,
     Scorecard,
     SimConfig,
     desk_case_config,
+    full_case_config,
     make_desk_adversarial,
     make_desk_dataset,
     run_simulation,
@@ -170,8 +175,13 @@ def cmd_synth(args, cfg, manifest: Manifest) -> list[Path]:
     pairs = _parse_pairs(args.pairs) if args.pairs else []
     if profile != "BENIGN" and args.count > 0 and not pairs:
         raise UsageError(f"--profile {args.profile} needs --pairs")
+    if profile == "BENIGN" and pairs:
+        raise UsageError("--pairs has no effect with --profile benign")
+    frac = {} if args.attack_frac is None else {"attack_frac": args.attack_frac}
+    if frac and profile != "MIXED":
+        raise UsageError(f"--attack-frac has no effect with --profile {args.profile}")
     manifest.start()
-    dataset = synth_traffic(profile, args.count, pairs, args.seed, args.attack_frac)
+    dataset = synth_traffic(profile, args.count, pairs, args.seed, **frac)
     path = Path(args.out_dir) / "traffic.csv"
     write_csv(dataset, path)
     print(f"wrote {len(dataset)} records")
@@ -218,8 +228,12 @@ def _encode_file(path, mode: FeatureMode, hackers=frozenset(), use_weights: bool
 
 def cmd_features(args, cfg, manifest: Manifest) -> list[Path]:
     hackers = frozenset(_parse_pairs(args.hackers)) if args.hackers else frozenset()
-    manifest.start(args.input)
     mode = _mode(args.mode)
+    if mode is FeatureMode.NRF and (args.weights or hackers):
+        raise UsageError(f"--{'weights' if args.weights else 'hackers'} has no effect with --mode nrf")
+    if hackers and not args.weights:
+        raise UsageError("--hackers has no effect without --weights")
+    manifest.start(args.input)
     X, y = _encode_file(args.input, mode, hackers, args.weights)
     path = Path(args.out_dir) / f"matrix_{mode.value.lower()}.csv"
     write_matrix_csv(X, y, mode, path)
@@ -228,24 +242,21 @@ def cmd_features(args, cfg, manifest: Manifest) -> list[Path]:
 
 
 def _hyperparams_from_args(args, kind: ModelKind) -> Hyperparams:
-    base = default_hyperparams(kind, args.seed)
-    return Hyperparams(
-        n_trees=base.n_trees if args.trees is None else args.trees,
-        max_depth=base.max_depth if args.depth is None else args.depth,
-        min_leaf=base.min_leaf if args.min_leaf is None else args.min_leaf,
-        learning_rate=base.learning_rate if args.learning_rate is None else args.learning_rate,
-        feature_subsample=base.feature_subsample,
-        seed=args.seed,
-    )
+    given = {"n_trees": args.trees, "max_depth": args.depth, "min_leaf": args.min_leaf,
+             "learning_rate": args.learning_rate}
+    return dataclasses.replace(default_hyperparams(kind, args.seed),
+                               **{name: v for name, v in given.items() if v is not None})
 
 
 def cmd_train(args, cfg, manifest: Manifest) -> list[Path]:
+    kind = ModelKind.RANDOM_FOREST if args.kind == "rf" else ModelKind.GRADIENT_BOOSTED
+    if kind is ModelKind.RANDOM_FOREST and args.learning_rate is not None:
+        raise UsageError("--learning-rate has no effect with --kind rf")
     manifest.start(args.input)
     X, y = _encode_file(args.input, _mode(args.mode))
     train, test = stratified_split(y, 0.8, args.seed)
     if not test.size:
         raise DataFormatError(f"{args.input}: the 80/20 split leaves no holdout row")
-    kind = ModelKind.RANDOM_FOREST if args.kind == "rf" else ModelKind.GRADIENT_BOOSTED
     model = fit(X[train], y[train], kind, _hyperparams_from_args(args, kind))
     report = evaluate(model, X[test], y[test])
     out = Path(args.out_dir)
@@ -306,17 +317,11 @@ def cmd_detect_scan(args, cfg, manifest: Manifest) -> list[Path]:
 
 
 def _sim_config(args, cfg) -> SimConfig:
-    """The run's base config (desk scale, or --full: 10x30x8900 with
-    weights on) with every key of cfg applied, each parsed by its parser
-    in config.KEYS. A sweep has no single threshold and keeps the default."""
-    threshold = getattr(args, "threshold", 2)
-    if args.full:
-        base = SimConfig(
-            args.case, threshold=threshold, batch_size=8900, attack_frac=0.25,
-            use_weights=True, seed=args.seed,
-        )
-    else:
-        base = desk_case_config(args.case, seed=args.seed, threshold=threshold)
+    """The run's preset (desk_case_config, or full_case_config with --full)
+    with every key of cfg applied, each parsed by its parser in
+    config.KEYS. A sweep has no single threshold and keeps the default."""
+    preset = full_case_config if args.full else desk_case_config
+    base = preset(args.case, seed=args.seed, threshold=getattr(args, "threshold", 2))
     return dataclasses.replace(base, **{key: KEYS[key](value) for key, value in cfg.items()})
 
 
@@ -324,7 +329,7 @@ def _sim_inputs(args, cfg, manifest: Manifest):
     sim_cfg = _sim_config(args, cfg)
     manifest.start(args.data)
     data = _load_dataset(args.data) if args.data else make_desk_dataset(seed=args.seed)
-    adv = make_desk_adversarial(data, seed=args.seed) if sim_cfg.include_adv else []
+    adv = make_desk_adversarial(data, seed=args.seed) if sim_cfg.policy.include_adv else []
     return sim_cfg, data, adv
 
 
@@ -410,8 +415,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"hgnids {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=_non_negative_int, default=0)
+    def common(p, seeded=False):
+        if seeded:
+            p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("ingest", help="read and clean a flow CSV")
@@ -424,8 +430,9 @@ def build_parser() -> _Parser:
     p.add_argument("--profile", choices=("scan", "benign", "mixed"), required=True)
     p.add_argument("--count", type=_non_negative_int, required=True)
     p.add_argument("--pairs", default="", help="src>dst;src>dst endpoint pairs")
-    p.add_argument("--attack-frac", type=_fraction, default=0.25)
-    common(p)
+    p.add_argument("--attack-frac", type=_fraction, default=None,
+                   help="attack share of --profile mixed (default: synth_traffic's)")
+    common(p, seeded=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("hypergraph", help="build the hypergraph and dump stats/profiles")
@@ -449,7 +456,7 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=_positive_int, default=None)
     p.add_argument("--min-leaf", type=_positive_int, default=None)
     p.add_argument("--learning-rate", type=_positive_float, default=None)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
@@ -466,7 +473,7 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=_positive_float, default=DESK_ZOO_BUDGET.h)
     p.add_argument("--coord-batch", type=_positive_int, default=DESK_ZOO_BUDGET.per_coord_batch)
     p.add_argument("--keep-threshold", type=_fraction, default=KEEP_THRESHOLD)
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_advgen)
 
     p = sub.add_parser("detect-scan", help="run the behavioural detector over windows")
@@ -476,24 +483,24 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_detect_scan)
 
     p = sub.add_parser("simulate", help="run one evaluation case")
-    p.add_argument("--case", type=int, choices=sorted(_CASES), required=True)
+    p.add_argument("--case", type=int, choices=sorted(CASES), required=True)
     p.add_argument("--threshold", "--thresholds", type=_positive_int, default=2,
                    help="missed attacks that trigger a retrain (one count; sweep takes a list)")
     p.add_argument("--data", default=None, help="base dataset CSV (default: synthetic)")
     p.add_argument("--baseline", action="store_true", help="all-NRF member slots")
     p.add_argument("--full", action="store_true", help="10x30x8900 scale")
     p.add_argument("--config", default=None, help="flat KEY=VALUE config file")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run one case across several thresholds")
-    p.add_argument("--case", type=int, choices=sorted(_CASES), required=True)
+    p.add_argument("--case", type=int, choices=sorted(CASES), required=True)
     p.add_argument("--thresholds", type=_positive_int_list, required=True,
                    help="comma-separated positive counts")
     p.add_argument("--data", default=None)
     p.add_argument("--full", action="store_true")
     p.add_argument("--config", default=None, help="flat KEY=VALUE config file")
-    common(p)
+    common(p, seeded=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="summarise a run directory")

@@ -68,7 +68,7 @@ LAYOUT_COLUMNS = {
 }
 
 MODE_WIDTH = {mode: np.arange(24)[columns].size for mode, columns in LAYOUT_COLUMNS.items()}
-NRF_WIDTH, HGI_WIDTH, HGA_WIDTH = MODE_WIDTH.values()
+NRF_WIDTH = MODE_WIDTH[FeatureMode.NRF]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import csv
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import chain, compress, cycle, islice, repeat, starmap
 from typing import Iterable, Mapping, Sequence
@@ -135,6 +135,10 @@ class FlowRecord:
         return (self.src_ip, self.dst_ip)
 
 
+# FlowRecord's fields in order: a row's values, and every column tuple, in this order.
+RECORD_FIELDS = tuple(f.name for f in fields(FlowRecord))
+
+
 class Dataset:
     """Flows as columns, with FlowRecords as a row view.
 
@@ -156,8 +160,8 @@ class Dataset:
     def __init__(self, records: Sequence[FlowRecord] = (), provenance: str = "INGESTED",
                  seed: int | None = None):
         records = tuple(records)
-        fields = [map(operator.attrgetter(name), records) for name in DEFAULT_COLUMN_MAP]
-        self._set_columns(*_columns(fields, len(records)), provenance, seed)
+        columns = [map(operator.attrgetter(name), records) for name in RECORD_FIELDS]
+        self._set_columns(*_columns(columns, len(records)), provenance, seed)
 
     @classmethod
     def _from_columns(cls, nrf, src_port, dst_port, label_code, labels, src, dst, ips,
@@ -405,7 +409,7 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
             if repeated:
                 raise DataFormatError(f"{path}: header names mapped column {repeated[0]!r} twice")
             # Column of each field, in FlowRecord field order.
-            index = tuple(stripped.index(cmap[name].strip()) for name in DEFAULT_COLUMN_MAP)
+            index = tuple(stripped.index(cmap[name].strip()) for name in RECORD_FIELDS)
             while rows := list(islice(reader, CHUNK_ROWS)):
                 chunks.append(_clean_chunk(rows, index, ip_ids, label_ids, report))
         except csv.Error as exc:
@@ -539,7 +543,7 @@ def write_table(path, header: Iterable, rows: Iterable[Iterable], preamble: str 
 def write_csv(dataset: Dataset, path) -> None:
     """Persist a dataset in the same schema accepted by ingest_csv: ports
     and protocol as integers, the other raw features as float reprs."""
-    write_table(path, DEFAULT_COLUMN_MAP.values(),
+    write_table(path, [DEFAULT_COLUMN_MAP[name] for name in RECORD_FIELDS],
                 dataset._rows([label.text for label in dataset.labels]), lineterminator="\r\n")
 
 

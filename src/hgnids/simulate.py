@@ -78,7 +78,7 @@ class CasePolicy(NamedTuple):
     production_mode: bool
 
 
-_CASES: dict[int, CasePolicy] = {
+CASES: dict[int, CasePolicy] = {
     1: CasePolicy(1, UpdateRule.STATIC, False, False),
     2: CasePolicy(16, UpdateRule.STATIC, False, False),
     3: CasePolicy(16, UpdateRule.FTW, False, False),
@@ -90,7 +90,7 @@ _CASES: dict[int, CasePolicy] = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run: the case id fixes the policy (see _CASES), every other
+    """One run: the case id fixes the policy (see CASES), every other
     field is a value the run may vary. n_computers * n_epochs batches of
     batch_size base records each, attack_frac of them attacks, plus
     adv_per_batch adversarial records when the case injects them."""
@@ -108,7 +108,7 @@ class SimConfig:
     member_hyperparams: tuple[tuple[str, Hyperparams], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.case_id not in _CASES:
+        if self.case_id not in CASES:
             raise ConfigError(f"unknown case id: {self.case_id}")
         if self.threshold < 1:
             raise ConfigError(f"threshold must be a positive count, got {self.threshold}")
@@ -122,20 +122,8 @@ class SimConfig:
                 raise ConfigError(f"{name} must not be negative, got {getattr(self, name)}")
 
     @property
-    def ip_pairs(self) -> int:
-        return _CASES[self.case_id].ip_pairs
-
-    @property
-    def rule(self) -> UpdateRule:
-        return _CASES[self.case_id].rule
-
-    @property
-    def include_adv(self) -> bool:
-        return _CASES[self.case_id].include_adv
-
-    @property
-    def production_mode(self) -> bool:
-        return _CASES[self.case_id].production_mode
+    def policy(self) -> CasePolicy:
+        return CASES[self.case_id]
 
     def hyperparams_map(self) -> dict[FeatureMode, Hyperparams]:
         return {FeatureMode(name): hp for name, hp in self.member_hyperparams}
@@ -155,6 +143,15 @@ def desk_case_config(case_id: int, seed: int = 0, threshold: int = 2) -> SimConf
     return SimConfig(
         case_id, n_computers=3, n_epochs=10, threshold=threshold, seed=seed,
         member_hyperparams=DESK_HYPERPARAMS,
+    )
+
+
+def full_case_config(case_id: int, seed: int = 0, threshold: int = 2) -> SimConfig:
+    """10 computers x 30 epochs x 8900-record batches, a quarter of them
+    attacks, the non-hacker weights on, the default models."""
+    return SimConfig(
+        case_id, threshold=threshold, batch_size=8900, attack_frac=0.25, use_weights=True,
+        seed=seed,
     )
 
 
@@ -394,13 +391,14 @@ def run_simulation(
 
 
 def _pretrain(cfg: SimConfig, data: Dataset, adv, baseline: bool) -> _Pretrained:
-    if cfg.include_adv and not adv:
+    policy = cfg.policy
+    if policy.include_adv and not adv:
         raise ConfigError(f"case {cfg.case_id} expects adversarial examples")
 
     # One table per run: the base data, the stream source and the
     # adversarial records, in that order; every record set is an id array.
-    stream = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5) if cfg.ip_pairs > 1 else data
-    table = concat(data, stream, to_dataset(adv if cfg.include_adv else (), seed=cfg.seed * 3 + 2))
+    stream = remap_ip_pairs(data, policy.ip_pairs, cfg.seed * 7 + 5) if policy.ip_pairs > 1 else data
+    table = concat(data, stream, to_dataset(adv if policy.include_adv else (), seed=cfg.seed * 3 + 2))
     is_attack = table.is_attack
     base_ids = np.arange(len(data))
     next_batch = _build_batches_plan(
@@ -431,6 +429,7 @@ def _stream(
     """Stream cfg's batches and write the run's files. A stream keeps its own
     scores, evaded ids and hackers, and rebinds, never writes into, X and state."""
     table, is_attack, next_batch, pretrain, h, hackers, X, y, state = pretrained
+    policy = cfg.policy
 
     artifacts = RunArtifacts(cfg, baseline)
     scorecard = Scorecard()
@@ -448,7 +447,7 @@ def _stream(
             b = epoch * cfg.n_computers + computer
             ids = next_batch(b)
 
-            if cfg.production_mode:
+            if policy.production_mode:
                 flags, flagged = detect_window(table.take(ids), flagged, window_id=b)
                 artifacts.flag_log.extend(flags)
                 # Only the weight rule reads the hacker pairs.
@@ -470,7 +469,7 @@ def _stream(
             evaded = np.concatenate([evaded, ids[~verdicts & actual]])
             counter += report.fn
 
-            retrain = counter > cfg.threshold and cfg.rule is not UpdateRule.STATIC
+            retrain = counter > cfg.threshold and policy.rule is not UpdateRule.STATIC
             if retrain:
                 event_idx = len(artifacts.retrain_events)
                 pool = build_retrain_set(
@@ -478,7 +477,7 @@ def _stream(
                 )
                 train_part, holdout_part = _split(is_attack, pool, 0.8, cfg.seed * 77 + event_idx)
                 state, log = retrain_request(
-                    state, cfg.rule, (X[train_part], y[train_part]),
+                    state, policy.rule, (X[train_part], y[train_part]),
                     (X[holdout_part], y[holdout_part]), seed=cfg.seed * 1009 + event_idx,
                     hyperparams=cfg.hyperparams_map(),
                 )
@@ -562,22 +561,10 @@ def _write_artifacts(out_dir, scorecard, artifacts) -> list[Path]:
     path.mkdir(parents=True, exist_ok=True)
     scorecard.write(path / "scorecard.csv")
 
-    echo = {
-        "case_id": cfg.case_id,
-        "n_computers": cfg.n_computers,
-        "n_epochs": cfg.n_epochs,
-        "threshold": cfg.threshold,
-        "rule": cfg.rule.value,
-        "include_adv": cfg.include_adv,
-        "production_mode": cfg.production_mode,
-        "batch_size": cfg.batch_size,
-        "attack_frac": cfg.attack_frac,
-        "ip_pairs": cfg.ip_pairs,
-        "use_weights": cfg.use_weights,
-        "ballast_size": cfg.ballast_size,
-        "seed": cfg.seed,
-        "baseline": artifacts.baseline,
-    }
+    # Every SimConfig field but adv_per_batch and the models, with the case policy.
+    echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+            if f.name not in ("adv_per_batch", "member_hyperparams")}
+    echo.update(cfg.policy._asdict(), baseline=artifacts.baseline)
     (path / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True))
 
     write_table(

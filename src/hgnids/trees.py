@@ -33,6 +33,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -65,8 +66,8 @@ class Hyperparams:
     def __post_init__(self):
         """Reject what no fit can use: a count or seed that is not an
         integer, min_leaf 0 grows a degenerate stump, feature_subsample 0
-        would silently mean sqrt(d), and a NaN learning rate gives NaN
-        scores."""
+        would silently mean sqrt(d), a NaN learning rate gives NaN scores,
+        and a boolean one is not a rate."""
         lr, sub = self.learning_rate, self.feature_subsample
         whole = [self.n_trees, self.max_depth, self.min_leaf, self.seed] + ([] if sub is None else [sub])
         rules = {
@@ -76,7 +77,8 @@ class Hyperparams:
             "max_depth >= 0": self.max_depth >= 0,
             "min_leaf >= 1": self.min_leaf >= 1,
             "feature_subsample None or >= 1": sub is None or sub >= 1,
-            "learning_rate None, or finite and > 0": lr is None or (math.isfinite(lr) and lr > 0),
+            "learning_rate None, or finite and > 0": lr is None or (
+                isinstance(lr, Real) and not isinstance(lr, bool) and math.isfinite(lr) and lr > 0),
         }
         broken = [rule for rule, ok in rules.items() if not ok]
         if broken:

@@ -70,8 +70,8 @@ def split_records(dataset: Dataset, frac: float, seed: int) -> tuple[Dataset, Da
 
 
 def build_batches_plan(cfg: SimConfig, data: Dataset, adv_records: list[FlowRecord]):
-    if cfg.ip_pairs > 1:
-        stream_source = remap_ip_pairs(data, cfg.ip_pairs, cfg.seed * 7 + 5)
+    if cfg.policy.ip_pairs > 1:
+        stream_source = remap_ip_pairs(data, cfg.policy.ip_pairs, cfg.seed * 7 + 5)
     else:
         stream_source = data
     attack_pool = [r for r in stream_source.records if r.label.is_attack]

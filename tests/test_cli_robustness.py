@@ -77,19 +77,21 @@ def _write(path: Path, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _commands(data: str, model: Path, window: int, case: int, cfg: str):
+def _commands(data: str, model: Path, window: int, case: int, cfg: str, seed: int):
     hackers = ">".join(PAIRS[0])
+    seed = ["--seed", str(seed)]
     yield "ingest", ["--input", data]
     yield "hypergraph", ["--input", data]
     yield "features", ["--input", data, "--mode", "hgi"]
     yield "features", ["--input", data, "--mode", "hga", "--hackers", hackers, "--weights"]
-    yield "train", ["--input", data, "--mode", "nrf", "--kind", "rf", "--trees", "2"]
-    yield "train", ["--input", data, "--mode", "hgi", "--kind", "gb", "--trees", "2", "--depth", "2"]
+    yield "train", ["--input", data, "--mode", "nrf", "--kind", "rf", "--trees", "2", *seed]
+    yield "train", ["--input", data, "--mode", "hgi", "--kind", "gb", "--trees", "2", "--depth", "2",
+                    *seed]
     yield "eval", ["--model", str(model), "--input", data]
-    yield "advgen", ["--input", data, "--iters", "1"]
+    yield "advgen", ["--input", data, "--iters", "1", *seed]
     yield "detect-scan", ["--input", data, "--window-size", str(window)]
-    yield "simulate", ["--case", str(case), "--data", data, "--config", cfg]
-    yield "sweep", ["--case", str(case), "--data", data, "--thresholds", "1,3", "--config", cfg]
+    yield "simulate", ["--case", str(case), "--data", data, "--config", cfg, *seed]
+    yield "sweep", ["--case", str(case), "--data", data, "--thresholds", "1,3", "--config", cfg, *seed]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True,
@@ -114,9 +116,9 @@ def test_no_input_reaches_an_internal_error(tmp_path_factory, model, rows, windo
     cfg = root / "tiny.cfg"
     cfg.write_text(TINY_SIM_CONFIG)
     codes = []
-    for n, (command, argv) in enumerate(_commands(str(data), model, window, case, str(cfg))):
+    for n, (command, argv) in enumerate(_commands(str(data), model, window, case, str(cfg), seed)):
         out = root / f"{n}_{command}"
-        codes.append((command, _run([command, *argv, "--seed", str(seed), "--out-dir", str(out)])))
+        codes.append((command, _run([command, *argv, "--out-dir", str(out)])))
         if command == "simulate":
             codes.append(("report", _run(["report", "--run-dir", str(out),
                                           "--out-dir", str(root / "report")])))
@@ -134,8 +136,10 @@ def test_no_input_reaches_an_internal_error(tmp_path_factory, model, rows, windo
 def test_synth_never_reaches_an_internal_error(tmp_path_factory, profile, count, seed, attack_frac,
                                                 pairs):
     out = tmp_path_factory.mktemp("synth")
+    # Only a mixed profile reads an attack fraction; the others refuse one.
+    frac = ["--attack-frac", attack_frac] if profile == "mixed" else []
     code, err = _run(["synth", "--profile", profile, "--count", str(count), "--pairs", pairs,
-                      "--attack-frac", attack_frac, "--seed", str(seed), "--out-dir", str(out)])
+                      *frac, "--seed", str(seed), "--out-dir", str(out)])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA), err
 
 

@@ -546,6 +546,28 @@ def test_synth_columns_follow_nrf_fields_not_the_stats_tables(monkeypatch):
     assert _column_digest(make_desk_dataset(42)) == _DESK_42_DIGEST
 
 
+def test_record_fields_are_the_flow_record_fields_in_unpack_order():
+    """_columns, _clean_chunk, Dataset._rows, the synth blocks and
+    adversarial.to_dataset unpack a row's values by position, in this order."""
+    assert flows.RECORD_FIELDS == (
+        "src_ip", "dst_ip", "src_port", "dst_port", *flows.NRF_FIELDS, "label"
+    )
+
+
+def test_column_map_key_order_changes_nothing(tmp_path, monkeypatch):
+    """Dataset(records), write_csv and ingest_csv take their column order
+    from RECORD_FIELDS; the column map is only looked up by field name."""
+    data = synth_traffic("MIXED", 40, [("10.0.0.1", "10.0.0.2")], seed=5)
+    write_csv(data, tmp_path / "before.csv")
+    ingested, report = ingest_csv(tmp_path / "before.csv")
+    monkeypatch.setattr(flows, "DEFAULT_COLUMN_MAP", dict(reversed(DEFAULT_COLUMN_MAP.items())))
+    assert same_columns(Dataset(data.records, data.provenance, data.seed), data)
+    write_csv(data, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+    again, again_report = ingest_csv(tmp_path / "before.csv")
+    assert same_columns(again, ingested) and again_report.to_text() == report.to_text()
+
+
 @pytest.mark.parametrize("edit", [
     {"flow_duration": (0, 10, 0.0, 1.0)},
     {"tot_fwd_pkts": (0, 10, -2.0, 1.0)},

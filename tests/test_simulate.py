@@ -58,9 +58,7 @@ def tiny_adv(tiny_data):
 def test_validate_rejects_inconsistent_case():
     # The case id fixes its policy: the four values are read-only.
     cfg = tiny_config(1)
-    assert (cfg.ip_pairs, cfg.rule, cfg.include_adv, cfg.production_mode) == (
-        1, UpdateRule.STATIC, False, False
-    )
+    assert cfg.policy == (1, UpdateRule.STATIC, False, False)
     for name, value in [
         ("rule", UpdateRule.UALL), ("ip_pairs", 16), ("include_adv", True),
         ("production_mode", True),
@@ -436,7 +434,8 @@ def test_batches_pick_the_reference_records(case_id, batch_size, attack_frac, se
                     adv_per_batch=adv_per_batch)
     data = _STREAM_DATA
     adv = _ADV_RECORDS if with_adv else []
-    stream = simulate.remap_ip_pairs(data, cfg.ip_pairs, seed * 7 + 5) if cfg.ip_pairs > 1 else data
+    ip_pairs = cfg.policy.ip_pairs
+    stream = simulate.remap_ip_pairs(data, ip_pairs, seed * 7 + 5) if ip_pairs > 1 else data
     records = (*data, *stream, *adv)
     is_attack = np.array([r.label.is_attack for r in records])
     n = len(data)

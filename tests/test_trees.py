@@ -301,6 +301,7 @@ _OUT_OF_RANGE = [
     ("learning_rate", float("inf"), "learning_rate None, or finite and > 0"),
     ("learning_rate", 0.0, "learning_rate None, or finite and > 0"),
     ("learning_rate", -0.1, "learning_rate None, or finite and > 0"),
+    ("learning_rate", True, "learning_rate None, or finite and > 0"),
     ("n_trees", 2.5, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
     ("max_depth", True, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
     ("min_leaf", 2.0, "integer n_trees, max_depth, min_leaf, seed and feature_subsample"),
