@@ -18,20 +18,34 @@ state is its sorted incidence arrays: edge names in id order, a CSR
 `ptr`/`ports` pair with each edge's ports ascending, and one role per
 edge; `edges` is a name -> port set view built on read. An edge's id is
 its row in every per-edge array, `edge_profiles` included, and
-`build_hypergraph` takes a dataset's address ids as edge ids. The
-overlap relation is one int32 table of (a, b, shared) rows, built once
-per hypergraph by counting, for each edge, the edges at each of its
-ports, in O(pairs + incidences) memory. For each s, the rows with shared
->= s form the s-line graph, and a level-synchronous BFS from a chunk of
-sources at once takes one product per level with the dense adjacency of
-the n_s edges that have an s-neighbour. Per s, memory is that [n_s, n_s]
-adjacency and the cached int32 distances, plus BFS blocks of chunk * n_s
-cells: chunk is _CHUNK_CELLS // n_s sources, or n_s // 16 when that is
-more, so a sweep of a large graph reads the adjacency at most 17 times
-per BFS level. `edge_profiles` stacks the cached closeness
-arrays of the 11 scheduled s into one [n_edges, 11] table, the only form
-in which the feature encoder and the detector read centralities;
-`centrality_profile` is the one-edge view.
+`build_hypergraph` takes a dataset's address ids as edge ids.
+Edges with one port set are twins: on first use they are grouped into
+classes numbered by first edge id. The overlap relation is one int32
+table of (a, b, shared) rows, built once per hypergraph by counting, for
+the first edge of each class, the edges at each of its ports, in
+O(pairs + incidences) memory; its twins reuse that count. The kernel
+reads only the rows between first edges, the class overlap table. For
+each s, the BFS nodes are the classes of size >= s with a class
+neighbour at s or at least two members (twins of size >= s are 1
+apart), and an edge of class A, whose m_A edges lie at class distance
+d(A, B) from the m_B edges of class B, has
+
+    C_s = (sum of m_B over A's component - 1)
+          / ((m_A - 1) + sum over B != A of m_B * d(A, B)),
+
+the two integers the edge-level BFS divided. A level-synchronous BFS
+from a chunk of sources at once takes one product per level with the
+transient dense adjacency of the n_s node classes. Per s, memory is that
+[n_s, n_s] adjacency plus BFS blocks of chunk * n_s cells (chunk is
+_CHUNK_CELLS // n_s sources, or n_s // 16 when that is more, so a large
+sweep reads the adjacency at most 17 times per level), and no distance
+matrix is kept: what stays cached is two per-edge arrays, C_s and the
+component id, numbered by the smallest edge id in each component.
+`s_distance` runs a one-source BFS over the class graph on demand.
+`edge_profiles` stacks the cached closeness arrays of the 11 scheduled s
+into one [n_edges, 11] table, the only form in which the feature encoder
+and the detector read centralities; `centrality_profile` is the one-edge
+view.
 """
 
 from __future__ import annotations
@@ -76,7 +90,10 @@ class Hypergraph:
         self.names = tuple(names)
         self.roles = tuple(roles)
         self._table: np.ndarray | None = None
+        self._row_ptr: np.ndarray | None = None
         self._ids: dict[str, int] | None = None
+        self._classes: tuple[np.ndarray, ...] | None = None
+        self._class_table: np.ndarray | None = None
         self._lines: dict[int, _SLineGraph] = {}
 
     def __len__(self) -> int:
@@ -109,22 +126,28 @@ class Hypergraph:
         """Every pair of edges sharing >= 1 port, as a cached read-only
         [n_pairs, 3] int32 table of (a, b, shared) rows sorted by (a, b):
         a < b are edge ids and shared is the number of ports the two edges
-        have in common."""
+        have in common. Twins share one count."""
         if self._table is None:
             n = len(self)
             # incidences by port, then edge id; each spans its port's group
             by_port = np.argsort(self.ports, kind="stable")
             incident = np.repeat(np.arange(n), self.sizes)[by_port]
             start, end = (np.searchsorted(self.ports[by_port], self.ports, side) for side in ("left", "right"))
-            rows = [np.empty((0, 3), np.int32)]
-            for a, (lo, hi) in enumerate(zip(self.ptr.tolist(), self.ptr[1:].tolist())):
-                # shared[b]: the number of ports edge a shares with edge a + 1 + b
-                neighbours = incident[_ranges(start[lo:hi], end[lo:hi])]
-                shared = np.bincount(neighbours, minlength=n)[a + 1:]
-                b = np.flatnonzero(shared)
-                if len(b):
-                    rows.append(np.column_stack((np.full(len(b), a), a + 1 + b, shared[b])).astype(np.int32))
+            of_edge, first, _ = _twin_classes(self)
+            lead, ptr = (first[of_edge] == np.arange(n)).tolist(), self.ptr.tolist()
+            rows = [np.empty((0, 3), np.int32)] * (n + 1)
+            for a in np.argsort(of_edge, kind="stable").tolist():  # each class's first edge leads it
+                if lead[a]:
+                    # shared[b]: the number of ports edge a and each of its twins share with edge b
+                    shared = np.bincount(incident[_ranges(start[ptr[a]:ptr[a + 1]], end[ptr[a]:ptr[a + 1]])],
+                                         minlength=n)
+                    b = a + 1 + np.flatnonzero(shared[a + 1:])
+                    rows[a + 1] = block = np.column_stack((np.full(len(b), a), b, shared[b])).astype(np.int32)
+                else:  # a twin's rows are its leader's rows past it
+                    rows[a + 1] = row = block[np.searchsorted(b, a, "right"):].copy()
+                    row[:, 0] = a
             self._table = np.concatenate(rows)
+            self._row_ptr = np.cumsum([0, *map(len, rows[1:])])  # edge a's rows start at _row_ptr[a]
             self._table.flags.writeable = False
         return self._table
 
@@ -162,8 +185,6 @@ class CentralityProfile:
 class _SLineGraph:
     """One s-line graph swept from every source, indexed by edge id."""
 
-    row: np.ndarray  # per edge: its row in `distances`, -1 for a singleton
-    distances: np.ndarray  # int32 [n_s, n_s] hop counts, -1 when unreachable
     closeness: np.ndarray  # per edge: C_s, 0 for a singleton
     component: np.ndarray  # per edge: s-component id, numbered in edge id order
 
@@ -199,49 +220,95 @@ def _bfs(adjacency: np.ndarray, sources: np.ndarray) -> np.ndarray:
     return dist
 
 
+def _twin_classes(h: Hypergraph) -> tuple[np.ndarray, ...]:
+    """h's edges grouped by port set, once: each edge's class id, then each
+    class's first edge id and member count; classes are numbered by first
+    edge id."""
+    if h._classes is None:
+        ports, ptr = h.ports, h.ptr.tolist()
+        ids: dict[bytes, int] = {}
+        of_edge = np.array([ids.setdefault(ports[lo:hi].tobytes(), len(ids)) for lo, hi in zip(ptr, ptr[1:])],
+                           np.int64)
+        h._classes = of_edge, *np.unique(of_edge, return_index=True, return_counts=True)[1:]
+    return h._classes
+
+
+def _class_overlaps(h: Hypergraph) -> np.ndarray:
+    """The twin classes' overlap table, once: the rows of `overlaps()`
+    between first edges, as (A, B, shared) rows over class ids A < B."""
+    if h._class_table is None:
+        of_edge, first, _ = _twin_classes(h)
+        table = h.overlaps()  # sets h._row_ptr
+        rows = table[_ranges(h._row_ptr[first], h._row_ptr[first + 1])]
+        rows = rows[first[of_edge[rows[:, 1]]] == rows[:, 1]]
+        h._class_table = np.column_stack((of_edge[rows[:, 0]], of_edge[rows[:, 1]], rows[:, 2]))
+    return h._class_table
+
+
+def _class_graph(h: Hypergraph, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each twin class's BFS row at s, -1 for a class of singletons, and
+    the float32 adjacency of the rows."""
+    _, first, members = _twin_classes(h)
+    ia, ib, shared = _class_overlaps(h).T
+    keep = shared >= s
+    ia, ib = ia[keep], ib[keep]
+    row = np.where((h.sizes[first] >= s) & (members > 1), 0, -1)
+    row[ia] = row[ib] = 0
+    nodes = np.flatnonzero(row == 0)
+    row[nodes] = np.arange(len(nodes))
+    ra, rb = row[ia], row[ib]
+    adjacency = np.zeros((len(nodes), len(nodes)), np.float32)
+    adjacency[ra, rb] = adjacency[rb, ra] = 1.0
+    return row, adjacency
+
+
 def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
-    """The s-line graph of h, swept from every source once and cached."""
+    """The s-line graph of h, swept from every class once and cached as
+    per-edge arrays."""
     if s < 1:
         raise ValueError("s must be >= 1")
     cached = h._lines.get(s)
     if cached is not None:
         return cached
-    ia, ib, count = h.overlaps().T
-    keep = count >= s
-    ia, ib = ia[keep], ib[keep]
-    row = np.full(len(h), -1, np.int32)  # stays -1 for an edge with no s-neighbour
-    row[ia] = row[ib] = 0
-    nodes = np.flatnonzero(row == 0)
+    of_edge, first, members = _twin_classes(h)
+    row, adjacency = _class_graph(h, s)
+    nodes = np.flatnonzero(row >= 0)
     n = len(nodes)
-    row[nodes] = np.arange(n)
-    adjacency = np.zeros((n, n), np.float32)
-    adjacency[row[ia], row[ib]] = adjacency[row[ib], row[ia]] = 1.0
-    distances = np.empty((n, n), np.int32)
-    closeness = np.zeros(len(h))
-    root = np.arange(len(h))  # smallest edge id in each edge's component
+    weight = members[nodes]
+    closeness = np.zeros(len(row))
+    root = np.zeros(len(row), np.int64)  # per node class: the smallest edge id in its component
     chunk = max(1, _CHUNK_CELLS // max(n, 1), n // 16)
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
-        distances[rows] = block = _bfs(adjacency, np.arange(n)[rows])
+        block = _bfs(adjacency, np.arange(n)[rows])
         reached = block >= 0
-        closeness[nodes[rows]] = (reached.sum(1) - 1) / block.sum(1, where=reached)
-        root[nodes[rows]] = nodes[reached.argmax(1)]
-    component = np.cumsum(root == np.arange(len(h)))[root] - 1
-    line = h._lines[s] = _SLineGraph(row, distances, closeness, component)
+        # a source's twins lie at distance 1, class B's members at d(A, B)
+        hops = block.clip(0) @ weight + weight[rows] - 1
+        closeness[nodes[rows]] = (reached @ weight - 1) / hops
+        root[nodes[rows]] = first[nodes[reached.argmax(1)]]
+    edges = np.arange(len(h))
+    root = np.where(row[of_edge] >= 0, root[of_edge], edges)
+    component = np.cumsum(root == edges)[root] - 1
+    line = h._lines[s] = _SLineGraph(closeness[of_edge], component)
     return line
 
 
 def s_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
-    """Length of the shortest s-path from e to f; None when unreachable."""
+    """Length of the shortest s-path from e to f; None when unreachable.
+    Twins are 1 apart; other pairs of one component take a one-source BFS
+    over the class graph."""
     line = _s_line_graph(h, s)
     ids = h.edge_ids()
-    i, j = line.row[ids[e]], line.row[ids[f]]
-    if e == f:
+    a, b = ids[e], ids[f]
+    if a == b:
         return 0
-    if i < 0 or j < 0:
+    if line.component[a] != line.component[b]:
         return None
-    d = int(line.distances[i, j])
-    return d if d >= 0 else None
+    of_edge = _twin_classes(h)[0]
+    if of_edge[a] == of_edge[b]:
+        return 1
+    row, adjacency = _class_graph(h, s)
+    return int(_bfs(adjacency, row[of_edge[[a]]])[0, row[of_edge[b]]])
 
 
 def s_components(h: Hypergraph, s: int) -> SComponentMap:

@@ -490,7 +490,7 @@ def test_every_subcommand_is_listed():
     assert sorted(subparsers.choices) == sorted(_SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+@pytest.mark.parametrize("command", ["synth", "train", "advgen", "simulate", "sweep"])
 def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, command):
     out = tmp_path / "run"
     assert main([command, *_SUBCOMMANDS[command], "--seed", "-1", "--out-dir", str(out)]) == EXIT_USAGE

@@ -207,10 +207,14 @@ def test_only_the_commands_that_draw_random_numbers_take_a_seed():
     assert sorted(UNSEEDED) == sorted(set(_subparsers()) - seeded)
 
 
-@pytest.mark.parametrize("command", list(UNSEEDED))
-def test_a_command_that_draws_no_random_number_takes_no_seed(tmp_path, capsys, command):
+# Any seed is refused, one in range and one out of it.
+NO_SEED = {**{c: (c, "0") for c in UNSEEDED}, **{f"{c}-negative": (c, "-1") for c in UNSEEDED}}
+
+
+@pytest.mark.parametrize("command,seed", NO_SEED.values(), ids=list(NO_SEED))
+def test_a_command_that_draws_no_random_number_takes_no_seed(tmp_path, capsys, command, seed):
     out = tmp_path / "run"
-    assert main([command, *UNSEEDED[command], "--seed", "0", "--out-dir", str(out)]) == EXIT_USAGE
+    assert main([command, *UNSEEDED[command], "--seed", seed, "--out-dir", str(out)]) == EXIT_USAGE
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 

@@ -13,6 +13,7 @@ from hgnids.detector import (
 from hgnids.flows import BENIGN_LABEL, Dataset, SCAN_LABEL, concat, synth_traffic
 from hgnids.hypergraph import build_hypergraph, detector_skip_interval
 
+import bfs_reference
 import detector_reference as ref
 from helpers import make_record
 
@@ -177,3 +178,19 @@ def test_detect_window_matches_reference_on_planted_profiles(blocks, picks, data
     values = dict(zip(edges, rows))
     with mock.patch.object(detector, "edge_profiles", lambda h, k: np.array(rows).reshape(-1, 11)):
         _assert_matches_reference(window, _flagged_subset(window, picks), values)
+
+
+def test_twin_heavy_window_matches_reference():
+    """Twelve clients sweep ports 1-40 of one server and five sweep ports
+    1-25 of another, and eight send to port 443 only, so 28 edges fall
+    into three twin classes. The reference reads the string-keyed BFS's
+    profiles."""
+    blocks = [(f"10.0.1.{i}", "10.0.2.1", 1, 40) for i in range(1, 13)]
+    blocks += [(f"10.0.3.{i}", "10.0.4.1", 1, 25) for i in range(1, 6)]
+    blocks += [(f"10.0.5.{i}", "10.0.6.1", 443, 1) for i in range(1, 9)]
+    window = _block_window(blocks)
+    h = build_hypergraph(window)
+    assert len(h) == 28 and len(set(h.edges.values())) == 3
+    values = bfs_reference.profile_values(h, detector_skip_interval(h.max_edge_size()))
+    flags = _assert_matches_reference(window, set(), values)
+    assert len(flags) == 17

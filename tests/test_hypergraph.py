@@ -276,3 +276,21 @@ def test_overlaps_memory_stays_far_below_dense():
         tracemalloc.stop()
     assert 0 < len(table) < 10_000
     assert peak < len(h) ** 2 // 8, peak
+
+
+def test_profiles_of_twin_edges_stay_far_below_dense():
+    """2,000 edges that share one 40-port set are one twin class. Their
+    overlap table holds every pair, but the profiles read only its class
+    rows: the sweep must not touch an [E, E] array (16 MB of int32 here),
+    and no cached s-line graph keeps a two-dimensional array."""
+    h = hypergraph_from_edges({f"e{i}": set(range(40)) for i in range(2_000)})
+    assert len(h.overlaps()) == 2_000 * 1_999 // 2
+    tracemalloc.start()
+    try:
+        table = edge_profiles(h, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (table == 1.0).all()
+    assert peak < 4 << 20, peak
+    assert all(a.ndim == 1 for line in h._lines.values() for a in vars(line).values())

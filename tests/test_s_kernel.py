@@ -1,7 +1,8 @@
 """The integer overlap table against raw set intersections, and the integer
 s-line-graph kernel against the brute-force oracle on random small
-hypergraphs and against the string-keyed reference BFS on ~300-edge ones.
-Floats must match exactly: both sides divide the same integers."""
+hypergraphs, against the string-keyed reference BFS on ~300-edge ones,
+and against both on hypergraphs made mostly of twin edges. Floats must
+match exactly: both sides divide the same integers."""
 
 import numpy as np
 import pytest
@@ -115,3 +116,37 @@ def test_kernel_matches_reference_bfs(seed, chunk_cells, monkeypatch):
         for e in names[::25]:
             dist = ref.bfs_distances(adjacency, e)
             assert [s_distance(h, e, f, s) for f in names] == [dist.get(f) for f in names]
+
+
+# A few port sets, each drawn for many edges: classes of one twin and of
+# several, classes smaller than s, and components made only of twins.
+_twin_port_sets = st.lists(
+    st.frozensets(st.integers(0, 9), min_size=1, max_size=7), min_size=1, max_size=4
+).flatmap(lambda sets: st.lists(st.sampled_from(sets), max_size=12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(port_sets=_twin_port_sets, s=st.integers(1, 6))
+@example(port_sets=[], s=1)
+@example(port_sets=[frozenset(range(5))] * 6, s=3)
+@example(port_sets=[{1, 2, 3}] * 3 + [{1, 2, 3, 4}] + [{7, 8}] * 2 + [{8}], s=3)
+def test_twin_classes_match_reference_and_oracle(port_sets, s):
+    h = hypergraph_from_edges({f"e{i}": set(ports) for i, ports in enumerate(port_sets)})
+    names = list(h.names)
+    for k in (1, 2):
+        expected = ref.profile_values(h, k)
+        table = edge_profiles(h, k)
+        assert table.shape == (len(h), 11)
+        assert table.tobytes() == np.array([expected[e] for e in names]).tobytes()
+    assert s_components(h, s).assignment == ref.components(h, s)
+    assert {frozenset(g) for g in s_components(h, s).groups()} == {
+        frozenset(g) for g in bf.oracle_components(h, s)
+    }
+    adjacency = ref.adjacency_at(h, s)
+    for e in names:
+        dist = ref.bfs_distances(adjacency, e)
+        fast = [s_distance(h, e, f, s) for f in names]
+        assert fast == [dist.get(f) for f in names] == [bf.oracle_distance(h, e, f, s) for f in names]
+        assert s_closeness_centrality(h, e, s) == bf.oracle_centrality(h, e, s)
+    # only per-edge arrays stay cached, no [n_s, n_s] matrix
+    assert all(a.ndim == 1 for line in h._lines.values() for a in vars(line).values())
