@@ -21,14 +21,14 @@ its row in every per-edge array, `edge_profiles` included, and
 `build_hypergraph` takes a dataset's address ids as edge ids.
 Edges with one port set are twins: on first use they are grouped into
 classes numbered by first edge id. The overlap relation is one int32
-table of (a, b, shared) rows, built once per hypergraph by counting, for
-the first edge of each class, the edges at each of its ports, in
-O(pairs + incidences) memory; its twins reuse that count. The kernel
-reads only the rows between first edges, the class overlap table. For
-each s, the BFS nodes are the classes of size >= s with a class
-neighbour at s or at least two members (twins of size >= s are 1
-apart), and an edge of class A, whose m_A edges lie at class distance
-d(A, B) from the m_B edges of class B, has
+table of (a, b, shared) rows, one per pair of overlapping classes, a and
+b their first edges; a twin shares its first edge's rows. It is built
+once per hypergraph by counting, for each class, the classes at each of
+its ports, in O(class pairs + class incidences) memory. For each s, the
+BFS nodes are the classes of size >= s with a class neighbour at s or
+at least two members (twins of size >= s are 1 apart), and an edge of
+class A, whose m_A edges lie at class distance d(A, B) from the m_B
+edges of class B, has
 
     C_s = (sum of m_B over A's component - 1)
           / ((m_A - 1) + sum over B != A of m_B * d(A, B)),
@@ -79,10 +79,18 @@ class Hypergraph:
     """Immutable incidence arrays over integer edge ids, and nothing else:
     edge i is the IP names[i] with role roles[i] and the ascending ports
     ports[ptr[i]:ptr[i + 1]]. The constructor takes the (edge[j], port[j])
-    incidences in any order, with repeats."""
+    incidences in any order, with repeats. It raises ValueError when edge
+    and port differ in length, roles is not one per name, an edge id lies
+    outside names, or a port outside 0..65535."""
 
     def __init__(self, names: Sequence[str], edge, port, roles: Sequence[EdgeRole]):
-        key = np.sort(np.asarray(edge, np.int64) * _PORT_SPAN + np.asarray(port, np.int64))
+        edge, port = np.asarray(edge, np.int64), np.asarray(port, np.int64)
+        if edge.shape != port.shape or len(roles) != len(names):
+            raise ValueError(f"{edge.size} edge ids for {port.size} ports, {len(roles)} roles for {len(names)} names")
+        if edge.size and not (0 <= edge.min() <= edge.max() < len(names)
+                              and 0 <= port.min() <= port.max() < _PORT_SPAN):
+            raise ValueError(f"edge ids must lie in 0..{len(names) - 1} and ports in 0..{_PORT_SPAN - 1}")
+        key = np.sort(edge * _PORT_SPAN + port)
         key = key[np.diff(key, prepend=-1) > 0]  # each (edge, port) incidence once
         edge_of, self.ports = np.divmod(key, _PORT_SPAN)
         self.ptr = np.searchsorted(edge_of, np.arange(len(names) + 1))
@@ -90,10 +98,8 @@ class Hypergraph:
         self.names = tuple(names)
         self.roles = tuple(roles)
         self._table: np.ndarray | None = None
-        self._row_ptr: np.ndarray | None = None
         self._ids: dict[str, int] | None = None
         self._classes: tuple[np.ndarray, ...] | None = None
-        self._class_table: np.ndarray | None = None
         self._lines: dict[int, _SLineGraph] = {}
 
     def __len__(self) -> int:
@@ -123,31 +129,26 @@ class Hypergraph:
         return int(self.sizes.max()) if len(self) else 0
 
     def overlaps(self) -> np.ndarray:
-        """Every pair of edges sharing >= 1 port, as a cached read-only
+        """Every pair of port sets sharing >= 1 port, as a cached read-only
         [n_pairs, 3] int32 table of (a, b, shared) rows sorted by (a, b):
-        a < b are edge ids and shared is the number of ports the two edges
-        have in common. Twins share one count."""
+        a < b are the first edges with each port set, and shared is the
+        number of ports the two sets have in common. A twin shares its
+        first edge's rows."""
         if self._table is None:
-            n = len(self)
-            # incidences by port, then edge id; each spans its port's group
-            by_port = np.argsort(self.ports, kind="stable")
-            incident = np.repeat(np.arange(n), self.sizes)[by_port]
-            start, end = (np.searchsorted(self.ports[by_port], self.ports, side) for side in ("left", "right"))
-            of_edge, first, _ = _twin_classes(self)
-            lead, ptr = (first[of_edge] == np.arange(n)).tolist(), self.ptr.tolist()
-            rows = [np.empty((0, 3), np.int32)] * (n + 1)
-            for a in np.argsort(of_edge, kind="stable").tolist():  # each class's first edge leads it
-                if lead[a]:
-                    # shared[b]: the number of ports edge a and each of its twins share with edge b
-                    shared = np.bincount(incident[_ranges(start[ptr[a]:ptr[a + 1]], end[ptr[a]:ptr[a + 1]])],
-                                         minlength=n)
-                    b = a + 1 + np.flatnonzero(shared[a + 1:])
-                    rows[a + 1] = block = np.column_stack((np.full(len(b), a), b, shared[b])).astype(np.int32)
-                else:  # a twin's rows are its leader's rows past it
-                    rows[a + 1] = row = block[np.searchsorted(b, a, "right"):].copy()
-                    row[:, 0] = a
-            self._table = np.concatenate(rows)
-            self._row_ptr = np.cumsum([0, *map(len, rows[1:])])  # edge a's rows start at _row_ptr[a]
+            first = _twin_classes(self)[1]
+            lo, hi = self.ptr[first], self.ptr[first + 1]
+            ports = self.ports[_ranges(lo, hi)]  # each class's ports, by class id
+            # incidences by port, then class id; each spans its port's group
+            by_port = np.argsort(ports, kind="stable")
+            incident = np.repeat(np.arange(len(first)), hi - lo)[by_port]
+            start, end = (np.searchsorted(ports[by_port], ports, side) for side in ("left", "right"))
+            bounds = [0, *np.cumsum(hi - lo).tolist()]  # class a's incidences are [bounds[a], bounds[a + 1])
+            rows = [np.empty((0, 3), np.int64)]
+            for a, (i, j) in enumerate(zip(bounds, bounds[1:])):
+                shared = np.bincount(incident[_ranges(start[i:j], end[i:j])], minlength=len(first))
+                b = a + 1 + np.flatnonzero(shared[a + 1:])
+                rows.append(np.column_stack((np.full(len(b), first[a]), first[b], shared[b])))
+            self._table = np.concatenate(rows).astype(np.int32)
             self._table.flags.writeable = False
         return self._table
 
@@ -233,33 +234,22 @@ def _twin_classes(h: Hypergraph) -> tuple[np.ndarray, ...]:
     return h._classes
 
 
-def _class_overlaps(h: Hypergraph) -> np.ndarray:
-    """The twin classes' overlap table, once: the rows of `overlaps()`
-    between first edges, as (A, B, shared) rows over class ids A < B."""
-    if h._class_table is None:
-        of_edge, first, _ = _twin_classes(h)
-        table = h.overlaps()  # sets h._row_ptr
-        rows = table[_ranges(h._row_ptr[first], h._row_ptr[first + 1])]
-        rows = rows[first[of_edge[rows[:, 1]]] == rows[:, 1]]
-        h._class_table = np.column_stack((of_edge[rows[:, 0]], of_edge[rows[:, 1]], rows[:, 2]))
-    return h._class_table
-
-
 def _class_graph(h: Hypergraph, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Each twin class's BFS row at s, -1 for a class of singletons, and
     the float32 adjacency of the rows."""
     _, first, members = _twin_classes(h)
-    ia, ib, shared = _class_overlaps(h).T
+    ia, ib, shared = h.overlaps().T
     keep = shared >= s
     ia, ib = ia[keep], ib[keep]
-    row = np.where((h.sizes[first] >= s) & (members > 1), 0, -1)
+    row = np.full(len(h), -1)  # by edge id: rows go to first edges, in class order
+    row[first[(h.sizes[first] >= s) & (members > 1)]] = 0
     row[ia] = row[ib] = 0
     nodes = np.flatnonzero(row == 0)
     row[nodes] = np.arange(len(nodes))
     ra, rb = row[ia], row[ib]
     adjacency = np.zeros((len(nodes), len(nodes)), np.float32)
     adjacency[ra, rb] = adjacency[rb, ra] = 1.0
-    return row, adjacency
+    return row[first], adjacency
 
 
 def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:

@@ -1,21 +1,30 @@
 """The string-keyed BFS that computed s-closeness before the integer
 kernel: one Python BFS per edge per s over neighbour lists built from the
-(a, b, shared) rows of `Hypergraph.overlaps()`, with edge ids mapped back
-to IPs in insertion order. Kept as the reference for differential tests of
-`hgnids.hypergraph`; too slow for large windows.
+(a, b, shared) rows of every overlapping edge pair, counted by raw set
+intersections (`hypergraph_reference.overlap_rows`) once per hypergraph,
+with edge ids mapped back to IPs in insertion order. Kept as the reference
+for differential tests of `hgnids.hypergraph`; too slow for large windows.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 
 from hgnids.hypergraph import SCHEDULE_STEPS, Hypergraph, centrality_schedule
+
+import hypergraph_reference
+
+# hypergraph -> its overlap rows between every pair of edges
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def adjacency_at(h: Hypergraph, s: int) -> dict[str, list[str]]:
     neighbours: dict[str, list[str]] = {ip: [] for ip in h.edges}
     names = list(h.edges)
-    for ia, ib, count in h.overlaps().tolist():
+    if h not in _ROWS:
+        _ROWS[h] = hypergraph_reference.overlap_rows(h.edges)
+    for ia, ib, count in _ROWS[h]:
         if count >= s:
             a, b = names[ia], names[ib]
             neighbours[a].append(b)

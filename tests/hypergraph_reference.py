@@ -45,3 +45,13 @@ def overlap_rows(edges: Mapping[str, AbstractSet[int]]) -> list[tuple[int, int, 
         for b in range(a + 1, len(members))
         if members[a] & members[b]
     ]
+
+
+def class_overlap_rows(edges: Mapping[str, AbstractSet[int]]) -> list[tuple[int, int, int]]:
+    """The rows of `overlap_rows` between the first edges, by position, of
+    each distinct port set."""
+    first: dict[frozenset[int], int] = {}
+    for i, members in enumerate(edges.values()):
+        first.setdefault(frozenset(members), i)
+    leads = set(first.values())
+    return [(a, b, shared) for a, b, shared in overlap_rows(edges) if a in leads and b in leads]

@@ -29,6 +29,20 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize("edge, port, n_roles", [
+    ([0, 1], [80], 2),  # one edge id too many
+    ([0, 0], [80, 70_000], 2),  # a port past 65535
+    ([0, 1], [-1, 80], 2),  # a negative port
+    ([0, 5], [80, 80], 2),  # an edge id past the names
+    ([0, 1], [80, 80], 1),  # a role short
+], ids=["lengths", "port-high", "port-negative", "edge-id", "roles"])
+def test_constructor_rejects_what_it_cannot_pack(edge, port, n_roles):
+    """Incidences pack as edge * 65536 + port, so an unchecked port or
+    edge id would land on another edge or be dropped."""
+    with pytest.raises(ValueError):
+        hg.Hypergraph(["a", "b"], edge, port, [hg.EdgeRole.SOURCE] * n_roles)
+
+
 def test_build_single_record():
     d = Dataset((make_record("a", "b", 80),))
     h = build_hypergraph(d)
@@ -254,7 +268,7 @@ def test_build_matches_per_record_reference(flows):
     assert incidence_rows(h) == [
         (ip, roles[ip].value, port) for ip, members in edges.items() for port in sorted(members)
     ]
-    assert list(map(tuple, h.overlaps().tolist())) == ref.overlap_rows(edges)
+    assert list(map(tuple, h.overlaps().tolist())) == ref.class_overlap_rows(edges)
     if len(h):
         from_sets = hypergraph_from_edges(edges)
         for k in {1, feature_skip_interval(h)}:
@@ -279,18 +293,22 @@ def test_overlaps_memory_stays_far_below_dense():
 
 
 def test_profiles_of_twin_edges_stay_far_below_dense():
-    """2,000 edges that share one 40-port set are one twin class. Their
-    overlap table holds every pair, but the profiles read only its class
-    rows: the sweep must not touch an [E, E] array (16 MB of int32 here),
-    and no cached s-line graph keeps a two-dimensional array."""
+    """2,000 edges that share one 40-port set are one twin class, so their
+    overlap table has no row, and neither building it nor the sweep may
+    touch an [E, E] array (16 MB of int32 here); no cached s-line graph
+    keeps a two-dimensional array."""
     h = hypergraph_from_edges({f"e{i}": set(range(40)) for i in range(2_000)})
-    assert len(h.overlaps()) == 2_000 * 1_999 // 2
     tracemalloc.start()
     try:
+        overlaps = h.overlaps()
+        overlaps_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         table = edge_profiles(h, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(overlaps) == 0
+    assert overlaps_peak < 1 << 20, overlaps_peak
     assert (table == 1.0).all()
     assert peak < 4 << 20, peak
     assert all(a.ndim == 1 for line in h._lines.values() for a in vars(line).values())

@@ -37,6 +37,13 @@ _flows = st.lists(
 )
 
 
+# A few port sets, each drawn for many edges: classes of one twin and of
+# several, classes smaller than s, and components made only of twins.
+_twin_port_sets = st.lists(
+    st.frozensets(st.integers(0, 9), min_size=1, max_size=7), min_size=1, max_size=4
+).flatmap(lambda sets: st.lists(st.sampled_from(sets), max_size=12))
+
+
 # A BOTH-role edge (10.0.0.2), a repeated flow, and singletons at s = 2.
 _MIXED = [
     ("10.0.0.1", "10.0.0.2", 1), ("10.0.0.2", "10.0.0.3", 2),
@@ -68,13 +75,16 @@ def test_kernel_matches_oracle(flows, s):
 
 
 @settings(max_examples=80, deadline=None)
-@given(flows=_flows)
-@example(flows=_MIXED)
-def test_overlaps_match_set_intersections(flows):
-    h = build_hypergraph(_dataset(flows))
-    table = h.overlaps()
-    assert table.dtype == np.int32
-    assert list(map(tuple, table.tolist())) == hypergraph_reference.overlap_rows(h.edges)
+@given(flows=_flows, port_sets=_twin_port_sets)
+@example(flows=_MIXED, port_sets=[{1, 2, 3}] * 3 + [{1, 2, 3, 4}] + [{7, 8}] * 2 + [{8}])
+def test_overlaps_match_set_intersections(flows, port_sets):
+    """One row per pair of overlapping port sets, between their first
+    edges: on windows, and on hypergraphs made mostly of twins."""
+    twins = hypergraph_from_edges({f"e{i}": set(ports) for i, ports in enumerate(port_sets)})
+    for h in (build_hypergraph(_dataset(flows)), twins):
+        table = h.overlaps()
+        assert table.dtype == np.int32
+        assert list(map(tuple, table.tolist())) == hypergraph_reference.class_overlap_rows(h.edges)
 
 
 def test_overlaps_of_empty_hypergraph():
@@ -116,13 +126,6 @@ def test_kernel_matches_reference_bfs(seed, chunk_cells, monkeypatch):
         for e in names[::25]:
             dist = ref.bfs_distances(adjacency, e)
             assert [s_distance(h, e, f, s) for f in names] == [dist.get(f) for f in names]
-
-
-# A few port sets, each drawn for many edges: classes of one twin and of
-# several, classes smaller than s, and components made only of twins.
-_twin_port_sets = st.lists(
-    st.frozensets(st.integers(0, 9), min_size=1, max_size=7), min_size=1, max_size=4
-).flatmap(lambda sets: st.lists(st.sampled_from(sets), max_size=12))
 
 
 @settings(max_examples=100, deadline=None)
