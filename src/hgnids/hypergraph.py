@@ -41,7 +41,9 @@ _CHUNK_CELLS // n_s sources, or n_s // 16 when that is more, so a large
 sweep reads the adjacency at most 17 times per level), and no distance
 matrix is kept: what stays cached is two per-edge arrays, C_s and the
 component id, numbered by the smallest edge id in each component.
-`s_distance` runs a one-source BFS over the class graph on demand.
+`s_distance` runs a one-source BFS over a CSR form of the class graph,
+built from the overlap rows on its first call at each s and cached as
+two 1-D arrays.
 `edge_profiles` stacks the cached closeness arrays of the 11 scheduled s
 into one [n_edges, 11] table, the only form in which the feature encoder
 and the detector read centralities; `centrality_profile` is the one-edge
@@ -101,6 +103,7 @@ class Hypergraph:
         self._ids: dict[str, int] | None = None
         self._classes: tuple[np.ndarray, ...] | None = None
         self._lines: dict[int, _SLineGraph] = {}
+        self._csr: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -283,10 +286,40 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
     return line
 
 
+def _class_csr(h: Hypergraph, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class graph at s in CSR form, cached: class c's neighbours are
+    nbr[ptr[c]:ptr[c + 1]], from the overlap rows with shared >= s."""
+    if s not in h._csr:
+        of_edge, first, _ = _twin_classes(h)
+        ia, ib, shared = h.overlaps().T
+        keep = shared >= s
+        a, b = of_edge[ia[keep]], of_edge[ib[keep]]
+        tail, head = np.concatenate([a, b]), np.concatenate([b, a])
+        by_tail = np.argsort(tail, kind="stable")
+        ptr = np.searchsorted(tail[by_tail], np.arange(len(first) + 1))
+        h._csr[s] = ptr, head[by_tail]
+    return h._csr[s]
+
+
+def _csr_hops(ptr: np.ndarray, nbr: np.ndarray, a: int, b: int) -> int | None:
+    """Hops from node a to node b by a one-source level-synchronous BFS
+    over the CSR graph (ptr, nbr); None when b is unreachable."""
+    seen = np.zeros(len(ptr) - 1, bool)
+    seen[a] = True
+    frontier, depth = np.array([a]), 0
+    while frontier.size and not seen[b]:
+        near = np.zeros_like(seen)
+        near[nbr[_ranges(ptr[frontier], ptr[frontier + 1])]] = True
+        frontier = np.flatnonzero(near & ~seen)
+        seen[frontier] = True
+        depth += 1
+    return depth if seen[b] else None
+
+
 def s_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
     """Length of the shortest s-path from e to f; None when unreachable.
     Twins are 1 apart; other pairs of one component take a one-source BFS
-    over the class graph."""
+    over the CSR class graph."""
     line = _s_line_graph(h, s)
     ids = h.edge_ids()
     a, b = ids[e], ids[f]
@@ -297,8 +330,7 @@ def s_distance(h: Hypergraph, e: str, f: str, s: int) -> int | None:
     of_edge = _twin_classes(h)[0]
     if of_edge[a] == of_edge[b]:
         return 1
-    row, adjacency = _class_graph(h, s)
-    return int(_bfs(adjacency, row[of_edge[[a]]])[0, row[of_edge[b]]])
+    return _csr_hops(*_class_csr(h, s), of_edge[a], of_edge[b])
 
 
 def s_components(h: Hypergraph, s: int) -> SComponentMap:

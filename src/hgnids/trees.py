@@ -3,22 +3,28 @@
 Models learn from matrices: `fit(X, y, kind)` takes the arrays of
 `features.encode` and reads the feature layout from the width of X;
 `train` is its form for FeatureVector rows, an adapter that no pipeline
-of the package calls. Both learners grow exact
-greedy binary trees with one vectorised split search: columns are
-sorted once per fit or tree and partitioned at each split, and the
-split statistics (labels, or gradients and hessians) are gathered and
-prefix-summed as one array over the valid cuts; each kind brings only
-its split score. What does not change is computed once per fit: every
-boosting round grows on all rows, so the rounds share the root's sorted
-values and valid cuts, and each forest tree takes its bootstrap orders
-from a stable sort of the columns' dense integer ranks. Random
-forests bag bootstrap samples, subsample features at every split, and
-average leaf class fractions; boosted trees fit logistic-loss
-gradient/hessian gains with shrinkage, starting from a zero base score
-so an empty model predicts 0.5. Ties in the split search break toward
-the lower feature index and then the lower threshold, which together
-with per-tree seeded streams makes training bit-reproducible. Scoring
-walks all of a model's trees at once through one packed node table.
+of the package calls. Both learners grow exact greedy binary trees
+with one vectorised split search: columns are sorted once per fit or
+tree and partitioned at each split, and each row's one split statistic
+is gathered and prefix-summed as one array over the valid cuts; each
+kind brings only its split score. A forest's statistic is its float
+label; a boosting round's is one complex128, gradient in the real and
+hessian in the imaginary part, so one gather and one cumsum serve both.
+That packing is exact: complex addition adds each part separately, so
+every prefix sum runs the float adds it would run alone, in the same
+sequence, and leaf values sum contiguous float copies of each part,
+which keeps numpy's pairwise float order. What does not change is
+computed once per fit: every boosting round grows on all rows, so the
+rounds share the root's sorted values and valid cuts, and each forest
+tree takes its bootstrap orders from a stable sort of the columns'
+dense integer ranks. Random forests bag bootstrap samples, subsample
+features at every split, and average leaf class fractions; boosted
+trees fit logistic-loss gradient/hessian gains with shrinkage, starting
+from a zero base score so an empty model predicts 0.5. Ties in the
+split search break toward the lower feature index and then the lower
+threshold, which together with per-tree seeded streams makes training
+bit-reproducible. Scoring walks all of a model's trees at once through
+one packed node table.
 
 Growth skips work whose result is already fixed, each skip exact: a
 boosted node of one gradient and one hessian is a leaf, as a forest node
@@ -172,17 +178,16 @@ def _valid_cuts(sv: np.ndarray, min_leaf: int, group: np.ndarray | None = None):
 def _best_split(sv: np.ndarray, cuts, stats: np.ndarray, score):
     """Best (column, threshold, score) among the valid cuts of sv, or None.
 
-    cuts is _valid_cuts(sv, min_leaf[, group]), not None. stats[k, r]
-    holds statistic k of the rows in order row r (the order of sv[j] is
-    row j, or group[j]), and is overwritten by its prefix sums; the
-    totals come from row 0. score(n, nl, *sums) rates the cuts from their
-    left-child row counts nl and, per statistic, the (left prefix sums,
-    total) pair.
+    cuts is _valid_cuts(sv, min_leaf[, group]), not None. stats[r] holds
+    the split statistic of the rows in order row r (the order of sv[j] is
+    row j, or group[j]), and is overwritten by its prefix sums; the total
+    comes from row 0. score(n, nl, left, total) rates the cuts from their
+    left-child row counts nl, left prefix sums and the node's total.
     """
     col, cut, flat = cuts
     n = sv.shape[1]
-    sums = np.cumsum(stats, axis=2, out=stats)
-    rated = score(n, cut + 1.0, *[(c.take(flat), c[0, -1]) for c in sums])
+    sums = np.cumsum(stats, axis=1, out=stats)
+    rated = score(n, cut + 1.0, sums.take(flat), sums[0, -1])
     # the first best cut in (column, position) order: ties break toward
     # the lower feature index, then the lower threshold
     best = int(np.argmax(rated))
@@ -192,9 +197,8 @@ def _best_split(sv: np.ndarray, cuts, stats: np.ndarray, score):
     return int(j), float((sv[j, i] + sv[j, i + 1]) / 2.0), float(rated[best])
 
 
-def _gini_decrease(n, nl, pos):
-    """Random-forest score: the Gini impurity decrease; pos sums labels."""
-    pos_l, total_pos = pos
+def _gini_decrease(n, nl, pos_l, total_pos):
+    """Random-forest score: the Gini impurity decrease over label sums."""
     nr = n - nl
     pl = pos_l / nl
     pr = (total_pos - pos_l) / nr
@@ -203,11 +207,13 @@ def _gini_decrease(n, nl, pos):
     return n * 2.0 * p0 * (1.0 - p0) - weighted
 
 
-def _gain(n, nl, g, h):
+def _gain(n, nl, left, total):
     """Boosted-tree score: the regularised gradient/hessian gain
-    GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ), built in place where it can be:
-    fewer cut-sized temporaries to give back to the OS and fault in again."""
-    (GL, G), (HL, H) = g, h
+    GL²/(HL+λ) + GR²/(HR+λ) - G²/(H+λ) from sums that hold gradients in
+    their real and hessians in their imaginary parts, built in place where
+    it can be: fewer cut-sized temporaries to give back to the OS and fault
+    in again."""
+    GL, HL, G, H = left.real, left.imag, total.real, total.imag
     GR, HR = G - GL, H - HL
     gain = GL * GL
     gain /= HL + _GB_LAMBDA
@@ -245,9 +251,9 @@ class _TreeBuilder:
 def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=None, group=None):
     """Grow one tree on its root rows, the columns 0..N-1 of XT (one row
     per feature). order[j] lists those positions stably sorted by XT[j],
-    and stats[k] holds split statistic k of each position: the labels of
-    a forest tree, or a boosting round's gradients and hessians; buf
-    holds a node's gathered statistics (len(stats) * order.size). root,
+    and stats holds the split statistic of each position: a forest tree's
+    float labels, or a boosting round's complex gradient + hessian·i; buf
+    (of stats' dtype) holds a node's gathered statistics. root,
     when given, is the root's sorted values and _valid_cuts, which every
     boosting round shares. group, when given, maps each feature to its
     row of order, which columns of one stable order share. A split
@@ -262,11 +268,11 @@ def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=No
     def searched(rows, depth):
         """Whether a node is split-searched: not too deep or small, and not
         pure. A forest tests every node, so an empty child still raises."""
-        if forest and (yn := stats[0][rows]).min() == yn.max():
+        if forest and (yn := stats[rows]).min() == yn.max():
             return False
         if depth >= params.max_depth or rows.size < 2 * params.min_leaf:
             return False
-        return forest or any(np.count_nonzero(s[rows] != s[rows[0]]) for s in stats)
+        return forest or (stats[rows] != stats[rows[0]]).any()
 
     rows = np.arange(N)
     stack = [(builder.add(), rows, order if searched(rows, 0) else None, 0)]
@@ -288,15 +294,16 @@ def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=No
             if cuts is not None:
                 # one buffer per fit, not a fresh array per node that is freed
                 # and faulted in again; "clip" (no index is out of range) is unbuffered
-                held = buf[: len(stats) * sub.size].reshape(len(stats), *sub.shape)
-                stats.take(sub, axis=1, out=held, mode="clip")
+                held = buf[: sub.size].reshape(sub.shape)
+                stats.take(sub, out=held, mode="clip")
                 found = _best_split(sv, cuts, held, score)
 
         if found is None:
             if forest:
-                leaf_value = float(stats[0][rows].mean())
+                leaf_value = float(stats[rows].mean())
             else:
-                leaf_value = lr * float(-stats[0][rows].sum() / (stats[1][rows].sum() + _GB_LAMBDA))
+                # contiguous copies of each part keep the float pairwise sums
+                leaf_value = lr * float(-stats.real[rows].sum() / (stats.imag[rows].sum() + _GB_LAMBDA))
             builder.value[node] = leaf_value
             if F is not None:
                 F[rows] += leaf_value
@@ -365,7 +372,7 @@ def fit(
             boot = rng.integers(0, n, size=n)
             XT = np.ascontiguousarray(X[boot].T)
             order = np.argsort(ranks[:, boot], axis=1, kind="stable")
-            trees.append(_grow_tree(XT, order, params, rng, kind, yf[None, boot], buf))
+            trees.append(_grow_tree(XT, order, params, rng, kind, yf[boot], buf))
     else:
         lr = params.learning_rate or default_hyperparams(kind).learning_rate
         F = np.zeros(n, dtype=np.float64)
@@ -381,10 +388,12 @@ def fit(
             order = order[np.unique(group, return_index=True)[1]]
         else:
             group = None
-        root, buf = (sv, _valid_cuts(sv, params.min_leaf, group)), np.empty(2 * order.size)
+        root = sv, _valid_cuts(sv, params.min_leaf, group)
+        gh, buf = np.empty(n, np.complex128), np.empty(order.size, np.complex128)
         for _ in range(params.n_trees):
             p = 1.0 / (1.0 + np.exp(-F))
-            gh = np.stack([p - yf, p * (1.0 - p)])  # gradients, hessians
+            np.subtract(p, yf, out=gh.real)  # gradients
+            np.multiply(p, 1.0 - p, out=gh.imag)  # hessians
             trees.append(_grow_tree(XT, order, params, None, kind, gh, buf, lr, F, root, group))
 
     return TreeModel(kind, mode, params, d, trees)

@@ -12,12 +12,18 @@ import split_reference as ref
 
 def _split(Xs, stats, score, min_leaf):
     """_best_split over a tree node that holds Xs: each column as a row of
-    sorted values, its valid cuts (None if there is none), and each
-    statistic in the same per-column order, stacked as [k, d, n]."""
+    sorted values, its valid cuts (None if there is none), and the
+    statistic in the same per-column order as [d, n]: the labels, or the
+    gradients and hessians packed as one complex128 per row."""
     order = np.argsort(Xs, axis=0, kind="stable").T
     sv = np.take_along_axis(Xs.T, order, axis=1)
     cuts = _valid_cuts(sv, min_leaf)
-    return cuts and _best_split(sv, cuts, np.stack(stats).take(order, axis=1), score)
+    if len(stats) == 2:
+        stat = np.empty(len(Xs), np.complex128)
+        stat.real, stat.imag = stats
+    else:
+        (stat,) = stats
+    return cuts and _best_split(sv, cuts, stat.take(order), score)
 
 
 # Few distinct values, so columns repeat values and cuts tie on score.

@@ -239,6 +239,63 @@ def test_no_cut_of_a_constant_gradient_node_gains(n, p, label, min_leaf, data_se
     assert split_reference.best_split_gain(Xs, g, h, min_leaf) is None
 
 
+def _grow_boosted_both(X, g, h, params):
+    """One boosted tree grown on all rows of X from the gradients g and
+    hessians h, by trees._grow_tree (packed as complex g + h·i) and by the
+    reference grower (as two float arrays): each as its five arrays' bytes."""
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    stats = np.empty(len(g), np.complex128)
+    stats.real, stats.imag = g, h
+    buf = np.empty(order.size, np.complex128)
+    lr = params.learning_rate
+    got = trees._grow_tree(XT, order, params, None, ModelKind.GRADIENT_BOOSTED, stats, buf, lr)
+    expected = ref.grow_tree(X, np.arange(len(g)), params, None, ModelKind.GRADIENT_BOOSTED,
+                             g=g, h=h, lr=lr)
+    return [[getattr(t, key).tobytes() for key, _ in trees._TREE_ARRAYS] for t in (got, expected)]
+
+
+# Gradients that mix -0.0 and 0.0 with values whose sums round, so their
+# order of summation shows in the bits.
+_SIGNED_GRADIENTS = [-0.0, 0.0, -0.0, 0.1, -0.3, 0.7, -0.9]
+_HESSIANS = [0.0, 0.09, 0.1971, 0.25, 2.0, 7.5]
+
+
+@st.composite
+def _boosted_nodes(draw, gradients):
+    n = draw(st.integers(2, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=4, max_size=4))
+    X = _matrix(columns, rng, n)
+    params = Hyperparams(1, draw(st.integers(1, 6)), draw(st.integers(1, 6)), 0.3, None, 0)
+    return X, rng.choice(gradients, size=n), rng.choice(_HESSIANS, size=n), params
+
+
+@settings(max_examples=80, deadline=None)
+@given(node=_boosted_nodes(_SIGNED_GRADIENTS))
+def test_signed_zero_gradients_grow_the_reference_tree(node):
+    """-0.0 and 0.0 gradients keep their signs through the packed prefix
+    sums and the leaf sums, and nodes of only signed zeros stay leaves."""
+    X, g, h, params = node
+    got, expected = _grow_boosted_both(X, g, h, params)
+    event("splits" if len(got[0]) > 4 else "stump")  # one int32 feature per node
+    assert got == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(node=_boosted_nodes([-0.3, 0.7, -0.0]))
+def test_equal_gradients_with_unequal_hessians_are_searched(node):
+    """Every row has one gradient but the hessians differ, so a node is
+    not pure and its search can still gain: the purity test compares the
+    packed gradient and hessian together."""
+    X, g, h, params = node
+    g = np.full(len(g), g[0])
+    X[:, 0] = h  # a column that separates the hessians
+    got, expected = _grow_boosted_both(X, g, h, params)
+    event("splits" if len(got[0]) > 4 else "stump")  # one int32 feature per node
+    assert got == expected
+
+
 def test_boosted_empty_child_matches_reference():
     """A cut between two floats one ulp apart sends every row left; a
     boosted tree keeps the empty right child as a leaf, as the reference

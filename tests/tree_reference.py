@@ -2,8 +2,10 @@
 split search that stable-argsorts every column at every node, a grower
 that routes original row ids, boosting margins updated by walking each
 new tree over the whole matrix, and scoring that walks one tree at a
-time. Kept as the reference for differential tests of the presorted
-search, the leaf-row margins and the packed walk.
+time. Its split scores are the float ones the complex-packed boosted
+search replaced: gradients and hessians summed as separate float arrays.
+Kept as the reference for differential tests of the presorted search,
+the leaf-row margins and the packed walk.
 """
 
 from __future__ import annotations
@@ -17,12 +19,28 @@ from hgnids.trees import (
     _WIDTH_MODE,
     ModelKind,
     TreeModel,
-    _gain,
-    _gini_decrease,
     _Tree,
     _TreeBuilder,
 )
 from split_reference import pick_best
+
+
+def gini_decrease(n, nl, pos):
+    """Gini impurity decrease; pos is the (left label sums, total) pair."""
+    pos_l, total_pos = pos
+    nr = n - nl
+    pl = pos_l / nl
+    pr = (total_pos - pos_l) / nr
+    weighted = nl * 2.0 * pl * (1.0 - pl) + nr * 2.0 * pr * (1.0 - pr)
+    p0 = total_pos / n
+    return n * 2.0 * p0 * (1.0 - p0) - weighted
+
+
+def gain(n, nl, g, h):
+    """Gradient/hessian gain; g and h are (left prefix sums, total) pairs."""
+    (GL, G), (HL, H) = g, h
+    GR, HR = G - GL, H - HL
+    return GL * GL / (HL + _GB_LAMBDA) + GR * GR / (HR + _GB_LAMBDA) - G * G / (H + _GB_LAMBDA)
 
 
 def best_split(Xs: np.ndarray, stats, score, min_leaf: int):
@@ -59,10 +77,10 @@ def grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
             if kind is ModelKind.RANDOM_FOREST:
                 m = params.feature_subsample or max(1, int(math.sqrt(d)))
                 feats = np.sort(rng.choice(d, size=min(m, d), replace=False))
-                found = best_split(X[np.ix_(rows, feats)], (yn,), _gini_decrease, params.min_leaf)
+                found = best_split(X[np.ix_(rows, feats)], (yn,), gini_decrease, params.min_leaf)
             else:
                 feats = np.arange(d)
-                found = best_split(X[rows], (gn, hn), _gain, params.min_leaf)
+                found = best_split(X[rows], (gn, hn), gain, params.min_leaf)
 
         if found is None:
             builder.value[node] = leaf_value
