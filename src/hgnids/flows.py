@@ -398,6 +398,8 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
+            if fh.read(1) != "\ufeff":  # a UTF-8 byte-order mark is not part of the header
+                fh.seek(0)
             header = next(reader, None)
             if header is None:
                 raise DataFormatError(f"empty file: {path}")

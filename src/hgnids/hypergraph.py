@@ -24,26 +24,29 @@ classes numbered by first edge id. The overlap relation is one int32
 table of (a, b, shared) rows, one per pair of overlapping classes, a and
 b their first edges; a twin shares its first edge's rows. It is built
 once per hypergraph by counting, for each class, the classes at each of
-its ports, in O(class pairs + class incidences) memory. For each s, the
-BFS nodes are the classes of size >= s with a class neighbour at s or
-at least two members (twins of size >= s are 1 apart), and an edge of
-class A, whose m_A edges lie at class distance d(A, B) from the m_B
+its ports, in O(class pairs + class incidences) memory. For each s, its
+rows with shared >= s, selected once, give the s-adjacent class pairs.
+The BFS nodes are the classes in a pair and the classes of size >= s
+with two or more members (twins of size >= s are 1 apart), and an edge
+of class A, whose m_A edges lie at class distance d(A, B) from the m_B
 edges of class B, has
 
     C_s = (sum of m_B over A's component - 1)
           / ((m_A - 1) + sum over B != A of m_B * d(A, B)),
 
-the two integers the edge-level BFS divided. A level-synchronous BFS
-from a chunk of sources at once takes one product per level with the
-transient dense adjacency of the n_s node classes. Per s, memory is that
-[n_s, n_s] adjacency plus BFS blocks of chunk * n_s cells (chunk is
-_CHUNK_CELLS // n_s sources, or n_s // 16 when that is more, so a large
-sweep reads the adjacency at most 17 times per level), and no distance
-matrix is kept: what stays cached is two per-edge arrays, C_s and the
-component id, numbered by the smallest edge id in each component.
-`s_distance` runs a one-source BFS over a CSR form of the class graph,
-built from the overlap rows on its first call at each s and cached as
-two 1-D arrays.
+the two integers the edge-level BFS divided. The sweep builds from the
+pairs a transient dense adjacency of the n_s nodes, and a BFS from a
+chunk of sources at once takes one product per level with it. Per s,
+memory is that [n_s, n_s] adjacency plus BFS blocks of up to about
+max(_CHUNK_CELLS, n_s**2 / 16) cells, so a large sweep reads the
+adjacency at most 17 times per level. No distance matrix is kept: what
+stays cached is two per-edge arrays, C_s and the component id, numbered
+by the smallest edge id in each component.
+`s_distance` runs a one-source BFS over a CSR form, built from the same
+pairs on its first call at each s and cached as two 1-D arrays. Each
+BFS loses the other's workload: a sparse all-sources sweep took 66.9 s
+where the dense one took 0.54 s (1,979 nodes), and a dense rebuild per
+`s_distance` call added about 25 s to the test suite.
 `edge_profiles` stacks the cached closeness arrays of the 11 scheduled s
 into one [n_edges, 11] table, the only form in which the feature encoder
 and the detector read centralities; `centrality_profile` is the one-edge
@@ -81,11 +84,13 @@ class Hypergraph:
     """Immutable incidence arrays over integer edge ids, and nothing else:
     edge i is the IP names[i] with role roles[i] and the ascending ports
     ports[ptr[i]:ptr[i + 1]]. The constructor takes the (edge[j], port[j])
-    incidences in any order, with repeats. It raises ValueError when edge
-    and port differ in length, roles is not one per name, an edge id lies
-    outside names, or a port outside 0..65535."""
+    incidences in any order, with repeats. It raises ValueError when a
+    name repeats, edge and port differ in length, roles is not one per
+    name, an edge id lies outside names, or a port outside 0..65535."""
 
     def __init__(self, names: Sequence[str], edge, port, roles: Sequence[EdgeRole]):
+        if len(set(names)) != len(names):  # every name-keyed answer reads one edge per name
+            raise ValueError(f"{len(names) - len(set(names))} repeated edge names")
         edge, port = np.asarray(edge, np.int64), np.asarray(port, np.int64)
         if edge.shape != port.shape or len(roles) != len(names):
             raise ValueError(f"{edge.size} edge ids for {port.size} ports, {len(roles)} roles for {len(names)} names")
@@ -237,22 +242,13 @@ def _twin_classes(h: Hypergraph) -> tuple[np.ndarray, ...]:
     return h._classes
 
 
-def _class_graph(h: Hypergraph, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each twin class's BFS row at s, -1 for a class of singletons, and
-    the float32 adjacency of the rows."""
-    _, first, members = _twin_classes(h)
+def _class_pairs(h: Hypergraph, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The class ids a < b of every pair of twin classes that share at
+    least s ports, in overlap-table order."""
+    of_edge = _twin_classes(h)[0]
     ia, ib, shared = h.overlaps().T
     keep = shared >= s
-    ia, ib = ia[keep], ib[keep]
-    row = np.full(len(h), -1)  # by edge id: rows go to first edges, in class order
-    row[first[(h.sizes[first] >= s) & (members > 1)]] = 0
-    row[ia] = row[ib] = 0
-    nodes = np.flatnonzero(row == 0)
-    row[nodes] = np.arange(len(nodes))
-    ra, rb = row[ia], row[ib]
-    adjacency = np.zeros((len(nodes), len(nodes)), np.float32)
-    adjacency[ra, rb] = adjacency[rb, ra] = 1.0
-    return row[first], adjacency
+    return of_edge[ia[keep]], of_edge[ib[keep]]
 
 
 def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
@@ -260,16 +256,20 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
     per-edge arrays."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    cached = h._lines.get(s)
-    if cached is not None:
-        return cached
+    if s in h._lines:
+        return h._lines[s]
     of_edge, first, members = _twin_classes(h)
-    row, adjacency = _class_graph(h, s)
-    nodes = np.flatnonzero(row >= 0)
+    a, b = _class_pairs(h, s)
+    node = (h.sizes[first] >= s) & (members > 1)  # per class: whether it is a BFS node
+    node[a] = node[b] = True
+    row = np.cumsum(node) - 1  # each node class's BFS row, in class order
+    nodes = np.flatnonzero(node)
     n = len(nodes)
+    adjacency = np.zeros((n, n), np.float32)
+    adjacency[row[a], row[b]] = adjacency[row[b], row[a]] = 1.0
     weight = members[nodes]
-    closeness = np.zeros(len(row))
-    root = np.zeros(len(row), np.int64)  # per node class: the smallest edge id in its component
+    closeness = np.zeros(len(first))
+    root = np.zeros(len(first), np.int64)  # per node class: the smallest edge id in its component
     chunk = max(1, _CHUNK_CELLS // max(n, 1), n // 16)
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
@@ -280,23 +280,20 @@ def _s_line_graph(h: Hypergraph, s: int) -> _SLineGraph:
         closeness[nodes[rows]] = (reached @ weight - 1) / hops
         root[nodes[rows]] = first[nodes[reached.argmax(1)]]
     edges = np.arange(len(h))
-    root = np.where(row[of_edge] >= 0, root[of_edge], edges)
+    root = np.where(node[of_edge], root[of_edge], edges)
     component = np.cumsum(root == edges)[root] - 1
-    line = h._lines[s] = _SLineGraph(closeness[of_edge], component)
-    return line
+    h._lines[s] = _SLineGraph(closeness[of_edge], component)
+    return h._lines[s]
 
 
 def _class_csr(h: Hypergraph, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The class graph at s in CSR form, cached: class c's neighbours are
-    nbr[ptr[c]:ptr[c + 1]], from the overlap rows with shared >= s."""
+    nbr[ptr[c]:ptr[c + 1]], from the class pairs at s."""
     if s not in h._csr:
-        of_edge, first, _ = _twin_classes(h)
-        ia, ib, shared = h.overlaps().T
-        keep = shared >= s
-        a, b = of_edge[ia[keep]], of_edge[ib[keep]]
+        a, b = _class_pairs(h, s)
         tail, head = np.concatenate([a, b]), np.concatenate([b, a])
         by_tail = np.argsort(tail, kind="stable")
-        ptr = np.searchsorted(tail[by_tail], np.arange(len(first) + 1))
+        ptr = np.searchsorted(tail[by_tail], np.arange(len(_twin_classes(h)[1]) + 1))
         h._csr[s] = ptr, head[by_tail]
     return h._csr[s]
 

@@ -323,6 +323,22 @@ def test_ingest_header_whitespace_tolerated(tmp_path):
     assert len(dataset) == 1
 
 
+@pytest.mark.parametrize("quote", [b"", b'"'], ids=["bare", "quoted"])
+def test_ingest_reads_past_a_byte_order_mark(tmp_path, quote):
+    """A BOM-prefixed copy, as some tools save UTF-8 CSVs, ingests to the
+    same dataset and report as the plain file, also when the copy quotes
+    its first header cell."""
+    data = synth_traffic("MIXED", 200, [("1.1.1.1", "2.2.2.2")], seed=3)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_csv(data, plain)
+    first, rest = plain.read_bytes().split(b",", 1)
+    marked.write_bytes(b"\xef\xbb\xbf" + quote + first + quote + b"," + rest)
+    expected, expected_report = ingest_csv(plain)
+    dataset, report = ingest_csv(marked)
+    assert same_columns(dataset, expected)
+    assert report == expected_report
+
+
 def test_cleaning_idempotent(tmp_path):
     rows = [_row() for _ in range(5)] + [_row(duration="-3"), _row(bytes_s="inf")]
     dirty = tmp_path / "dirty.csv"

@@ -29,18 +29,20 @@ from helpers import (
 )
 
 
-@pytest.mark.parametrize("edge, port, n_roles", [
-    ([0, 1], [80], 2),  # one edge id too many
-    ([0, 0], [80, 70_000], 2),  # a port past 65535
-    ([0, 1], [-1, 80], 2),  # a negative port
-    ([0, 5], [80, 80], 2),  # an edge id past the names
-    ([0, 1], [80, 80], 1),  # a role short
-], ids=["lengths", "port-high", "port-negative", "edge-id", "roles"])
-def test_constructor_rejects_what_it_cannot_pack(edge, port, n_roles):
+@pytest.mark.parametrize("names, edge, port, n_roles", [
+    (["a", "b"], [0, 1], [80], 2),  # one edge id too many
+    (["a", "b"], [0, 0], [80, 70_000], 2),  # a port past 65535
+    (["a", "b"], [0, 1], [-1, 80], 2),  # a negative port
+    (["a", "b"], [0, 5], [80, 80], 2),  # an edge id past the names
+    (["a", "b"], [0, 1], [80, 80], 1),  # a role short
+    (["a", "a", "b"], [0, 1, 2], [80, 80, 80], 3),  # a name twice
+], ids=["lengths", "port-high", "port-negative", "edge-id", "roles", "names-repeated"])
+def test_constructor_rejects_what_it_cannot_pack(names, edge, port, n_roles):
     """Incidences pack as edge * 65536 + port, so an unchecked port or
-    edge id would land on another edge or be dropped."""
+    edge id would land on another edge or be dropped, and a repeated name
+    would hide every edge but one from the name-keyed answers."""
     with pytest.raises(ValueError):
-        hg.Hypergraph(["a", "b"], edge, port, [hg.EdgeRole.SOURCE] * n_roles)
+        hg.Hypergraph(names, edge, port, [hg.EdgeRole.SOURCE] * n_roles)
 
 
 def test_build_single_record():
