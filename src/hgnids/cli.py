@@ -153,7 +153,7 @@ def _parse_pairs(spec: str) -> list[tuple[str, str]]:
 
 def cmd_ingest(args, cfg, manifest: Manifest) -> list[Path]:
     try:
-        column_map = json.loads(Path(args.column_map).read_text("utf-8")) if args.column_map else None
+        column_map = json.loads(Path(args.column_map).read_text("utf-8-sig")) if args.column_map else None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{args.column_map}: column map is not JSON: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -1,14 +1,14 @@
 """Flat key=value run configuration with environment overrides.
 
-Config files hold one KEY=VALUE pair per line; blank lines and lines
-starting with # are ignored. Only the keys in KEYS are recognised: an
-unknown key in a file is an error, and each key can be overridden by an
-environment variable named HGNIDS_<KEY> (upper-cased). No other
-environment variable is read. A value that does not parse as its key's
-type is an error naming the key and where the value was set, from
-either source, and a file that is not UTF-8 text is an error naming the
-file. Every such error is a ConfigError. Only the simulate and sweep
-commands load a config.
+Config files hold one KEY=VALUE pair per line, after an optional UTF-8
+byte-order mark; blank lines and lines starting with # are ignored.
+Only the keys in KEYS are recognised: an unknown key in a file is an
+error, and each key can be overridden by an environment variable named
+HGNIDS_<KEY> (upper-cased). No other environment variable is read. A
+value that does not parse as its key's type is an error naming the key
+and where the value was set, from either source, and a file that is not
+UTF-8 text is an error naming the file. Every such error is a
+ConfigError. Only the simulate and sweep commands load a config.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def load_config(path=None, env: dict[str, str] | None = None) -> dict[str, str]:
     values: dict[str, str] = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -233,7 +233,9 @@ def save_state(state: EnsembleState, directory) -> list[Path]:
 
 def load_state(directory) -> EnsembleState:
     """Read save_state's directory. An ensemble.json that is not UTF-8
-    JSON, or lacks a members list of file, role and version entries, is a
+    JSON, lacks a members list of file, role and version entries, names a
+    member file that is not a bare file name in the directory, or gives a
+    version that is not a non-negative integer (a bool is not one) is a
     DataFormatError naming it, and so is a member whose model layout is
     not the role ensemble.json gives it."""
     path = Path(directory)
@@ -245,6 +247,10 @@ def load_state(directory) -> EnsembleState:
         raise DataFormatError(f"{manifest}: not an ensemble manifest ({type(exc).__name__}: {exc})") from None
     members = []
     for file, role, version in entries:
+        if not isinstance(file, str) or file in ("", "..") or "\0" in file or Path(file).name != file:
+            raise DataFormatError(f"{manifest}: member file {file!r} is not a file name in {path}")
+        if not isinstance(version, int) or isinstance(version, bool) or version < 0:
+            raise DataFormatError(f"{manifest}: member version {version!r} is not a non-negative integer")
         model = deserialize_model((path / file).read_bytes())
         if role != model.feature_mode.value:
             raise DataFormatError(

@@ -387,7 +387,7 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
     the fields of DEFAULT_COLUMN_MAP to distinct headers, and the file's
     header must name each of them once. A malformed file is a
     DataFormatError naming its line, and a file that is not UTF-8 text one
-    naming the file.
+    naming the file. A leading UTF-8 byte-order mark is skipped.
     """
     if column_map is not None:
         _check_column_map(column_map)
@@ -395,11 +395,9 @@ def ingest_csv(path, column_map: Mapping[str, str] | None = None) -> tuple[Datas
     report = CleaningReport()
     chunks: list[tuple] = []
     ip_ids, label_ids = _numbering(), _numbering()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            if fh.read(1) != "\ufeff":  # a UTF-8 byte-order mark is not part of the header
-                fh.seek(0)
             header = next(reader, None)
             if header is None:
                 raise DataFormatError(f"empty file: {path}")

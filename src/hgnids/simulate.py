@@ -219,8 +219,9 @@ class Scorecard:
     def read(path) -> "Scorecard":
         """Parse a scorecard.csv; a missing column, a short row, a cell of
         the wrong type, a malformed line or text that is not UTF-8 is a
-        DataFormatError naming the file."""
-        with open(path, newline="", encoding="utf-8") as fh:
+        DataFormatError naming the file. A leading UTF-8 byte-order mark
+        is skipped."""
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             try:
                 missing = [name for name in SCORECARD_COLUMNS if name not in (reader.fieldnames or ())]

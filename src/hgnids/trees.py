@@ -23,8 +23,10 @@ trees fit logistic-loss gradient/hessian gains with shrinkage, starting
 from a zero base score so an empty model predicts 0.5. Ties in the
 split search break toward the lower feature index and then the lower
 threshold, which together with per-tree seeded streams makes training
-bit-reproducible. Scoring walks all of a model's trees at once through
-one packed node table.
+bit-reproducible. A tree grows as one list of node rows in `_TREE_ARRAYS`
+order, root first and each split's left child before its right, and
+becomes its node arrays once grown. Scoring walks all of a model's
+trees at once through one packed node table.
 
 Growth skips work whose result is already fixed, each skip exact: a
 boosted node of one gradient and one hessian is a leaf, as a forest node
@@ -222,32 +224,6 @@ def _gain(n, nl, left, total):
     return gain
 
 
-class _TreeBuilder:
-    def __init__(self):
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def add(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def done(self) -> _Tree:
-        return _Tree(
-            np.asarray(self.feature, dtype=np.int32),
-            np.asarray(self.threshold, dtype=np.float64),
-            np.asarray(self.left, dtype=np.int32),
-            np.asarray(self.right, dtype=np.int32),
-            np.asarray(self.value, dtype=np.float64),
-        )
-
-
 def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=None, group=None):
     """Grow one tree on its root rows, the columns 0..N-1 of XT (one row
     per feature). order[j] lists those positions stably sorted by XT[j],
@@ -263,7 +239,7 @@ def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=No
     each leaf adds its value to its rows' margins."""
     d, N = XT.shape
     forest = kind is ModelKind.RANDOM_FOREST
-    builder = _TreeBuilder()
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # one [feature, threshold, left, right, value] row per node
 
     def searched(rows, depth):
         """Whether a node is split-searched: not too deep or small, and not
@@ -275,7 +251,7 @@ def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=No
         return forest or (stats[rows] != stats[rows[0]]).any()
 
     rows = np.arange(N)
-    stack = [(builder.add(), rows, order if searched(rows, 0) else None, 0)]
+    stack = [(0, rows, order if searched(rows, 0) else None, 0)]
     while stack:
         node, rows, order, depth = stack.pop()
         found = None
@@ -304,26 +280,23 @@ def _grow_tree(XT, order, params, rng, kind, stats, buf, lr=1.0, F=None, root=No
             else:
                 # contiguous copies of each part keep the float pairwise sums
                 leaf_value = lr * float(-stats.real[rows].sum() / (stats.imag[rows].sum() + _GB_LAMBDA))
-            builder.value[node] = leaf_value
+            nodes[node][4] = leaf_value
             if F is not None:
                 F[rows] += leaf_value
             continue
         feat, thr = int(feats[found[0]]), found[1]
         goes_left = XT[feat] <= thr
         mask = goes_left.take(rows)
-        builder.feature[node] = feat
-        builder.threshold[node] = thr
-        left = builder.add()
-        right = builder.add()
-        builder.left[node] = left
-        builder.right[node] = right
+        left, right = len(nodes), len(nodes) + 1
+        nodes[node][:4] = feat, thr, left, right
+        nodes += [-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]
         right_rows, left_rows = rows[~mask], rows[mask]
         search_right, search_left = searched(right_rows, depth + 1), searched(left_rows, depth + 1)
         if search_right or search_left:
             sides = goes_left.take(order).ravel()
         stack.append((right, right_rows, _partition(order, ~sides) if search_right else None, depth + 1))
         stack.append((left, left_rows, _partition(order, sides) if search_left else None, depth + 1))
-    return builder.done()
+    return _Tree(**{key: np.array(col, dtype) for col, (key, dtype) in zip(zip(*nodes), _TREE_ARRAYS)})
 
 
 def _partition(order: np.ndarray, keep: np.ndarray) -> np.ndarray:

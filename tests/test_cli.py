@@ -802,6 +802,28 @@ def test_input_that_is_not_utf8_is_data_error(tmp_path, capsys, case):
     assert err.startswith("data error: ") and f"{path}: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("case", [
+    "ingest-label", "simulate-config", "ingest-column-map", "report-scorecard",
+])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, case):
+    """Each input of _not_utf8_case, written as UTF-8 text, gives the same
+    outputs with a leading byte-order mark as without one."""
+    path, argv = _not_utf8_case(tmp_path, case)
+    text = path.read_bytes().decode("cp1252").encode()
+    if case == "ingest-column-map":  # the map renames the label column; so must the flows
+        flows = Path(argv[2])
+        header, rest = flows.read_bytes().split(b"\n", 1)
+        flows.write_bytes(header.replace(b"Label", "Libellé".encode()) + b"\n" + rest)
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(prefix + text)
+        out = tmp_path / f"out{len(outputs)}"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+        outputs.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def _unopenable_case(tmp_path, case):
     """A directory where a command reads a file, or a file where it writes
     a directory; return that path and the command's argv."""

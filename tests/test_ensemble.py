@@ -342,12 +342,35 @@ def _manifest_without_file(tmp_path) -> bytes:
     return json.dumps(manifest).encode()
 
 
+def _manifest_with(key, value):
+    """A saved manifest whose first member's key is set to
+    value(tmp_path, file), where file is the name save_state gave that
+    member."""
+    def manifest(tmp_path) -> bytes:
+        save_state(_stump_state(0.1, 0.2), tmp_path)
+        manifest = json.loads((tmp_path / "ensemble.json").read_text())
+        member = manifest["members"][0]
+        member[key] = value(tmp_path, member["file"])
+        return json.dumps(manifest).encode()
+    return manifest
+
+
 @pytest.mark.parametrize("manifest", [
     lambda tmp_path: b"members: none",  # not JSON
     lambda tmp_path: b"{}",
     _manifest_without_file,
     lambda tmp_path: b'{"members": [{"file": "caf\xe9.json"}]}',  # the cp1252 byte 0xE9
-], ids=["not-json", "empty-object", "member-without-file", "not-utf8"])
+    _manifest_with("file", lambda tmp_path, file: 3),
+    _manifest_with("file", lambda tmp_path, file: None),
+    # the member's own file, reached through the parent directory
+    _manifest_with("file", lambda tmp_path, file: f"../{tmp_path.name}/{file}"),
+    _manifest_with("file", lambda tmp_path, file: file + "\0"),
+    _manifest_with("version", lambda tmp_path, file: "x"),
+    _manifest_with("version", lambda tmp_path, file: True),
+    _manifest_with("version", lambda tmp_path, file: -3),
+], ids=["not-json", "empty-object", "member-without-file", "not-utf8", "file-not-a-string",
+        "file-null", "file-outside-the-directory", "file-with-a-nul-byte", "version-not-an-integer",
+        "version-a-bool", "version-negative"])
 def test_load_state_rejects_a_malformed_manifest(tmp_path, manifest):
     (tmp_path / "ensemble.json").write_bytes(manifest(tmp_path))
     with pytest.raises(DataFormatError, match=re.escape(str(tmp_path / "ensemble.json"))):

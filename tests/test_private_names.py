@@ -1,6 +1,7 @@
 """Every module-level private name of the package is read somewhere in
 `src/` outside its own definition, so a helper that a refactor leaves
-behind fails the suite."""
+behind fails the suite; and no test reference imports private code of
+the package, so a reference cannot pass by running the code it checks."""
 
 import ast
 from collections import Counter
@@ -41,3 +42,35 @@ def test_every_private_module_name_is_read_elsewhere_in_src():
         and reads[name] == _reads(node)[name]
     ]
     assert not unread, f"private names read nowhere else: {unread}"
+
+
+def _private_code(module: str) -> set[str]:
+    """The private functions of a package module, and its private classes
+    with a method that is not a dunder."""
+    path = SRC.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    return {
+        node.name
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        or isinstance(node, ast.ClassDef) and node.name.startswith("_") and any(
+            isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__"))
+            for f in node.body
+        )
+    }
+
+
+def test_references_import_no_private_code():
+    """A reference shares data with the code it checks, never code: no
+    tests/*_reference.py imports a private function or method-bearing
+    private class from the package. Constants and plain record types
+    such as trees._Tree may be shared."""
+    shared = [
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(Path(__file__).parent.glob("*_reference.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hgnids"
+        for alias in node.names
+        if alias.name in _private_code(node.module)
+    ]
+    assert not shared, f"references that import private code: {shared}"

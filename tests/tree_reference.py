@@ -16,11 +16,11 @@ import numpy as np
 
 from hgnids.trees import (
     _GB_LAMBDA,
+    _TREE_ARRAYS,
     _WIDTH_MODE,
     ModelKind,
     TreeModel,
     _Tree,
-    _TreeBuilder,
 )
 from split_reference import pick_best
 
@@ -58,9 +58,8 @@ def best_split(Xs: np.ndarray, stats, score, min_leaf: int):
 
 def grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
     d = X.shape[1]
-    builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(root, idx, 0)]
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # [feature, threshold, left, right, value] per node
+    stack = [(0, idx, 0)]
     while stack:
         node, rows, depth = stack.pop()
         if kind is ModelKind.RANDOM_FOREST:
@@ -83,19 +82,16 @@ def grow_tree(X, idx, params, rng, kind, y=None, g=None, h=None, lr=1.0):
                 found = best_split(X[rows], (gn, hn), gain, params.min_leaf)
 
         if found is None:
-            builder.value[node] = leaf_value
+            nodes[node][4] = leaf_value
             continue
         feat, thr = int(feats[found[0]]), found[1]
         mask = X[rows, feat] <= thr
-        builder.feature[node] = feat
-        builder.threshold[node] = thr
-        left = builder.add()
-        right = builder.add()
-        builder.left[node] = left
-        builder.right[node] = right
+        left, right = len(nodes), len(nodes) + 1
+        nodes[node][:4] = feat, thr, left, right
+        nodes += [-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]
         stack.append((right, rows[~mask], depth + 1))
         stack.append((left, rows[mask], depth + 1))
-    return builder.done()
+    return _Tree(**{key: np.array(col, dtype) for col, (key, dtype) in zip(zip(*nodes), _TREE_ARRAYS)})
 
 
 def apply_tree(tree: _Tree, X: np.ndarray) -> np.ndarray:
